@@ -14,11 +14,15 @@ Two verification primitives are provided:
   constraint-manifold tangent space with the variational equation
   dV/dt = J(x(t)) V and accumulates the log volume of the transported
   parallelepiped; for an invariant measure mu the sum
-  log mu(x(t)) + log vol(V(t)) stays constant.
+  log mu(x(t)) + log vol(V(t)) stays constant.  An ensemble of initial
+  states (S, d) is transported together: each stage evaluates the field
+  once, on every member's point and finite-difference stencil stacked.
 
 The default integrator is an embedded Dormand-Prince 5(4) pair with a
 proportional step controller; a fixed-step classical RK4 is available for
-convergence studies.  Both are deterministic.
+convergence studies.  Both are deterministic.  The adaptive driver also
+steps an ensemble state (S, D) with one shared step sequence; its error
+norm is the largest member RMS, so no member is under-controlled.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from .errors import (
     ConstraintDriftError,
+    DimensionError,
     IntegrationAbort,
     NonholoError,
     ParameterError,
@@ -38,6 +43,7 @@ from .errors import (
 
 __all__ = [
     "IntegratorConfig",
+    "IntegrationStats",
     "Trajectory",
     "TransportResult",
     "rk4_step",
@@ -54,6 +60,8 @@ __all__ = [
 ]
 
 _FD_H = float(np.finfo(float).eps) ** (1.0 / 3.0)
+# Upper bound on one stacked field batch of an ensemble transport stage.
+_ENSEMBLE_BATCH_BYTES = 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +100,9 @@ _DP_E = _DP_B - _DP_BHAT
 class IntegratorConfig:
     """Settings for ``integrate``.
 
-    method is "embedded_adaptive" (Dormand-Prince 5(4), default) or
-    "rk4_fixed" (requires dt).  samples is the number of equally spaced
-    output times on [0, t_end] including both ends.  renormalize_every
+    method is "dp45" or its alias "embedded_adaptive" (Dormand-Prince 5(4),
+    default) or "rk4_fixed" (requires dt).  samples is the number of equally
+    spaced output times on [0, t_end] including both ends.  renormalize_every
     applies a chart renormalization after that many accepted steps; it is
     disabled by default and must stay disabled during measure checks.
     """
@@ -109,7 +117,7 @@ class IntegratorConfig:
     renormalize_every: int | None = None
 
     def __post_init__(self):
-        if self.method not in ("embedded_adaptive", "rk4_fixed"):
+        if self.method not in ("dp45", "embedded_adaptive", "rk4_fixed"):
             raise ParameterError(f"unknown integrator method {self.method!r}")
         if self.method == "rk4_fixed" and (self.dt is None or self.dt <= 0.0):
             raise ParameterError("rk4_fixed requires a positive dt")
@@ -127,14 +135,35 @@ class IntegratorConfig:
 
 
 @dataclass
+class IntegrationStats:
+    """What a driver did.  For DP45 with FSAL reuse,
+    evaluations == 1 + 6 * (accepted + rejected) + fsal_resets."""
+
+    accepted: int = 0
+    rejected: int = 0
+    evaluations: int = 0
+    fsal_resets: int = 0
+
+
+@dataclass
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
     observations: dict = field(default_factory=dict)
+    stats: IntegrationStats = field(default_factory=IntegrationStats)
+
+
+def _rms(a):
+    """Root mean square over the last axis: one value per ensemble member."""
+    return np.sqrt(np.mean(a**2, axis=-1))
 
 
 class _AdaptiveDriver:
-    """Dormand-Prince 5(4) stepping between target times, FSAL reused."""
+    """Dormand-Prince 5(4) stepping between target times, FSAL reused.
+
+    The state is (D,) or an ensemble (S, D) stepped with one shared step
+    sequence; the step is controlled by the largest member error.
+    """
 
     def __init__(self, f, x, cfg):
         self.f = f
@@ -145,29 +174,38 @@ class _AdaptiveDriver:
         self.f0 = None
         self.steps = 0
         self.accepted_since_renorm = 0
+        self.stats = IntegrationStats()
 
     def _eval(self, x):
+        self.stats.evaluations += 1
         try:
             return np.asarray(self.f(x), dtype=float)
         except NonholoError as exc:
             raise IntegrationAbort(self.t, exc) from exc
 
+    def _fsal_start(self):
+        if self.f0 is None:  # first call, or FSAL value dropped by a reset
+            if self.stats.evaluations:
+                self.stats.fsal_resets += 1
+            self.f0 = self._eval(self.x)
+
     def _initial_h(self, span):
         sc = self.cfg.abs_tol + self.cfg.rel_tol * np.abs(self.x)
-        d0 = float(np.sqrt(np.mean((self.x / sc) ** 2)))
-        d1 = float(np.sqrt(np.mean((self.f0 / sc) ** 2)))
-        h = 0.01 * d0 / d1 if d1 > 1e-12 and d0 > 1e-12 else 1e-3 * span
+        d0 = np.atleast_1d(_rms(self.x / sc))
+        d1 = np.atleast_1d(_rms(self.f0 / sc))
+        h = min(
+            0.01 * a / b if b > 1e-12 and a > 1e-12 else 1e-3 * span
+            for a, b in zip(d0.tolist(), d1.tolist())
+        )
         return min(max(h, 1e-8 * span), span)
 
     def advance(self, t_target, on_accept=None):
         cfg = self.cfg
-        if self.f0 is None:
-            self.f0 = self._eval(self.x)
+        self._fsal_start()
         if self.h is None:
             self.h = self._initial_h(max(t_target - self.t, 1e-12))
         while self.t < t_target - 1e-14 * max(1.0, abs(t_target)):
-            if self.f0 is None:  # FSAL value dropped by a renormalization
-                self.f0 = self._eval(self.x)
+            self._fsal_start()
             if self.steps >= cfg.max_steps:
                 raise IntegrationAbort(self.t, "max_steps exceeded")
             h = min(self.h, t_target - self.t)
@@ -183,9 +221,12 @@ class _AdaptiveDriver:
             x_new = self.x + h * np.tensordot(_DP_B, karr, axes=(0, 0))
             err = h * np.tensordot(_DP_E, karr, axes=(0, 0))
             sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.x), np.abs(x_new))
-            err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
+            err_norm = float(np.max(_rms(err / sc)))
+            if not np.isfinite(err_norm):
+                raise IntegrationAbort(self.t, "non-finite field value")
             self.steps += 1
             if err_norm <= 1.0:
+                self.stats.accepted += 1
                 self.t += h
                 self.x = x_new
                 self.f0 = k[6]  # FSAL: last stage is f at the accepted point
@@ -196,6 +237,7 @@ class _AdaptiveDriver:
                     5.0, max(0.2, 0.9 * err_norm ** -0.2)
                 )
             else:
+                self.stats.rejected += 1
                 factor = max(0.2, 0.9 * err_norm ** -0.2)
             self.h = h * factor
         return self.x
@@ -214,6 +256,7 @@ class _FixedDriver:
         self.t = 0.0
         self.steps = 0
         self.accepted_since_renorm = 0
+        self.stats = IntegrationStats()
 
     def advance(self, t_target, on_accept=None):
         dt = self.cfg.dt
@@ -227,6 +270,8 @@ class _FixedDriver:
                 raise IntegrationAbort(self.t, exc) from exc
             self.t += h
             self.steps += 1
+            self.stats.accepted += 1
+            self.stats.evaluations += 4
             self.accepted_since_renorm += 1
             if on_accept is not None:
                 on_accept(self)
@@ -273,6 +318,7 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, observers=None, renormalize_f
         times=times,
         states=np.array(states),
         observations={k: np.array(v) for k, v in obs.items()},
+        stats=driver.stats,
     )
 
 
@@ -281,37 +327,53 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, observers=None, renormalize_f
 
 
 def _fd_points(x, h_scale):
-    d = x.size
+    """Central-difference stencil of x (..., d): points (..., 2d, d), steps (..., d).
+
+    Row i of the stencil is x + h_i e_i and row d + i is x - h_i e_i, with
+    h_i = h_scale * max(1, |x_i|).
+    """
+    d = x.shape[-1]
     h = h_scale * np.maximum(1.0, np.abs(x))
-    pts = np.concatenate([x + np.diag(h), x - np.diag(h)], axis=0)
+    step = h[..., :, None] * np.eye(d)
+    pts = np.concatenate([x[..., None, :] + step, x[..., None, :] - step], axis=-2)
     return pts, h
 
 
-def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
-    """Central finite-difference Jacobian of fn at x, shape (m, d).
-
-    The step along coordinate i is h_scale * max(1, |x_i|) with
-    h_scale = eps**(1/3) by default.  fn is called once on a stacked batch
-    of 2d points; if it cannot broadcast, it is called row by row.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    d = x.size
-    if h_scale is None:
-        h_scale = _FD_H
-    pts, h = _fd_points(x, h_scale)
+def _eval_rows(fn, pts):
+    """fn on every row of pts (..., d) in one call; row by row if fn cannot broadcast."""
+    flat = pts.reshape(-1, pts.shape[-1])
     vals = None
     try:
-        out = np.asarray(fn(pts), dtype=float)
-        if out.ndim == 2 and out.shape[0] == 2 * d:
+        out = np.asarray(fn(flat), dtype=float)
+        if out.ndim == 2 and out.shape[0] == flat.shape[0]:
             vals = out
     except NonholoError:
         raise
     except Exception:
         vals = None
     if vals is None:
-        vals = np.array([np.asarray(fn(p), dtype=float).ravel() for p in pts])
-    diff = (vals[:d] - vals[d:]) / (2.0 * h[:, None])
-    return diff.T
+        vals = np.array([np.asarray(fn(p), dtype=float).ravel() for p in flat])
+    return vals.reshape(pts.shape[:-1] + vals.shape[-1:])
+
+
+def _central_difference(vals, h):
+    """Jacobian (..., m, d) from stencil values (..., 2d, m) and steps (..., d)."""
+    d = h.shape[-1]
+    diff = (vals[..., :d, :] - vals[..., d:, :]) / (2.0 * h[..., :, None])
+    return np.swapaxes(diff, -1, -2)
+
+
+def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
+    """Central finite-difference Jacobian of fn at x (..., d), shape (..., m, d).
+
+    The step along coordinate i is h_scale * max(1, |x_i|) with
+    h_scale = eps**(1/3) by default.  fn is called once on the stacked
+    stencils of every point (2d rows each); if it cannot broadcast, it is
+    called row by row.
+    """
+    x = np.asarray(x, dtype=float)
+    pts, h = _fd_points(x, _FD_H if h_scale is None else h_scale)
+    return _central_difference(_eval_rows(fn, pts), h)
 
 
 def fd_gradient(fn, x, h_scale: float | None = None) -> np.ndarray:
@@ -379,13 +441,15 @@ class TransportResult:
 
     residual[i] = (log_density + log_tangent_volume) at times[i] minus the
     same quantity at times[0]; it stays near zero exactly when the density
-    defines an invariant measure on the constraint manifold.
+    defines an invariant measure on the constraint manifold.  stats counts
+    the steps of the driver, shared by every member of an ensemble.
     """
 
     times: np.ndarray
     log_density: np.ndarray
     log_tangent_volume: np.ndarray
     residual: np.ndarray
+    stats: IntegrationStats = field(default_factory=IntegrationStats)
 
     @property
     def max_abs_residual(self) -> float:
@@ -412,7 +476,7 @@ def tangent_volume_transport(
     n_samples: int = 11,
     tangent_basis: np.ndarray | None = None,
     constraint_tol: float = 1e-6,
-) -> TransportResult:
+) -> TransportResult | list[TransportResult]:
     """Transport a tangent-space volume element along the flow.
 
     The tangent basis (columns of V) solves dV/dt = J(x(t)) V with J the
@@ -425,68 +489,104 @@ def tangent_volume_transport(
     With constraints_fn None the transport runs on the full chart (the
     basis starts as the identity), which turns the check into an integrated
     ambient Liouville test.
+
+    x0 is one state (d,), which returns one TransportResult, or an ensemble
+    (S, d), which returns a list with one TransportResult per member.  The
+    members share one driver: every stage calls field_fn once, on each
+    member's state and its 2d central-difference points stacked, and the
+    step is controlled by the largest member error.  A member's residual can
+    therefore differ from its own (d,) transport at the integrator-error
+    level.  Any failure of one member raises for the whole ensemble.
+    Members run in consecutive groups small enough that one stacked field
+    batch stays under 64 MB.  A given tangent_basis (d, q) starts every member.
     """
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    d = x.size
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2):
+        raise DimensionError(f"x0: expected shape (d,) or (S, d), got {x0.shape}")
+    xs = x0.reshape(-1, x0.shape[-1])
+    S, d = xs.shape
     if cfg is None:
         cfg = IntegratorConfig()
-    if tangent_basis is not None:
-        V = np.asarray(tangent_basis, dtype=float).copy()
-    elif constraints_fn is not None:
-        V = constraint_tangent_basis(constraints_fn, x)
+    if tangent_basis is None and constraints_fn is None:
+        tangent_basis = np.eye(d)
+    group = max(1, _ENSEMBLE_BATCH_BYTES // (8 * (1 + 2 * d) * d))
+    results = []
+    for lo in range(0, S, group):
+        results += _transport_group(
+            field_fn,
+            log_density_fn,
+            xs[lo : lo + group],
+            constraints_fn,
+            cfg,
+            n_samples,
+            tangent_basis,
+            constraint_tol,
+        )
+    return results[0] if x0.ndim == 1 else results
+
+
+def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_samples, basis, tol):
+    """tangent_volume_transport of an ensemble xs (S, d) on one shared driver."""
+    S, d = xs.shape
+    if basis is not None:
+        V = np.tile(np.asarray(basis, dtype=float), (S, 1, 1))
     else:
-        V = np.eye(d)
-    q = V.shape[1]
+        bases = [constraint_tangent_basis(constraints_fn, x) for x in xs]
+        if len({b.shape[1] for b in bases}) > 1:
+            raise DimensionError("ensemble members have tangent spaces of different dimension")
+        V = np.stack(bases)
+    q = V.shape[-1]
 
     def aug_field(y):
-        xs = y[:d]
-        Vs = y[d:].reshape(d, q)
-        fx = np.asarray(field_fn(xs), dtype=float).ravel()
-        J = fd_jacobian(field_fn, xs)
-        return np.concatenate([fx, (J @ Vs).ravel()])
+        x = y[:, :d]
+        pts, h = _fd_points(x, _FD_H)
+        vals = _eval_rows(field_fn, np.concatenate([x[:, None, :], pts], axis=1))
+        JV = _central_difference(vals[:, 1:], h) @ y[:, d:].reshape(S, d, q)
+        return np.concatenate([vals[:, 0], JV.reshape(S, d * q)], axis=1)
 
     t_grid = np.linspace(0.0, cfg.t_end, n_samples) if cfg.t_end > 0 else np.array([0.0])
-    ld0 = float(log_density_fn(x))
-    times = [0.0]
-    lds = [ld0]
-    lvs = [0.0]
-    res = [0.0]
-    logvol = 0.0
+    logvol = np.zeros(S)
+    lds = [np.array([float(log_density_fn(x)) for x in xs])]
+    lvs = [logvol.copy()]
 
-    y = np.concatenate([x, V.ravel()])
-    driver = _make_driver(aug_field, y, cfg)
+    driver = _make_driver(aug_field, np.concatenate([xs, V.reshape(S, d * q)], axis=1), cfg)
     for t in t_grid[1:]:
-        y = driver.advance(float(t))
-        x = y[:d].copy()
-        V = y[d:].reshape(d, q).copy()
-        if constraints_fn is not None:
-            cvals = np.asarray(constraints_fn(x), dtype=float).ravel()
-            drift = float(np.max(np.abs(cvals))) if cvals.size else 0.0
-            if drift > constraint_tol:
-                raise ConstraintDriftError(
-                    f"constraint drift {drift:.3e} exceeds {constraint_tol:.1e} at t={t:.4g}"
-                )
-            V = _project_to_tangent(constraints_fn, x, V)
-        Q, R = np.linalg.qr(V)
-        diag = np.abs(np.diag(R))
-        if np.any(diag <= 0.0):
-            raise SingularityError("transported tangent volume collapsed")
-        logvol += float(np.sum(np.log(diag)))
-        V = Q
-        y = np.concatenate([x, V.ravel()])
+        y = driver.advance(float(t)).copy()
+        ld = np.empty(S)
+        for i, row in enumerate(y):
+            x = row[:d]
+            Vi = row[d:].reshape(d, q)
+            if constraints_fn is not None:
+                cvals = np.asarray(constraints_fn(x), dtype=float).ravel()
+                drift = float(np.max(np.abs(cvals))) if cvals.size else 0.0
+                if drift > tol:
+                    raise ConstraintDriftError(
+                        f"constraint drift {drift:.3e} exceeds {tol:.1e} at t={t:.4g}"
+                    )
+                Vi = _project_to_tangent(constraints_fn, x, Vi)
+            Q, R = np.linalg.qr(Vi)
+            diag = np.abs(np.diag(R))
+            if np.any(diag <= 0.0):
+                raise SingularityError("transported tangent volume collapsed")
+            logvol[i] += float(np.sum(np.log(diag)))
+            row[d:] = Q.ravel()
+            ld[i] = float(log_density_fn(x))
         driver.x = y
         driver.reset_fsal()
-        ld = float(log_density_fn(x))
-        times.append(float(t))
         lds.append(ld)
-        lvs.append(logvol)
-        res.append(ld + logvol - ld0)
-    return TransportResult(
-        times=np.array(times),
-        log_density=np.array(lds),
-        log_tangent_volume=np.array(lvs),
-        residual=np.array(res),
-    )
+        lvs.append(logvol.copy())
+    lds, lvs = np.array(lds), np.array(lvs)
+    res = lds + lvs - lds[0]
+    return [
+        TransportResult(
+            times=t_grid.copy(),
+            log_density=lds[:, i],
+            log_tangent_volume=lvs[:, i],
+            residual=res[:, i],
+            stats=driver.stats,
+        )
+        for i in range(S)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from nonholo.cli import main
+from nonholo.ball3d import ChaplyginChart
+from nonholo.cli import build_chart, initial_coords, load_config, main
+from nonholo.errors import SingularityError
 
 BALL_CFG = {
     "system": "ball_chaplygin",
@@ -90,6 +93,16 @@ def test_simulate_values_round_trip_at_full_precision(tmp_path):
             assert ("%.17g" % float(cell)) == cell
 
 
+def test_simulate_accepts_documented_dp45_method(tmp_path):
+    default = write_cfg(tmp_path, BALL_CFG, "default.json")
+    dp45 = write_cfg(tmp_path, dict(BALL_CFG, integrator={"t_end": 1.0, "samples": 5,
+                                                          "method": "dp45"}))
+    assert main(["simulate", "--config", dp45, "--out", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--config", default, "--out", str(tmp_path / "b")]) == 0
+    name = "ball_chaplygin_trajectory.csv"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_simulate_abort_exits_four(tmp_path):
     cfg = dict(BALL_CFG, integrator={"t_end": 50.0, "max_steps": 5})
     p = write_cfg(tmp_path, cfg)
@@ -122,6 +135,49 @@ def test_verify_liouville_and_integrals(tmp_path):
     rows = read_rows(tmp_path / "elr_multiplier_integrals.csv")
     quantities = {r[7] for r in rows[1:]}
     assert "phi1_drift" in quantities
+
+
+@pytest.mark.parametrize("base", [BALL_CFG, ELR_CFG], ids=["ball_chaplygin", "elr_multiplier"])
+def test_verify_volume_ensemble_matches_single_seed_runs(tmp_path, base):
+    cfg = write_cfg(tmp_path, base)
+    assert main(["verify", "--config", cfg, "--check", "volume", "--seeds", "3",
+                 "--out", str(tmp_path / "ensemble")]) == 0
+    name = f"{base['system']}_volume.csv"
+    ensemble = read_rows(tmp_path / "ensemble" / name)[1:]
+    assert len(ensemble) == 3
+    for i, row in enumerate(ensemble):
+        seed = base["initial"]["seed"] + i
+        single = write_cfg(tmp_path, dict(base, initial={"seed": seed}), f"seed{seed}.json")
+        assert main(["verify", "--config", single, "--check", "volume", "--seeds", "1",
+                     "--out", str(tmp_path / str(seed))]) == 0
+        (alone,) = read_rows(tmp_path / str(seed) / name)[1:]
+        # same seed, quantity and status; the value may differ at integrator level
+        assert alone[:8] == row[:8]
+        assert alone[10] == row[10] == "pass"
+        assert float(row[8]) <= float(row[9])
+
+
+@pytest.mark.parametrize("method", ["field", "log_density"])
+def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
+    # field errors reach verify wrapped in IntegrationAbort, log_density
+    # errors unwrapped; either way only the failing seed aborts
+    cfg = write_cfg(tmp_path, BALL_CFG)
+    run = load_config(cfg)
+    bad = initial_coords(run, build_chart(run), 8)
+    original = getattr(ChaplyginChart, method)
+
+    def broken(self, coords):
+        if np.any(np.all(np.abs(np.asarray(coords) - bad) < 1e-3, axis=-1)):
+            raise SingularityError("injected failure")
+        return original(self, coords)
+
+    monkeypatch.setattr(ChaplyginChart, method, broken)
+    assert main(["verify", "--config", cfg, "--check", "volume", "--seeds", "3",
+                 "--out", str(tmp_path)]) == 4
+    rows = read_rows(tmp_path / "ball_chaplygin_volume.csv")
+    status = {r[5]: r[10] for r in rows[1:]}
+    assert status["7"] == status["9"] == "pass"
+    assert status["8"] == "abort: injected failure"
 
 
 def test_verify_liouville_rejected_for_constrained_system(tmp_path):

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from nonholo.errors import ConstraintDriftError, ParameterError, StiffnessError
+from conftest import rng_for
+from nonholo import numerics
+from nonholo.ball3d import ChaplyginChart, random_ball_state
+from nonholo.errors import (
+    ConstraintDriftError,
+    IntegrationAbort,
+    ParameterError,
+    StiffnessError,
+)
 from nonholo.liealg import InertiaOperator, to_wedge
 from nonholo.numerics import (
     IntegratorConfig,
@@ -18,6 +26,7 @@ from nonholo.numerics import (
     skew_symmetrize,
     tangent_volume_transport,
 )
+from nonholo.veselova import VeselovaChart, random_veselova_state
 
 # ---------------------------------------------------------------------------
 # steppers
@@ -98,6 +107,55 @@ def test_stiffness_abort_on_blowup():
         )
 
 
+def fsal_identity(stats):
+    return stats.evaluations == 1 + 6 * (stats.accepted + stats.rejected) + stats.fsal_resets
+
+
+def test_integrate_stats_satisfy_fsal_identity():
+    cfg = IntegratorConfig(t_end=3.0, abs_tol=1e-10, rel_tol=1e-10, samples=7)
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return np.array([-x[1], x[0] * (1.0 + x[0] ** 2)])
+
+    stats = integrate(f, np.array([1.0, 0.0]), cfg).stats
+    assert stats.evaluations == calls[0]
+    assert stats.accepted > 0 and stats.fsal_resets == 0
+    assert fsal_identity(stats)
+    # renormalizing after every step drops the FSAL value each time
+    cfg = IntegratorConfig(t_end=1.0, samples=5, renormalize_every=1)
+    stats = integrate(
+        lambda x: np.array([-x[1], x[0]]),
+        np.array([1.0, 0.0]),
+        cfg,
+        renormalize_fn=lambda x: x / np.linalg.norm(x),
+    ).stats
+    assert stats.fsal_resets == stats.accepted - 1
+    assert fsal_identity(stats)
+
+
+def test_non_finite_field_aborts_at_first_step():
+    calls = [0]
+
+    def f(x):
+        calls[0] += 1
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(IntegrationAbort) as info:
+        integrate(f, np.array([1.0, 2.0]), IntegratorConfig(t_end=1.0, samples=3))
+    assert calls[0] <= 7
+    assert "non-finite" in str(info.value.cause)
+
+
+def test_documented_method_name_is_accepted():
+    cfg = IntegratorConfig(method="dp45", t_end=2.0, abs_tol=1e-12, rel_tol=1e-12, samples=5)
+    ref = IntegratorConfig(t_end=2.0, abs_tol=1e-12, rel_tol=1e-12, samples=5)
+    a = integrate(lambda x: -x, np.array([3.0]), cfg)
+    b = integrate(lambda x: -x, np.array([3.0]), ref)
+    assert np.array_equal(a.states, b.states)
+
+
 def test_observers_and_renormalization():
     cfg = IntegratorConfig(t_end=1.0, samples=5, renormalize_every=1)
     traj = integrate(
@@ -135,6 +193,18 @@ def test_fd_jacobian_nonlinear_oracle():
         ]
     )
     assert np.max(np.abs(J - expect)) < 1e-8
+
+
+def test_fd_jacobian_broadcasts_over_leading_dimensions():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((3, 3))
+    f = lambda v: np.sin(v) @ A.T
+    xs = rng.standard_normal((2, 4, 3))
+    J = fd_jacobian(f, xs)
+    assert J.shape == (2, 4, 3, 3)
+    for i in range(2):
+        for j in range(4):
+            assert np.array_equal(J[i, j], fd_jacobian(f, xs[i, j]))
 
 
 def test_fd_gradient_quadratic_halving():
@@ -224,6 +294,88 @@ def test_transport_aborts_on_constraint_drift():
         tangent_volume_transport(
             lambda x: x, lambda x: 0.0, np.array([1.0, 0.0, 0.0]), sphere_constraints, cfg
         )
+
+
+def test_transport_stats_satisfy_fsal_identity():
+    a = np.array([0.3, -0.5, 0.8])
+    field = lambda x: np.cross(a, x)
+    cfg = IntegratorConfig(t_end=2.0)
+    res = tangent_volume_transport(
+        field, lambda x: 0.0, np.array([0.0, 0.6, 0.8]), sphere_constraints, cfg, n_samples=6
+    )
+    assert res.stats.fsal_resets == 4  # after every sample but the last
+    assert fsal_identity(res.stats)
+    x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
+    results = tangent_volume_transport(field, lambda x: 0.0, x0, sphere_constraints, cfg)
+    assert len(results) == 3
+    assert all(r.stats is results[0].stats for r in results)
+    assert fsal_identity(results[0].stats)
+
+
+def test_transport_single_member_ensemble_is_the_single_transport():
+    a = np.array([0.3, -0.5, 0.8])
+    field = lambda x: np.cross(a, x)
+    logmu = lambda x: 0.1 * x[0]
+    x0 = np.array([0.0, 0.6, 0.8])
+    cfg = IntegratorConfig(t_end=3.0)
+    one = tangent_volume_transport(field, logmu, x0, sphere_constraints, cfg)
+    (ens,) = tangent_volume_transport(field, logmu, x0[None], sphere_constraints, cfg)
+    for name in ("times", "log_density", "log_tangent_volume", "residual"):
+        assert np.array_equal(getattr(one, name), getattr(ens, name))
+    assert one.stats == ens.stats
+
+
+def swirl(x):
+    """Planar rotation whose angular speed grows with |x|^2."""
+    r2 = np.sum(x**2, axis=-1, keepdims=True)
+    return r2 * np.stack([-x[..., 1], x[..., 0]], axis=-1)
+
+
+def test_ensemble_steps_at_least_as_often_as_its_stiffest_member():
+    cfg = IntegratorConfig(t_end=2.0, abs_tol=1e-9, rel_tol=1e-9)
+    x0 = np.array([[1.0, 0.0], [0.0, 2.0]])  # the second turns four times faster
+    logmu = lambda x: 0.0
+    alone = [tangent_volume_transport(swirl, logmu, x, None, cfg).stats.accepted for x in x0]
+    assert alone[1] > alone[0]
+    ensemble = tangent_volume_transport(swirl, logmu, x0, None, cfg)
+    assert ensemble[0].stats.accepted >= max(alone)
+
+
+def test_ensemble_split_into_groups_matches_serial(monkeypatch):
+    cfg = IntegratorConfig(t_end=1.0)
+    x0 = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
+    logmu = lambda x: 0.0
+    serial = [tangent_volume_transport(swirl, logmu, x, None, cfg) for x in x0]
+    # a batch bound below one member's stencil transports every seed alone
+    monkeypatch.setattr(numerics, "_ENSEMBLE_BATCH_BYTES", 1)
+    split = tangent_volume_transport(swirl, logmu, x0, None, cfg)
+    for one, member in zip(serial, split):
+        assert np.array_equal(one.residual, member.residual)
+        assert one.stats == member.stats
+
+
+def ensemble_cases():
+    op = InertiaOperator.wedge_products([0.6, 1.0, 1.5, 2.1])
+    ves = VeselovaChart(op, r=1, eps=-1.0)  # eps = 1/2 would make the density constant
+    ves_x0 = np.array([ves.flatten(random_veselova_state(4, 1, rng_for(s))) for s in (13, 14, 15)])
+    ball_states = [
+        random_ball_state(rng_for(s), inertia=[1.0, 2.0, 3.0], D=1.0, eps=0.5) for s in (22, 23, 24)
+    ]
+    ball = ChaplyginChart(ball_states[0].inertia, 1.0, 0.5)
+    ball_x0 = np.array([ball.flatten(st) for st in ball_states])
+    return [(ves, ves_x0), (ball, ball_x0)]
+
+
+@pytest.mark.parametrize("case", range(2), ids=["veselova", "ball_chaplygin"])
+def test_ensemble_certifies_every_member_and_flags_wrong_exponent(case):
+    chart, x0 = ensemble_cases()[case]
+    cfg = IntegratorConfig(t_end=5.0)
+    results = tangent_volume_transport(chart.field, chart.log_density, x0, chart.constraints, cfg)
+    assert len(results) == 3
+    assert max(r.max_abs_residual for r in results) <= 1e-8
+    doubled = lambda c: 2.0 * chart.log_density(c)
+    controls = tangent_volume_transport(chart.field, doubled, x0, chart.constraints, cfg)
+    assert min(r.max_abs_residual for r in controls) > 1e-3
 
 
 # ---------------------------------------------------------------------------
