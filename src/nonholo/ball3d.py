@@ -36,7 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import elpr, elr, veselova
+from .chart import Chart
 from .errors import DimensionError, ParameterError
+from .liealg import Frame, InertiaOperator, StiefelPoint, hat, unhat
 
 __all__ = [
     "BallState",
@@ -54,6 +57,9 @@ __all__ = [
     "ChaplyginChart",
     "RubberChart",
     "lift_to_so3",
+    "elpr_partner",
+    "elr_partner",
+    "veselova_partner",
     "random_ball_state",
 ]
 
@@ -187,17 +193,12 @@ def vf_rubber(state: BallState, form: str = "multiplier"):
 
 
 def log_density_3d(state: BallState, which: str) -> float:
-    if which == "chaplygin":
-        it = state.total_inertia
-        g = state.gamma
-        val = np.prod(it) * (1.0 - state.D * _dot(g, g / it))
-        return 0.5 * float(np.log(val))
-    if which == "rubber":
-        if state.eps == 0.0:
-            raise ParameterError("density is undefined at eps = 0")
-        base = _dot(state.gamma, state.gamma / state.total_inertia)
-        return float(np.log(base) / (2.0 * state.eps))
-    raise ParameterError(f"unknown density selector {which!r}")
+    """log of ``densities_3d``, evaluated by the chart's batched kernel."""
+    charts = {"chaplygin": ChaplyginChart, "rubber": RubberChart}
+    if which not in charts:
+        raise ParameterError(f"unknown density selector {which!r}")
+    chart = charts[which](state.inertia, state.D, state.eps)
+    return float(chart.log_density(np.concatenate([state.omega, state.gamma])))
 
 
 def densities_3d(state: BallState, which: str) -> float:
@@ -240,8 +241,10 @@ def epsilon_from_radii(sigma: float, rho: float, contact: str = "outer") -> floa
 # flat charts on (R^3 x S^2)
 
 
-class _BallChart:
+class _BallChart(Chart):
     dim = 6
+    n, r, k = 3, 1, 1
+    config_keys = ("inertia", "D")
 
     def __init__(self, inertia, D, eps):
         self.inertia = _vec3(inertia, "inertia")
@@ -252,6 +255,11 @@ class _BallChart:
             raise ParameterError("D must be nonnegative")
         self.eps = float(eps)
         self.it = self.inertia + self.D
+
+    @classmethod
+    def from_config(cls, cfg, **kwargs):
+        inertia, D = cfg.vector("inertia", 3), cfg.get("D", float, default=0.0)
+        return cls(inertia, D, cfg.epsilon, **kwargs)
 
     def constraints(self, coords):
         coords = np.asarray(coords, dtype=float)
@@ -264,8 +272,10 @@ class _BallChart:
         g = g / np.linalg.norm(g, axis=-1, keepdims=True)
         return np.concatenate([coords[..., :3], g], axis=-1)
 
-    def invariant_residual(self, coords) -> float:
-        return float(np.max(np.abs(self.constraints(coords))))
+    def random_state(self, rng, zero_constants=False):
+        return random_ball_state(
+            rng, inertia=self.inertia, D=self.D, eps=self.eps, zero_constraint=zero_constants
+        )
 
 
 class ChaplyginChart(_BallChart):
@@ -296,9 +306,25 @@ class ChaplyginChart(_BallChart):
         coords = np.asarray(coords, dtype=float)
         return BallState(coords[:3], coords[3:], self.inertia, self.D, self.eps, tolerance=1e-6)
 
+    def columns(self):
+        return ["k1", "k2", "k3", "g1", "g2", "g3"]
+
+    def row(self, coords):
+        st = self.unflatten(coords)
+        return np.concatenate([k_vector(st), st.gamma])
+
+    def integrals(self, coords):
+        st = self.unflatten(coords)
+        return {"H": 0.5 * float(np.dot(k_vector(st), st.omega))}
+
+    def gated(self, first):
+        return {"H_drift"}
+
 
 class RubberChart(_BallChart):
     """Rubber ball in the (m, gamma) or (w, gamma) variables."""
+
+    config_keys = ("inertia", "D", "variables")
 
     def __init__(self, inertia, D, eps, variables: str = "m"):
         super().__init__(inertia, D, eps)
@@ -307,6 +333,10 @@ class RubberChart(_BallChart):
         if eps == 0.0:
             raise ParameterError("density is undefined at eps = 0")
         self.variables = variables
+
+    @classmethod
+    def from_config(cls, cfg):
+        return super().from_config(cfg, variables=cfg.raw.get("variables", "m"))
 
     def _omega(self, lead):
         return lead / self.it if self.variables == "m" else lead
@@ -337,6 +367,20 @@ class RubberChart(_BallChart):
         w = self._omega(coords[:3])
         return BallState(w, coords[3:], self.inertia, self.D, self.eps, tolerance=1e-6)
 
+    def columns(self):
+        lead = "m" if self.variables == "m" else "w"
+        return [f"{lead}{i}" for i in (1, 2, 3)] + ["g1", "g2", "g3"]
+
+    def integrals(self, coords):
+        st = self.unflatten(coords)
+        return {
+            "H": 0.5 * float(np.dot(m_vector(st), st.omega)),
+            "phi1": float(np.dot(st.omega, st.gamma)),
+        }
+
+    def gated(self, first):
+        return {"phi1_drift", "H_drift"} if abs(first["phi1"]) <= 1e-12 else {"phi1_drift"}
+
 
 # ---------------------------------------------------------------------------
 # lifts to the general so(3) modules
@@ -354,24 +398,58 @@ def lift_to_so3(state: BallState, target: str):
                   shifted inertia (its wedge-product density formula does
                   not apply to this operator).
     """
-    from . import elpr as _elpr
-    from . import elr as _elr
-    from . import veselova as _veselova
-    from .liealg import Frame, InertiaOperator, StiefelPoint, hat
-
     if target == "elpr":
         op = InertiaOperator.so3_vector(state.inertia)
-        Pi = _elpr.pi_variants(hat(state.gamma), state.D, "d_proj")
-        return _elpr.ELPRState(hat(k_vector(state)), Pi), op
+        Pi = elpr.pi_variants(hat(state.gamma), state.D, "d_proj")
+        return elpr.ELPRState(hat(k_vector(state)), Pi), op
     if target == "elr":
         op = InertiaOperator.so3_vector(state.total_inertia)
         frames = Frame(hat(state.gamma)[None], orthonormal=True)
-        return _elr.ELRMultiplierState.from_omega(hat(state.omega), frames), op
+        return elr.ELRMultiplierState.from_omega(hat(state.omega), frames), op
     if target == "veselova":
         op = InertiaOperator.shifted(InertiaOperator.so3_vector(state.inertia), state.D)
         U = StiefelPoint(state.gamma[:, None])
-        return _veselova.VeselovaState(hat(momentum_vector(state)), U), op
+        return veselova.VeselovaState(hat(momentum_vector(state)), U), op
     raise ParameterError(f"no so(3) lift for target {target!r}")
+
+
+def elpr_partner(chart: ChaplyginChart, state: BallState):
+    """Marble ball against its so(3) lift to the L+R flow (crosscheck pair)."""
+    lifted, op = lift_to_so3(state, "elpr")
+    other = elpr.LPRChart(op, chart.eps)
+
+    def deviation(rb, rg):
+        wb = chart.unflatten(rb).omega
+        wg = unhat(elpr.omega_from_k(other.unflatten(rg), op))
+        return float(np.max(np.abs(wb - wg)))
+
+    return other, other.flatten(lifted), deviation
+
+
+def elr_partner(chart: RubberChart, state: BallState):
+    """Rubber ball against the frame-constrained flow with frame hat(gamma)."""
+    lifted, op = lift_to_so3(state, "elr")
+    other = elr.MultiplierChart(op, 1, chart.eps)
+
+    def deviation(rb, rg):
+        sb, sg = chart.unflatten(rb), other.unflatten(rg)
+        dev = np.max(np.abs(sb.omega - unhat(sg.omega)))
+        return float(max(dev, np.max(np.abs(sb.gamma - unhat(sg.frames.elems[0])))))
+
+    return other, other.flatten(lifted), deviation
+
+
+def veselova_partner(chart: RubberChart, state: BallState):
+    """Rubber ball against the moving-frame flow with U = gamma."""
+    lifted, op = lift_to_so3(state, "veselova")
+    other = veselova.VeselovaChart(op, 1, chart.eps)
+
+    def deviation(rb, rg):
+        sb, sg = chart.unflatten(rb), other.unflatten(rg)
+        dev = np.max(np.abs(momentum_vector(sb) - unhat(sg.m_bold)))
+        return float(max(dev, np.max(np.abs(sb.gamma - sg.U.U[:, 0]))))
+
+    return other, other.flatten(lifted), deviation
 
 
 def random_ball_state(

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg
+from .chart import Chart, pair_labels
 from .errors import (
     DefinitenessError,
     DimensionError,
@@ -53,7 +54,7 @@ from .liealg import (
     wedge_dim,
     _windex,
 )
-from .veselova import _log_base, _pr_batched
+from .veselova import _log_base, _pr_batched, _StiefelChart
 
 __all__ = [
     "ELPRState",
@@ -166,13 +167,16 @@ def vf_elpr(state: ELPRState, op: InertiaOperator, eps: float):
 
 
 def log_density_elpr(state_or_Pi, op: InertiaOperator) -> float:
-    """log sqrt(det(I + Pi)); the density for the (w, Pi) chart."""
+    """log sqrt(det(I + Pi)); the density for the (w, Pi) chart.
+
+    Batched over leading dimensions of Pi.
+    """
     Pi = getattr(state_or_Pi, "Pi", state_or_Pi)
     K = op.matrix + np.asarray(Pi, dtype=float)
     sign, logdet = np.linalg.slogdet(K)
     if np.any(sign <= 0):
         raise DefinitenessError("I + Pi must have positive determinant")
-    return 0.5 * float(logdet)
+    return 0.5 * logdet
 
 
 def density_elpr(state_or_Pi, op) -> float:
@@ -296,8 +300,10 @@ def density_lpr_stiefel(state, a, D: float | None = None) -> float:
 # flat charts
 
 
-class LPRChart:
+class LPRChart(Chart):
     """Flat chart (w, Pi upper triangle); the ambient measure chart."""
+
+    config_keys = ("n", "inertia")
 
     def __init__(self, op: InertiaOperator, eps: float):
         self.op = op
@@ -307,7 +313,9 @@ class LPRChart:
         self.iu = np.triu_indices(self.N)
         self.dim = self.N + self.iu[0].size
 
-    constraints = None
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(cfg.inertia_operator(), cfg.epsilon)
 
     def _split(self, coords):
         coords = np.asarray(coords, dtype=float)
@@ -335,12 +343,7 @@ class LPRChart:
         return self._pack(dwc, dPi)
 
     def log_density(self, coords):
-        _, Pi = self._split(coords)
-        K = self.op.matrix + Pi
-        sign, logdet = np.linalg.slogdet(K)
-        if np.any(sign <= 0):
-            raise DefinitenessError("I + Pi must have positive determinant")
-        return 0.5 * logdet
+        return log_density_elpr(self._split(coords)[1], self.op)
 
     def flatten(self, state: ELPRState) -> np.ndarray:
         w = omega_from_k(state, self.op)
@@ -351,15 +354,30 @@ class LPRChart:
         k = k_from_omega(from_wedge(wc, self.n), Pi, self.op)
         return ELPRState(k, Pi)
 
-    def renormalize(self, coords):
-        return coords
+    def random_state(self, rng, zero_constants=False):
+        return random_elpr_state(self.n, rng)
 
-    def invariant_residual(self, coords) -> float:
-        return 0.0
+    def columns(self):
+        names = pair_labels(self.n, "w")
+        return names + [f"Pi{i + 1}_{j + 1}" for i, j in zip(*self.iu)]
+
+    def integrals(self, coords):
+        return {"H": energy(self.unflatten(coords), self.op)}
+
+    def extra_drifts(self, states):
+        eigs = [np.linalg.eigvalsh(self.unflatten(coords).Pi) for coords in states]
+        return {"spectrum_drift": float(max(np.max(np.abs(e - eigs[0])) for e in eigs))}
+
+    def gated(self, first):
+        return {"H_drift", "spectrum_drift"}
 
 
-class LPRStiefelChart:
+class LPRStiefelChart(_StiefelChart):
     """Flat chart (k_bold wedge coords, raw entries of U)."""
+
+    config_keys = ("a", "D", "r")
+    _lead = "k"
+    _state = LPRStiefelState
 
     def __init__(self, a, D: float, r: int, eps: float):
         self.a = np.asarray(a, dtype=float)
@@ -371,7 +389,11 @@ class LPRStiefelChart:
         if not 1 <= self.r <= self.n:
             raise DimensionError(f"need 1 <= r <= n, got r={r}")
         self.eps = float(eps)
-        self.dim = self.N + self.n * self.r
+
+    @classmethod
+    def from_config(cls, cfg):
+        a, D = cfg.vector("a"), cfg.get("D", float, required=True)
+        return cls(a, D, cfg.get("r", int, required=True), cfg.epsilon)
 
     def field(self, coords):
         coords = np.asarray(coords, dtype=float)
@@ -381,13 +403,6 @@ class LPRStiefelChart:
         )
         return np.concatenate([dkc, dU], axis=-1)
 
-    def constraints(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        U = coords[..., self.N :].reshape(coords.shape[:-1] + (self.n, self.r))
-        g = np.swapaxes(U, -1, -2) @ U - np.eye(self.r)
-        iu = np.triu_indices(self.r)
-        return g[..., iu[0], iu[1]]
-
     def log_density(self, coords):
         coords = np.asarray(coords, dtype=float)
         base = _log_base(coords[..., self.N :], 1.0 / self.a, self.n, self.r, coords.shape[:-1])
@@ -396,22 +411,16 @@ class LPRStiefelChart:
     def flatten(self, state: LPRStiefelState) -> np.ndarray:
         return np.concatenate([to_wedge(state.k_bold), state.U.U.ravel()])
 
-    def unflatten(self, coords) -> LPRStiefelState:
-        # loose Stiefel tolerance: trajectory samples carry integration drift
-        coords = np.asarray(coords, dtype=float)
-        k = from_wedge(coords[: self.N], self.n)
-        U = coords[self.N :].reshape(self.n, self.r)
-        return LPRStiefelState(k, StiefelPoint(U, tolerance=1e-6))
+    def random_state(self, rng, zero_constants=False):
+        return random_lpr_stiefel_state(self.n, self.r, rng)
 
-    def renormalize(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        U = coords[self.N :].reshape(self.n, self.r)
-        from .numerics import polar_orthonormalize
+    def integrals(self, coords):
+        st = self.unflatten(coords)
+        w = omega_from_k_stiefel(st, self.a, self.D)
+        return {"H": 0.5 * float(liealg.inner_product(st.k_bold, w))}
 
-        return np.concatenate([coords[: self.N], polar_orthonormalize(U).ravel()])
-
-    def invariant_residual(self, coords) -> float:
-        return float(np.max(np.abs(self.constraints(coords))))
+    def gated(self, first):
+        return {"H_drift"}
 
 
 # ---------------------------------------------------------------------------

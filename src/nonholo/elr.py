@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg
+from .chart import Chart, pair_labels
 from .errors import DimensionError, ParameterError, SingularityError
 from .liealg import (
     Frame,
@@ -65,13 +66,13 @@ __all__ = [
     "log_density_multiplier",
     "density_multiplier",
     "log_density_momentum",
-    "density_momentum",
     "first_integrals",
     "FirstIntegrals",
     "MultiplierChart",
     "MomentumChart",
     "random_multiplier_state",
     "random_momentum_state",
+    "momentum_partner",
 ]
 
 
@@ -251,6 +252,18 @@ def momentum_of(
     return ELRMomentumState(m_bold, frames_d)
 
 
+def momentum_partner(chart, state: ELRMultiplierState):
+    """Multiplier form against its momentum form (crosscheck pair)."""
+    other = MomentumChart(chart.op, chart.k, chart.eps)
+
+    def deviation(ra, rb):
+        wa = chart.unflatten(ra).omega
+        wb = omega_of(other.unflatten(rb), chart.op)
+        return float(np.max(np.abs(wa - wb)))
+
+    return other, other.flatten(momentum_of(state, chart.op)), deviation
+
+
 def omega_of(state: ELRMomentumState, op: InertiaOperator) -> np.ndarray:
     """Angular velocity from a momentum-form state: solve J w = m_bold."""
     fc = state.frames_d.coords
@@ -284,10 +297,6 @@ def log_density_momentum(state: ELRMomentumState, op: InertiaOperator, eps: floa
     return float((1.0 / (2.0 * eps) - 1.0) * logdet)
 
 
-def density_momentum(state, op, eps) -> float:
-    return float(np.exp(log_density_momentum(state, op, eps)))
-
-
 @dataclass(frozen=True)
 class FirstIntegrals:
     phi: np.ndarray
@@ -317,75 +326,95 @@ def first_integrals(state: ELRMultiplierState, op: InertiaOperator) -> FirstInte
 # flat charts
 
 
-class MultiplierChart:
-    """Flat chart (w, e_1..e_k) by wedge coordinates; full linear space."""
+class _FrameChart(Chart):
+    """Shared by the two elr charts: an so(n) block, then frame rows."""
+
+    config_keys = ("n", "k", "inertia")
 
     def __init__(self, op: InertiaOperator, k: int, eps: float):
         self.op = op
         self.n = op.n
         self.N = op.N
         self.k = int(k)
+        if not 1 <= self.k < self.N:
+            raise DimensionError(f"need 1 <= k < N = {self.N}, got k={k}")
         self.eps = float(eps)
         self.dim = (self.k + 1) * self.N
 
-    constraints = None
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(cfg.inertia_operator(), cfg.get("k", int, required=True), cfg.epsilon)
+
+    def _split(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        rows = coords[..., self.N :].reshape(coords.shape[:-1] + (-1, self.N))
+        return coords[..., : self.N], rows
+
+    def columns(self):
+        labels = pair_labels(self.n, self._lead)
+        rows = self.dim // self.N - 1
+        return labels + [f"{self._row}{s + 1}_{lab[1:]}" for s in range(rows) for lab in labels]
+
+
+class MultiplierChart(_FrameChart):
+    """Flat chart (w, e_1..e_k) by wedge coordinates; full linear space."""
+
+    _lead, _row = "w", "e"
 
     def field(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        wc = coords[..., : self.N]
-        ec = coords[..., self.N :].reshape(coords.shape[:-1] + (self.k, self.N))
+        wc, ec = self._split(coords)
         dwc, dec, _ = _multiplier_rhs(wc, ec, self.op, self.eps)
         return np.concatenate(
-            [dwc, dec.reshape(coords.shape[:-1] + (self.k * self.N,))], axis=-1
+            [dwc, dec.reshape(wc.shape[:-1] + (self.k * self.N,))], axis=-1
         )
 
     def log_density(self, coords):
         _check_eps(self.eps)
-        coords = np.asarray(coords, dtype=float)
-        ec = coords[..., self.N :].reshape(coords.shape[:-1] + (self.k, self.N))
+        _, ec = self._split(coords)
         return _log_gram_det(ec, self.op, "inverse_inertia") / (2.0 * self.eps)
 
     def flatten(self, state: ELRMultiplierState) -> np.ndarray:
         return np.concatenate([to_wedge(state.omega), state.frames.coords.ravel()])
 
     def unflatten(self, coords) -> ELRMultiplierState:
-        coords = np.asarray(coords, dtype=float)
-        omega = from_wedge(coords[: self.N], self.n)
-        ec = coords[self.N :].reshape(self.k, self.N)
+        wc, ec = self._split(coords)
+        omega = from_wedge(wc, self.n)
         return ELRMultiplierState.from_omega(omega, Frame(from_wedge(ec, self.n)))
 
-    def renormalize(self, coords):
-        return coords
+    def random_state(self, rng, zero_constants=False):
+        return random_multiplier_state(self.n, self.k, rng, zero_constants=zero_constants)
 
-    def invariant_residual(self, coords) -> float:
-        return 0.0
+    def integrals(self, coords):
+        fi = first_integrals(self.unflatten(coords), self.op)
+        out = {"H": fi.energy, "F": fi.modified_energy}
+        for i, v in enumerate(fi.phi):
+            out[f"phi{i + 1}"] = float(v)
+        return out
+
+    def gated(self, first):
+        gated = {f"phi{i + 1}_drift" for i in range(self.k)}
+        if max(abs(first[f"phi{i + 1}"]) for i in range(self.k)) <= 1e-12:
+            gated.add("H_drift")
+        if self.eps == 1.0:
+            gated.add("F_drift")
+        return gated
 
 
-class MomentumChart:
+class MomentumChart(_FrameChart):
     """Flat chart (m_bold, e_{k+1}..e_N); frames constrained orthonormal."""
 
-    def __init__(self, op: InertiaOperator, k: int, eps: float):
-        self.op = op
-        self.n = op.n
-        self.N = op.N
-        self.k = int(k)
-        self.p = self.N - self.k
-        if self.p < 1:
-            raise DimensionError("momentum form needs at least one D-frame element")
-        self.eps = float(eps)
-        self.dim = (self.p + 1) * self.N
+    _lead, _row = "m", "f"
 
-    def _split(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        mc = coords[..., : self.N]
-        fc = coords[..., self.N :].reshape(coords.shape[:-1] + (self.p, self.N))
-        return mc, fc
+    def __init__(self, op: InertiaOperator, k: int, eps: float):
+        super().__init__(op, k, eps)
+        self.p = self.N - self.k
+        self.dim = (self.p + 1) * self.N
 
     def field(self, coords):
         mc, fc = self._split(coords)
         dmc, dfc = _momentum_rhs(mc, fc, self.op, self.eps)
         return np.concatenate(
-            [dmc, dfc.reshape(np.asarray(coords).shape[:-1] + (self.p * self.N,))],
+            [dmc, dfc.reshape(mc.shape[:-1] + (self.p * self.N,))],
             axis=-1,
         )
 
@@ -414,8 +443,12 @@ class MomentumChart:
         mc, fc = self._split(coords)
         return np.concatenate([mc, liealg.orthonormalize_rows(fc).ravel()])
 
-    def invariant_residual(self, coords) -> float:
-        return float(np.max(np.abs(self.constraints(coords))))
+    def random_state(self, rng, zero_constants=False):
+        return random_momentum_state(self.n, self.k, rng)
+
+    def integrals(self, coords):
+        w = omega_of(self.unflatten(coords), self.op)
+        return {"H": 0.5 * float(inner_product(self.op.apply(w), w))}
 
 
 # ---------------------------------------------------------------------------

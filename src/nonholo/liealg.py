@@ -52,7 +52,6 @@ __all__ = [
     "Frame",
     "StiefelPoint",
     "frame_gram",
-    "gram_matrix",
     "subspace_projectors",
     "projector_matrix",
     "restricted_det",
@@ -318,10 +317,6 @@ class InertiaOperator:
     # application ----------------------------------------------------------
 
     @property
-    def is_diagonal(self) -> bool:
-        return self._diag is not None
-
-    @property
     def diag(self):
         return None if self._diag is None else self._diag.copy()
 
@@ -466,11 +461,6 @@ class StiefelPoint:
 def as_stiefel_matrix(U) -> np.ndarray:
     """Accept a StiefelPoint or a plain array and return the matrix."""
     return np.asarray(getattr(U, "U", U), dtype=float)
-
-
-def gram_matrix(frame: Frame) -> np.ndarray:
-    """Plain Gram matrix <e_i, e_j>."""
-    return frame.gram()
 
 
 def frame_gram(frame: Frame, op: InertiaOperator, mode: str = "inverse_inertia") -> np.ndarray:

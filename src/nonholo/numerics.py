@@ -56,7 +56,6 @@ __all__ = [
     "tangent_volume_transport",
     "polar_orthonormalize",
     "skew_symmetrize",
-    "renormalize",
 ]
 
 _FD_H = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -605,8 +604,3 @@ def skew_symmetrize(M: np.ndarray) -> np.ndarray:
     """Skew part (M - M^T)/2, the nearest skew-symmetric matrix."""
     M = np.asarray(M, dtype=float)
     return 0.5 * (M - np.swapaxes(M, -1, -2))
-
-
-def renormalize(coords: np.ndarray, chart) -> np.ndarray:
-    """Project flat coordinates back onto the chart's state manifold."""
-    return chart.renormalize(np.asarray(coords, dtype=float))

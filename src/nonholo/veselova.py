@@ -29,6 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from . import liealg
+from .chart import Chart, pair_labels
 from .errors import DimensionError, ParameterError, UnsupportedSpecError
 from .liealg import (
     InertiaOperator,
@@ -36,10 +37,12 @@ from .liealg import (
     as_stiefel_matrix,
     commutator,
     from_wedge,
+    inner_product,
     to_wedge,
     wedge_dim,
     _windex,
 )
+from .numerics import polar_orthonormalize
 
 __all__ = [
     "VeselovaState",
@@ -174,22 +177,61 @@ def _log_base(Uflat, a, n, r, shape):
     return np.log(np.einsum("...c,c->...", mins**2, aprod))
 
 
-def log_density_veselova(state: VeselovaState, op_or_a, eps: float) -> float:
-    """log of (sum_I a_I P_I^2)^[(1/(2 eps) - 1)(n - r - 1)]."""
+def _log_density(Uflat, op_or_a, eps, n, r, shape):
     if eps == 0.0:
         raise ParameterError("density is undefined at eps = 0")
-    a = _wedge_products_vector(op_or_a)
-    n, r = state.n, state.r
-    base = _log_base(state.U.U.ravel(), a, n, r, ())
-    return float((1.0 / (2.0 * eps) - 1.0) * (n - r - 1) * base)
+    base = _log_base(Uflat, _wedge_products_vector(op_or_a), n, r, shape)
+    return (1.0 / (2.0 * eps) - 1.0) * (n - r - 1) * base
+
+
+def log_density_veselova(state: VeselovaState, op_or_a, eps: float) -> float:
+    """log of (sum_I a_I P_I^2)^[(1/(2 eps) - 1)(n - r - 1)]."""
+    return float(_log_density(state.U.U.ravel(), op_or_a, eps, state.n, state.r, ()))
 
 
 def density_veselova(state, op_or_a, eps) -> float:
     return float(np.exp(log_density_veselova(state, op_or_a, eps)))
 
 
-class VeselovaChart:
+class _StiefelChart(Chart):
+    """Momentum wedge coordinates, then the raw entries of an n x r Stiefel
+    point U; shared by VeselovaChart and LPRStiefelChart."""
+
+    _lead = "m"  # column prefix of the momentum block
+    _state = VeselovaState
+
+    @property
+    def dim(self):
+        return self.N + self.n * self.r
+
+    def constraints(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        U = coords[..., self.N :].reshape(coords.shape[:-1] + (self.n, self.r))
+        g = np.swapaxes(U, -1, -2) @ U - np.eye(self.r)
+        iu = np.triu_indices(self.r)
+        return g[..., iu[0], iu[1]]
+
+    def unflatten(self, coords):
+        # loose Stiefel tolerance: trajectory samples carry integration drift
+        coords = np.asarray(coords, dtype=float)
+        m = from_wedge(coords[: self.N], self.n)
+        U = coords[self.N :].reshape(self.n, self.r)
+        return self._state(m, StiefelPoint(U, tolerance=1e-6))
+
+    def renormalize(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        U = coords[self.N :].reshape(self.n, self.r)
+        return np.concatenate([coords[: self.N], polar_orthonormalize(U).ravel()])
+
+    def columns(self):
+        U = [f"U{i + 1}{j + 1}" for i in range(self.n) for j in range(self.r)]
+        return pair_labels(self.n, self._lead) + U
+
+
+class VeselovaChart(_StiefelChart):
     """Flat chart (m_bold wedge coords, raw entries of U)."""
+
+    config_keys = ("n", "r", "inertia")
 
     def __init__(self, op: InertiaOperator, r: int, eps: float):
         self.op = op
@@ -199,7 +241,10 @@ class VeselovaChart:
         if not 1 <= self.r <= self.n - 1:
             raise DimensionError(f"need 1 <= r <= n-1, got r={r}")
         self.eps = float(eps)
-        self.dim = self.N + self.n * self.r
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(cfg.inertia_operator(), cfg.get("r", int, required=True), cfg.epsilon)
 
     def field(self, coords):
         coords = np.asarray(coords, dtype=float)
@@ -207,40 +252,20 @@ class VeselovaChart:
         dmc, dU, _ = _veselova_rhs(mc, coords[..., self.N :], self.op, self.eps, self.n, self.r)
         return np.concatenate([dmc, dU], axis=-1)
 
-    def constraints(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        U = coords[..., self.N :].reshape(coords.shape[:-1] + (self.n, self.r))
-        g = np.swapaxes(U, -1, -2) @ U - np.eye(self.r)
-        iu = np.triu_indices(self.r)
-        return g[..., iu[0], iu[1]]
-
     def log_density(self, coords):
-        if self.eps == 0.0:
-            raise ParameterError("density is undefined at eps = 0")
-        a = _wedge_products_vector(self.op)
         coords = np.asarray(coords, dtype=float)
-        base = _log_base(coords[..., self.N :], a, self.n, self.r, coords.shape[:-1])
-        return (1.0 / (2.0 * self.eps) - 1.0) * (self.n - self.r - 1) * base
+        U = coords[..., self.N :]
+        return _log_density(U, self.op, self.eps, self.n, self.r, coords.shape[:-1])
 
     def flatten(self, state: VeselovaState) -> np.ndarray:
         return np.concatenate([to_wedge(state.m_bold), state.U.U.ravel()])
 
-    def unflatten(self, coords) -> VeselovaState:
-        # loose Stiefel tolerance: trajectory samples carry integration drift
-        coords = np.asarray(coords, dtype=float)
-        m = from_wedge(coords[: self.N], self.n)
-        U = coords[self.N :].reshape(self.n, self.r)
-        return VeselovaState(m, StiefelPoint(U, tolerance=1e-6))
+    def random_state(self, rng, zero_constants=False):
+        return random_veselova_state(self.n, self.r, rng)
 
-    def renormalize(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        U = coords[self.N :].reshape(self.n, self.r)
-        from .numerics import polar_orthonormalize
-
-        return np.concatenate([coords[: self.N], polar_orthonormalize(U).ravel()])
-
-    def invariant_residual(self, coords) -> float:
-        return float(np.max(np.abs(self.constraints(coords))))
+    def integrals(self, coords):
+        w = omega_of_veselova(self.unflatten(coords), self.op)
+        return {"H": 0.5 * float(inner_product(self.op.apply(w), w))}
 
 
 def random_veselova_state(n: int, r: int, rng: np.random.Generator) -> VeselovaState:

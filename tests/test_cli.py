@@ -1,14 +1,21 @@
 """End-to-end command-line interface behavior, exit codes, and CSV output."""
 
 import csv
+import glob
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nonholo.ball3d import ChaplyginChart
-from nonholo.cli import build_chart, initial_coords, load_config, main
+from nonholo.cli import SYSTEMS, load_config, main, observables
 from nonholo.errors import SingularityError
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+CONFIG_IDS = [os.path.basename(p)[: -len(".json")] for p in CONFIGS]
 
 BALL_CFG = {
     "system": "ball_chaplygin",
@@ -40,6 +47,11 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def sample_config(path, **patch):
+    with open(path, encoding="utf-8") as fh:
+        return dict(json.load(fh), **patch)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +115,21 @@ def test_simulate_accepts_documented_dp45_method(tmp_path):
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_simulate_honours_renormalize_every(tmp_path):
+    base = sample_config(CONFIGS[CONFIG_IDS.index("veselova")],
+                         integrator={"t_end": 2.0, "samples": 9})
+    renorm = dict(base, integrator=dict(base["integrator"], renormalize_every=1))
+    for name, cfg in (("plain", base), ("renorm", renorm)):
+        p = write_cfg(tmp_path, cfg, f"{name}.json")
+        assert main(["simulate", "--config", p, "--out", str(tmp_path / name)]) == 0
+    csv_name = "veselova_trajectory.csv"
+    rows = read_rows(tmp_path / "renorm" / csv_name)
+    col = rows[0].index("residual")
+    assert all(float(r[col]) <= 1e-12 for r in rows[1:])
+    assert (tmp_path / "renorm" / csv_name).read_bytes() != (
+        tmp_path / "plain" / csv_name).read_bytes()
+
+
 def test_simulate_abort_exits_four(tmp_path):
     cfg = dict(BALL_CFG, integrator={"t_end": 50.0, "max_steps": 5})
     p = write_cfg(tmp_path, cfg)
@@ -162,8 +189,7 @@ def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
     # field errors reach verify wrapped in IntegrationAbort, log_density
     # errors unwrapped; either way only the failing seed aborts
     cfg = write_cfg(tmp_path, BALL_CFG)
-    run = load_config(cfg)
-    bad = initial_coords(run, build_chart(run), 8)
+    bad = load_config(cfg).initial_coords(8)
     original = getattr(ChaplyginChart, method)
 
     def broken(self, coords):
@@ -254,12 +280,55 @@ def test_crosscheck_unknown_pair(tmp_path):
         {"integrator": {"timestep": 0.1}},
         {"initial": {"coords": [1.0, 2.0]}},
         {"variables": "quaternion", "system": "ball_rubber"},
+        {"bogus_key": 1},
+        {"variables": "m"},
+        {"initial": {"sed": 3}},
+        {"output": {"dri": "x"}},
+        {"integrator": {"t_end": 1.0, "sample": 5}},
+        {"initial": {"seed": "x"}},
+        {"initial": {"seed": -1}},
+        {"initial": {"coords": "abc"}},
+        {"output": [1]},
+        {"system": "lpr_stiefel", "inertia": None, "a": "xyz", "D": 4.0, "r": 1},
     ],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
     cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
     p = write_cfg(tmp_path, cfg)
     assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "patch, key",
+    [
+        ({"bogus_key": 1}, "bogus_key"),
+        ({"initial": {"sed": 3}}, "initial.sed"),
+        ({"output": {"dri": "x"}}, "output.dri"),
+        ({"initial": {"seed": "x"}}, "initial.seed"),
+        ({"initial": {"coords": "abc"}}, "initial.coords"),
+        ({"output": [1]}, "output"),
+        ({"system": "lpr_stiefel", "inertia": None, "a": "xyz", "D": 4.0, "r": 1}, "a"),
+    ],
+)
+def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
+    # no --out: a malformed "output" must not get as far as choosing a directory
+    monkeypatch.chdir(tmp_path)
+    cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_zero_epsilon_density_check_exits_three(tmp_path, path):
+    # the --check argument decides, whatever the config's checks list says
+    cfg = sample_config(path, epsilon=0.0, checks=["integrals"])
+    p = write_cfg(tmp_path, cfg)
+    checks = ["volume"]
+    if SYSTEMS[cfg["system"]].constraints is None:
+        checks.append("liouville")
+    for check in checks:
+        assert main(["verify", "--config", p, "--check", check, "--out", str(tmp_path)]) == 3
 
 
 def test_invalid_chaplygin_pair_parameters(tmp_path):
@@ -290,3 +359,53 @@ def test_explicit_initial_coordinates(tmp_path):
     rows = read_rows(tmp_path / "ball_chaplygin_trajectory.csv")
     first = [float(v) for v in rows[1][4:7]]
     assert first == [0.0, 0.6, 0.8]
+
+
+# ---------------------------------------------------------------------------
+# system registry
+
+
+def test_registry_covers_the_sample_configs():
+    assert set(SYSTEMS) == {sample_config(p)["system"] for p in CONFIGS}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_every_sample_config_runs_through_the_registry(tmp_path, path):
+    cfg = sample_config(path, integrator={"t_end": 0.5, "samples": 3})
+    p = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "out")
+    system = cfg["system"]
+    assert main(["simulate", "--config", p, "--out", out]) == 0
+    run = load_config(p)
+    header = read_rows(tmp_path / "out" / f"{system}_trajectory.csv")[0]
+    n_obs = len(observables(run.chart, run.initial_coords(run.seed)))
+    assert len(header) == 1 + run.chart.dim + n_obs
+    checks = ["integrals"] + (["liouville"] if run.chart.constraints is None else [])
+    for check in checks:
+        assert main(["verify", "--config", p, "--check", check, "--out", out]) == 0
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.floats(-3, 3, allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+_COMMANDS = (["simulate"], ["verify", "--check", "integrals"],
+             ["verify", "--check", "volume"], ["verify", "--check", "liouville"])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_value_for_one_config_key_exits_cleanly(tmp_path, data):
+    # digits are left out of the text: a string such as "99999" read as n
+    # would ask for a state of billions of entries
+    cfg = sample_config(data.draw(st.sampled_from(CONFIGS)))
+    key = data.draw(st.sampled_from(sorted(k for k in cfg if k != "integrator")))
+    cfg[key] = data.draw(_JSON)
+    cfg["integrator"] = {"t_end": 0.2, "samples": 3, "max_steps": 2000}
+    argv = data.draw(st.sampled_from(_COMMANDS))
+    p = write_cfg(tmp_path, cfg)
+    assert main(argv + ["--config", p, "--out", str(tmp_path)]) in (0, 2, 3, 4)
