@@ -52,7 +52,6 @@ __all__ = [
     "vf_rubber",
     "rubber_multiplier",
     "densities_3d",
-    "log_density_3d",
     "epsilon_from_radii",
     "ChaplyginChart",
     "RubberChart",
@@ -192,15 +191,6 @@ def vf_rubber(state: BallState, form: str = "multiplier"):
     raise ParameterError(f"unknown rubber form {form!r}")
 
 
-def log_density_3d(state: BallState, which: str) -> float:
-    """log of ``densities_3d``, evaluated by the chart's batched kernel."""
-    charts = {"chaplygin": ChaplyginChart, "rubber": RubberChart}
-    if which not in charts:
-        raise ParameterError(f"unknown density selector {which!r}")
-    chart = charts[which](state.inertia, state.D, state.eps)
-    return float(chart.log_density(np.concatenate([state.omega, state.gamma])))
-
-
 def densities_3d(state: BallState, which: str) -> float:
     """Closed-form invariant densities.
 
@@ -325,13 +315,13 @@ class RubberChart(_BallChart):
     """Rubber ball in the (m, gamma) or (w, gamma) variables."""
 
     config_keys = ("inertia", "D", "variables")
+    eps_in_density = True
 
     def __init__(self, inertia, D, eps, variables: str = "m"):
         super().__init__(inertia, D, eps)
         if variables not in ("m", "omega"):
             raise ParameterError(f"unknown chart variables {variables!r}")
-        if eps == 0.0:
-            raise ParameterError("density is undefined at eps = 0")
+        self.check_density()
         self.variables = variables
 
     @classmethod

@@ -8,6 +8,8 @@ holds no per-system code:
 * ``config_keys`` and ``from_config(cfg)``: the top-level config keys the
   system reads, and the chart built from a validated ``cli.RunConfig``;
 * ``n``, ``r``, ``k``: the sizes reported in ``verify`` rows;
+* ``check_density()``: raises where ``log_density`` is undefined, so the
+  command can refuse such a run before integrating;
 * ``random_state(rng, zero_constants=False)``: a seeded random state;
 * ``columns()`` and ``row(coords)``: the CSV state block;
 * ``integrals(coords)``: named first integrals at one sample;
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
 from .liealg import wedge_index_pairs
 
 
@@ -35,6 +38,13 @@ class Chart:
     config_keys: tuple = ()
     r = k = 0
     constraints = None  # an ambient chart: the flow lives on the whole space
+    eps_in_density = False  # True where the density exponent divides by eps
+
+    def check_density(self):
+        """Raise ParameterError where ``log_density`` is undefined: at eps = 0
+        when the density exponent divides by eps."""
+        if self.eps_in_density and self.eps == 0.0:
+            raise ParameterError("density is undefined at eps = 0")
 
     def renormalize(self, coords):
         return coords

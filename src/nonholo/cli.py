@@ -208,6 +208,14 @@ class RunConfig:
         if check != "integrals" and self.epsilon == 0.0:
             raise ConfigError("epsilon: must be nonzero, density exponents diverge at 0")
 
+    def require_density(self):
+        """Raise a ConfigError naming epsilon unless the chart's density is
+        defined; simulate and verify record log_density at every sample."""
+        try:
+            self.chart.check_density()
+        except ParameterError as exc:
+            raise ConfigError(f"epsilon: {exc} for {self.system}") from exc
+
     def initial_coords(self, seed: int) -> np.ndarray:
         """The configured coordinates, else a seeded random state."""
         if self.coords is not None:
@@ -289,6 +297,7 @@ def observables(chart, coords) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, seed, out_dir) -> int:
+    cfg.require_density()
     chart = cfg.chart
     x0 = cfg.initial_coords(cfg.seed if seed is None else seed)
     try:
@@ -353,6 +362,7 @@ def cmd_verify(cfg: RunConfig, check, seeds, out_dir) -> int:
     if check not in CHECKS:
         raise ConfigError(f"--check: expected one of {', '.join(CHECKS)}")
     cfg.require(check, "--check")
+    cfg.require_density()
     chart = cfg.chart
     tol = default_tolerance(check, cfg)
     header = [

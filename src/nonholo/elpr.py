@@ -63,14 +63,9 @@ __all__ = [
     "omega_from_k",
     "vf_elpr",
     "log_density_elpr",
-    "density_elpr",
     "energy",
     "pi_variants",
-    "vf_lpr_stiefel",
-    "omega_from_k_stiefel",
     "stiefel_total_inertia",
-    "log_density_lpr_stiefel",
-    "density_lpr_stiefel",
     "LPRChart",
     "LPRStiefelChart",
     "random_elpr_state",
@@ -179,10 +174,6 @@ def log_density_elpr(state_or_Pi, op: InertiaOperator) -> float:
     return 0.5 * logdet
 
 
-def density_elpr(state_or_Pi, op) -> float:
-    return float(np.exp(log_density_elpr(state_or_Pi, op)))
-
-
 def energy(state: ELPRState, op: InertiaOperator) -> float:
     """H = <k_bold, w>/2, conserved for every eps."""
     w = omega_from_k(state, op)
@@ -216,11 +207,7 @@ def pi_variants(gamma_or_U, D: float, kind: str = "d_proj") -> np.ndarray:
             and np.asarray(gamma_or_U).shape[0] != np.asarray(gamma_or_U).shape[1]
         ):
             U = as_stiefel_matrix(gamma_or_U)
-            n = U.shape[0]
-            w = _windex(n)
-            G = U @ U.T
-            PB = _pr_batched(G, w.basis)
-            return D * np.swapaxes(to_wedge(PB), -1, -2)
+            return D * _projector_coords(U @ U.T)
         gamma = _unit_gamma(gamma_or_U)
         N = wedge_dim(gamma.shape[-1])
         return D * (np.eye(N) - projector_matrix(isotropy_frame(gamma)))
@@ -235,12 +222,10 @@ def pi_variants(gamma_or_U, D: float, kind: str = "d_proj") -> np.ndarray:
 # Stiefel specialization
 
 
-def _assemble_transfer_lpr(G, op, D):
-    """Matrix of w -> I w + D pr_{D_r}(w) in wedge coordinates, batched over G."""
-    w = _windex(op.n)
-    PB = _pr_batched(G[..., None, :, :], w.basis)
-    P = np.swapaxes(to_wedge(PB), -1, -2)
-    return op.matrix + D * P
+def _projector_coords(G):
+    """Matrix of pr_{D_r} in wedge coordinates, batched over Gamma = U U^T."""
+    PB = _pr_batched(G[..., None, :, :], _windex(G.shape[-1]).basis)
+    return np.swapaxes(to_wedge(PB), -1, -2)
 
 
 def stiefel_total_inertia(a, D: float) -> InertiaOperator:
@@ -253,47 +238,21 @@ def stiefel_total_inertia(a, D: float) -> InertiaOperator:
     return InertiaOperator.wedge_diagonal(op.n, 1.0 + float(D) / op.diag)
 
 
-def vf_lpr_stiefel(state: LPRStiefelState, a, D: float, eps: float):
-    """Vector field; returns (dk_bold, dU)."""
-    op = InertiaOperator.wedge_products_chaplygin(a, D)
-    dkc, dU, _ = _lpr_stiefel_rhs(
-        to_wedge(state.k_bold), state.U.U.ravel(), op, D, eps, state.n, state.r
-    )
-    return from_wedge(dkc, state.n), dU.reshape(state.n, state.r)
+def _stiefel_velocity(kc, U, op, D):
+    """Wedge coordinates of w solving I w + D pr_{D_r}(w) = k_bold, batched."""
+    T = op.matrix + D * _projector_coords(U @ np.swapaxes(U, -1, -2))
+    return np.linalg.solve(T, kc[..., None])[..., 0]
 
 
 def _lpr_stiefel_rhs(kc, Uflat, op, D, eps, n, r):
     shape = np.asarray(kc).shape[:-1]
     U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
-    G = U @ np.swapaxes(U, -1, -2)
-    T = _assemble_transfer_lpr(G, op, D)
-    wc = np.linalg.solve(T, kc[..., None])[..., 0]
+    wc = _stiefel_velocity(kc, U, op, D)
     W = from_wedge(wc, n)
     K = from_wedge(kc, n)
     dkc = to_wedge(commutator(K, W))
     dU = -eps * (W @ U)
     return dkc, dU.reshape(shape + (n * r,)), wc
-
-
-def omega_from_k_stiefel(state: LPRStiefelState, a, D: float) -> np.ndarray:
-    op = InertiaOperator.wedge_products_chaplygin(a, D)
-    G = as_stiefel_matrix(state.U) @ as_stiefel_matrix(state.U).T
-    T = _assemble_transfer_lpr(G, op, D)
-    return from_wedge(np.linalg.solve(T, to_wedge(state.k_bold)), state.n)
-
-
-def log_density_lpr_stiefel(state: LPRStiefelState, a, D: float | None = None) -> float:
-    """log of (sum_I P_I^2 / a_I)^(-(n - r - 1)/2); independent of eps."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0):
-        raise ParameterError("requires positive a_i")
-    n, r = state.n, state.r
-    base = _log_base(state.U.U.ravel(), 1.0 / a, n, r, ())
-    return float(-(n - r - 1) / 2.0 * base)
-
-
-def density_lpr_stiefel(state, a, D: float | None = None) -> float:
-    return float(np.exp(log_density_lpr_stiefel(state, a, D)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +340,8 @@ class LPRStiefelChart(_StiefelChart):
 
     def __init__(self, a, D: float, r: int, eps: float):
         self.a = np.asarray(a, dtype=float)
+        if np.any(self.a <= 0.0):
+            raise ParameterError("requires positive a_i")
         self.D = float(D)
         self.op = InertiaOperator.wedge_products_chaplygin(self.a, self.D)
         self.n = self.op.n
@@ -404,6 +365,7 @@ class LPRStiefelChart(_StiefelChart):
         return np.concatenate([dkc, dU], axis=-1)
 
     def log_density(self, coords):
+        """log of (sum_I P_I^2 / a_I)^(-(n - r - 1)/2); independent of eps."""
         coords = np.asarray(coords, dtype=float)
         base = _log_base(coords[..., self.N :], 1.0 / self.a, self.n, self.r, coords.shape[:-1])
         return -(self.n - self.r - 1) / 2.0 * base
@@ -416,7 +378,8 @@ class LPRStiefelChart(_StiefelChart):
 
     def integrals(self, coords):
         st = self.unflatten(coords)
-        w = omega_from_k_stiefel(st, self.a, self.D)
+        wc = _stiefel_velocity(to_wedge(st.k_bold), st.U.U, self.op, self.D)
+        w = from_wedge(wc, self.n)
         return {"H": 0.5 * float(liealg.inner_product(st.k_bold, w))}
 
     def gated(self, first):

@@ -58,14 +58,9 @@ __all__ = [
     "ELRMultiplierState",
     "ELRMomentumState",
     "multipliers",
-    "vf_multiplier",
     "analytic_divergence",
     "momentum_of",
     "omega_of",
-    "vf_momentum",
-    "log_density_multiplier",
-    "density_multiplier",
-    "log_density_momentum",
     "first_integrals",
     "FirstIntegrals",
     "MultiplierChart",
@@ -195,11 +190,6 @@ def _log_gram_det(ec, op, mode):
     return logdet
 
 
-def _check_eps(eps):
-    if eps == 0.0:
-        raise ParameterError("density is undefined at eps = 0")
-
-
 # ---------------------------------------------------------------------------
 # state-level operations
 
@@ -208,12 +198,6 @@ def multipliers(state: ELRMultiplierState, op: InertiaOperator) -> np.ndarray:
     """Constraint multipliers lam^i at the given state."""
     _, _, lam = _multiplier_rhs(to_wedge(state.omega), state.frames.coords, op, 1.0)
     return lam
-
-
-def vf_multiplier(state: ELRMultiplierState, op: InertiaOperator, eps: float):
-    """Multiplier-form vector field; returns (domega, dframes)."""
-    dwc, dec, _ = _multiplier_rhs(to_wedge(state.omega), state.frames.coords, op, eps)
-    return from_wedge(dwc, state.n), from_wedge(dec, state.n)
 
 
 def analytic_divergence(state: ELRMultiplierState, op: InertiaOperator) -> float:
@@ -274,29 +258,6 @@ def omega_of(state: ELRMomentumState, op: InertiaOperator) -> np.ndarray:
     return from_wedge(wc, state.n)
 
 
-def vf_momentum(state: ELRMomentumState, op: InertiaOperator, eps: float):
-    """Momentum-form vector field; returns (dm_bold, dframes_d)."""
-    dmc, dfc = _momentum_rhs(to_wedge(state.m_bold), state.frames_d.coords, op, eps)
-    return from_wedge(dmc, state.n), from_wedge(dfc, state.n)
-
-
-def log_density_multiplier(state: ELRMultiplierState, op: InertiaOperator, eps: float) -> float:
-    """log of det(<e_i, I^{-1} e_j>)^(1/(2 eps))."""
-    _check_eps(eps)
-    return float(_log_gram_det(state.frames.coords, op, "inverse_inertia")) / (2.0 * eps)
-
-
-def density_multiplier(state, op, eps) -> float:
-    return float(np.exp(log_density_multiplier(state, op, eps)))
-
-
-def log_density_momentum(state: ELRMomentumState, op: InertiaOperator, eps: float) -> float:
-    """log of det(<I e_i, e_j>)_{D-frame}^(1/(2 eps) - 1)."""
-    _check_eps(eps)
-    logdet = _log_gram_det(state.frames_d.coords, op, "inertia")
-    return float((1.0 / (2.0 * eps) - 1.0) * logdet)
-
-
 @dataclass(frozen=True)
 class FirstIntegrals:
     phi: np.ndarray
@@ -330,6 +291,7 @@ class _FrameChart(Chart):
     """Shared by the two elr charts: an so(n) block, then frame rows."""
 
     config_keys = ("n", "k", "inertia")
+    eps_in_density = True
 
     def __init__(self, op: InertiaOperator, k: int, eps: float):
         self.op = op
@@ -369,7 +331,7 @@ class MultiplierChart(_FrameChart):
         )
 
     def log_density(self, coords):
-        _check_eps(self.eps)
+        self.check_density()
         _, ec = self._split(coords)
         return _log_gram_det(ec, self.op, "inverse_inertia") / (2.0 * self.eps)
 
@@ -425,7 +387,7 @@ class MomentumChart(_FrameChart):
         return g[..., iu[0], iu[1]]
 
     def log_density(self, coords):
-        _check_eps(self.eps)
+        self.check_density()
         _, fc = self._split(coords)
         return (1.0 / (2.0 * self.eps) - 1.0) * _log_gram_det(fc, self.op, "inertia")
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "to_wedge",
     "from_wedge",
     "inner_product",
-    "norm",
     "commutator",
     "hat",
     "unhat",
@@ -133,10 +131,6 @@ def inner_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape[-1] != y.shape[-1]:
         raise DimensionError(f"mixed so(n) sizes: {x.shape} vs {y.shape}")
     return -0.5 * np.einsum("...ij,...ji->...", x, y)
-
-
-def norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(inner_product(x, x))
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ norm is the largest member RMS, so no member is under-controlled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -104,6 +105,8 @@ class IntegratorConfig:
     spaced output times on [0, t_end] including both ends.  renormalize_every
     applies a chart renormalization after that many accepted steps; it is
     disabled by default and must stay disabled during measure checks.
+    samples, max_steps and renormalize_every are integers; samples and
+    renormalize_every are at least 1.
     """
 
     method: str = "embedded_adaptive"
@@ -124,8 +127,16 @@ class IntegratorConfig:
             raise ParameterError("tolerances must be positive")
         if self.t_end < 0.0:
             raise ParameterError("t_end must be nonnegative")
+        counts = {"samples": self.samples, "max_steps": self.max_steps}
+        if self.renormalize_every is not None:
+            counts["renormalize_every"] = self.renormalize_every
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ParameterError("need at least one sample")
+        if self.renormalize_every is not None and self.renormalize_every < 1:
+            raise ParameterError("renormalize_every must be at least 1")
 
     def sample_times(self) -> np.ndarray:
         if self.samples == 1 or self.t_end == 0.0:
@@ -339,20 +350,22 @@ def _fd_points(x, h_scale):
 
 
 def _eval_rows(fn, pts):
-    """fn on every row of pts (..., d) in one call; row by row if fn cannot broadcast."""
+    """fn on every row of pts (..., d) in one call: values (..., m).
+
+    A scalar fn gives m = 1.  fn is called row by row only when its batched
+    call raises ValueError or TypeError or returns a wrongly shaped result,
+    which is how a function of one point at a time shows itself.
+    """
     flat = pts.reshape(-1, pts.shape[-1])
-    vals = None
     try:
-        out = np.asarray(fn(flat), dtype=float)
-        if out.ndim == 2 and out.shape[0] == flat.shape[0]:
-            vals = out
+        vals = np.asarray(fn(flat), dtype=float)
     except NonholoError:
         raise
-    except Exception:
+    except (ValueError, TypeError):
         vals = None
-    if vals is None:
+    if vals is None or vals.ndim not in (1, 2) or vals.shape[0] != flat.shape[0]:
         vals = np.array([np.asarray(fn(p), dtype=float).ravel() for p in flat])
-    return vals.reshape(pts.shape[:-1] + vals.shape[-1:])
+    return vals.reshape(pts.shape[:-1] + (-1,))
 
 
 def _central_difference(vals, h):
@@ -367,8 +380,9 @@ def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
 
     The step along coordinate i is h_scale * max(1, |x_i|) with
     h_scale = eps**(1/3) by default.  fn is called once on the stacked
-    stencils of every point (2d rows each); if it cannot broadcast, it is
-    called row by row.
+    stencils of every point (2d rows each), and row by row only if that
+    call raises ValueError or TypeError or returns a wrongly shaped result;
+    any other error propagates.
     """
     x = np.asarray(x, dtype=float)
     pts, h = _fd_points(x, _FD_H if h_scale is None else h_scale)
@@ -376,23 +390,11 @@ def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
 
 
 def fd_gradient(fn, x, h_scale: float | None = None) -> np.ndarray:
-    """Central finite-difference gradient of scalar fn at x."""
+    """Central finite-difference gradient of scalar fn at x, stencil as fd_jacobian."""
     x = np.asarray(x, dtype=float).ravel()
     d = x.size
-    if h_scale is None:
-        h_scale = _FD_H
-    pts, h = _fd_points(x, h_scale)
-    vals = None
-    try:
-        out = np.asarray(fn(pts), dtype=float)
-        if out.shape == (2 * d,):
-            vals = out
-    except NonholoError:
-        raise
-    except Exception:
-        vals = None
-    if vals is None:
-        vals = np.array([float(fn(p)) for p in pts])
+    pts, h = _fd_points(x, _FD_H if h_scale is None else h_scale)
+    vals = _eval_rows(fn, pts).reshape(2 * d)
     return (vals[:d] - vals[d:]) / (2.0 * h)
 
 
@@ -453,10 +455,6 @@ class TransportResult:
     @property
     def max_abs_residual(self) -> float:
         return float(np.max(np.abs(self.residual)))
-
-    @property
-    def samples(self):
-        return list(zip(self.times, self.log_density, self.log_tangent_volume, self.residual))
 
 
 def _project_to_tangent(constraints_fn, x, V):

@@ -47,11 +47,8 @@ from .numerics import polar_orthonormalize
 __all__ = [
     "VeselovaState",
     "gamma_projector",
-    "vf_veselova",
     "pluecker",
     "pluecker_indices",
-    "log_density_veselova",
-    "density_veselova",
     "VeselovaChart",
     "random_veselova_state",
 ]
@@ -112,33 +109,22 @@ def _assemble_transfer(G, op):
     return np.swapaxes(cols, -1, -2)
 
 
+def _velocity(mc, U, op):
+    """Wedge coordinates of w solving m_bold = w + pr(I w - w), and Gamma; batched."""
+    G = U @ np.swapaxes(U, -1, -2)
+    return np.linalg.solve(_assemble_transfer(G, op), mc[..., None])[..., 0], G
+
+
 def _veselova_rhs(mc, Uflat, op, eps, n, r):
     shape = np.asarray(mc).shape[:-1]
     U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
-    G = U @ np.swapaxes(U, -1, -2)
-    T = _assemble_transfer(G, op)
-    wc = np.linalg.solve(T, mc[..., None])[..., 0]
+    wc, G = _velocity(mc, U, op)
     W = from_wedge(wc, n)
     M = from_wedge(mc, n)
     br = commutator(op.apply(W), W)
     dmc = eps * to_wedge(commutator(M, W)) + (1.0 - eps) * to_wedge(_pr_batched(G, br))
     dU = -eps * (W @ U)
     return dmc, dU.reshape(shape + (n * r,)), wc
-
-
-def vf_veselova(state: VeselovaState, op: InertiaOperator, eps: float):
-    """Vector field; returns (dm_bold, dU)."""
-    dmc, dU, _ = _veselova_rhs(
-        to_wedge(state.m_bold), state.U.U.ravel(), op, eps, state.n, state.r
-    )
-    return from_wedge(dmc, state.n), dU.reshape(state.n, state.r)
-
-
-def omega_of_veselova(state: VeselovaState, op: InertiaOperator) -> np.ndarray:
-    """Angular velocity solving m_bold = w + pr(I w - w)."""
-    G, _ = gamma_projector(state.U)
-    T = _assemble_transfer(G, op)
-    return from_wedge(np.linalg.solve(T, to_wedge(state.m_bold)), state.n)
 
 
 def pluecker_indices(n: int, r: int) -> list[tuple[int, ...]]:
@@ -155,19 +141,6 @@ def pluecker(U) -> np.ndarray:
     return np.linalg.det(sub)
 
 
-def _wedge_products_vector(op_or_a):
-    if isinstance(op_or_a, InertiaOperator):
-        if op_or_a.kind != "wedge_products":
-            raise UnsupportedSpecError(
-                "this density is only valid for the wedge_products inertia"
-            )
-        return op_or_a.a
-    a = np.asarray(op_or_a, dtype=float)
-    if a.ndim != 1:
-        raise DimensionError("expected a vector of coefficients a")
-    return a
-
-
 def _log_base(Uflat, a, n, r, shape):
     U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
     idx = np.array(pluecker_indices(n, r))
@@ -175,22 +148,6 @@ def _log_base(Uflat, a, n, r, shape):
     mins = np.linalg.det(sub)
     aprod = np.prod(np.asarray(a, dtype=float)[idx], axis=-1)
     return np.log(np.einsum("...c,c->...", mins**2, aprod))
-
-
-def _log_density(Uflat, op_or_a, eps, n, r, shape):
-    if eps == 0.0:
-        raise ParameterError("density is undefined at eps = 0")
-    base = _log_base(Uflat, _wedge_products_vector(op_or_a), n, r, shape)
-    return (1.0 / (2.0 * eps) - 1.0) * (n - r - 1) * base
-
-
-def log_density_veselova(state: VeselovaState, op_or_a, eps: float) -> float:
-    """log of (sum_I a_I P_I^2)^[(1/(2 eps) - 1)(n - r - 1)]."""
-    return float(_log_density(state.U.U.ravel(), op_or_a, eps, state.n, state.r, ()))
-
-
-def density_veselova(state, op_or_a, eps) -> float:
-    return float(np.exp(log_density_veselova(state, op_or_a, eps)))
 
 
 class _StiefelChart(Chart):
@@ -232,6 +189,7 @@ class VeselovaChart(_StiefelChart):
     """Flat chart (m_bold wedge coords, raw entries of U)."""
 
     config_keys = ("n", "r", "inertia")
+    eps_in_density = True
 
     def __init__(self, op: InertiaOperator, r: int, eps: float):
         self.op = op
@@ -253,9 +211,13 @@ class VeselovaChart(_StiefelChart):
         return np.concatenate([dmc, dU], axis=-1)
 
     def log_density(self, coords):
+        """log of (sum_I a_I P_I^2)^[(1/(2 eps) - 1)(n - r - 1)]."""
+        self.check_density()
+        if self.op.kind != "wedge_products":
+            raise UnsupportedSpecError("this density is only valid for the wedge_products inertia")
         coords = np.asarray(coords, dtype=float)
-        U = coords[..., self.N :]
-        return _log_density(U, self.op, self.eps, self.n, self.r, coords.shape[:-1])
+        base = _log_base(coords[..., self.N :], self.op.a, self.n, self.r, coords.shape[:-1])
+        return (1.0 / (2.0 * self.eps) - 1.0) * (self.n - self.r - 1) * base
 
     def flatten(self, state: VeselovaState) -> np.ndarray:
         return np.concatenate([to_wedge(state.m_bold), state.U.U.ravel()])
@@ -264,7 +226,8 @@ class VeselovaChart(_StiefelChart):
         return random_veselova_state(self.n, self.r, rng)
 
     def integrals(self, coords):
-        w = omega_of_veselova(self.unflatten(coords), self.op)
+        st = self.unflatten(coords)
+        w = from_wedge(_velocity(to_wedge(st.m_bold), st.U.U, self.op)[0], self.n)
         return {"H": 0.5 * float(inner_product(self.op.apply(w), w))}
 
 

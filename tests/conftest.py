@@ -25,3 +25,10 @@ def chaplygin_params(n: int, rng: np.random.Generator):
     a = rng.uniform(0.5, 1.5, size=n)
     D = float(np.max(np.outer(a, a))) * float(rng.uniform(1.5, 3.0))
     return a, D
+
+
+def field_blocks(chart, state):
+    """The chart's field at a state: its leading so(n) block (wedge
+    coordinates) and the rest of the flat coordinates."""
+    f = chart.field(chart.flatten(state))
+    return f[: chart.N], f[chart.N :]

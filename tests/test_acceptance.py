@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import chaplygin_params, random_spd_operator, rng_for
+from conftest import chaplygin_params, field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.ball3d import BallState, ChaplyginChart, RubberChart, densities_3d, random_ball_state
 from nonholo.elpr import (
@@ -27,7 +27,6 @@ from nonholo.elr import (
     MomentumChart,
     MultiplierChart,
     _log_gram_det,
-    density_multiplier,
     first_integrals,
     momentum_of,
     omega_of,
@@ -62,10 +61,9 @@ from nonholo.numerics import (
 from nonholo.veselova import (
     VeselovaChart,
     _log_base,
+    _velocity,
     gamma_projector,
-    omega_of_veselova,
     random_veselova_state,
-    vf_veselova,
 )
 
 EPS_GRID = (-1.0, 0.5, 1.0, 2.0)
@@ -408,15 +406,15 @@ def test_criterion_7_equivalences():
 
     rubber = random_ball_state(rng_for(86), inertia=[1.0, 2.0, 3.0], D=0.5, eps=0.7)
     lifted_r, op_r = ball3d.lift_to_so3(rubber, "elr")
-    from nonholo.elr import vf_multiplier
-
-    dw, de = vf_multiplier(lifted_r, op_r, rubber.eps)
+    dwc, dec = field_blocks(MultiplierChart(op_r, 1, rubber.eps), lifted_r)
+    dw, de = from_wedge(dwc, 3), from_wedge(dec.reshape(1, -1), 3)
     dm, dg = ball3d.vf_rubber(rubber, form="multiplier")
     assert np.max(np.abs(dw - hat(dm / rubber.total_inertia))) <= 1e-12
     assert np.max(np.abs(de[0] - hat(rubber.eps * np.cross(rubber.gamma, rubber.omega)))) <= 1e-12
 
     lifted_v, op_v = ball3d.lift_to_so3(rubber, "veselova")
-    dmv, dUv = vf_veselova(lifted_v, op_v, rubber.eps)
+    dmc, dUv = field_blocks(VeselovaChart(op_v, 1, rubber.eps), lifted_v)
+    dmv, dUv = from_wedge(dmc, 3), dUv.reshape(3, 1)
     dmb, dgb = ball3d.vf_rubber(rubber, form="momentum")
     assert np.max(np.abs(dmv - hat(dmb))) <= 1e-12
     assert np.max(np.abs(dUv[:, 0] - dgb)) <= 1e-12
@@ -451,7 +449,7 @@ def test_criterion_7_equivalences():
     dev = 0.0
     for a, b in zip(tr.states, tv.states):
         stv = vchart.unflatten(b)
-        w_v = unhat(omega_of_veselova(stv, op_v))
+        w_v = unhat(from_wedge(_velocity(to_wedge(stv.m_bold), stv.U.U, op_v)[0], 3))
         dev = max(dev, float(np.max(np.abs(a[:3] - w_v))))
         dev = max(dev, float(np.max(np.abs(a[3:] - stv.U.U[:, 0]))))
     assert dev <= 1e-8, f"rubber/moving-frame trajectory deviation {dev}"
@@ -484,7 +482,8 @@ def test_criterion_8_density_reduction_at_eps_one():
         )
         st = random_multiplier_state(n, k, rng)
         expect = np.sqrt(np.linalg.det(frame_gram(st.frames, op, mode="inverse_inertia")))
-        got = density_multiplier(st, op, 1.0)
+        chart = MultiplierChart(op, k, 1.0)
+        got = np.exp(chart.log_density(chart.flatten(st)))
         assert abs(got - expect) <= 1e-12 * expect, (n, k, i)
         count += 1
     assert count == 20

@@ -12,7 +12,6 @@ from nonholo.ball3d import (
     epsilon_from_radii,
     k_vector,
     lift_to_so3,
-    log_density_3d,
     m_vector,
     momentum_vector,
     omega_from_k,
@@ -55,8 +54,9 @@ def test_rubber_density_worked_value():
 
 def test_log_density_consistency_and_eps_guard():
     st = random_ball_state(rng_for(1), inertia=[1.0, 2.0, 3.0], D=0.8, eps=0.5)
-    for which in ("chaplygin", "rubber"):
-        assert np.exp(log_density_3d(st, which)) == pytest.approx(
+    for which, cls in (("chaplygin", ChaplyginChart), ("rubber", RubberChart)):
+        chart = cls(st.inertia, st.D, st.eps)
+        assert np.exp(chart.log_density(chart.flatten(st))) == pytest.approx(
             densities_3d(st, which), rel=1e-14
         )
     st0 = BallState(st.omega, st.gamma, st.inertia, st.D, eps=0.0)

@@ -11,8 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nonholo.ball3d import ChaplyginChart
-from nonholo.cli import SYSTEMS, load_config, main, observables
+from nonholo import cli
+from nonholo.cli import PAIRS, SYSTEMS, load_config, main, observables
 from nonholo.errors import SingularityError
+from nonholo.numerics import integrate
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
 CONFIG_IDS = [os.path.basename(p)[: -len(".json")] for p in CONFIGS]
@@ -290,6 +292,11 @@ def test_crosscheck_unknown_pair(tmp_path):
         {"initial": {"coords": "abc"}},
         {"output": [1]},
         {"system": "lpr_stiefel", "inertia": None, "a": "xyz", "D": 4.0, "r": 1},
+        {"system": "lpr_stiefel", "inertia": None, "a": [-0.8, -1.0, -1.2], "D": 4.0, "r": 1},
+        {"integrator": {"samples": 2.5}},
+        {"integrator": {"max_steps": 100.5}},
+        {"integrator": {"renormalize_every": 1.5}},
+        {"integrator": {"renormalize_every": 0}},
     ],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
@@ -308,6 +315,10 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"initial": {"coords": "abc"}}, "initial.coords"),
         ({"output": [1]}, "output"),
         ({"system": "lpr_stiefel", "inertia": None, "a": "xyz", "D": 4.0, "r": 1}, "a"),
+        ({"integrator": {"samples": 2.5}}, "integrator"),
+        ({"integrator": {"max_steps": 100.5}}, "integrator"),
+        ({"integrator": {"renormalize_every": 1.5}}, "integrator"),
+        ({"integrator": {"renormalize_every": 0}}, "integrator"),
     ],
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
@@ -329,6 +340,45 @@ def test_zero_epsilon_density_check_exits_three(tmp_path, path):
         checks.append("liouville")
     for check in checks:
         assert main(["verify", "--config", p, "--check", check, "--out", str(tmp_path)]) == 3
+
+
+# system -> the key a run at epsilon 0 is refused for, or None where it runs
+ZERO_EPSILON_REFUSED = {
+    "elr_multiplier": "epsilon",
+    "elr_momentum": "epsilon",
+    "veselova": "epsilon",
+    "ball_rubber": "ball_rubber",
+    "elpr": None,
+    "lpr_stiefel": None,
+    "ball_chaplygin": None,
+}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_zero_epsilon_undefined_density_exits_three_before_integrating(
+    tmp_path, monkeypatch, capsys, path
+):
+    # simulate and verify record log_density, so a density undefined at
+    # eps = 0 is a config error; crosscheck never evaluates it
+    cfg = sample_config(path, epsilon=0.0, checks=["integrals"],
+                        integrator={"t_end": 0.5, "samples": 3})
+    p = write_cfg(tmp_path, cfg)
+    key = ZERO_EPSILON_REFUSED[cfg["system"]]
+    integrations = []
+    monkeypatch.setattr(cli, "integrate",
+                        lambda *a, **kw: integrations.append(1) or integrate(*a, **kw))
+    for argv in (["simulate"], ["verify", "--check", "integrals"]):
+        rc = main(argv + ["--config", p, "--out", str(tmp_path)])
+        if key is None:
+            assert rc == 0
+        else:
+            assert rc == 3
+            assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert bool(integrations) == (key is None)
+    for a, b in PAIRS:
+        if a == cfg["system"] != key:  # ball_rubber's chart refuses eps = 0 itself
+            assert main(["crosscheck", "--config", p, "--pair", f"{a}:{b}",
+                         "--out", str(tmp_path)]) == 0
 
 
 def test_invalid_chaplygin_pair_parameters(tmp_path):

@@ -3,27 +3,23 @@
 import numpy as np
 import pytest
 
-from conftest import chaplygin_params, random_spd_operator, rng_for
+from conftest import chaplygin_params, field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.elpr import (
     ELPRState,
     LPRChart,
     LPRStiefelChart,
     LPRStiefelState,
-    density_elpr,
-    density_lpr_stiefel,
+    _stiefel_velocity,
     energy,
     k_from_omega,
     log_density_elpr,
-    log_density_lpr_stiefel,
     omega_from_k,
-    omega_from_k_stiefel,
     pi_variants,
     random_elpr_state,
     random_lpr_stiefel_state,
     stiefel_total_inertia,
     vf_elpr,
-    vf_lpr_stiefel,
 )
 from nonholo.errors import DefinitenessError, ParameterError
 from nonholo.liealg import (
@@ -33,7 +29,6 @@ from nonholo.liealg import (
     commutator,
     from_wedge,
     hat,
-    inner_product,
     isotropy_frame,
     projector_matrix,
     random_skew,
@@ -93,7 +88,7 @@ def test_pi_zero_reduces_to_free_rotation():
     dk, dPi = vf_elpr(st, op, 2.0)
     assert np.max(np.abs(dk - commutator(op.apply(w), w))) < 1e-12
     assert np.max(np.abs(dPi)) == 0.0
-    assert density_elpr(st, op) == pytest.approx(np.sqrt(op.det()), rel=1e-12)
+    assert np.exp(log_density_elpr(st, op)) == pytest.approx(np.sqrt(op.det()), rel=1e-12)
 
 
 def test_constant_multiple_of_identity_is_frozen():
@@ -283,10 +278,11 @@ def test_stiefel_field_and_round_trip():
     a, D = chaplygin_params(n, rng)
     op = InertiaOperator.wedge_products_chaplygin(a, D)
     st = random_lpr_stiefel_state(n, r, rng)
-    w = omega_from_k_stiefel(st, a, D)
+    w = from_wedge(_stiefel_velocity(to_wedge(st.k_bold), st.U.U, op, D), n)
     _, pr = gamma_projector(st.U)
     assert np.max(np.abs(op.apply(w) + D * pr(w) - st.k_bold)) < 1e-11
-    dk, dU = vf_lpr_stiefel(st, a, D, 0.5)
+    dkc, dU = field_blocks(LPRStiefelChart(a, D, r, 0.5), st)
+    dk, dU = from_wedge(dkc, n), dU.reshape(n, r)
     assert np.max(np.abs(dk - commutator(st.k_bold, w))) < 1e-12
     assert np.max(np.abs(dU + 0.5 * (w @ st.U.U))) < 1e-12
 
@@ -301,8 +297,10 @@ def test_stiefel_density_manual_formula():
     for idx, I in enumerate(pluecker_indices(n, r)):
         base += P[idx] ** 2 / np.prod(a[list(I)])
     expect = -0.5 * (n - r - 1) * np.log(base)
-    assert log_density_lpr_stiefel(st, a, D) == pytest.approx(expect, abs=1e-13)
-    assert density_lpr_stiefel(st, a, D) == pytest.approx(np.exp(expect), rel=1e-13)
+    chart = LPRStiefelChart(a, D, r, eps=0.5)
+    got = chart.log_density(chart.flatten(st))
+    assert got == pytest.approx(expect, abs=1e-13)
+    assert np.exp(got) == pytest.approx(np.exp(expect), rel=1e-13)
 
 
 def test_stiefel_transport_certifies_density():
@@ -329,11 +327,7 @@ def test_stiefel_energy_conserved():
     for eps in (-1.0, 0.5, 2.0):
         chart = LPRStiefelChart(a, D, r, eps=eps)
         traj = integrate(chart.field, chart.flatten(st), IntegratorConfig(t_end=5.0, samples=11))
-        H = []
-        for c in traj.states:
-            s = chart.unflatten(c)
-            wt = omega_from_k_stiefel(s, a, D)
-            H.append(0.5 * float(inner_product(s.k_bold, wt)))
+        H = [chart.integrals(c)["H"] for c in traj.states]
         assert np.max(np.abs(np.array(H) - H[0])) < 1e-9 * max(1.0, abs(H[0]))
 
 
@@ -345,4 +339,4 @@ def test_chaplygin_ball_is_the_so3_case():
     assert np.max(np.abs(unhat(dk) - dk_ball)) < 1e-12
     # density: sqrt(det(I + D)(1 - D (g, (I+D)^{-1} g))) in closed form
     expect = ball3d.densities_3d(ball, "chaplygin")
-    assert density_elpr(lifted, op) == pytest.approx(expect, rel=1e-12)
+    assert np.exp(log_density_elpr(lifted, op)) == pytest.approx(expect, rel=1e-12)

@@ -3,24 +3,19 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd_operator, rng_for
+from conftest import field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.elr import (
     ELRMultiplierState,
     MomentumChart,
     MultiplierChart,
     analytic_divergence,
-    density_multiplier,
     first_integrals,
-    log_density_momentum,
-    log_density_multiplier,
     momentum_of,
     multipliers,
     omega_of,
     random_momentum_state,
     random_multiplier_state,
-    vf_momentum,
-    vf_multiplier,
 )
 from nonholo.errors import ParameterError
 from nonholo.liealg import (
@@ -46,7 +41,8 @@ def test_field_preserves_constraints_analytically():
     for n, k, eps in ((3, 1, 0.5), (4, 2, 2.0), (5, 2, -1.0)):
         st = random_multiplier_state(n, k, rng_for(n + k))
         op = random_spd_operator(n, rng_for(7 * n + k))
-        dw, de = vf_multiplier(st, op, eps)
+        dwc, dec = field_blocks(MultiplierChart(op, k, eps), st)
+        dw, de = from_wedge(dwc, n), from_wedge(dec.reshape(k, -1), n)
         dphi = inner_product(dw, st.frames.elems) + inner_product(st.omega, de)
         assert np.max(np.abs(dphi)) < 1e-12
 
@@ -66,7 +62,8 @@ def test_multipliers_reproduce_momentum_equation():
     st = random_multiplier_state(4, 2, rng_for(3))
     op = random_spd_operator(4, rng_for(4))
     lam = multipliers(st, op)
-    dw, _ = vf_multiplier(st, op, 1.3)
+    dwc, _ = field_blocks(MultiplierChart(op, 2, 1.3), st)
+    dw = from_wedge(dwc, 4)
     m = op.apply(st.omega)
     residual = op.apply(dw) - commutator(m, st.omega)
     forced = np.tensordot(lam, st.frames.elems, axes=(0, 0))
@@ -86,7 +83,8 @@ def test_rubber_ball_is_the_k1_so3_case():
     # n = 3, k = 1 with inertia I + D reproduces the hand-coded rubber field
     ball = ball3d.random_ball_state(rng_for(8), inertia=[1.0, 2.0, 3.0], D=0.5, eps=0.7)
     lifted, op = ball3d.lift_to_so3(ball, "elr")
-    dw, de = vf_multiplier(lifted, op, ball.eps)
+    dwc, dec = field_blocks(MultiplierChart(op, 1, ball.eps), lifted)
+    dw, de = from_wedge(dwc, 3), from_wedge(dec.reshape(1, -1), 3)
     dm, dg = ball3d.vf_rubber(ball, form="multiplier")
     assert np.max(np.abs(dw - hat(dm / ball.total_inertia))) < 1e-12
     assert np.max(np.abs(de[0] - hat(ball.eps * np.cross(ball.gamma, ball.omega)))) < 1e-12
@@ -96,15 +94,20 @@ def test_rubber_ball_is_the_k1_so3_case():
 # densities
 
 
+def density(st, op, eps):
+    chart = MultiplierChart(op, st.k, eps)
+    return np.exp(chart.log_density(chart.flatten(st)))
+
+
 def test_multiplier_density_frozen_example():
     # single constraint e = E1^E2, products inertia a = (1, 2, 3):
     # det <e, I^{-1} e> = 1/(a1 a2) = 1/2, so the eps = 1 density is sqrt(1/2)
     op = InertiaOperator.wedge_products([1.0, 2.0, 3.0])
     frames = Frame(np.array([wedge_basis(3)[0]]), orthonormal=True)
     st = ELRMultiplierState.from_omega(from_wedge(np.array([0.2, -0.4, 0.9]), 3), frames)
-    assert density_multiplier(st, op, 1.0) == pytest.approx(0.5**0.5, rel=1e-14)
-    assert density_multiplier(st, op, 0.5) == pytest.approx(0.5, rel=1e-14)
-    assert density_multiplier(st, op, -1.0) == pytest.approx(0.5**-0.5, rel=1e-14)
+    assert density(st, op, 1.0) == pytest.approx(0.5**0.5, rel=1e-14)
+    assert density(st, op, 0.5) == pytest.approx(0.5, rel=1e-14)
+    assert density(st, op, -1.0) == pytest.approx(0.5**-0.5, rel=1e-14)
 
 
 def test_density_reduces_to_sqrt_gram_at_eps_one():
@@ -113,16 +116,18 @@ def test_density_reduces_to_sqrt_gram_at_eps_one():
         st = random_multiplier_state(4, 2, rng)
         op = random_spd_operator(4, rng)
         expect = np.sqrt(np.linalg.det(frame_gram(st.frames, op, mode="inverse_inertia")))
-        assert abs(density_multiplier(st, op, 1.0) - expect) < 1e-12 * expect
+        assert abs(density(st, op, 1.0) - expect) < 1e-12 * expect
 
 
 def test_density_rejects_eps_zero():
     st = random_multiplier_state(3, 1, rng_for(1))
     op = InertiaOperator.identity(3)
+    mult = MultiplierChart(op, 1, 0.0)
     with pytest.raises(ParameterError):
-        log_density_multiplier(st, op, 0.0)
+        mult.log_density(mult.flatten(st))
+    mom = MomentumChart(op, 1, 0.0)
     with pytest.raises(ParameterError):
-        log_density_momentum(random_momentum_state(3, 1, rng_for(2)), op, 0.0)
+        mom.log_density(mom.flatten(random_momentum_state(3, 1, rng_for(2))))
 
 
 def test_ambient_liouville_residual_vanishes():
@@ -150,7 +155,8 @@ def test_momentum_round_trip():
 def test_momentum_field_preserves_frame_orthonormality():
     st = random_momentum_state(4, 2, rng_for(33))
     op = random_spd_operator(4, rng_for(34))
-    _, df = vf_momentum(st, op, 0.5)
+    _, dfc = field_blocks(MomentumChart(op, 2, 0.5), st)
+    df = from_wedge(dfc.reshape(st.frames_d.k, -1), 4)
     g = inner_product(df[:, None], st.frames_d.elems[None, :])
     assert np.max(np.abs(g + g.T)) < 1e-12
 

@@ -219,6 +219,35 @@ def test_fd_gradient_quadratic_halving():
     assert e1 < 1e-6
 
 
+def test_fd_gradient_falls_back_row_by_row_for_a_pointwise_function():
+    x = np.array([0.3, -1.2, 0.8])
+    batched = lambda v: np.sum(v**3, axis=-1)
+
+    def pointwise(v):
+        if np.ndim(v) != 1:
+            raise ValueError("one point at a time")
+        return float(np.sum(v**3))
+
+    g = fd_gradient(batched, x)
+    assert np.array_equal(fd_gradient(pointwise, x), g)
+    # a batched call that returns one scalar for the whole stencil is retried too
+    assert np.array_equal(fd_gradient(lambda v: np.sum(v**3), x), g)
+
+
+def test_fd_batched_call_errors_are_not_retried_row_by_row():
+    calls = []
+
+    def buggy(v):
+        calls.append(np.shape(v))
+        raise KeyError("a bug, not a pointwise function")
+
+    with pytest.raises(KeyError):
+        fd_jacobian(buggy, np.zeros(3))
+    with pytest.raises(KeyError):
+        fd_gradient(buggy, np.zeros(3))
+    assert calls == [(6, 3), (6, 3)]
+
+
 def test_divergence_of_linear_field_is_trace():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_spd_operator, rng_for
+from conftest import field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.errors import ParameterError, UnsupportedSpecError
 from nonholo.liealg import (
@@ -25,15 +25,12 @@ from nonholo.numerics import IntegratorConfig, integrate, tangent_volume_transpo
 from nonholo.veselova import (
     VeselovaChart,
     VeselovaState,
+    _velocity,
     _veselova_rhs,
-    density_veselova,
     gamma_projector,
-    log_density_veselova,
-    omega_of_veselova,
     pluecker,
     pluecker_indices,
     random_veselova_state,
-    vf_veselova,
 )
 
 
@@ -41,6 +38,16 @@ def m_from_omega(omega, U, op):
     """Transfer w -> w + pr(I w - w) applied directly."""
     _, pr = gamma_projector(U)
     return omega + pr(op.apply(omega) - omega)
+
+
+def omega_of(st, op):
+    """Angular velocity of a state by the field's transfer solve."""
+    return from_wedge(_velocity(to_wedge(st.m_bold), st.U.U, op)[0], st.n)
+
+
+def log_density(st, op, eps):
+    chart = VeselovaChart(op, st.r, eps)
+    return chart.log_density(chart.flatten(st))
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +90,14 @@ def test_momentum_transfer_round_trip():
         U = random_stiefel(n, r, rng)
         w = random_skew(n, rng)
         st = VeselovaState(m_from_omega(w, U, op), StiefelPoint(U))
-        assert np.max(np.abs(omega_of_veselova(st, op) - w)) < 1e-11
+        assert np.max(np.abs(omega_of(st, op) - w)) < 1e-11
 
 
 def test_field_preserves_orthonormality_analytically():
     st = random_veselova_state(5, 2, rng_for(5))
     op = random_spd_operator(5, rng_for(6))
-    _, dU = vf_veselova(st, op, 0.7)
+    _, dU = field_blocks(VeselovaChart(op, 2, 0.7), st)
+    dU = dU.reshape(5, 2)
     U = st.U.U
     sym = dU.T @ U + U.T @ dU
     assert np.max(np.abs(sym)) < 1e-13
@@ -130,27 +138,28 @@ def test_density_manual_formula():
         minor = np.linalg.det(U[list(I), :])
         base += np.prod(a[list(I)]) * minor**2
     expect = (1.0 / (2.0 * eps) - 1.0) * (n - r - 1) * np.log(base)
-    assert log_density_veselova(st, a, eps) == pytest.approx(expect, abs=1e-13)
     op = InertiaOperator.wedge_products(a)
-    assert log_density_veselova(st, op, eps) == pytest.approx(expect, abs=1e-13)
+    assert log_density(st, op, eps) == pytest.approx(expect, abs=1e-13)
 
 
 def test_density_trivial_cases():
     rng = rng_for(10)
     # all a_i equal: sum of squared minors is 1, density is constant
     st = random_veselova_state(5, 2, rng)
-    assert density_veselova(st, np.ones(5), 2.0) == pytest.approx(1.0, abs=1e-12)
+    ones = InertiaOperator.wedge_products(np.ones(5))
+    assert np.exp(log_density(st, ones, 2.0)) == pytest.approx(1.0, abs=1e-12)
     # r = n - 1 kills the exponent outright
     st2 = random_veselova_state(4, 3, rng)
-    assert log_density_veselova(st2, rng.uniform(0.5, 2.0, size=4), 2.0) == 0.0
+    op = InertiaOperator.wedge_products(rng.uniform(0.5, 2.0, size=4))
+    assert log_density(st2, op, 2.0) == 0.0
 
 
 def test_density_input_validation():
     st = random_veselova_state(4, 2, rng_for(11))
     with pytest.raises(UnsupportedSpecError):
-        log_density_veselova(st, random_spd_operator(4, rng_for(12)), 1.0)
+        log_density(st, random_spd_operator(4, rng_for(12)), 1.0)
     with pytest.raises(ParameterError):
-        log_density_veselova(st, np.ones(4), 0.0)
+        log_density(st, InertiaOperator.wedge_products(np.ones(4)), 0.0)
 
 
 def test_volume_transport_certifies_density():
@@ -194,7 +203,7 @@ def block_invariant(y, op, n, r):
     st = VeselovaState(
         from_wedge(y[:N], n), StiefelPoint(y[N : N + n * r].reshape(n, r), tolerance=1e-6)
     )
-    w = omega_of_veselova(st, op)
+    w = omega_of(st, op)
     V = y[N + n * r :].reshape(n, n)
     return (V.T @ w @ V)[r:, r:]
 
@@ -233,7 +242,7 @@ def test_energy_conserved_on_zero_block_level():
     H = []
     for c in traj.states:
         s = chart.unflatten(c)
-        wt = omega_of_veselova(s, op)
+        wt = omega_of(s, op)
         H.append(0.5 * float(inner_product(op.apply(wt), wt)))
     assert np.max(np.abs(np.array(H) - H[0])) < 1e-9 * abs(H[0])
 
@@ -241,13 +250,14 @@ def test_energy_conserved_on_zero_block_level():
 def test_rubber_ball_is_the_r1_so3_case():
     ball = ball3d.random_ball_state(rng_for(16), inertia=[1.0, 2.0, 3.0], D=0.5, eps=0.7)
     lifted, op = ball3d.lift_to_so3(ball, "veselova")
-    dm, dU = vf_veselova(lifted, op, ball.eps)
+    dmc, dU = field_blocks(VeselovaChart(op, 1, ball.eps), lifted)
+    dm, dU = from_wedge(dmc, 3), dU.reshape(3, 1)
     dm_ball, dg_ball = ball3d.vf_rubber(ball, form="momentum")
     assert np.max(np.abs(dm - hat(dm_ball))) < 1e-12
     assert np.max(np.abs(dU[:, 0] - dg_ball)) < 1e-12
     # the shifted so(3) operator falls outside the product-coefficient density
     with pytest.raises(UnsupportedSpecError):
-        log_density_veselova(lifted, op, ball.eps)
+        log_density(lifted, op, ball.eps)
 
 
 def test_chart_renormalize_restores_stiefel():
