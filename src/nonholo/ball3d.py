@@ -38,7 +38,7 @@ import numpy as np
 
 from . import elpr, elr, veselova
 from .chart import Chart
-from .errors import DimensionError, ParameterError
+from .errors import ConfigError, DimensionError, ParameterError
 from .liealg import Frame, InertiaOperator, StiefelPoint, hat, unhat
 
 __all__ = [
@@ -326,6 +326,8 @@ class RubberChart(_BallChart):
 
     @classmethod
     def from_config(cls, cfg):
+        if cfg.epsilon == 0.0:  # the chart itself refuses eps = 0
+            raise ConfigError("epsilon: density is undefined at eps = 0 for ball_rubber")
         return super().from_config(cfg, variables=cfg.raw.get("variables", "m"))
 
     def _omega(self, lead):

@@ -14,9 +14,11 @@ Two verification primitives are provided:
   constraint-manifold tangent space with the variational equation
   dV/dt = J(x(t)) V and accumulates the log volume of the transported
   parallelepiped; for an invariant measure mu the sum
-  log mu(x(t)) + log vol(V(t)) stays constant.  An ensemble of initial
-  states (S, d) is transported together: each stage evaluates the field
-  once, on every member's point and finite-difference stencil stacked.
+  log mu(x(t)) + log vol(V(t)) stays constant.  J V is never formed from
+  J: each of its q columns is a central difference of the field along the
+  matching column of V.  An ensemble of initial states (S, d) is
+  transported together: each stage evaluates the field once, on every
+  member's point and its 2q directional points stacked.
 
 The default integrator is an embedded Dormand-Prince 5(4) pair with a
 proportional step controller; a fixed-step classical RK4 is available for
@@ -147,12 +149,24 @@ class IntegratorConfig:
 @dataclass
 class IntegrationStats:
     """What a driver did.  For DP45 with FSAL reuse,
-    evaluations == 1 + 6 * (accepted + rejected) + fsal_resets."""
+    evaluations == 1 + 6 * (accepted + rejected) + fsal_resets.
+
+    h_min and h_max are the smallest and largest accepted step, the last
+    step before each sample time included; they stay inf and 0 until a
+    step is accepted.
+    """
 
     accepted: int = 0
     rejected: int = 0
     evaluations: int = 0
     fsal_resets: int = 0
+    h_min: float = float("inf")
+    h_max: float = 0.0
+
+    def _accept(self, h):
+        self.accepted += 1
+        self.h_min = min(self.h_min, h)
+        self.h_max = max(self.h_max, h)
 
 
 @dataclass
@@ -223,23 +237,25 @@ class _AdaptiveDriver:
                 raise StiffnessError(
                     f"step size underflow at t={self.t:.6g} (h={h:.3e})"
                 )
-            k = [self.f0]
+            # stage i is row i of K; K[:i] feeds stage i, all of K the update
+            K = np.empty((7, self.x.size))
+            stages = K.reshape((7,) + self.x.shape)
+            stages[0] = self.f0
+            x = self.x.reshape(-1)
             for i in range(1, 7):
-                xi = self.x + h * np.tensordot(_DP_A[i], np.array(k[:i]), axes=(0, 0))
-                k.append(self._eval(xi))
-            karr = np.array(k)
-            x_new = self.x + h * np.tensordot(_DP_B, karr, axes=(0, 0))
-            err = h * np.tensordot(_DP_E, karr, axes=(0, 0))
+                stages[i] = self._eval((x + h * (_DP_A[i] @ K[:i])).reshape(self.x.shape))
+            x_new = (x + h * (_DP_B @ K)).reshape(self.x.shape)
+            err = (h * (_DP_E @ K)).reshape(self.x.shape)
             sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.x), np.abs(x_new))
             err_norm = float(np.max(_rms(err / sc)))
             if not np.isfinite(err_norm):
                 raise IntegrationAbort(self.t, "non-finite field value")
             self.steps += 1
             if err_norm <= 1.0:
-                self.stats.accepted += 1
+                self.stats._accept(h)
                 self.t += h
                 self.x = x_new
-                self.f0 = k[6]  # FSAL: last stage is f at the accepted point
+                self.f0 = stages[6]  # FSAL: last stage is f at the accepted point
                 self.accepted_since_renorm += 1
                 if on_accept is not None:
                     on_accept(self)
@@ -280,7 +296,7 @@ class _FixedDriver:
                 raise IntegrationAbort(self.t, exc) from exc
             self.t += h
             self.steps += 1
-            self.stats.accepted += 1
+            self.stats._accept(h)
             self.stats.evaluations += 4
             self.accepted_since_renorm += 1
             if on_accept is not None:
@@ -368,11 +384,28 @@ def _eval_rows(fn, pts):
     return vals.reshape(pts.shape[:-1] + (-1,))
 
 
-def _central_difference(vals, h):
-    """Jacobian (..., m, d) from stencil values (..., 2d, m) and steps (..., d)."""
-    d = h.shape[-1]
-    diff = (vals[..., :d, :] - vals[..., d:, :]) / (2.0 * h[..., :, None])
-    return np.swapaxes(diff, -1, -2)
+def _field_and_jv(field_fn, x, Vt):
+    """field_fn at x (S, d) and (J V)^T (S, q, d) from one call on S (1 + 2q) rows.
+
+    Vt (S, q, d) holds the columns v_j of each member's V as rows.  Row j of
+    (J V)^T is the central difference of the field along v_j with step
+    t_j = _FD_H * max(1, |x|_inf) / |v_j|, which puts every point of a member
+    at the same distance from x; a zero column gives a zero row.
+    """
+    S, q, d = Vt.shape
+    xr = x[:, None, :]
+    scale = _FD_H * np.abs(xr).max(axis=-1, initial=1.0)
+    t = scale / np.sqrt(np.maximum((Vt * Vt).sum(axis=-1), 1e-300))
+    step = t[..., None] * Vt
+    # filled in place: a concatenate would copy every point once more
+    pts = np.empty((S, 1 + 2 * q, d))
+    pts[:, 0] = x
+    np.add(xr, step, out=pts[:, 1 : q + 1])
+    np.subtract(xr, step, out=pts[:, q + 1 :])
+    vals = _eval_rows(field_fn, pts)
+    jvt = vals[:, 1 : q + 1] - vals[:, q + 1 :]
+    jvt /= 2.0 * t[..., None]
+    return vals[:, 0], jvt
 
 
 def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
@@ -385,8 +418,11 @@ def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
     any other error propagates.
     """
     x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
     pts, h = _fd_points(x, _FD_H if h_scale is None else h_scale)
-    return _central_difference(_eval_rows(fn, pts), h)
+    vals = _eval_rows(fn, pts)
+    diff = (vals[..., :d, :] - vals[..., d:, :]) / (2.0 * h[..., :, None])
+    return np.swapaxes(diff, -1, -2)
 
 
 def fd_gradient(fn, x, h_scale: float | None = None) -> np.ndarray:
@@ -477,7 +513,8 @@ def tangent_volume_transport(
     """Transport a tangent-space volume element along the flow.
 
     The tangent basis (columns of V) solves dV/dt = J(x(t)) V with J the
-    finite-difference Jacobian of the field.  At each sample time V is
+    Jacobian of the field; J V is taken column by column, as the central
+    difference of the field along each column of V.  At each sample time V is
     projected onto the current constraint tangent space, re-orthonormalized
     by QR, and |det R| is accumulated into a running log volume, which keeps
     the computation well scaled over long runs.  Constraint drift beyond
@@ -490,8 +527,8 @@ def tangent_volume_transport(
     x0 is one state (d,), which returns one TransportResult, or an ensemble
     (S, d), which returns a list with one TransportResult per member.  The
     members share one driver: every stage calls field_fn once, on each
-    member's state and its 2d central-difference points stacked, and the
-    step is controlled by the largest member error.  A member's residual can
+    member's state and its 2q directional points stacked (q the number of
+    columns of V), and the step is controlled by the largest member error.  A member's residual can
     therefore differ from its own (d,) transport at the integrator-error
     level.  Any failure of one member raises for the whole ensemble.
     Members run in consecutive groups small enough that one stacked field
@@ -506,6 +543,7 @@ def tangent_volume_transport(
         cfg = IntegratorConfig()
     if tangent_basis is None and constraints_fn is None:
         tangent_basis = np.eye(d)
+    # a member's batch has 1 + 2q rows of d values, and q <= d
     group = max(1, _ENSEMBLE_BATCH_BYTES // (8 * (1 + 2 * d) * d))
     results = []
     for lo in range(0, S, group):
@@ -534,25 +572,24 @@ def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_sample
         V = np.stack(bases)
     q = V.shape[-1]
 
+    # the driver state of a member is x, then V^T row by row
     def aug_field(y):
-        x = y[:, :d]
-        pts, h = _fd_points(x, _FD_H)
-        vals = _eval_rows(field_fn, np.concatenate([x[:, None, :], pts], axis=1))
-        JV = _central_difference(vals[:, 1:], h) @ y[:, d:].reshape(S, d, q)
-        return np.concatenate([vals[:, 0], JV.reshape(S, d * q)], axis=1)
+        fx, JVt = _field_and_jv(field_fn, y[:, :d], y[:, d:].reshape(S, q, d))
+        return np.concatenate([fx, JVt.reshape(S, q * d)], axis=1)
 
     t_grid = np.linspace(0.0, cfg.t_end, n_samples) if cfg.t_end > 0 else np.array([0.0])
     logvol = np.zeros(S)
     lds = [np.array([float(log_density_fn(x)) for x in xs])]
     lvs = [logvol.copy()]
 
-    driver = _make_driver(aug_field, np.concatenate([xs, V.reshape(S, d * q)], axis=1), cfg)
+    Vt = np.swapaxes(V, 1, 2).reshape(S, q * d)
+    driver = _make_driver(aug_field, np.concatenate([xs, Vt], axis=1), cfg)
     for t in t_grid[1:]:
         y = driver.advance(float(t)).copy()
         ld = np.empty(S)
         for i, row in enumerate(y):
             x = row[:d]
-            Vi = row[d:].reshape(d, q)
+            Vi = row[d:].reshape(q, d).T
             if constraints_fn is not None:
                 cvals = np.asarray(constraints_fn(x), dtype=float).ravel()
                 drift = float(np.max(np.abs(cvals))) if cvals.size else 0.0
@@ -566,7 +603,7 @@ def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_sample
             if np.any(diag <= 0.0):
                 raise SingularityError("transported tangent volume collapsed")
             logvol[i] += float(np.sum(np.log(diag)))
-            row[d:] = Q.ravel()
+            row[d:] = Q.T.ravel()
             ld[i] = float(log_density_fn(x))
         driver.x = y
         driver.reset_fsal()

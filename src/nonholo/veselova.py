@@ -30,7 +30,7 @@ import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
-from .errors import DimensionError, ParameterError, UnsupportedSpecError
+from .errors import ConfigError, DimensionError, ParameterError, UnsupportedSpecError
 from .liealg import (
     InertiaOperator,
     StiefelPoint,
@@ -150,6 +150,9 @@ def _log_base(Uflat, a, n, r, shape):
     return np.log(np.einsum("...c,c->...", mins**2, aprod))
 
 
+_WEDGE_ONLY = "the veselova density is only valid for the wedge_products inertia"
+
+
 class _StiefelChart(Chart):
     """Momentum wedge coordinates, then the raw entries of an n x r Stiefel
     point U; shared by VeselovaChart and LPRStiefelChart."""
@@ -202,7 +205,15 @@ class VeselovaChart(_StiefelChart):
 
     @classmethod
     def from_config(cls, cfg):
-        return cls(cfg.inertia_operator(), cfg.get("r", int, required=True), cfg.epsilon)
+        op = cfg.inertia_operator()
+        if op.kind != "wedge_products":  # every command records log_density
+            raise ConfigError(f"inertia: {_WEDGE_ONLY}, got kind {op.kind!r}")
+        return cls(op, cfg.get("r", int, required=True), cfg.epsilon)
+
+    def check_density(self):
+        super().check_density()
+        if self.op.kind != "wedge_products":
+            raise UnsupportedSpecError(_WEDGE_ONLY)
 
     def field(self, coords):
         coords = np.asarray(coords, dtype=float)
@@ -213,8 +224,6 @@ class VeselovaChart(_StiefelChart):
     def log_density(self, coords):
         """log of (sum_I a_I P_I^2)^[(1/(2 eps) - 1)(n - r - 1)]."""
         self.check_density()
-        if self.op.kind != "wedge_products":
-            raise UnsupportedSpecError("this density is only valid for the wedge_products inertia")
         coords = np.asarray(coords, dtype=float)
         base = _log_base(coords[..., self.N :], self.op.a, self.n, self.r, coords.shape[:-1])
         return (1.0 / (2.0 * self.eps) - 1.0) * (self.n - self.r - 1) * base

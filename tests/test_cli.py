@@ -270,6 +270,10 @@ def test_crosscheck_unknown_pair(tmp_path):
 # ---------------------------------------------------------------------------
 # configuration errors
 
+# the Veselova density holds for the wedge_products inertia only
+VESELOVA_IDENTITY = {"system": "veselova", "n": 4, "r": 1, "inertia": {"kind": "identity"},
+                     "D": None}
+
 
 @pytest.mark.parametrize(
     "patch",
@@ -297,6 +301,7 @@ def test_crosscheck_unknown_pair(tmp_path):
         {"integrator": {"max_steps": 100.5}},
         {"integrator": {"renormalize_every": 1.5}},
         {"integrator": {"renormalize_every": 0}},
+        VESELOVA_IDENTITY,
     ],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
@@ -319,6 +324,7 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"integrator": {"max_steps": 100.5}}, "integrator"),
         ({"integrator": {"renormalize_every": 1.5}}, "integrator"),
         ({"integrator": {"renormalize_every": 0}}, "integrator"),
+        (VESELOVA_IDENTITY, "inertia"),
     ],
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
@@ -347,7 +353,7 @@ ZERO_EPSILON_REFUSED = {
     "elr_multiplier": "epsilon",
     "elr_momentum": "epsilon",
     "veselova": "epsilon",
-    "ball_rubber": "ball_rubber",
+    "ball_rubber": "epsilon",
     "elpr": None,
     "lpr_stiefel": None,
     "ball_chaplygin": None,
@@ -376,9 +382,9 @@ def test_zero_epsilon_undefined_density_exits_three_before_integrating(
             assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert bool(integrations) == (key is None)
     for a, b in PAIRS:
-        if a == cfg["system"] != key:  # ball_rubber's chart refuses eps = 0 itself
-            assert main(["crosscheck", "--config", p, "--pair", f"{a}:{b}",
-                         "--out", str(tmp_path)]) == 0
+        if a == cfg["system"]:  # ball_rubber's chart refuses eps = 0 itself
+            rc = main(["crosscheck", "--config", p, "--pair", f"{a}:{b}", "--out", str(tmp_path)])
+            assert rc == (3 if a == "ball_rubber" else 0)
 
 
 def test_invalid_chaplygin_pair_parameters(tmp_path):
@@ -444,6 +450,7 @@ _JSON = st.recursive(
 )
 _COMMANDS = (["simulate"], ["verify", "--check", "integrals"],
              ["verify", "--check", "volume"], ["verify", "--check", "liouville"])
+_CROSSCHECKS = tuple(["crosscheck", "--pair", f"{a}:{b}"] for a, b in PAIRS)
 
 
 @settings(max_examples=150, deadline=None,
@@ -452,10 +459,14 @@ _COMMANDS = (["simulate"], ["verify", "--check", "integrals"],
 def test_any_value_for_one_config_key_exits_cleanly(tmp_path, data):
     # digits are left out of the text: a string such as "99999" read as n
     # would ask for a state of billions of entries
-    cfg = sample_config(data.draw(st.sampled_from(CONFIGS)))
+    argv = data.draw(st.sampled_from(_COMMANDS + _CROSSCHECKS))
+    if argv[0] == "crosscheck":  # the sample config of the pair's first system
+        system = argv[2].split(":")[0]
+        cfg = sample_config(next(p for p, c in zip(CONFIGS, CONFIG_IDS) if c == system))
+    else:
+        cfg = sample_config(data.draw(st.sampled_from(CONFIGS)))
     key = data.draw(st.sampled_from(sorted(k for k in cfg if k != "integrator")))
     cfg[key] = data.draw(_JSON)
     cfg["integrator"] = {"t_end": 0.2, "samples": 3, "max_steps": 2000}
-    argv = data.draw(st.sampled_from(_COMMANDS))
     p = write_cfg(tmp_path, cfg)
     assert main(argv + ["--config", p, "--out", str(tmp_path)]) in (0, 2, 3, 4)

@@ -1,11 +1,15 @@
 """Integrators, finite-difference calculus, and tangent-volume transport."""
 
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from conftest import rng_for
 from nonholo import numerics
 from nonholo.ball3d import ChaplyginChart, random_ball_state
+from nonholo.cli import load_config
 from nonholo.errors import (
     ConstraintDriftError,
     IntegrationAbort,
@@ -27,6 +31,9 @@ from nonholo.numerics import (
     tangent_volume_transport,
 )
 from nonholo.veselova import VeselovaChart, random_veselova_state
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
+CONFIG_IDS = [os.path.basename(p)[: -len(".json")] for p in CONFIGS]
 
 # ---------------------------------------------------------------------------
 # steppers
@@ -123,6 +130,11 @@ def test_integrate_stats_satisfy_fsal_identity():
     assert stats.evaluations == calls[0]
     assert stats.accepted > 0 and stats.fsal_resets == 0
     assert fsal_identity(stats)
+    assert 0.0 < stats.h_min <= stats.h_max <= cfg.t_end
+    assert stats.h_min < stats.h_max
+    fixed = IntegratorConfig(method="rk4_fixed", dt=0.25, t_end=1.0, samples=3)
+    stats = integrate(f, np.array([1.0, 0.0]), fixed).stats
+    assert stats.h_min == stats.h_max == 0.25
     # renormalizing after every step drops the FSAL value each time
     cfg = IntegratorConfig(t_end=1.0, samples=5, renormalize_every=1)
     stats = integrate(
@@ -339,6 +351,48 @@ def test_transport_stats_satisfy_fsal_identity():
     assert len(results) == 3
     assert all(r.stats is results[0].stats for r in results)
     assert fsal_identity(results[0].stats)
+    assert 0.0 < results[0].stats.h_min <= results[0].stats.h_max <= cfg.t_end
+
+
+def test_transport_stage_is_one_field_call_on_one_plus_two_q_rows_per_member():
+    # d = 3 on the sphere leaves q = 2 tangent directions: 5 rows a member, not 1 + 2d = 7
+    a = np.array([0.3, -0.5, 0.8])
+    rows = []
+
+    def field(x):
+        rows.append(x.shape)
+        return np.cross(a, x)
+
+    x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
+    cfg = IntegratorConfig(t_end=1.0)
+    results = tangent_volume_transport(field, lambda x: 0.0, x0, sphere_constraints, cfg)
+    assert rows == [(3 * 5, 3)] * results[0].stats.evaluations
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_directional_jv_matches_the_fd_jacobian_times_v(path):
+    chart = load_config(path).chart
+    rng = np.random.default_rng(31)
+    x = chart.flatten(chart.random_state(rng))
+    if chart.constraints is None:
+        V = np.linalg.qr(rng.standard_normal((chart.dim, chart.dim)))[0]
+    else:
+        V = constraint_tangent_basis(chart.constraints, x)
+        V = V @ np.linalg.qr(rng.standard_normal((V.shape[1],) * 2))[0]
+    fx, JVt = numerics._field_and_jv(chart.field, x[None], V.T[None])
+    expect = fd_jacobian(chart.field, x) @ V
+    assert np.allclose(fx[0], chart.field(x), rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(JVt[0].T - expect)) <= 1e-6 * np.max(np.abs(expect))
+    # a zero column of V has a zero derivative, not a 0/0
+    zero = np.zeros((1, 1, chart.dim))
+    assert np.array_equal(numerics._field_and_jv(chart.field, x[None], zero)[1], zero)
+
+
+def test_ambient_linear_field_log_volume_is_t_trace():
+    A = 0.4 * np.random.default_rng(6).standard_normal((4, 4))
+    cfg = IntegratorConfig(t_end=2.0)
+    res = tangent_volume_transport(lambda x: x @ A.T, lambda x: 0.0, np.ones(4), None, cfg)
+    assert np.max(np.abs(res.log_tangent_volume - res.times * np.trace(A))) <= 1e-8
 
 
 def test_transport_single_member_ensemble_is_the_single_transport():
