@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -87,6 +88,19 @@ def _reject_unknown(node, allowed, where=""):
         raise ConfigError(f"{where}{unknown[0]}: unknown key")
 
 
+def _reject_non_finite(raw):
+    """Python's json reads NaN and Infinity; name the dotted key holding one."""
+    todo = [(None, raw)]  # a loop, not recursion: the nesting depth is the file's
+    while todo:
+        key, node = todo.pop()
+        if isinstance(node, float) and not math.isfinite(node):
+            raise ConfigError(f"{key}: not a finite number: {node}")
+        if isinstance(node, dict):
+            todo += [(k if key is None else f"{key}.{k}", v) for k, v in node.items()]
+        elif isinstance(node, list):
+            todo += [(key, v) for v in node]
+
+
 def _mapping(raw, key, allowed):
     """raw[key] ({} when absent), checked to be a mapping of known keys."""
     node = raw.get(key, {})
@@ -147,6 +161,7 @@ class RunConfig:
             raise ConfigError(f"system: expected one of {', '.join(SYSTEMS)}, got {system!r}")
         self.system = system
         _reject_unknown(raw, COMMON_KEYS + SYSTEMS[system].config_keys)
+        _reject_non_finite(raw)
         self.epsilon = self.get("epsilon", float, required=True)
         self.tolerance = self.get("tolerance", float)
 
@@ -236,7 +251,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     return RunConfig(raw)
 
@@ -248,9 +263,12 @@ def default_tolerance(check: str, cfg: RunConfig) -> float:
     env = os.environ.get("NONHOLO_DEFAULT_TOL")
     if env is not None:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise ConfigError(f"NONHOLO_DEFAULT_TOL: not a number: {env!r}") from exc
+        if not math.isfinite(tol):
+            raise ConfigError(f"NONHOLO_DEFAULT_TOL: not a finite number: {env!r}")
+        return tol
     return _DEFAULT_TOL[check]
 
 

@@ -47,14 +47,14 @@ from .liealg import (
     ad_matrix,
     as_stiefel_matrix,
     commutator,
+    dr_projector_matrix,
     from_wedge,
     isotropy_frame,
     projector_matrix,
     to_wedge,
     wedge_dim,
-    _windex,
 )
-from .veselova import _log_base, _pr_batched, _StiefelChart
+from .veselova import _log_base, _StiefelChart
 
 __all__ = [
     "ELPRState",
@@ -202,12 +202,9 @@ def pi_variants(gamma_or_U, D: float, kind: str = "d_proj") -> np.ndarray:
     if D < 0.0:
         raise ParameterError("D must be nonnegative")
     if kind == "d_proj":
-        if isinstance(gamma_or_U, StiefelPoint) or (
-            np.asarray(gamma_or_U).ndim == 2
-            and np.asarray(gamma_or_U).shape[0] != np.asarray(gamma_or_U).shape[1]
-        ):
-            U = as_stiefel_matrix(gamma_or_U)
-            return D * _projector_coords(U @ U.T)
+        U = as_stiefel_matrix(gamma_or_U)
+        if isinstance(gamma_or_U, StiefelPoint) or (U.ndim == 2 and U.shape[0] != U.shape[1]):
+            return D * dr_projector_matrix(U @ U.T)
         gamma = _unit_gamma(gamma_or_U)
         N = wedge_dim(gamma.shape[-1])
         return D * (np.eye(N) - projector_matrix(isotropy_frame(gamma)))
@@ -222,12 +219,6 @@ def pi_variants(gamma_or_U, D: float, kind: str = "d_proj") -> np.ndarray:
 # Stiefel specialization
 
 
-def _projector_coords(G):
-    """Matrix of pr_{D_r} in wedge coordinates, batched over Gamma = U U^T."""
-    PB = _pr_batched(G[..., None, :, :], _windex(G.shape[-1]).basis)
-    return np.swapaxes(to_wedge(PB), -1, -2)
-
-
 def stiefel_total_inertia(a, D: float) -> InertiaOperator:
     """The operator E + D I^{-1} built on the rational inertia.
 
@@ -240,7 +231,7 @@ def stiefel_total_inertia(a, D: float) -> InertiaOperator:
 
 def _stiefel_velocity(kc, U, op, D):
     """Wedge coordinates of w solving I w + D pr_{D_r}(w) = k_bold, batched."""
-    T = op.matrix + D * _projector_coords(U @ np.swapaxes(U, -1, -2))
+    T = op.matrix + D * dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
     return np.linalg.solve(T, kc[..., None])[..., 0]
 
 

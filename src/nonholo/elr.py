@@ -33,6 +33,9 @@ the equivalent equations are
 and on the manifold of orthonormal D-frames the invariant density is
 
     det(<I e_i, e_j>)_{i,j>k} ^ (1/(2 eps) - 1).
+
+The momentum kernel takes the matrix of pr_D, not the frame, and the
+Veselova flow (nonholo.veselova) runs it with D = D_r.
 """
 
 from __future__ import annotations
@@ -162,20 +165,23 @@ def _multiplier_rhs(wc, ec, op, eps):
     return dwc, to_wedge(dE), lam
 
 
-def _momentum_rhs(mc, fc, op, eps):
-    """Batched field. mc: (..., N), fc: (..., p, N). Returns (dmc, dfc)."""
+def _momentum_velocity(mc, P, op):
+    """Wedge coordinates of w solving m_bold = w + pr_D(I w - w), batched;
+    P (..., N, N) is the wedge-coordinate matrix of pr_D."""
     N = op.N
-    PD = np.einsum("...pi,...pj->...ij", fc, fc)
-    Jm = np.eye(N) + PD @ (op.matrix - np.eye(N))
-    wc = np.linalg.solve(Jm, mc[..., None])[..., 0]
-    W = from_wedge(wc, op.n)
+    Jm = np.eye(N) + P @ (op.matrix - np.eye(N))
+    return np.linalg.solve(Jm, mc[..., None])[..., 0]
+
+
+def _momentum_rhs(mc, P, op, eps):
+    """d(m_bold)/dt = eps [m_bold, w] + (1 - eps) pr_D [I w, w] and the skew
+    matrix w, batched, P as above; the frame equation is the caller's."""
+    W = from_wedge(_momentum_velocity(mc, P, op), op.n)
     Mb = from_wedge(mc, op.n)
     br1 = to_wedge(commutator(Mb, W))
     br2 = to_wedge(commutator(op.apply(W), W))
-    dmc = eps * br1 + (1.0 - eps) * np.einsum("...ij,...j->...i", PD, br2)
-    F = from_wedge(fc, op.n)
-    dF = eps * commutator(F, W[..., None, :, :])
-    return dmc, to_wedge(dF)
+    dmc = eps * br1 + (1.0 - eps) * np.einsum("...ij,...j->...i", P, br2)
+    return dmc, W
 
 
 def _log_gram_det(ec, op, mode):
@@ -374,7 +380,9 @@ class MomentumChart(_FrameChart):
 
     def field(self, coords):
         mc, fc = self._split(coords)
-        dmc, dfc = _momentum_rhs(mc, fc, self.op, self.eps)
+        PD = np.einsum("...pi,...pj->...ij", fc, fc)
+        dmc, W = _momentum_rhs(mc, PD, self.op, self.eps)
+        dfc = to_wedge(self.eps * commutator(from_wedge(fc, self.n), W[..., None, :, :]))
         return np.concatenate(
             [dmc, dfc.reshape(mc.shape[:-1] + (self.p * self.N,))],
             axis=-1,

@@ -52,6 +52,7 @@ __all__ = [
     "frame_gram",
     "subspace_projectors",
     "projector_matrix",
+    "dr_projector_matrix",
     "restricted_det",
     "isotropy_frame",
     "orthonormal_complement",
@@ -247,7 +248,6 @@ class InertiaOperator:
                 raise DefinitenessError("inertia matrix is not positive definite") from exc
             self._diag = None
             self._mat = mat
-        self._basis_images = None
 
     # constructors ---------------------------------------------------------
 
@@ -319,16 +319,6 @@ class InertiaOperator:
         if self._diag is not None:
             return np.diag(self._diag)
         return self._mat.copy()
-
-    @property
-    def basis_images(self) -> np.ndarray:
-        """I(E_a) for each wedge basis element, shape (N, n, n)."""
-        if self._basis_images is None:
-            if self._diag is not None:
-                self._basis_images = self._diag[:, None, None] * _windex(self.n).basis
-            else:
-                self._basis_images = from_wedge(self._mat.T, self.n)
-        return self._basis_images
 
     def apply_coords(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
@@ -491,6 +481,15 @@ def projector_matrix(frame: Frame) -> np.ndarray:
     _require_orthonormal(frame)
     c = frame.coords
     return c.T @ c
+
+
+def dr_projector_matrix(G: np.ndarray) -> np.ndarray:
+    """Wedge-coordinate matrix (..., N, N) of pr_{D_r}(eta) = G eta + eta G - G eta G,
+    the orthogonal projector onto D_r = span{e_i ^ x : i <= r}, batched over
+    G = U U^T (..., n, n) for orthonormal r-frames U."""
+    G = np.asarray(G, dtype=float)[..., None, :, :]
+    E = _windex(G.shape[-1]).basis
+    return np.swapaxes(to_wedge(G @ E + E @ G - G @ E @ G), -1, -2)
 
 
 def subspace_projectors(frame: Frame):

@@ -458,16 +458,15 @@ def liouville_residual_ambient(field_fn, log_density_fn, x) -> float:
 
 
 def constraint_tangent_basis(constraints_fn, x, rel_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (d, q) of the null space of the constraint Jacobian."""
-    x = np.asarray(x, dtype=float).ravel()
+    """Orthonormal basis (..., d, q) of the null space of the constraint Jacobian
+    at x (..., d), from one stacked fd_jacobian; every point must leave the same q."""
     jac = fd_jacobian(constraints_fn, x)
     _, s, vt = np.linalg.svd(jac)
-    if s.size:
-        rank = int(np.sum(s > rel_tol * s[0]))
-    else:
-        rank = 0
-    basis = vt[rank:].T
-    if basis.shape[1] == 0:
+    ranks = np.unique(np.sum(s > rel_tol * s[..., :1], axis=-1))
+    if ranks.size > 1:
+        raise DimensionError("ensemble members have tangent spaces of different dimension")
+    basis = np.swapaxes(vt[..., int(ranks[0]) :, :], -1, -2)
+    if basis.shape[-1] == 0:
         raise SingularityError("constraints leave no tangent directions")
     return basis
 
@@ -491,13 +490,6 @@ class TransportResult:
     @property
     def max_abs_residual(self) -> float:
         return float(np.max(np.abs(self.residual)))
-
-
-def _project_to_tangent(constraints_fn, x, V):
-    jac = fd_jacobian(constraints_fn, x)
-    g = jac @ jac.T
-    V = V - jac.T @ np.linalg.solve(g, jac @ V)
-    return V
 
 
 def tangent_volume_transport(
@@ -530,7 +522,10 @@ def tangent_volume_transport(
     member's state and its 2q directional points stacked (q the number of
     columns of V), and the step is controlled by the largest member error.  A member's residual can
     therefore differ from its own (d,) transport at the integrator-error
-    level.  Any failure of one member raises for the whole ensemble.
+    level.  Any failure of one member raises for the whole ensemble.  At a
+    sample time, constraints_fn, its fd_jacobian and log_density_fn each get
+    one call on all members (row by row only as fd_jacobian falls back), so
+    like field_fn they must broadcast over a leading batch dimension.
     Members run in consecutive groups small enough that one stacked field
     batch stays under 64 MB.  A given tangent_basis (d, q) starts every member.
     """
@@ -566,10 +561,7 @@ def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_sample
     if basis is not None:
         V = np.tile(np.asarray(basis, dtype=float), (S, 1, 1))
     else:
-        bases = [constraint_tangent_basis(constraints_fn, x) for x in xs]
-        if len({b.shape[1] for b in bases}) > 1:
-            raise DimensionError("ensemble members have tangent spaces of different dimension")
-        V = np.stack(bases)
+        V = constraint_tangent_basis(constraints_fn, xs)
     q = V.shape[-1]
 
     # the driver state of a member is x, then V^T row by row
@@ -579,35 +571,33 @@ def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_sample
 
     t_grid = np.linspace(0.0, cfg.t_end, n_samples) if cfg.t_end > 0 else np.array([0.0])
     logvol = np.zeros(S)
-    lds = [np.array([float(log_density_fn(x)) for x in xs])]
+    lds = [_eval_rows(log_density_fn, xs).reshape(S)]
     lvs = [logvol.copy()]
 
     Vt = np.swapaxes(V, 1, 2).reshape(S, q * d)
     driver = _make_driver(aug_field, np.concatenate([xs, Vt], axis=1), cfg)
     for t in t_grid[1:]:
         y = driver.advance(float(t)).copy()
-        ld = np.empty(S)
-        for i, row in enumerate(y):
-            x = row[:d]
-            Vi = row[d:].reshape(q, d).T
-            if constraints_fn is not None:
-                cvals = np.asarray(constraints_fn(x), dtype=float).ravel()
-                drift = float(np.max(np.abs(cvals))) if cvals.size else 0.0
-                if drift > tol:
-                    raise ConstraintDriftError(
-                        f"constraint drift {drift:.3e} exceeds {tol:.1e} at t={t:.4g}"
-                    )
-                Vi = _project_to_tangent(constraints_fn, x, Vi)
-            Q, R = np.linalg.qr(Vi)
-            diag = np.abs(np.diag(R))
-            if np.any(diag <= 0.0):
-                raise SingularityError("transported tangent volume collapsed")
-            logvol[i] += float(np.sum(np.log(diag)))
-            row[d:] = Q.T.ravel()
-            ld[i] = float(log_density_fn(x))
+        x = y[:, :d]
+        V = np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2)
+        if constraints_fn is not None:
+            drift = float(np.max(np.abs(_eval_rows(constraints_fn, x)), initial=0.0))
+            if drift > tol:
+                raise ConstraintDriftError(
+                    f"constraint drift {drift:.3e} exceeds {tol:.1e} at t={t:.4g}"
+                )
+            jac = fd_jacobian(constraints_fn, x)  # project V onto the tangent spaces
+            jt = np.swapaxes(jac, 1, 2)
+            V = V - jt @ np.linalg.solve(jac @ jt, jac @ V)
+        Q, R = np.linalg.qr(V)
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        if np.any(diag <= 0.0):
+            raise SingularityError("transported tangent volume collapsed")
+        logvol += np.sum(np.log(diag), axis=1)
+        y[:, d:] = np.swapaxes(Q, 1, 2).reshape(S, q * d)
         driver.x = y
         driver.reset_fsal()
-        lds.append(ld)
+        lds.append(_eval_rows(log_density_fn, x).reshape(S))
         lvs.append(logvol.copy())
     lds, lvs = np.array(lds), np.array(lvs)
     res = lds + lvs - lds[0]

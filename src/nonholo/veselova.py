@@ -11,6 +11,9 @@ and the momentum is m_bold = w + pr(I w - w).  The equations of motion are
     d(m_bold)/dt = eps [m_bold, w] + (1 - eps) pr([I w, w]),
     de_i/dt      = -eps w e_i      (so dU/dt = -eps w U).
 
+The momentum equation is the elr momentum form with D = D_r: the field
+hands the wedge matrix of pr to that kernel (nonholo.elr) and adds dU.
+
 For the wedge-products inertia I(Ei ^ Ej) = a_i a_j Ei ^ Ej and eps != 0
 the flow preserves
 
@@ -30,17 +33,17 @@ import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
+from .elr import _momentum_rhs, _momentum_velocity
 from .errors import ConfigError, DimensionError, ParameterError, UnsupportedSpecError
 from .liealg import (
     InertiaOperator,
     StiefelPoint,
     as_stiefel_matrix,
-    commutator,
+    dr_projector_matrix,
     from_wedge,
     inner_product,
     to_wedge,
     wedge_dim,
-    _windex,
 )
 from .numerics import polar_orthonormalize
 
@@ -96,35 +99,21 @@ def gamma_projector(U):
     return Gamma, pr
 
 
-def _pr_batched(G, eta):
-    return G @ eta + eta @ G - G @ eta @ G
-
-
-def _assemble_transfer(G, op):
-    """Matrix of w -> w + pr(I w - w) in wedge coordinates, batched over G."""
-    w = _windex(op.n)
-    X = op.basis_images - w.basis  # (N, n, n), constant
-    PX = _pr_batched(G[..., None, :, :], X)
-    cols = to_wedge(w.basis + PX)  # (..., a, c)
-    return np.swapaxes(cols, -1, -2)
-
-
 def _velocity(mc, U, op):
-    """Wedge coordinates of w solving m_bold = w + pr(I w - w), and Gamma; batched."""
-    G = U @ np.swapaxes(U, -1, -2)
-    return np.linalg.solve(_assemble_transfer(G, op), mc[..., None])[..., 0], G
+    """Wedge coordinates of w solving m_bold = w + pr(I w - w), and the
+    matrix of pr; batched."""
+    P = dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
+    return _momentum_velocity(mc, P, op), P
 
 
 def _veselova_rhs(mc, Uflat, op, eps, n, r):
+    """The elr momentum form with D = D_r, and dU = -eps w U."""
     shape = np.asarray(mc).shape[:-1]
     U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
-    wc, G = _velocity(mc, U, op)
-    W = from_wedge(wc, n)
-    M = from_wedge(mc, n)
-    br = commutator(op.apply(W), W)
-    dmc = eps * to_wedge(commutator(M, W)) + (1.0 - eps) * to_wedge(_pr_batched(G, br))
+    P = dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
+    dmc, W = _momentum_rhs(mc, P, op, eps)
     dU = -eps * (W @ U)
-    return dmc, dU.reshape(shape + (n * r,)), wc
+    return dmc, dU.reshape(shape + (n * r,)), to_wedge(W)
 
 
 def pluecker_indices(n: int, r: int) -> list[tuple[int, ...]]:
@@ -135,18 +124,15 @@ def pluecker_indices(n: int, r: int) -> list[tuple[int, ...]]:
 def pluecker(U) -> np.ndarray:
     """Pluecker coordinates of the column span: r x r minors over row tuples."""
     Um = as_stiefel_matrix(U)
-    n, r = Um.shape[-2], Um.shape[-1]
-    idx = np.array(pluecker_indices(n, r))
-    sub = Um[..., idx, :]  # (..., C, r, r)
-    return np.linalg.det(sub)
+    idx = np.array(pluecker_indices(*Um.shape[-2:]))
+    # take keeps each point's minors contiguous, so a batch sums them in
+    # _log_base in the order of a single point (Um[..., idx, :] would not)
+    return np.linalg.det(np.take(Um, idx, axis=-2))
 
 
 def _log_base(Uflat, a, n, r, shape):
-    U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
-    idx = np.array(pluecker_indices(n, r))
-    sub = U[..., idx, :]
-    mins = np.linalg.det(sub)
-    aprod = np.prod(np.asarray(a, dtype=float)[idx], axis=-1)
+    mins = pluecker(np.reshape(Uflat, shape + (n, r)))
+    aprod = np.prod(np.asarray(a, dtype=float)[np.array(pluecker_indices(n, r))], axis=-1)
     return np.log(np.einsum("...c,c->...", mins**2, aprod))
 
 

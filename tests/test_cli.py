@@ -3,7 +3,9 @@
 import csv
 import glob
 import json
+import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from nonholo.ball3d import ChaplyginChart
 from nonholo import cli
 from nonholo.cli import PAIRS, SYSTEMS, load_config, main, observables
 from nonholo.errors import SingularityError
-from nonholo.numerics import integrate
+from nonholo.numerics import IntegratorConfig, integrate
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
 CONFIG_IDS = [os.path.basename(p)[: -len(".json")] for p in CONFIGS]
@@ -227,9 +229,10 @@ def test_env_var_sets_default_tolerance(tmp_path, monkeypatch):
     monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "1e-20")
     assert main(["verify", "--config", cfg, "--check", "volume",
                  "--out", str(tmp_path)]) == 2
-    monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "not-a-number")
-    assert main(["verify", "--config", cfg, "--check", "volume",
-                 "--out", str(tmp_path)]) == 3
+    for bad in ("not-a-number", "nan", "inf"):
+        monkeypatch.setenv("NONHOLO_DEFAULT_TOL", bad)
+        assert main(["verify", "--config", cfg, "--check", "volume",
+                     "--out", str(tmp_path)]) == 3
 
 
 def test_config_tolerance_wins_over_env(tmp_path, monkeypatch):
@@ -273,6 +276,22 @@ def test_crosscheck_unknown_pair(tmp_path):
 # the Veselova density holds for the wedge_products inertia only
 VESELOVA_IDENTITY = {"system": "veselova", "n": 4, "r": 1, "inertia": {"kind": "identity"},
                      "D": None}
+NAN, INF = math.nan, math.inf
+# json reads NaN and Infinity; each of these names the dotted key holding one
+NON_FINITE = [
+    ({"integrator": {"t_end": INF}}, "integrator.t_end"),
+    ({"integrator": {"t_end": NAN}}, "integrator.t_end"),
+    ({"integrator": {"rel_tol": INF}}, "integrator.rel_tol"),
+    ({"integrator": {"abs_tol": -INF}}, "integrator.abs_tol"),
+    ({"integrator": {"method": "rk4_fixed", "dt": NAN}}, "integrator.dt"),
+    ({"epsilon": NAN}, "epsilon"),
+    ({"D": INF}, "D"),
+    ({"inertia": [1.0, NAN, 3.0]}, "inertia"),
+    ({"tolerance": NAN}, "tolerance"),
+    ({"system": "lpr_stiefel", "inertia": None, "a": [0.8, NAN, 1.2], "D": 4.0, "r": 1}, "a"),
+    ({"system": "elr_multiplier", "n": 3, "k": 1, "D": None,
+      "inertia": {"kind": "wedge_diagonal", "diag": [1.0, INF, 2.0]}}, "inertia.diag"),
+]
 
 
 @pytest.mark.parametrize(
@@ -302,7 +321,7 @@ VESELOVA_IDENTITY = {"system": "veselova", "n": 4, "r": 1, "inertia": {"kind": "
         {"integrator": {"renormalize_every": 1.5}},
         {"integrator": {"renormalize_every": 0}},
         VESELOVA_IDENTITY,
-    ],
+    ] + [patch for patch, _ in NON_FINITE],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
     cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
@@ -325,7 +344,7 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"integrator": {"renormalize_every": 1.5}}, "integrator"),
         ({"integrator": {"renormalize_every": 0}}, "integrator"),
         (VESELOVA_IDENTITY, "inertia"),
-    ],
+    ] + NON_FINITE,
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     # no --out: a malformed "output" must not get as far as choosing a directory
@@ -403,6 +422,9 @@ def test_malformed_json_and_missing_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"system": ', encoding="utf-8")
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 3
+    # nesting deeper than the json decoder's recursion limit
+    bad.write_text('{"checks": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+    assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 3
     assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 3
 
@@ -444,12 +466,14 @@ def test_every_sample_config_runs_through_the_registry(tmp_path, path):
 _TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6)
-    | st.floats(-3, 3, allow_nan=False, allow_infinity=False) | _TEXT,
+    | st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    | st.sampled_from([NAN, INF, -INF]) | _TEXT,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=3),
     max_leaves=8,
 )
 _COMMANDS = (["simulate"], ["verify", "--check", "integrals"],
              ["verify", "--check", "volume"], ["verify", "--check", "liouville"])
+_INTEGRATOR_KEYS = [f"integrator.{f.name}" for f in fields(IntegratorConfig)]
 _CROSSCHECKS = tuple(["crosscheck", "--pair", f"{a}:{b}"] for a, b in PAIRS)
 
 
@@ -465,8 +489,10 @@ def test_any_value_for_one_config_key_exits_cleanly(tmp_path, data):
         cfg = sample_config(next(p for p, c in zip(CONFIGS, CONFIG_IDS) if c == system))
     else:
         cfg = sample_config(data.draw(st.sampled_from(CONFIGS)))
-    key = data.draw(st.sampled_from(sorted(k for k in cfg if k != "integrator")))
-    cfg[key] = data.draw(_JSON)
     cfg["integrator"] = {"t_end": 0.2, "samples": 3, "max_steps": 2000}
+    keys = sorted(k for k in cfg if k != "integrator") + _INTEGRATOR_KEYS
+    key = data.draw(st.sampled_from(keys))
+    node = cfg["integrator"] if key.startswith("integrator.") else cfg
+    node[key.split(".")[-1]] = data.draw(_JSON)
     p = write_cfg(tmp_path, cfg)
     assert main(argv + ["--config", p, "--out", str(tmp_path)]) in (0, 2, 3, 4)

@@ -19,6 +19,7 @@ from nonholo.liealg import (
     ad_matrix,
     commutator,
     complete_columns,
+    dr_projector_matrix,
     frame_gram,
     from_wedge,
     hat,
@@ -37,6 +38,7 @@ from nonholo.liealg import (
     wedge_dim,
     wedge_index_pairs,
 )
+from nonholo.veselova import gamma_projector
 
 seeds = st.integers(min_value=0, max_value=10**6)
 dims = st.integers(min_value=3, max_value=5)
@@ -323,3 +325,20 @@ def test_det_factorization(n, seed):
     lhs = op.det() * np.linalg.det(frame_gram(fr, op, mode="inverse_inertia"))
     rhs = restricted_det(op, orthonormal_complement(fr), mode="inertia")
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 2)])
+def test_dr_projector_matrix_is_the_d_r_projector(n, r):
+    rng = rng_for(60 + 10 * n + r)
+    U = random_stiefel(n, r, rng)
+    P = dr_projector_matrix(U @ U.T)
+    _, pr = gamma_projector(U)
+    eta = np.array([random_skew(n, rng) for _ in range(5)])
+    assert np.max(np.abs(to_wedge(eta) @ P.T - to_wedge(pr(eta)))) <= 1e-14
+    assert np.max(np.abs(P - P.T)) <= 1e-15
+    assert np.max(np.abs(P @ P - P)) <= 1e-14
+    assert np.linalg.matrix_rank(P) == r * (n - r) + r * (r - 1) // 2
+    # batched over frames, each slice is its own frame's matrix
+    V = random_stiefel(n, r, rng)
+    G = np.stack([U @ U.T, V @ V.T])
+    assert np.array_equal(dr_projector_matrix(G), np.stack([P, dr_projector_matrix(V @ V.T)]))

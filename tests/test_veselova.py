@@ -7,12 +7,14 @@ import pytest
 
 from conftest import field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
+from nonholo.elr import MomentumChart
 from nonholo.errors import ParameterError, UnsupportedSpecError
 from nonholo.liealg import (
     InertiaOperator,
     StiefelPoint,
     commutator,
     complete_columns,
+    dr_projector_matrix,
     from_wedge,
     hat,
     inner_product,
@@ -271,3 +273,19 @@ def test_chart_renormalize_restores_stiefel():
     U = chart.unflatten(fixed).U.U
     assert np.max(np.abs(U.T @ U - np.eye(2))) < 1e-13
     assert chart.invariant_residual(fixed) < 1e-12
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (4, 2), (5, 2)])
+def test_momentum_rate_is_the_elr_momentum_form_with_d_r(n, r):
+    # a D-frame spanning D_r gives MomentumChart the same momentum rate
+    rng = rng_for(70 + 10 * n + r)
+    op = random_spd_operator(n, rng)
+    st = random_veselova_state(n, r, rng)
+    evals, evecs = np.linalg.eigh(dr_projector_matrix(st.U.U @ st.U.U.T))
+    fc = evecs[:, evals > 0.5].T
+    N = wedge_dim(n)
+    mc = to_wedge(st.m_bold)
+    for eps in (-1.0, 0.5, 2.0):
+        ves = VeselovaChart(op, r, eps).field(np.concatenate([mc, st.U.U.ravel()]))
+        mom = MomentumChart(op, N - fc.shape[0], eps).field(np.concatenate([mc, fc.ravel()]))
+        assert np.max(np.abs(ves[:N] - mom[:N])) <= 1e-12 * np.max(np.abs(mom[:N]))
