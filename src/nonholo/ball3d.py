@@ -235,6 +235,7 @@ class _BallChart(Chart):
     dim = 6
     n, r, k = 3, 1, 1
     config_keys = ("inertia", "D")
+    frame_index = np.array([[3, 4, 5]])  # gamma
 
     def __init__(self, inertia, D, eps):
         self.inertia = _vec3(inertia, "inertia")
@@ -250,17 +251,6 @@ class _BallChart(Chart):
     def from_config(cls, cfg, **kwargs):
         inertia, D = cfg.vector("inertia", 3), cfg.get("D", float, default=0.0)
         return cls(inertia, D, cfg.epsilon, **kwargs)
-
-    def constraints(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        g = coords[..., 3:]
-        return (_dot(g, g) - 1.0)[..., None]
-
-    def renormalize(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        g = coords[..., 3:]
-        g = g / np.linalg.norm(g, axis=-1, keepdims=True)
-        return np.concatenate([coords[..., :3], g], axis=-1)
 
     def random_state(self, rng, zero_constants=False):
         return random_ball_state(

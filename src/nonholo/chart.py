@@ -1,10 +1,13 @@
 """What every flat chart answers for the command line, with shared defaults.
 
 A chart maps one system's states to flat coordinates.  Besides the flow
-(``field``, ``log_density``, ``constraints``) it carries everything the
-``nonholo`` command needs to know about its system, so the command itself
-holds no per-system code:
+(``field``, ``log_density``) it carries everything the ``nonholo`` command
+needs to know about its system, so the command itself holds no per-system
+code:
 
+* ``frame_index``: the (p, m) coordinates of the frame whose rows the flow
+  keeps orthonormal, from which ``constraints`` and ``renormalize``
+  follow; an ambient chart sets ``constraints = None`` instead;
 * ``config_keys`` and ``from_config(cfg)``: the top-level config keys the
   system reads, and the chart built from a validated ``cli.RunConfig``;
 * ``n``, ``r``, ``k``: the sizes reported in ``verify`` rows;
@@ -25,6 +28,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .liealg import wedge_index_pairs
+from .numerics import polar_orthonormalize
 
 
 def pair_labels(n: int, prefix: str) -> list[str]:
@@ -37,7 +41,7 @@ class Chart:
 
     config_keys: tuple = ()
     r = k = 0
-    constraints = None  # an ambient chart: the flow lives on the whole space
+    frame_index = None  # (p, m) coordinates of the orthonormal frame
     eps_in_density = False  # True where the density exponent divides by eps
 
     def check_density(self):
@@ -46,7 +50,19 @@ class Chart:
         if self.eps_in_density and self.eps == 0.0:
             raise ParameterError("density is undefined at eps = 0")
 
+    def constraints(self, coords):
+        """Upper triangle of F F^T - I for the frame F at coords (..., d)."""
+        F = np.asarray(coords, dtype=float)[..., self.frame_index]
+        p = F.shape[-2]
+        iu = np.triu_indices(p)
+        return (F @ np.swapaxes(F, -1, -2) - np.eye(p))[..., iu[0], iu[1]]
+
     def renormalize(self, coords):
+        """coords with the frame replaced by its polar factor, the nearest
+        orthonormal frame."""
+        coords = np.array(coords, dtype=float)
+        if self.frame_index is not None:
+            coords[..., self.frame_index] = polar_orthonormalize(coords[..., self.frame_index])
         return coords
 
     def invariant_residual(self, coords) -> float:

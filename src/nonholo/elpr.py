@@ -254,6 +254,7 @@ class LPRChart(Chart):
     """Flat chart (w, Pi upper triangle); the ambient measure chart."""
 
     config_keys = ("n", "inertia")
+    constraints = None
 
     def __init__(self, op: InertiaOperator, eps: float):
         self.op = op

@@ -168,8 +168,8 @@ def _multiplier_rhs(wc, ec, op, eps):
 def _momentum_velocity(mc, P, op):
     """Wedge coordinates of w solving m_bold = w + pr_D(I w - w), batched;
     P (..., N, N) is the wedge-coordinate matrix of pr_D."""
-    N = op.N
-    Jm = np.eye(N) + P @ (op.matrix - np.eye(N))
+    eye, shift = op.identity_and_shift
+    Jm = eye + P @ shift
     return np.linalg.solve(Jm, mc[..., None])[..., 0]
 
 
@@ -328,6 +328,7 @@ class MultiplierChart(_FrameChart):
     """Flat chart (w, e_1..e_k) by wedge coordinates; full linear space."""
 
     _lead, _row = "w", "e"
+    constraints = None
 
     def field(self, coords):
         wc, ec = self._split(coords)
@@ -377,6 +378,7 @@ class MomentumChart(_FrameChart):
         super().__init__(op, k, eps)
         self.p = self.N - self.k
         self.dim = (self.p + 1) * self.N
+        self.frame_index = self.N + np.arange(self.p * self.N).reshape(self.p, self.N)
 
     def field(self, coords):
         mc, fc = self._split(coords)
@@ -387,12 +389,6 @@ class MomentumChart(_FrameChart):
             [dmc, dfc.reshape(mc.shape[:-1] + (self.p * self.N,))],
             axis=-1,
         )
-
-    def constraints(self, coords):
-        _, fc = self._split(coords)
-        g = np.einsum("...iN,...jN->...ij", fc, fc) - np.eye(self.p)
-        iu = np.triu_indices(self.p)
-        return g[..., iu[0], iu[1]]
 
     def log_density(self, coords):
         self.check_density()
@@ -408,10 +404,6 @@ class MomentumChart(_FrameChart):
         return ELRMomentumState(
             from_wedge(mc, self.n), Frame(from_wedge(fc, self.n)), tolerance=1e-6
         )
-
-    def renormalize(self, coords):
-        mc, fc = self._split(coords)
-        return np.concatenate([mc, liealg.orthonormalize_rows(fc).ravel()])
 
     def random_state(self, rng, zero_constants=False):
         return random_momentum_state(self.n, self.k, rng)

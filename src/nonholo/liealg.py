@@ -22,7 +22,7 @@ they are simply the strictly upper-triangular entries x[i, j], i < j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -319,6 +319,14 @@ class InertiaOperator:
         if self._diag is not None:
             return np.diag(self._diag)
         return self._mat.copy()
+
+    @cached_property
+    def identity_and_shift(self):
+        """(Id, matrix - Id) as read-only arrays, built once."""
+        eye = np.eye(self.N)
+        shift = self.matrix - eye
+        eye.flags.writeable = shift.flags.writeable = False
+        return eye, shift
 
     def apply_coords(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)

@@ -16,9 +16,11 @@ Two verification primitives are provided:
   parallelepiped; for an invariant measure mu the sum
   log mu(x(t)) + log vol(V(t)) stays constant.  J V is never formed from
   J: each of its q columns is a central difference of the field along the
-  matching column of V.  An ensemble of initial states (S, d) is
-  transported together: each stage evaluates the field once, on every
-  member's point and its 2q directional points stacked.
+  matching column of V.  The constraint Jacobian is taken once, for the
+  initial basis: the flow keeps V tangent, so later samples only check
+  the constraint drift and re-orthonormalize V.  An ensemble of initial
+  states (S, d) is transported together: each stage evaluates the field
+  once, on every member's point and its 2q directional points stacked.
 
 The default integrator is an embedded Dormand-Prince 5(4) pair with a
 proportional step controller; a fixed-step classical RK4 is available for
@@ -64,6 +66,8 @@ __all__ = [
 _FD_H = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # Upper bound on one stacked field batch of an ensemble transport stage.
 _ENSEMBLE_BATCH_BYTES = 64 * 2**20
+# Constraint drift at a sample time beyond this aborts a transport.
+_DRIFT_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +374,14 @@ def _eval_rows(fn, pts):
 
     A scalar fn gives m = 1.  fn is called row by row only when its batched
     call raises ValueError or TypeError or returns a wrongly shaped result,
-    which is how a function of one point at a time shows itself.
+    which is how a function of one point at a time shows itself.  With as
+    many rows as columns, a pointwise fn that indexes its argument would
+    return a row-shaped result, so the last row is then evaluated twice.
     """
     flat = pts.reshape(-1, pts.shape[-1])
+    rows = flat.shape[0]
+    if rows == flat.shape[1]:
+        flat = np.concatenate([flat, flat[-1:]])
     try:
         vals = np.asarray(fn(flat), dtype=float)
     except NonholoError:
@@ -380,8 +389,8 @@ def _eval_rows(fn, pts):
     except (ValueError, TypeError):
         vals = None
     if vals is None or vals.ndim not in (1, 2) or vals.shape[0] != flat.shape[0]:
-        vals = np.array([np.asarray(fn(p), dtype=float).ravel() for p in flat])
-    return vals.reshape(pts.shape[:-1] + (-1,))
+        vals = np.array([np.asarray(fn(p), dtype=float).ravel() for p in flat[:rows]])
+    return vals[:rows].reshape(pts.shape[:-1] + (-1,))
 
 
 def _field_and_jv(field_fn, x, Vt):
@@ -499,18 +508,17 @@ def tangent_volume_transport(
     constraints_fn=None,
     cfg: IntegratorConfig | None = None,
     n_samples: int = 11,
-    tangent_basis: np.ndarray | None = None,
-    constraint_tol: float = 1e-6,
 ) -> TransportResult | list[TransportResult]:
     """Transport a tangent-space volume element along the flow.
 
-    The tangent basis (columns of V) solves dV/dt = J(x(t)) V with J the
-    Jacobian of the field; J V is taken column by column, as the central
-    difference of the field along each column of V.  At each sample time V is
-    projected onto the current constraint tangent space, re-orthonormalized
-    by QR, and |det R| is accumulated into a running log volume, which keeps
-    the computation well scaled over long runs.  Constraint drift beyond
-    constraint_tol aborts.
+    The tangent basis (columns of V) starts as constraint_tangent_basis and
+    solves dV/dt = J(x(t)) V with J the Jacobian of the field; J V is taken
+    column by column, as the central difference of the field along each
+    column of V.  The flow's linearisation keeps V tangent, so V is never
+    projected.  At each sample time V is re-orthonormalized by QR and
+    |det R| is accumulated into a running log volume, which keeps the
+    computation well scaled over long runs.  Constraint drift beyond 1e-6
+    aborts.
 
     With constraints_fn None the transport runs on the full chart (the
     basis starts as the identity), which turns the check into an integrated
@@ -520,14 +528,14 @@ def tangent_volume_transport(
     (S, d), which returns a list with one TransportResult per member.  The
     members share one driver: every stage calls field_fn once, on each
     member's state and its 2q directional points stacked (q the number of
-    columns of V), and the step is controlled by the largest member error.  A member's residual can
-    therefore differ from its own (d,) transport at the integrator-error
-    level.  Any failure of one member raises for the whole ensemble.  At a
-    sample time, constraints_fn, its fd_jacobian and log_density_fn each get
-    one call on all members (row by row only as fd_jacobian falls back), so
-    like field_fn they must broadcast over a leading batch dimension.
+    columns of V), and the step is controlled by the largest member error.
+    A member's residual can therefore differ from its own (d,) transport at
+    the integrator-error level.  Any failure of one member raises for the
+    whole ensemble.  The initial basis and every later sample time make one
+    call each of constraints_fn and log_density_fn on all members, so like
+    field_fn they must broadcast over a leading batch dimension.
     Members run in consecutive groups small enough that one stacked field
-    batch stays under 64 MB.  A given tangent_basis (d, q) starts every member.
+    batch stays under 64 MB.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2):
@@ -536,30 +544,21 @@ def tangent_volume_transport(
     S, d = xs.shape
     if cfg is None:
         cfg = IntegratorConfig()
-    if tangent_basis is None and constraints_fn is None:
-        tangent_basis = np.eye(d)
     # a member's batch has 1 + 2q rows of d values, and q <= d
     group = max(1, _ENSEMBLE_BATCH_BYTES // (8 * (1 + 2 * d) * d))
     results = []
     for lo in range(0, S, group):
         results += _transport_group(
-            field_fn,
-            log_density_fn,
-            xs[lo : lo + group],
-            constraints_fn,
-            cfg,
-            n_samples,
-            tangent_basis,
-            constraint_tol,
+            field_fn, log_density_fn, xs[lo : lo + group], constraints_fn, cfg, n_samples
         )
     return results[0] if x0.ndim == 1 else results
 
 
-def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_samples, basis, tol):
+def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_samples):
     """tangent_volume_transport of an ensemble xs (S, d) on one shared driver."""
     S, d = xs.shape
-    if basis is not None:
-        V = np.tile(np.asarray(basis, dtype=float), (S, 1, 1))
+    if constraints_fn is None:
+        V = np.tile(np.eye(d), (S, 1, 1))
     else:
         V = constraint_tangent_basis(constraints_fn, xs)
     q = V.shape[-1]
@@ -579,17 +578,13 @@ def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_sample
     for t in t_grid[1:]:
         y = driver.advance(float(t)).copy()
         x = y[:, :d]
-        V = np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2)
         if constraints_fn is not None:
             drift = float(np.max(np.abs(_eval_rows(constraints_fn, x)), initial=0.0))
-            if drift > tol:
+            if drift > _DRIFT_TOL:
                 raise ConstraintDriftError(
-                    f"constraint drift {drift:.3e} exceeds {tol:.1e} at t={t:.4g}"
+                    f"constraint drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t={t:.4g}"
                 )
-            jac = fd_jacobian(constraints_fn, x)  # project V onto the tangent spaces
-            jt = np.swapaxes(jac, 1, 2)
-            V = V - jt @ np.linalg.solve(jac @ jt, jac @ V)
-        Q, R = np.linalg.qr(V)
+        Q, R = np.linalg.qr(np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2))
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
         if np.any(diag <= 0.0):
             raise SingularityError("transported tangent volume collapsed")
@@ -618,10 +613,11 @@ def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_sample
 
 
 def polar_orthonormalize(U: np.ndarray) -> np.ndarray:
-    """Closest matrix with orthonormal columns (polar factor) via SVD."""
+    """Closest matrix with orthonormal columns, or rows where U (..., a, b) is
+    wider than tall: the polar factor, via SVD."""
     U = np.asarray(U, dtype=float)
     u, s, vt = np.linalg.svd(U, full_matrices=False)
-    if np.any(s <= 1e-12 * max(s[0], 1e-300)):
+    if np.any(s <= 1e-12 * np.maximum(s[..., :1], 1e-300)):
         raise SingularityError("matrix is rank deficient; polar factor undefined")
     return u @ vt
 

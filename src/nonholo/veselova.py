@@ -27,6 +27,7 @@ is just (e_1, A e_1) with A = diag(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -45,7 +46,6 @@ from .liealg import (
     to_wedge,
     wedge_dim,
 )
-from .numerics import polar_orthonormalize
 
 __all__ = [
     "VeselovaState",
@@ -150,12 +150,10 @@ class _StiefelChart(Chart):
     def dim(self):
         return self.N + self.n * self.r
 
-    def constraints(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        U = coords[..., self.N :].reshape(coords.shape[:-1] + (self.n, self.r))
-        g = np.swapaxes(U, -1, -2) @ U - np.eye(self.r)
-        iu = np.triu_indices(self.r)
-        return g[..., iu[0], iu[1]]
+    @cached_property
+    def frame_index(self):
+        """The columns of U, as the rows of U^T."""
+        return self.N + np.arange(self.n * self.r).reshape(self.n, self.r).T
 
     def unflatten(self, coords):
         # loose Stiefel tolerance: trajectory samples carry integration drift
@@ -163,11 +161,6 @@ class _StiefelChart(Chart):
         m = from_wedge(coords[: self.N], self.n)
         U = coords[self.N :].reshape(self.n, self.r)
         return self._state(m, StiefelPoint(U, tolerance=1e-6))
-
-    def renormalize(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        U = coords[self.N :].reshape(self.n, self.r)
-        return np.concatenate([coords[: self.N], polar_orthonormalize(U).ravel()])
 
     def columns(self):
         U = [f"U{i + 1}{j + 1}" for i in range(self.n) for j in range(self.r)]

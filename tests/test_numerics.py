@@ -9,7 +9,7 @@ import pytest
 from conftest import rng_for
 from nonholo import numerics
 from nonholo.ball3d import ChaplyginChart, random_ball_state
-from nonholo.cli import load_config
+from nonholo.cli import SYSTEMS, load_config
 from nonholo.errors import (
     ConstraintDriftError,
     IntegrationAbort,
@@ -34,6 +34,7 @@ from nonholo.veselova import VeselovaChart, random_veselova_state
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
 CONFIG_IDS = [os.path.basename(p)[: -len(".json")] for p in CONFIGS]
+CONSTRAINED_IDS = [i for i in CONFIG_IDS if SYSTEMS[i].constraints is not None]
 
 # ---------------------------------------------------------------------------
 # steppers
@@ -337,6 +338,39 @@ def test_transport_aborts_on_constraint_drift():
         )
 
 
+def test_transport_takes_the_constraint_jacobian_once():
+    # the flow keeps V tangent: after the initial stencil, constraints only
+    # see the drift check, one call on all members per sample after t = 0
+    a = np.array([0.3, -0.5, 0.8])
+    calls = []
+
+    def sphere(x):
+        calls.append(x.shape)
+        return (np.sum(x * x, axis=-1) - 1.0)[..., None]
+
+    x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
+    cfg = IntegratorConfig(t_end=1.0)
+    results = tangent_volume_transport(
+        lambda x: np.cross(a, x), lambda x: 0.0, x0, sphere, cfg, n_samples=5
+    )
+    assert calls[0] == (3 * 2 * 3, 3)  # the central-difference stencil of every member
+    assert len(calls) == 1 + 4
+    assert max(r.max_abs_residual for r in results) < 1e-9
+
+
+def test_pointwise_function_is_read_row_by_row_when_members_equal_dimension():
+    # three members in R^3: a pointwise x[0] must not be read as the first row
+    logmu = lambda x: 0.1 * x[0]
+    x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(numerics._eval_rows(logmu, x0), [[0.0], [0.1], [0.0]])
+    # rotation about e_1 keeps x[0], so the density is invariant
+    field = lambda x: np.cross([1.0, 0.0, 0.0], x)
+    cfg = IntegratorConfig(t_end=2.0)
+    results = tangent_volume_transport(field, logmu, x0, sphere_constraints, cfg)
+    assert [r.log_density[0] for r in results] == [0.0, 0.1, 0.0]
+    assert max(r.max_abs_residual for r in results) < 1e-9
+
+
 def test_transport_stats_satisfy_fsal_identity():
     a = np.array([0.3, -0.5, 0.8])
     field = lambda x: np.cross(a, x)
@@ -463,6 +497,23 @@ def test_ensemble_certifies_every_member_and_flags_wrong_exponent(case):
 
 # ---------------------------------------------------------------------------
 # renormalization helpers
+
+
+@pytest.mark.parametrize("system", CONSTRAINED_IDS)
+def test_chart_renormalize_restores_the_frame_and_keeps_the_lead_block(system):
+    chart = load_config(CONFIGS[CONFIG_IDS.index(system)]).chart
+    rng = np.random.default_rng(43)
+    x = chart.flatten(chart.random_state(rng))
+    frame = chart.frame_index.ravel()
+    bent = x.copy()
+    bent[frame] += 1e-6 * rng.standard_normal(frame.size)
+    assert np.max(np.abs(chart.constraints(bent))) > 1e-8
+    fixed = chart.renormalize(bent)
+    assert np.max(np.abs(chart.constraints(fixed))) <= 1e-12
+    lead = np.setdiff1d(np.arange(chart.dim), frame)
+    assert np.array_equal(fixed[lead], bent[lead])
+    assert np.max(np.abs(fixed - x)) <= 1e-5  # the nearest frame, not just any
+    assert np.array_equal(chart.renormalize(np.stack([x, bent]))[1], fixed)
 
 
 def test_polar_orthonormalize_nearest_frame():
