@@ -74,6 +74,15 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
 
+# a x b by gathering: component i is a[i+1] b[i+2] - a[i+2] b[i+1] (mod 3),
+# the products np.cross forms, without its per-call moveaxis overhead
+_C1, _C2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a, b):
+    return a[..., _C1] * b[..., _C2] - a[..., _C2] * b[..., _C1]
+
+
 @dataclass(frozen=True, eq=False)
 class BallState:
     """Ball state (w, gamma) with parameters (inertia, D, eps).
@@ -154,7 +163,7 @@ def vf_chaplygin(state: BallState):
     """Marble-ball field; returns (dk, dgamma)."""
     w, g = state.omega, state.gamma
     k = k_vector(state)
-    return np.cross(k, w), state.eps * np.cross(g, w)
+    return _cross(k, w), state.eps * _cross(g, w)
 
 
 def rubber_multiplier(state: BallState) -> float:
@@ -168,7 +177,7 @@ def rubber_multiplier(state: BallState) -> float:
     w, g = state.omega, state.gamma
     it = state.total_inertia
     m = it * w
-    return float(-_dot(g, np.cross(m, w) / it) / _dot(g, g / it))
+    return float(-_dot(g, _cross(m, w) / it) / _dot(g, g / it))
 
 
 def vf_rubber(state: BallState, form: str = "multiplier"):
@@ -178,16 +187,16 @@ def vf_rubber(state: BallState, form: str = "multiplier"):
     initial data.
     """
     w, g = state.omega, state.gamma
-    dg = state.eps * np.cross(g, w)
+    dg = state.eps * _cross(g, w)
     if form == "multiplier":
         m = m_vector(state)
-        return np.cross(m, w) + rubber_multiplier(state) * g, dg
+        return _cross(m, w) + rubber_multiplier(state) * g, dg
     if form == "momentum":
         eps = state.eps
         v = state.total_inertia * w
         mb = momentum_vector(state)
-        vw = np.cross(v, w)
-        return eps * np.cross(mb, w) + (1.0 - eps) * (vw - _dot(vw, g) * g), dg
+        vw = _cross(v, w)
+        return eps * _cross(mb, w) + (1.0 - eps) * (vw - _dot(vw, g) * g), dg
     raise ParameterError(f"unknown rubber form {form!r}")
 
 
@@ -265,8 +274,8 @@ class ChaplyginChart(_BallChart):
         coords = np.asarray(coords, dtype=float)
         w, g = coords[..., :3], coords[..., 3:]
         k = self.inertia * w + self.D * (w - _dot(w, g)[..., None] * g)
-        dk = np.cross(k, w)
-        dg = self.eps * np.cross(g, w)
+        dk = _cross(k, w)
+        dg = self.eps * _cross(g, w)
         # dk = K(gamma) dw - D ((w, dg) gamma + (w, gamma) dg)
         rhs = dk + self.D * (_dot(w, dg)[..., None] * g + _dot(w, g)[..., None] * dg)
         dw = np.linalg.solve(_k_matrix(g, self.inertia, self.D), rhs[..., None])[..., 0]
@@ -328,9 +337,10 @@ class RubberChart(_BallChart):
         lead, g = coords[..., :3], coords[..., 3:]
         w = self._omega(lead)
         m = self.it * w
-        lam = -_dot(g, np.cross(m, w) / self.it) / _dot(g, g / self.it)
-        dm = np.cross(m, w) + lam[..., None] * g
-        dg = self.eps * np.cross(g, w)
+        mw = _cross(m, w)
+        lam = -_dot(g, mw / self.it) / _dot(g, g / self.it)
+        dm = mw + lam[..., None] * g
+        dg = self.eps * _cross(g, w)
         dlead = dm if self.variables == "m" else dm / self.it
         return np.concatenate([dlead, dg], axis=-1)
 

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from numbers import Integral
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from . import ball3d, elpr, elr, veselova
 from .errors import ConfigError, IntegrationAbort, NonholoError, ParameterError
 from .liealg import InertiaOperator
 from .numerics import (
+    _ENSEMBLE_BATCH_BYTES,
     IntegratorConfig,
     integrate,
     liouville_residual_ambient,
@@ -72,12 +74,20 @@ _DEFAULT_TOL = {"liouville": 1e-6, "volume": 1e-6, "integrals": 1e-8, "crosschec
 
 
 def _cfg_get(node, key, typ, default=None, required=False, where=""):
+    """node[key] converted by typ.  With typ int or bool the value must
+    already be a JSON integer or boolean: int(4.7) truncates, and
+    bool("false") is true."""
     if key not in node:
         if required:
             raise ConfigError(f"{where}{key}: required")
         return default
+    value = node[key]
+    if typ is bool and not isinstance(value, bool):
+        raise ConfigError(f"{where}{key}: expected true or false, got {value!r}")
+    if typ is int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ConfigError(f"{where}{key}: expected an integer, got {value!r}")
     try:
-        return typ(node[key])
+        return typ(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}{key}: {exc}") from exc
 
@@ -170,7 +180,9 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("initial.seed: must be nonnegative")
         self.coords = _cfg_get(initial, "coords", _float_array, where="initial.")
-        self.zero_constants = bool(initial.get("zero_constants", False))
+        self.zero_constants = _cfg_get(
+            initial, "zero_constants", bool, default=False, where="initial."
+        )
         output = _mapping(raw, "output", ("dir",))
         self.output_dir = _cfg_get(output, "dir", os.fspath, default=".", where="output.")
 
@@ -348,8 +360,20 @@ def _integral_drifts(chart, states, obs) -> dict:
     return drifts
 
 
-def _volume_residuals(cfg: RunConfig, x0) -> list:
-    """Max tangent-volume residual of each state of x0 (S, d), one ensemble."""
+# Each check's runner maps the initial states x0 (S, d) of S seeds to one
+# (results, gated) pair per seed: results lists (quantity, value), and gated
+# names the quantities held to the tolerance.
+
+
+def _liouville_results(cfg: RunConfig, x0) -> list:
+    """Pointwise Liouville residual of each state."""
+    chart = cfg.chart
+    values = [abs(liouville_residual_ambient(chart.field, chart.log_density, x)) for x in x0]
+    return [([("liouville_residual", v)], {"liouville_residual"}) for v in values]
+
+
+def _volume_results(cfg: RunConfig, x0) -> list:
+    """Max tangent-volume residual of each state, from one ensemble transport."""
     chart = cfg.chart
     results = tangent_volume_transport(
         chart.field,
@@ -358,18 +382,46 @@ def _volume_residuals(cfg: RunConfig, x0) -> list:
         constraints_fn=chart.constraints,
         cfg=cfg.integrator,
     )
-    return [r.max_abs_residual for r in results]
+    return [([("volume_residual", r.max_abs_residual)], {"volume_residual"}) for r in results]
 
 
-def _volume_ensemble(cfg: RunConfig, seeds) -> dict:
-    """{seed: volume residual} from one ensemble transport of all seeds.
+def _integral_results(cfg: RunConfig, x0) -> list:
+    """Drift of each conserved quantity from each state.
 
-    Empty when any member fails: the caller then transports each seed on
-    its own, so every seed's row or abort is what a one-seed run gives.
+    The states are integrated as one ensemble, in consecutive groups whose
+    stage array and stored samples stay under _ENSEMBLE_BATCH_BYTES; a group
+    of one state is integrated as a (d,) state, as a one-seed run is.
+    """
+    chart = cfg.chart
+    S, d = x0.shape
+    group = max(1, _ENSEMBLE_BATCH_BYTES // (8 * d * (7 + cfg.integrator.samples)))
+    out = []
+    for lo in range(0, S, group):
+        xs = x0[lo : lo + group]
+        traj = integrate(chart.field, xs[0] if len(xs) == 1 else xs, cfg.integrator)
+        for states in np.swapaxes(traj.states.reshape(len(traj.times), len(xs), d), 0, 1):
+            obs = [observables(chart, coords) for coords in states]
+            gated = {"constraint_drift"} | chart.gated(obs[0])
+            out.append((sorted(_integral_drifts(chart, states, obs).items()), gated))
+    return out
+
+
+_RUNNERS = {
+    "liouville": _liouville_results,
+    "volume": _volume_results,
+    "integrals": _integral_results,
+}
+
+
+def _ensemble(cfg: RunConfig, seeds, run) -> dict:
+    """{seed: (results, gated)} from one call of ``run`` on every seed's state.
+
+    Empty when any member fails: the caller then runs each seed on its own,
+    so every seed's row or abort is what a one-seed run gives.
     """
     try:
         x0 = np.array([cfg.initial_coords(seed) for seed in seeds])
-        return dict(zip(seeds, _volume_residuals(cfg, x0)))
+        return dict(zip(seeds, run(cfg, x0)))
     except ConfigError:
         raise
     except NonholoError:
@@ -397,25 +449,15 @@ def cmd_verify(cfg: RunConfig, check, seeds, out_dir) -> int:
              quantity, value, tol, status]
         )
 
+    run = _RUNNERS[check]
     seed_list = [cfg.seed + i for i in range(seeds)]
-    volume = _volume_ensemble(cfg, seed_list) if check == "volume" and seeds > 1 else {}
+    done = _ensemble(cfg, seed_list, run) if seeds > 1 else {}
     for seed in seed_list:
         try:
-            x0 = cfg.initial_coords(seed)
-            if check == "integrals":
-                traj = integrate(chart.field, x0, cfg.integrator)
-                obs = [observables(chart, coords) for coords in traj.states]
-                gated = {"constraint_drift"} | chart.gated(obs[0])
-                results = sorted(_integral_drifts(chart, traj.states, obs).items())
+            if seed in done:
+                results, gated = done[seed]
             else:
-                if check == "liouville":
-                    value = abs(liouville_residual_ambient(chart.field, chart.log_density, x0))
-                else:
-                    value = volume.get(seed)
-                    if value is None:
-                        (value,) = _volume_residuals(cfg, x0[None])
-                gated = {f"{check}_residual"}
-                results = [(f"{check}_residual", value)]
+                ((results, gated),) = run(cfg, cfg.initial_coords(seed)[None])
             for name, value in results:
                 if name in gated:
                     status = "pass" if value <= tol else "fail"

@@ -147,7 +147,7 @@ def k_from_omega(omega, Pi, op: InertiaOperator) -> np.ndarray:
 
 def omega_from_k(state: ELPRState, op: InertiaOperator) -> np.ndarray:
     """Solve (I + Pi) w = k_bold; raises if I + Pi is not positive definite."""
-    K = op.matrix + state.Pi
+    K = op.dense_matrix + state.Pi
     wc = _solve_pd(K, to_wedge(state.k_bold))
     return from_wedge(wc, op.n)
 
@@ -167,7 +167,7 @@ def log_density_elpr(state_or_Pi, op: InertiaOperator) -> float:
     Batched over leading dimensions of Pi.
     """
     Pi = getattr(state_or_Pi, "Pi", state_or_Pi)
-    K = op.matrix + np.asarray(Pi, dtype=float)
+    K = op.dense_matrix + np.asarray(Pi, dtype=float)
     sign, logdet = np.linalg.slogdet(K)
     if np.any(sign <= 0):
         raise DefinitenessError("I + Pi must have positive determinant")
@@ -231,7 +231,7 @@ def stiefel_total_inertia(a, D: float) -> InertiaOperator:
 
 def _stiefel_velocity(kc, U, op, D):
     """Wedge coordinates of w solving I w + D pr_{D_r}(w) = k_bold, batched."""
-    T = op.matrix + D * dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
+    T = op.dense_matrix + D * dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
     return np.linalg.solve(T, kc[..., None])[..., 0]
 
 
@@ -283,7 +283,7 @@ class LPRChart(Chart):
 
     def field(self, coords):
         wc, Pi = self._split(coords)
-        K = self.op.matrix + Pi
+        K = self.op.dense_matrix + Pi
         W = from_wedge(wc, self.n)
         Iw = self.op.apply(W)
         Pw = from_wedge(np.einsum("...ij,...j->...i", Pi, wc), self.n)

@@ -257,9 +257,8 @@ def momentum_partner(chart, state: ELRMultiplierState):
 def omega_of(state: ELRMomentumState, op: InertiaOperator) -> np.ndarray:
     """Angular velocity from a momentum-form state: solve J w = m_bold."""
     fc = state.frames_d.coords
-    N = op.N
-    PD = fc.T @ fc
-    Jm = np.eye(N) + PD @ (op.matrix - np.eye(N))
+    eye, shift = op.identity_and_shift
+    Jm = eye + (fc.T @ fc) @ shift
     wc = np.linalg.solve(Jm, to_wedge(state.m_bold))
     return from_wedge(wc, state.n)
 

@@ -316,15 +316,20 @@ class InertiaOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._diag is not None:
-            return np.diag(self._diag)
-        return self._mat.copy()
+        return self.dense_matrix.copy()
+
+    @cached_property
+    def dense_matrix(self) -> np.ndarray:
+        """The N x N matrix as a read-only array, built once."""
+        mat = np.diag(self._diag) if self._diag is not None else self._mat.copy()
+        mat.flags.writeable = False
+        return mat
 
     @cached_property
     def identity_and_shift(self):
         """(Id, matrix - Id) as read-only arrays, built once."""
         eye = np.eye(self.N)
-        shift = self.matrix - eye
+        shift = self.dense_matrix - eye
         eye.flags.writeable = shift.flags.writeable = False
         return eye, shift
 

@@ -320,10 +320,15 @@ def _make_driver(f, x0, cfg):
 def integrate(field_fn, x0, cfg: IntegratorConfig, observers=None, renormalize_fn=None):
     """Integrate dx/dt = field_fn(x) and sample at cfg.sample_times().
 
+    x0 is one state (d,) or an ensemble (S, d); states then has shape
+    (T, d) or (T, S, d).  An ensemble shares one driver: field_fn is called
+    on all S members at once, so it must broadcast over a leading batch
+    dimension, and DP45 controls the step by the largest member error, so a
+    member can differ from its own (d,) run at the integrator-error level.
     observers maps names to callables (t, x) -> scalar or array, evaluated
-    at every sample time.  renormalize_fn, if given together with
-    cfg.renormalize_every, projects the state back onto its manifold after
-    that many accepted steps.
+    at every sample time on the whole state, (d,) or (S, d).
+    renormalize_fn, if given together with cfg.renormalize_every, projects
+    the state back onto its manifold after that many accepted steps.
     """
     x0 = np.asarray(x0, dtype=float)
     times = cfg.sample_times()

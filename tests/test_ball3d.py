@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rng_for
 from nonholo.ball3d import (
+    _cross,
     BallState,
     ChaplyginChart,
     RubberChart,
@@ -34,6 +35,16 @@ def test_state_validation():
         BallState([0.1, 0, 0], [1.0, 0, 0], [1.0, -2.0, 3.0])
     with pytest.raises(ParameterError):
         BallState([0.1, 0, 0], [1.0, 0, 0], [1.0, 2.0, 3.0], D=-1.0)
+
+
+def test_gather_cross_product_is_np_cross_bit_for_bit():
+    rng = rng_for(26)
+    a, b = rng.standard_normal((2, 10**5, 3))
+    assert np.array_equal(_cross(a, b), np.cross(a, b))
+    # broadcast shapes: a batch against one vector, either way round
+    assert np.array_equal(_cross(a[:64], b[0]), np.cross(a[:64], b[0]))
+    assert np.array_equal(_cross(a[0], b[:64]), np.cross(a[0], b[:64]))
+    assert np.array_equal(_cross(a[0], b[0]), np.cross(a[0], b[0]))
 
 
 # ---------------------------------------------------------------------------

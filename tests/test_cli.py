@@ -213,6 +213,50 @@ def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
     assert status["8"] == "abort: injected failure"
 
 
+def test_verify_integrals_ensemble_matches_single_seed_runs(tmp_path):
+    cfg = write_cfg(tmp_path, ELR_CFG)
+    assert main(["verify", "--config", cfg, "--check", "integrals", "--seeds", "3",
+                 "--out", str(tmp_path / "ensemble")]) == 0
+    name = "elr_multiplier_integrals.csv"
+    ensemble = read_rows(tmp_path / "ensemble" / name)[1:]
+    for i in range(3):
+        seed = ELR_CFG["initial"]["seed"] + i
+        single = write_cfg(tmp_path, dict(ELR_CFG, initial={"seed": seed}), f"seed{seed}.json")
+        assert main(["verify", "--config", single, "--check", "integrals", "--seeds", "1",
+                     "--out", str(tmp_path / str(seed))]) == 0
+        alone = read_rows(tmp_path / str(seed) / name)[1:]
+        mine = [row for row in ensemble if row[5] == str(seed)]
+        assert len(mine) == len(alone) > 1
+        for a, b in zip(alone, mine):
+            # same quantity and status; the value may differ at integrator level
+            assert a[:8] == b[:8] and a[9:] == b[9:]
+            assert abs(float(a[8]) - float(b[8])) <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["field", "log_density"])
+def test_verify_integrals_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
+    # the ensemble fails as a whole; each seed then runs alone, and only the
+    # seed whose state is broken aborts
+    cfg = write_cfg(tmp_path, BALL_CFG)
+    bad = load_config(cfg).initial_coords(8)
+    original = getattr(ChaplyginChart, method)
+
+    def broken(self, coords):
+        if np.any(np.all(np.abs(np.asarray(coords) - bad) < 1e-3, axis=-1)):
+            raise SingularityError("injected failure")
+        return original(self, coords)
+
+    monkeypatch.setattr(ChaplyginChart, method, broken)
+    assert main(["verify", "--config", cfg, "--check", "integrals", "--seeds", "3",
+                 "--out", str(tmp_path)]) == 4
+    rows = read_rows(tmp_path / "ball_chaplygin_integrals.csv")[1:]
+    status = {}
+    for r in rows:
+        status.setdefault(r[5], set()).add(r[10])
+    assert status["7"] <= {"pass", "info"} and status["9"] <= {"pass", "info"}
+    assert status["8"] == {"abort: injected failure"}
+
+
 def test_verify_liouville_rejected_for_constrained_system(tmp_path):
     cfg = write_cfg(tmp_path, dict(BALL_CFG, checks=["liouville"]))
     assert main(["verify", "--config", cfg, "--check", "liouville",
@@ -279,6 +323,21 @@ def test_crosscheck_unknown_pair(tmp_path):
 # the Veselova density holds for the wedge_products inertia only
 VESELOVA_IDENTITY = {"system": "veselova", "n": 4, "r": 1, "inertia": {"kind": "identity"},
                      "D": None}
+ELR_KEYS = {"system": "elr_multiplier", "n": 3, "k": 1, "D": None,
+            "inertia": {"kind": "wedge_products", "a": [0.8, 1.1, 1.7]}}
+VESELOVA_KEYS = dict(ELR_KEYS, system="veselova", k=None, r=1)
+# counts are JSON integers and switches JSON booleans: int(3.5) would
+# truncate and bool("false") is true
+NOT_INTEGER_OR_BOOLEAN = [
+    (dict(ELR_KEYS, n=3.5), "n"),
+    (dict(ELR_KEYS, n=True), "n"),
+    (dict(ELR_KEYS, k=1.5), "k"),
+    (dict(VESELOVA_KEYS, r=1.9), "r"),
+    ({"initial": {"seed": 3.5}}, "initial.seed"),
+    ({"initial": {"seed": False}}, "initial.seed"),
+    ({"initial": {"zero_constants": "false"}}, "initial.zero_constants"),
+    ({"initial": {"zero_constants": 1}}, "initial.zero_constants"),
+]
 NAN, INF = math.nan, math.inf
 # json reads NaN and Infinity; each of these names the dotted key holding one
 NON_FINITE = [
@@ -324,7 +383,7 @@ NON_FINITE = [
         {"integrator": {"renormalize_every": 1.5}},
         {"integrator": {"renormalize_every": 0}},
         VESELOVA_IDENTITY,
-    ] + [patch for patch, _ in NON_FINITE],
+    ] + [patch for patch, _ in NON_FINITE + NOT_INTEGER_OR_BOOLEAN],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
     cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
@@ -347,7 +406,7 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"integrator": {"renormalize_every": 1.5}}, "integrator"),
         ({"integrator": {"renormalize_every": 0}}, "integrator"),
         (VESELOVA_IDENTITY, "inertia"),
-    ] + NON_FINITE,
+    ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN,
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     # no --out: a malformed "output" must not get as far as choosing a directory

@@ -148,6 +148,21 @@ def test_integrate_stats_satisfy_fsal_identity():
     assert fsal_identity(stats)
 
 
+def test_integrate_ensemble_of_members_matches_serial():
+    cfg = IntegratorConfig(t_end=2.0, samples=5)
+    for system in ("elr_multiplier", "ball_rubber"):
+        run = load_config(CONFIGS[CONFIG_IDS.index(system)])
+        x0 = np.array([run.initial_coords(seed) for seed in (1, 2, 3)])
+        ens = integrate(run.chart.field, x0, cfg)
+        assert ens.states.shape == (cfg.samples,) + x0.shape
+        assert fsal_identity(ens.stats)
+        for i, x in enumerate(x0):
+            serial = integrate(run.chart.field, x, cfg).states
+            # one shared step sequence: equal up to the integrator error
+            scale = np.max(np.abs(serial))
+            assert np.max(np.abs(ens.states[:, i] - serial)) <= 1e-8 * scale
+
+
 def test_non_finite_field_aborts_at_first_step():
     calls = [0]
 
