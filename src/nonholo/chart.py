@@ -65,10 +65,12 @@ class Chart:
             coords[..., self.frame_index] = polar_orthonormalize(coords[..., self.frame_index])
         return coords
 
-    def invariant_residual(self, coords) -> float:
+    def invariant_residual(self, coords):
+        """Largest |constraint| at each point of coords (..., d); zero on an
+        ambient chart."""
         if self.constraints is None:
-            return 0.0
-        return float(np.max(np.abs(self.constraints(coords))))
+            return np.zeros(np.shape(coords)[:-1])
+        return np.max(np.abs(self.constraints(coords)), axis=-1)
 
     def row(self, coords):
         return np.asarray(coords, dtype=float)

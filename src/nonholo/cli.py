@@ -318,11 +318,18 @@ def _out_path(cfg: RunConfig, out_dir, name) -> str:
 # commands
 
 
-def observables(chart, coords) -> dict:
-    """Named scalars for one sample: integrals, log_density, residual."""
-    out = chart.integrals(coords)
-    out["log_density"] = float(np.asarray(chart.log_density(coords)))
-    out["residual"] = float(chart.invariant_residual(coords))
+def observables(chart, states) -> dict:
+    """Named columns of scalars at the samples states (..., d): the first
+    integrals, one sample at a time, then log_density and residual, each
+    from one call on all samples."""
+    states = np.asarray(states, dtype=float)
+    per_sample = [chart.integrals(x) for x in states.reshape(-1, states.shape[-1])]
+    out = {
+        name: np.reshape([o[name] for o in per_sample], states.shape[:-1])
+        for name in per_sample[0]
+    }
+    out["log_density"] = np.asarray(chart.log_density(states), dtype=float)
+    out["residual"] = chart.invariant_residual(states)
     return out
 
 
@@ -335,11 +342,12 @@ def cmd_simulate(cfg: RunConfig, seed, out_dir) -> int:
     except IntegrationAbort as exc:
         print(f"integration abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    obs = [observables(chart, coords) for coords in traj.states]
-    header = ["t"] + chart.columns() + list(obs[0])
+    obs = observables(chart, traj.states)
+    header = ["t"] + chart.columns() + list(obs)
+    values = np.stack(list(obs.values()), axis=-1).tolist()
     rows = [
-        [float(t)] + [float(v) for v in chart.row(coords)] + list(o.values())
-        for t, coords, o in zip(traj.times, traj.states, obs)
+        [float(t)] + [float(v) for v in chart.row(coords)] + o
+        for t, coords, o in zip(traj.times, traj.states, values)
     ]
     path = _out_path(cfg, out_dir, f"{cfg.system}_trajectory.csv")
     write_csv(path, header, rows)
@@ -348,14 +356,13 @@ def cmd_simulate(cfg: RunConfig, seed, out_dir) -> int:
 
 
 def _integral_drifts(chart, states, obs) -> dict:
-    """Max drift of each conserved quantity over the samples ``obs``."""
+    """Max drift of each conserved quantity over the sample columns ``obs``."""
     drifts = {}
-    for name in obs[0]:
-        vals = [o[name] for o in obs]
+    for name, vals in obs.items():
         if name == "residual":
-            drifts["constraint_drift"] = max(abs(v) for v in vals)
+            drifts["constraint_drift"] = float(np.max(np.abs(vals)))
         elif name != "log_density":
-            drifts[f"{name}_drift"] = max(vals) - min(vals)
+            drifts[f"{name}_drift"] = float(np.max(vals) - np.min(vals))
     drifts.update(chart.extra_drifts(states))
     return drifts
 
@@ -400,8 +407,8 @@ def _integral_results(cfg: RunConfig, x0) -> list:
         xs = x0[lo : lo + group]
         traj = integrate(chart.field, xs[0] if len(xs) == 1 else xs, cfg.integrator)
         for states in np.swapaxes(traj.states.reshape(len(traj.times), len(xs), d), 0, 1):
-            obs = [observables(chart, coords) for coords in states]
-            gated = {"constraint_drift"} | chart.gated(obs[0])
+            obs = observables(chart, states)
+            gated = {"constraint_drift"} | chart.gated({k: v[0] for k, v in obs.items()})
             out.append((sorted(_integral_drifts(chart, states, obs).items()), gated))
     return out
 

@@ -44,6 +44,7 @@ from .errors import (
 from .liealg import (
     InertiaOperator,
     StiefelPoint,
+    ad_coords,
     ad_matrix,
     as_stiefel_matrix,
     commutator,
@@ -239,10 +240,8 @@ def _lpr_stiefel_rhs(kc, Uflat, op, D, eps, n, r):
     shape = np.asarray(kc).shape[:-1]
     U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
     wc = _stiefel_velocity(kc, U, op, D)
-    W = from_wedge(wc, n)
-    K = from_wedge(kc, n)
-    dkc = to_wedge(commutator(K, W))
-    dU = -eps * (W @ U)
+    dkc = -np.einsum("...ij,...j->...i", ad_coords(wc, n), kc)  # [k_bold, w]
+    dU = -eps * (from_wedge(wc, n) @ U)
     return dkc, dU.reshape(shape + (n * r,)), wc
 
 
@@ -284,12 +283,12 @@ class LPRChart(Chart):
     def field(self, coords):
         wc, Pi = self._split(coords)
         K = self.op.dense_matrix + Pi
-        W = from_wedge(wc, self.n)
-        Iw = self.op.apply(W)
-        Pw = from_wedge(np.einsum("...ij,...j->...i", Pi, wc), self.n)
-        rhs = to_wedge(commutator(Iw, W) + (1.0 - self.eps) * commutator(Pw, W))
+        A = ad_coords(wc, self.n)
+        # [I w, w] + (1 - eps) [Pi w, w] = -ad_w (I w + (1 - eps) Pi w)
+        Iw = self.op.apply_coords(wc)
+        Pw = np.einsum("...ij,...j->...i", Pi, wc)
+        rhs = -np.einsum("...ij,...j->...i", A, Iw + (1.0 - self.eps) * Pw)
         dwc = _solve_pd(K, rhs)
-        A = ad_matrix(W)
         dPi = self.eps * (Pi @ A - A @ Pi)
         return self._pack(dwc, dPi)
 

@@ -50,6 +50,7 @@ from .errors import DimensionError, ParameterError, SingularityError
 from .liealg import (
     Frame,
     InertiaOperator,
+    ad_coords,
     commutator,
     from_wedge,
     inner_product,
@@ -149,20 +150,18 @@ class ELRMomentumState:
 
 
 def _multiplier_rhs(wc, ec, op, eps):
-    """Batched field. wc: (..., N), ec: (..., k, N). Returns (dwc, dec)."""
-    W = from_wedge(wc, op.n)
-    M = op.apply(W)
-    br = commutator(M, W)
-    s = op.solve_coords(to_wedge(br))
+    """Batched field. wc: (..., N), ec: (..., k, N). Returns (dwc, dec, lam)."""
+    ad_w = ad_coords(wc, op.n)
+    br = -np.einsum("...ij,...j->...i", ad_w, op.apply_coords(wc))  # [I w, w]
+    s = op.solve_coords(br)
     es = op.solve_coords(ec)
-    A = np.einsum("...iN,...jN->...ij", ec, es)
+    A = ec @ np.swapaxes(es, -1, -2)
     b = np.einsum("...kN,...N->...k", ec, s)
     lam = -np.linalg.solve(A, b[..., None])[..., 0]
-    dmc = to_wedge(br) + np.einsum("...k,...kN->...N", lam, ec)
+    dmc = br + np.einsum("...k,...kN->...N", lam, ec)
     dwc = op.solve_coords(dmc)
-    E = from_wedge(ec, op.n)
-    dE = eps * commutator(E, W[..., None, :, :])
-    return dwc, to_wedge(dE), lam
+    dec = -eps * (ec @ np.swapaxes(ad_w, -1, -2))  # eps [e_i, w]
+    return dwc, dec, lam
 
 
 def _momentum_velocity(mc, P, op):
@@ -174,14 +173,15 @@ def _momentum_velocity(mc, P, op):
 
 
 def _momentum_rhs(mc, P, op, eps):
-    """d(m_bold)/dt = eps [m_bold, w] + (1 - eps) pr_D [I w, w] and the skew
-    matrix w, batched, P as above; the frame equation is the caller's."""
-    W = from_wedge(_momentum_velocity(mc, P, op), op.n)
-    Mb = from_wedge(mc, op.n)
-    br1 = to_wedge(commutator(Mb, W))
-    br2 = to_wedge(commutator(op.apply(W), W))
+    """d(m_bold)/dt = eps [m_bold, w] + (1 - eps) pr_D [I w, w], the wedge
+    coordinates of w and the matrix ad_w, batched, P as above; the frame
+    equation is the caller's."""
+    wc = _momentum_velocity(mc, P, op)
+    ad_w = ad_coords(wc, op.n)
+    br1 = -np.einsum("...ij,...j->...i", ad_w, mc)
+    br2 = -np.einsum("...ij,...j->...i", ad_w, op.apply_coords(wc))
     dmc = eps * br1 + (1.0 - eps) * np.einsum("...ij,...j->...i", P, br2)
-    return dmc, W
+    return dmc, wc, ad_w
 
 
 def _log_gram_det(ec, op, mode):
@@ -381,9 +381,9 @@ class MomentumChart(_FrameChart):
 
     def field(self, coords):
         mc, fc = self._split(coords)
-        PD = np.einsum("...pi,...pj->...ij", fc, fc)
-        dmc, W = _momentum_rhs(mc, PD, self.op, self.eps)
-        dfc = to_wedge(self.eps * commutator(from_wedge(fc, self.n), W[..., None, :, :]))
+        PD = np.swapaxes(fc, -1, -2) @ fc
+        dmc, _, ad_w = _momentum_rhs(mc, PD, self.op, self.eps)
+        dfc = -self.eps * (fc @ np.swapaxes(ad_w, -1, -2))  # eps [f_i, w]
         return np.concatenate(
             [dmc, dfc.reshape(mc.shape[:-1] + (self.p * self.N,))],
             axis=-1,

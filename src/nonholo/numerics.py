@@ -31,6 +31,7 @@ norm is the largest member RMS, so no member is under-controlled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -127,6 +128,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("dp45", "embedded_adaptive", "rk4_fixed"):
             raise ParameterError(f"unknown integrator method {self.method!r}")
+        for name in ("t_end", "abs_tol", "rel_tol", "dt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.method == "rk4_fixed" and (self.dt is None or self.dt <= 0.0):
             raise ParameterError("rk4_fixed requires a positive dt")
         if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
@@ -295,9 +300,12 @@ class _FixedDriver:
                 raise IntegrationAbort(self.t, "max_steps exceeded")
             h = min(dt, t_target - self.t)
             try:
-                self.x = rk4_step(self.f, self.x, h)
+                x = rk4_step(self.f, self.x, h)
             except NonholoError as exc:
                 raise IntegrationAbort(self.t, exc) from exc
+            if not np.all(np.isfinite(x)):
+                raise IntegrationAbort(self.t, "non-finite state")
+            self.x = x
             self.t += h
             self.steps += 1
             self.stats._accept(h)

@@ -111,9 +111,9 @@ def _veselova_rhs(mc, Uflat, op, eps, n, r):
     shape = np.asarray(mc).shape[:-1]
     U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
     P = dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
-    dmc, W = _momentum_rhs(mc, P, op, eps)
-    dU = -eps * (W @ U)
-    return dmc, dU.reshape(shape + (n * r,)), to_wedge(W)
+    dmc, wc, _ = _momentum_rhs(mc, P, op, eps)
+    dU = -eps * (from_wedge(wc, n) @ U)
+    return dmc, dU.reshape(shape + (n * r,)), wc
 
 
 def pluecker_indices(n: int, r: int) -> list[tuple[int, ...]]:

@@ -143,6 +143,30 @@ def test_simulate_abort_exits_four(tmp_path):
     assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 4
 
 
+def test_simulate_rk4_fixed_blowup_exits_four_without_csv(tmp_path):
+    cfg = {"system": "elr_multiplier", "n": 4, "k": 1, "epsilon": 2.0,
+           "integrator": {"method": "rk4_fixed", "dt": 3.0, "t_end": 3000, "samples": 5}}
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--config", p, "--out", str(out)]) == 4
+    assert not glob.glob(str(out / "*.csv"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_observables_columns_match_one_sample_at_a_time(path):
+    run = load_config(path)
+    chart = run.chart
+    states = np.array([run.initial_coords(seed) for seed in range(4)])
+    obs = observables(chart, states)
+    for i, x in enumerate(states):
+        single = observables(chart, x)
+        assert list(single) == list(obs)
+        for name, col in obs.items():
+            assert col.shape == (4,)
+            assert col[i] == pytest.approx(float(single[name]), rel=1e-14, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # verify
 

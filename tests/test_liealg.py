@@ -16,6 +16,7 @@ from nonholo.liealg import (
     Frame,
     InertiaOperator,
     StiefelPoint,
+    ad_coords,
     ad_matrix,
     commutator,
     complete_columns,
@@ -342,3 +343,70 @@ def test_dr_projector_matrix_is_the_d_r_projector(n, r):
     V = random_stiefel(n, r, rng)
     G = np.stack([U @ U.T, V @ V.T])
     assert np.array_equal(dr_projector_matrix(G), np.stack([P, dr_projector_matrix(V @ V.T)]))
+
+
+# ---------------------------------------------------------------------------
+# structure constants and the gather-form pr_{D_r}
+
+
+def _ad_oracle(x):
+    """Matrix of [x, .] from basis products: column a holds [x, E_a]."""
+    E = np.array(wedge_basis(x.shape[-1]))
+    m = x[..., None, :, :] @ E - E @ x[..., None, :, :]
+    return np.swapaxes(to_wedge(m), -1, -2)
+
+
+def _dr_oracle(G):
+    """Matrix of eta |-> G eta + eta G - G eta G from basis products."""
+    E = np.array(wedge_basis(G.shape[-1]))
+    G = G[..., None, :, :]
+    return np.swapaxes(to_wedge(G @ E + E @ G - G @ E @ G), -1, -2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ad_coords_matches_basis_product_formula(n):
+    rng = rng_for(900 + n)
+    wc = rng.standard_normal((4, wedge_dim(n)))
+    A = ad_coords(wc, n)
+    assert A.shape == (4, wedge_dim(n), wedge_dim(n))
+    assert np.max(np.abs(A - _ad_oracle(from_wedge(wc, n)))) <= 1e-15
+    assert np.max(np.abs(ad_coords(wc[0], n) - A[0])) == 0.0
+    assert np.max(np.abs(ad_matrix(from_wedge(wc, n)) - A)) == 0.0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ad_coords_brackets_are_antisymmetric_and_satisfy_jacobi(n):
+    rng = rng_for(950 + n)
+    x, y, z = rng.standard_normal((3, 5, wedge_dim(n)))
+
+    def br(u, v):
+        return np.einsum("...ij,...j->...i", ad_coords(u, n), v)
+
+    assert np.max(np.abs(br(x, y) + br(y, x))) <= 1e-13
+    jac = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
+    assert np.max(np.abs(jac)) <= 1e-13
+    assert np.max(np.abs(br(x, y) - to_wedge(commutator(from_wedge(x, n), from_wedge(y, n))))) <= 1e-13
+
+
+def test_ad_coords_keeps_complex_dtype():
+    rng = rng_for(999)
+    wc = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    A = ad_coords(wc, 5)
+    assert A.dtype == np.complex128
+    assert np.max(np.abs(A - (ad_coords(wc.real, 5) + 1j * ad_coords(wc.imag, 5)))) == 0.0
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (6, 3), (8, 3)])
+def test_gather_dr_projector_matches_product_oracle(n, r):
+    rng = rng_for(970 + 10 * n + r)
+    U = np.stack([random_stiefel(n, r, rng) for _ in range(6)])
+    G = U @ np.swapaxes(U, -1, -2)
+    P = dr_projector_matrix(G)
+    assert np.max(np.abs(P - _dr_oracle(G))) <= 1e-15
+    for g, p in zip(G, P):
+        assert np.max(np.abs(dr_projector_matrix(g) - _dr_oracle(g))) <= 1e-15
+        assert np.array_equal(dr_projector_matrix(g), p)
+    assert np.max(np.abs(P - np.swapaxes(P, -1, -2))) <= 1e-15
+    assert np.max(np.abs(P @ P - P)) <= 1e-14
+    N = wedge_dim(n)
+    assert np.allclose(np.trace(P, axis1=-2, axis2=-1), N - (n - r) * (n - r - 1) / 2, atol=1e-13)

@@ -106,6 +106,22 @@ def test_integrator_config_validation_and_sampling():
     assert IntegratorConfig(samples=1).sample_times().tolist() == [0.0]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["t_end", "abs_tol", "rel_tol", "dt"])
+def test_integrator_config_rejects_non_finite_values(name, value):
+    kwargs = {"method": "rk4_fixed", "dt": 0.1} if name != "dt" else {"method": "rk4_fixed"}
+    with pytest.raises(ParameterError, match=name):
+        IntegratorConfig(**kwargs, **{name: value})
+
+
+def test_rk4_fixed_aborts_on_non_finite_state():
+    cfg = IntegratorConfig(method="rk4_fixed", dt=0.5, t_end=10.0, samples=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationAbort, match="non-finite state") as info:
+            integrate(lambda x: x**2, np.array([1.0]), cfg)
+    assert 0.0 < info.value.t < 10.0
+
+
 def test_stiffness_abort_on_blowup():
     with pytest.raises(StiffnessError):
         integrate(
