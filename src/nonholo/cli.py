@@ -31,6 +31,7 @@ from .errors import ConfigError, IntegrationAbort, NonholoError, ParameterError
 from .liealg import InertiaOperator
 from .numerics import (
     _ENSEMBLE_BATCH_BYTES,
+    _STAGES,
     IntegratorConfig,
     integrate,
     liouville_residual_ambient,
@@ -401,7 +402,7 @@ def _integral_results(cfg: RunConfig, x0) -> list:
     """
     chart = cfg.chart
     S, d = x0.shape
-    group = max(1, _ENSEMBLE_BATCH_BYTES // (8 * d * (7 + cfg.integrator.samples)))
+    group = max(1, _ENSEMBLE_BATCH_BYTES // (8 * d * (_STAGES + cfg.integrator.samples)))
     out = []
     for lo in range(0, S, group):
         xs = x0[lo : lo + group]

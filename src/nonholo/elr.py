@@ -149,6 +149,15 @@ class ELRMomentumState:
 # batched kernels on wedge coordinates
 
 
+def _frame_solve(A, b):
+    """Solve with a k x k frame Gram matrix A; a singular A (linearly
+    dependent frame rows) raises SingularityError."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError("frame Gram matrix is singular") from exc
+
+
 def _multiplier_rhs(wc, ec, op, eps):
     """Batched field. wc: (..., N), ec: (..., k, N). Returns (dwc, dec, lam)."""
     ad_w = ad_coords(wc, op.n)
@@ -157,7 +166,7 @@ def _multiplier_rhs(wc, ec, op, eps):
     es = op.solve_coords(ec)
     A = ec @ np.swapaxes(es, -1, -2)
     b = np.einsum("...kN,...N->...k", ec, s)
-    lam = -np.linalg.solve(A, b[..., None])[..., 0]
+    lam = -_frame_solve(A, b[..., None])[..., 0]
     dmc = br + np.einsum("...k,...kN->...N", lam, ec)
     dwc = op.solve_coords(dmc)
     dec = -eps * (ec @ np.swapaxes(ad_w, -1, -2))  # eps [e_i, w]
@@ -282,7 +291,7 @@ def first_integrals(state: ELRMultiplierState, op: InertiaOperator) -> FirstInte
     H = 0.5 * float(inner_product(m, w))
     ec = state.frames.coords
     g = ec @ ec.T
-    coeff = np.linalg.solve(g, inner_product(state.frames.elems, w))
+    coeff = _frame_solve(g, inner_product(state.frames.elems, w))
     pr_h_w = from_wedge(coeff @ ec, state.n)
     F = H - float(inner_product(pr_h_w, m))
     return FirstIntegrals(phi=np.asarray(phi, dtype=float), energy=H, modified_energy=F)

@@ -22,11 +22,12 @@ Two verification primitives are provided:
   states (S, d) is transported together: each stage evaluates the field
   once, on every member's point and its 2q directional points stacked.
 
-The default integrator is an embedded Dormand-Prince 5(4) pair with a
-proportional step controller; a fixed-step classical RK4 is available for
-convergence studies.  Both are deterministic.  The adaptive driver also
-steps an ensemble state (S, D) with one shared step sequence; its error
-norm is the largest member RMS, so no member is under-controlled.
+The default integrator is the embedded Dormand-Prince 8(5,3) pair of
+Hairer's DOP853 with a proportional step controller; a fixed-step classical
+RK4 is available for convergence studies.  Both are deterministic.  The
+adaptive driver also steps an ensemble state (S, D) with one shared step
+sequence; its error norm is the largest member error, so no member is
+under-controlled.
 """
 
 from __future__ import annotations
@@ -85,38 +86,110 @@ def rk4_step(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
+# Dormand-Prince 8(5,3), the coefficients of Hairer's DOP853 (Hairer,
+# Norsett & Wanner, Solving Ordinary Differential Equations I, sec. II.10).
+# Stage i is the field at x + h * (_DOP853_A[i] @ K[:i]).  The last row of A
+# is the first 12 weights of B, so the 13th stage is the field at the new
+# point and starts the next step (FSAL): a step costs 12 evaluations.
+_DOP853_A = (
     np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_BHAT = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+    np.array([5.26001519587677318785587544488e-2]),
+    np.array([1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]),
+    np.array([2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2]),
+    np.array([
+        2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ]),
+    np.array([
+        3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1,
+    ]),
+    np.array([
+        3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ]),
+    np.array([
+        3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3,
+    ]),
+    np.array([
+        6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+    ]),
+    np.array([
+        4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2,
+    ]),
+    np.array([
+        -9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+        1.09143734899672957818500254654, -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+        2.49360555267965238987089396762, -3.0467644718982195003823669022,
+    ]),
+    np.array([
+        2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1,
+    ]),
 )
-_DP_E = _DP_B - _DP_BHAT
+_DOP853_B = np.array([
+    5.42937341165687622380535766363e-2, 0, 0, 0, 0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2, 0,
+])
+_DOP853_A += (_DOP853_B[:12],)
+_STAGES = len(_DOP853_A)
+# fifth-order error weights, and B minus the third-order weights bhh1, bhh2,
+# bhh3 on stages 1, 9 and 12
+_DOP853_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0, 0, 0, 0,
+    -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1, 0,
+])
+_DOP853_E3 = _DOP853_B - np.array([
+    0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
+    0.733846688281611857341361741547, 0, 0, 0.220588235294117647058823529412e-1, 0,
+])
+# names of the adaptive method; "embedded_adaptive" and "dp45" are kept for
+# configs written when the method was Dormand-Prince 5(4)
+_ADAPTIVE = ("dop853", "embedded_adaptive", "dp45")
+
+
+def _error_norm(h, K, sc):
+    """Largest member error of a step, blended from the fifth- and third-order
+    estimates as in Hairer's DOP853; sc (..., D) holds the error scales."""
+    e5 = np.sum(((_DOP853_E5 @ K).reshape(sc.shape) / sc) ** 2, axis=-1)
+    e3 = np.sum(((_DOP853_E3 @ K).reshape(sc.shape) / sc) ** 2, axis=-1)
+    denom = e5 + 0.01 * e3
+    # both estimates zero: a zero error, not 0/0
+    denom = np.where(denom == 0.0, 1.0, denom) * sc.shape[-1]
+    return float(np.max(h * e5 / np.sqrt(denom)))
 
 
 @dataclass
 class IntegratorConfig:
     """Settings for ``integrate``.
 
-    method is "dp45" or its alias "embedded_adaptive" (Dormand-Prince 5(4),
-    default) or "rk4_fixed" (requires dt).  samples is the number of equally
-    spaced output times on [0, t_end] including both ends.  renormalize_every
-    applies a chart renormalization after that many accepted steps; it is
-    disabled by default and must stay disabled during measure checks.
-    samples, max_steps and renormalize_every are integers; samples and
+    method is "dop853" (the adaptive Dormand-Prince 8(5,3) pair, default;
+    "embedded_adaptive" and "dp45" name the same method) or "rk4_fixed"
+    (requires dt).  samples is the number of equally spaced output times on
+    [0, t_end] including both ends.  renormalize_every applies a chart
+    renormalization after that many accepted steps; it is disabled by
+    default and must stay disabled during measure checks.  samples,
+    max_steps and renormalize_every are integers; samples and
     renormalize_every are at least 1.
     """
 
-    method: str = "embedded_adaptive"
+    method: str = "dop853"
     t_end: float = 5.0
     dt: float | None = None
     abs_tol: float = 1e-10
@@ -126,7 +199,7 @@ class IntegratorConfig:
     renormalize_every: int | None = None
 
     def __post_init__(self):
-        if self.method not in ("dp45", "embedded_adaptive", "rk4_fixed"):
+        if self.method not in _ADAPTIVE + ("rk4_fixed",):
             raise ParameterError(f"unknown integrator method {self.method!r}")
         for name in ("t_end", "abs_tol", "rel_tol", "dt"):
             value = getattr(self, name)
@@ -157,8 +230,8 @@ class IntegratorConfig:
 
 @dataclass
 class IntegrationStats:
-    """What a driver did.  For DP45 with FSAL reuse,
-    evaluations == 1 + 6 * (accepted + rejected) + fsal_resets.
+    """What a driver did.  The adaptive pair reuses its last stage (FSAL), so
+    evaluations == 1 + 12 * (accepted + rejected) + fsal_resets.
 
     h_min and h_max are the smallest and largest accepted step, the last
     step before each sample time included; they stay inf and 0 until a
@@ -192,10 +265,12 @@ def _rms(a):
 
 
 class _AdaptiveDriver:
-    """Dormand-Prince 5(4) stepping between target times, FSAL reused.
+    """Dormand-Prince 8(5,3) stepping between target times, FSAL reused.
 
     The state is (D,) or an ensemble (S, D) stepped with one shared step
-    sequence; the step is controlled by the largest member error.
+    sequence; the step is controlled by the largest member error.  A step
+    shortened to end on a target time leaves the step size it was cut from
+    for the next step, unless its own error allows a longer one.
     """
 
     def __init__(self, f, x, cfg):
@@ -221,6 +296,8 @@ class _AdaptiveDriver:
             if self.stats.evaluations:
                 self.stats.fsal_resets += 1
             self.f0 = self._eval(self.x)
+            if not np.all(np.isfinite(self.f0)):
+                raise IntegrationAbort(self.t, "non-finite field value")
 
     def _initial_h(self, span):
         sc = self.cfg.abs_tol + self.cfg.rel_tol * np.abs(self.x)
@@ -247,16 +324,15 @@ class _AdaptiveDriver:
                     f"step size underflow at t={self.t:.6g} (h={h:.3e})"
                 )
             # stage i is row i of K; K[:i] feeds stage i, all of K the update
-            K = np.empty((7, self.x.size))
-            stages = K.reshape((7,) + self.x.shape)
+            K = np.empty((_STAGES, self.x.size))
+            stages = K.reshape((_STAGES,) + self.x.shape)
             stages[0] = self.f0
             x = self.x.reshape(-1)
-            for i in range(1, 7):
-                stages[i] = self._eval((x + h * (_DP_A[i] @ K[:i])).reshape(self.x.shape))
-            x_new = (x + h * (_DP_B @ K)).reshape(self.x.shape)
-            err = (h * (_DP_E @ K)).reshape(self.x.shape)
+            for i in range(1, _STAGES):
+                stages[i] = self._eval((x + h * (_DOP853_A[i] @ K[:i])).reshape(self.x.shape))
+            x_new = (x + h * (_DOP853_B @ K)).reshape(self.x.shape)
             sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.x), np.abs(x_new))
-            err_norm = float(np.max(_rms(err / sc)))
+            err_norm = _error_norm(h, K, sc)
             if not np.isfinite(err_norm):
                 raise IntegrationAbort(self.t, "non-finite field value")
             self.steps += 1
@@ -264,17 +340,18 @@ class _AdaptiveDriver:
                 self.stats._accept(h)
                 self.t += h
                 self.x = x_new
-                self.f0 = stages[6]  # FSAL: last stage is f at the accepted point
+                self.f0 = stages[-1]  # FSAL: last stage is f at the accepted point
                 self.accepted_since_renorm += 1
                 if on_accept is not None:
                     on_accept(self)
                 factor = 5.0 if err_norm == 0.0 else min(
-                    5.0, max(0.2, 0.9 * err_norm ** -0.2)
+                    5.0, max(0.2, 0.9 * err_norm ** -0.125)
                 )
+                # a step cut short to end on t_target keeps the size it was cut from
+                self.h = max(self.h, h * factor) if h < self.h else h * factor
             else:
                 self.stats.rejected += 1
-                factor = max(0.2, 0.9 * err_norm ** -0.2)
-            self.h = h * factor
+                self.h = h * max(0.2, 0.9 * err_norm ** -0.125)
         return self.x
 
     def reset_fsal(self):
@@ -331,8 +408,9 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, observers=None, renormalize_f
     x0 is one state (d,) or an ensemble (S, d); states then has shape
     (T, d) or (T, S, d).  An ensemble shares one driver: field_fn is called
     on all S members at once, so it must broadcast over a leading batch
-    dimension, and DP45 controls the step by the largest member error, so a
-    member can differ from its own (d,) run at the integrator-error level.
+    dimension, and the adaptive pair controls the step by the largest member
+    error, so a member can differ from its own (d,) run at the
+    integrator-error level.
     observers maps names to callables (t, x) -> scalar or array, evaluated
     at every sample time on the whole state, (d,) or (S, d).
     renormalize_fn, if given together with cfg.renormalize_every, projects

@@ -137,6 +137,26 @@ def test_simulate_honours_renormalize_every(tmp_path, system):
         tmp_path / "plain" / csv_name).read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"],
+    ["verify", "--check", "integrals"],
+    ["verify", "--check", "liouville"],
+    ["verify", "--check", "volume"],
+], ids=["simulate", "integrals", "liouville", "volume"])
+def test_degenerate_multiplier_frame_exits_four(tmp_path, capsys, command):
+    # 18 equal coordinates: the two frame rows are equal
+    cfg = sample_config(CONFIGS[CONFIG_IDS.index("elr_multiplier")],
+                        initial={"coords": [1.0] * 18})
+    p = write_cfg(tmp_path, cfg)
+    assert main(command + ["--config", p, "--out", str(tmp_path / "out")]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    if command[0] == "verify":
+        rows = read_rows(tmp_path / "out" / f"elr_multiplier_{command[2]}.csv")
+        assert len(rows) == 2 and rows[1][-1].startswith("abort: ")
+    else:
+        assert not (tmp_path / "out").exists()
+
+
 def test_simulate_abort_exits_four(tmp_path):
     cfg = dict(BALL_CFG, integrator={"t_end": 50.0, "max_steps": 5})
     p = write_cfg(tmp_path, cfg)

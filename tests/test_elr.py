@@ -17,7 +17,7 @@ from nonholo.elr import (
     random_momentum_state,
     random_multiplier_state,
 )
-from nonholo.errors import ParameterError
+from nonholo.errors import ParameterError, SingularityError
 from nonholo.liealg import (
     Frame,
     InertiaOperator,
@@ -218,3 +218,18 @@ def test_modified_energy_conserved_only_at_eps_one():
 
     assert f_drift(1.0) < 1e-8
     assert f_drift(2.0) > 1e-3
+
+
+def test_dependent_frame_rows_raise_singularity_error():
+    # two equal frame rows: the k x k Gram solves are singular
+    op = InertiaOperator.wedge_products([0.8, 1.1, 1.7, 2.3])
+    chart = MultiplierChart(op, k=2, eps=0.5)
+    coords = np.ones(chart.dim)
+    with pytest.raises(SingularityError, match="singular"):
+        chart.field(coords)
+    with pytest.raises(SingularityError, match="singular"):
+        chart.field(np.stack([coords, coords + 0.5]))
+    e = from_wedge(np.ones(6), 4)
+    state = ELRMultiplierState.from_omega(e, Frame(np.stack([e, e]), gram_tolerance=-1.0))
+    with pytest.raises(SingularityError, match="singular"):
+        first_integrals(state, op)

@@ -132,7 +132,7 @@ def test_stiffness_abort_on_blowup():
 
 
 def fsal_identity(stats):
-    return stats.evaluations == 1 + 6 * (stats.accepted + stats.rejected) + stats.fsal_resets
+    return stats.evaluations == 1 + 12 * (stats.accepted + stats.rejected) + stats.fsal_resets
 
 
 def test_integrate_stats_satisfy_fsal_identity():
@@ -188,7 +188,7 @@ def test_non_finite_field_aborts_at_first_step():
 
     with pytest.raises(IntegrationAbort) as info:
         integrate(f, np.array([1.0, 2.0]), IntegratorConfig(t_end=1.0, samples=3))
-    assert calls[0] <= 7
+    assert calls[0] == 1 and info.value.t == 0.0
     assert "non-finite" in str(info.value.cause)
 
 
@@ -198,6 +198,41 @@ def test_documented_method_name_is_accepted():
     a = integrate(lambda x: -x, np.array([3.0]), cfg)
     b = integrate(lambda x: -x, np.array([3.0]), ref)
     assert np.array_equal(a.states, b.states)
+
+
+# stage times c_i = sum_j a_ij, from Hairer's dop853.f
+DOP853_C = [
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+]
+
+
+def test_dop853_coefficient_identities():
+    A, B = numerics._DOP853_A, numerics._DOP853_B
+    assert len(A) == B.size == len(DOP853_C) == 13
+    for i, row in enumerate(A):
+        assert row.shape == (i,)
+        assert abs(row.sum() - DOP853_C[i]) < 2e-15
+    # the last stage is the field at the new point (FSAL)
+    assert np.array_equal(A[-1], B[:-1]) and B[-1] == 0.0
+    assert abs(B.sum() - 1.0) < 1e-15
+    for weights in (numerics._DOP853_E5, numerics._DOP853_E3):
+        assert weights.shape == B.shape and abs(weights.sum()) < 1e-15
+
+
+def test_dop853_integrates_a_degree_seven_polynomial_exactly():
+    # (t, x) with t' = 1, x' = t^p: x(1) = 1 / (p + 1).  An order-8 pair is
+    # exact for p = 7 at any step size, not for p = 8.
+    cfg = IntegratorConfig(t_end=1.0, samples=2, abs_tol=1e-6, rel_tol=1e-6)
+    err = {}
+    for p in (7, 8):
+        field = lambda y: np.stack([np.ones_like(y[..., 0]), y[..., 0] ** p], axis=-1)
+        end = integrate(field, np.zeros(2), cfg).states[-1]
+        err[p] = np.max(np.abs(end - [1.0, 1.0 / (p + 1)]))
+    assert err[7] < 1e-15
+    assert err[8] > 1e-12
 
 
 def test_observers_and_renormalization():
