@@ -39,7 +39,7 @@ import numpy as np
 from . import elpr, elr, veselova
 from .chart import Chart
 from .errors import ConfigError, DimensionError, ParameterError
-from .liealg import Frame, InertiaOperator, StiefelPoint, hat, unhat
+from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, unhat
 
 __all__ = [
     "BallState",
@@ -83,6 +83,13 @@ def _cross(a, b):
     return a[..., _C1] * b[..., _C2] - a[..., _C2] * b[..., _C1]
 
 
+def _blas_dot(a, b):
+    """a . b over the last axis, one BLAS dot per row, so that each value
+    equals np.dot of that row's vectors (_dot's sum can differ in the last
+    bit)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class BallState:
     """Ball state (w, gamma) with parameters (inertia, D, eps).
@@ -121,21 +128,30 @@ class BallState:
         return self.inertia + self.D
 
 
+def _k_vector(w, g, inertia, D):
+    """Marble-ball momentum k = I w + D w - D (w, gamma) gamma, batched."""
+    return inertia * w + D * (w - _dot(w, g)[..., None] * g)
+
+
 def k_vector(state: BallState) -> np.ndarray:
     """Marble-ball momentum k = I w + D w - D (w, gamma) gamma."""
-    w, g = state.omega, state.gamma
-    return state.inertia * w + state.D * (w - _dot(w, g) * g)
+    return _k_vector(state.omega, state.gamma, state.inertia, state.D)
 
 def m_vector(state: BallState) -> np.ndarray:
     """Rubber-ball multiplier-form momentum m = (I + D) w."""
     return state.total_inertia * state.omega
 
 
+def _momentum_vector(w, g, it):
+    """Rubber-ball momentum m_bold = I_tot w + (gamma, w - I_tot w) gamma,
+    batched; it holds the principal moments of I_tot."""
+    v = it * w
+    return v + _dot(g, w - v)[..., None] * g
+
+
 def momentum_vector(state: BallState) -> np.ndarray:
     """Rubber-ball momentum m_bold = I_tot w + (gamma, w - I_tot w) gamma."""
-    w, g = state.omega, state.gamma
-    v = state.total_inertia * w
-    return v + _dot(g, w - v) * g
+    return _momentum_vector(state.omega, state.gamma, state.total_inertia)
 
 
 def _k_matrix(gamma, inertia, D):
@@ -266,15 +282,21 @@ class _BallChart(Chart):
             rng, inertia=self.inertia, D=self.D, eps=self.eps, zero_constraint=zero_constants
         )
 
+    def _split(self, coords):
+        """w and gamma (..., 3) at coords (..., 6)."""
+        coords = np.asarray(coords, dtype=float)
+        return self._omega(coords[..., :3]), coords[..., 3:]
+
+    def _omega(self, lead):
+        return lead
+
 
 class ChaplyginChart(_BallChart):
     """Marble ball in the (w, gamma) variables."""
 
     def field(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        w, g = coords[..., :3], coords[..., 3:]
-        k = self.inertia * w + self.D * (w - _dot(w, g)[..., None] * g)
-        dk = _cross(k, w)
+        w, g = self._split(coords)
+        dk = _cross(_k_vector(w, g, self.inertia, self.D), w)
         dg = self.eps * _cross(g, w)
         # dk = K(gamma) dw - D ((w, dg) gamma + (w, gamma) dg)
         rhs = dk + self.D * (_dot(w, dg)[..., None] * g + _dot(w, g)[..., None] * dg)
@@ -299,12 +321,12 @@ class ChaplyginChart(_BallChart):
         return ["k1", "k2", "k3", "g1", "g2", "g3"]
 
     def row(self, coords):
-        st = self.unflatten(coords)
-        return np.concatenate([k_vector(st), st.gamma])
+        w, g = self._split(coords)
+        return np.concatenate([_k_vector(w, g, self.inertia, self.D), g], axis=-1)
 
     def integrals(self, coords):
-        st = self.unflatten(coords)
-        return {"H": 0.5 * float(np.dot(k_vector(st), st.omega))}
+        w, g = self._split(coords)
+        return {"H": 0.5 * _blas_dot(_k_vector(w, g, self.inertia, self.D), w)}
 
     def gated(self, first):
         return {"H_drift"}
@@ -333,9 +355,7 @@ class RubberChart(_BallChart):
         return lead / self.it if self.variables == "m" else lead
 
     def field(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        lead, g = coords[..., :3], coords[..., 3:]
-        w = self._omega(lead)
+        w, g = self._split(coords)
         m = self.it * w
         mw = _cross(m, w)
         lam = -_dot(g, mw / self.it) / _dot(g, g / self.it)
@@ -364,11 +384,8 @@ class RubberChart(_BallChart):
         return [f"{lead}{i}" for i in (1, 2, 3)] + ["g1", "g2", "g3"]
 
     def integrals(self, coords):
-        st = self.unflatten(coords)
-        return {
-            "H": 0.5 * float(np.dot(m_vector(st), st.omega)),
-            "phi1": float(np.dot(st.omega, st.gamma)),
-        }
+        w, g = self._split(coords)
+        return {"H": 0.5 * _blas_dot(self.it * w, w), "phi1": _blas_dot(w, g)}
 
     def gated(self, first):
         return {"phi1_drift", "H_drift"} if abs(first["phi1"]) <= 1e-12 else {"phi1_drift"}
@@ -405,15 +422,24 @@ def lift_to_so3(state: BallState, target: str):
     raise ParameterError(f"no so(3) lift for target {target!r}")
 
 
+def _vec(c):
+    """The 3-vectors of so(3) wedge coordinates c (..., 3)."""
+    return unhat(from_wedge(c, 3))
+
+
+def _max_abs(*diffs):
+    """Largest |entry| over the last axis of all diffs (..., 3): the
+    deviation of a ball sample from its lift's."""
+    return np.max(np.abs(np.concatenate(diffs, axis=-1)), axis=-1)
+
+
 def elpr_partner(chart: ChaplyginChart, state: BallState):
     """Marble ball against its so(3) lift to the L+R flow (crosscheck pair)."""
     lifted, op = lift_to_so3(state, "elpr")
     other = elpr.LPRChart(op, chart.eps)
 
     def deviation(rb, rg):
-        wb = chart.unflatten(rb).omega
-        wg = unhat(elpr.omega_from_k(other.unflatten(rg), op))
-        return float(np.max(np.abs(wb - wg)))
+        return _max_abs(chart._split(rb)[0] - _vec(other.velocity(rg)))
 
     return other, other.flatten(lifted), deviation
 
@@ -424,9 +450,8 @@ def elr_partner(chart: RubberChart, state: BallState):
     other = elr.MultiplierChart(op, 1, chart.eps)
 
     def deviation(rb, rg):
-        sb, sg = chart.unflatten(rb), other.unflatten(rg)
-        dev = np.max(np.abs(sb.omega - unhat(sg.omega)))
-        return float(max(dev, np.max(np.abs(sb.gamma - unhat(sg.frames.elems[0])))))
+        w, g = chart._split(rb)
+        return _max_abs(w - _vec(rg[..., :3]), g - _vec(rg[..., 3:]))
 
     return other, other.flatten(lifted), deviation
 
@@ -437,9 +462,8 @@ def veselova_partner(chart: RubberChart, state: BallState):
     other = veselova.VeselovaChart(op, 1, chart.eps)
 
     def deviation(rb, rg):
-        sb, sg = chart.unflatten(rb), other.unflatten(rg)
-        dev = np.max(np.abs(momentum_vector(sb) - unhat(sg.m_bold)))
-        return float(max(dev, np.max(np.abs(sb.gamma - sg.U.U[:, 0]))))
+        w, g = chart._split(rb)
+        return _max_abs(_momentum_vector(w, g, chart.it) - _vec(rg[..., :3]), g - rg[..., 3:])
 
     return other, other.flatten(lifted), deviation
 

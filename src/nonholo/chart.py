@@ -3,7 +3,9 @@
 A chart maps one system's states to flat coordinates.  Besides the flow
 (``field``, ``log_density``) it carries everything the ``nonholo`` command
 needs to know about its system, so the command itself holds no per-system
-code:
+code.  Every method that takes coordinates takes a batch (..., d) and
+answers with arrays over the same leading axes; the command calls each one
+once per trajectory and never builds a state object:
 
 * ``frame_index``: the (p, m) coordinates of the frame whose rows the flow
   keeps orthonormal, from which ``constraints`` and ``renormalize``
@@ -14,10 +16,11 @@ code:
 * ``check_density()``: raises where ``log_density`` is undefined, so the
   command can refuse such a run before integrating;
 * ``random_state(rng, zero_constants=False)``: a seeded random state;
-* ``columns()`` and ``row(coords)``: the CSV state block;
-* ``integrals(coords)``: named first integrals at one sample;
-* ``extra_drifts(states)``: drifts of conserved quantities that are not
-  first integrals;
+* ``columns()`` and ``row(coords)``: the CSV state block, (..., d) to
+  (..., len(columns()));
+* ``integrals(coords)``: named first integrals, each (...);
+* ``extra_drifts(states)``: drifts over the samples (..., T, d) of
+  conserved quantities that are not first integrals, each (...);
 * ``gated(first)``: the drift names the theory bounds, given the first
   sample's observables.
 """

@@ -33,6 +33,7 @@ from .numerics import (
     _ENSEMBLE_BATCH_BYTES,
     _STAGES,
     IntegratorConfig,
+    _check_drift,
     integrate,
     liouville_residual_ambient,
     tangent_volume_transport,
@@ -58,8 +59,9 @@ COMMON_KEYS = ("system", "epsilon", "tolerance", "initial", "checks", "integrato
 CHECKS = ("liouville", "volume", "integrals")
 
 # (config system, partner) -> function (chart, state) returning the partner
-# chart, its initial coordinates, and deviation(sample, partner sample): the
-# largest difference of the quantities both sides carry
+# chart, its initial coordinates, and deviation(samples, partner samples),
+# batched over (..., d): the largest difference of the quantities both sides
+# carry
 PAIRS = {
     ("elr_multiplier", "elr_momentum"): elr.momentum_partner,
     ("ball_chaplygin", "elpr"): ball3d.elpr_partner,
@@ -175,6 +177,8 @@ class RunConfig:
         _reject_non_finite(raw)
         self.epsilon = self.get("epsilon", float, required=True)
         self.tolerance = self.get("tolerance", float)
+        if self.tolerance is not None and self.tolerance < 0.0:
+            raise ConfigError(f"tolerance: must be nonnegative, got {self.tolerance!r}")
 
         initial = _mapping(raw, "initial", ("seed", "coords", "zero_constants"))
         self.seed = _cfg_get(initial, "seed", int, default=0, where="initial.")
@@ -281,6 +285,8 @@ def default_tolerance(check: str, cfg: RunConfig) -> float:
             raise ConfigError(f"NONHOLO_DEFAULT_TOL: not a number: {env!r}") from exc
         if not math.isfinite(tol):
             raise ConfigError(f"NONHOLO_DEFAULT_TOL: not a finite number: {env!r}")
+        if tol < 0.0:
+            raise ConfigError(f"NONHOLO_DEFAULT_TOL: must be nonnegative, got {env!r}")
         return tol
     return _DEFAULT_TOL[check]
 
@@ -320,15 +326,11 @@ def _out_path(cfg: RunConfig, out_dir, name) -> str:
 
 
 def observables(chart, states) -> dict:
-    """Named columns of scalars at the samples states (..., d): the first
-    integrals, one sample at a time, then log_density and residual, each
-    from one call on all samples."""
+    """Named columns (...) of scalars at the samples states (..., d), each
+    from one chart call on all samples: the first integrals, log_density
+    and residual, the largest constraint violation."""
     states = np.asarray(states, dtype=float)
-    per_sample = [chart.integrals(x) for x in states.reshape(-1, states.shape[-1])]
-    out = {
-        name: np.reshape([o[name] for o in per_sample], states.shape[:-1])
-        for name in per_sample[0]
-    }
+    out = dict(chart.integrals(states))
     out["log_density"] = np.asarray(chart.log_density(states), dtype=float)
     out["residual"] = chart.invariant_residual(states)
     return out
@@ -344,12 +346,9 @@ def cmd_simulate(cfg: RunConfig, seed, out_dir) -> int:
         print(f"integration abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
     obs = observables(chart, traj.states)
+    _check_drift(traj.times, obs["residual"])
     header = ["t"] + chart.columns() + list(obs)
-    values = np.stack(list(obs.values()), axis=-1).tolist()
-    rows = [
-        [float(t)] + [float(v) for v in chart.row(coords)] + o
-        for t, coords, o in zip(traj.times, traj.states, values)
-    ]
+    rows = np.column_stack([traj.times, chart.row(traj.states), *obs.values()]).tolist()
     path = _out_path(cfg, out_dir, f"{cfg.system}_trajectory.csv")
     write_csv(path, header, rows)
     print(f"simulate {cfg.system}: {len(rows)} samples -> {path}")
@@ -364,7 +363,7 @@ def _integral_drifts(chart, states, obs) -> dict:
             drifts["constraint_drift"] = float(np.max(np.abs(vals)))
         elif name != "log_density":
             drifts[f"{name}_drift"] = float(np.max(vals) - np.min(vals))
-    drifts.update(chart.extra_drifts(states))
+    drifts.update({k: float(v) for k, v in chart.extra_drifts(states).items()})
     return drifts
 
 
@@ -409,6 +408,7 @@ def _integral_results(cfg: RunConfig, x0) -> list:
         traj = integrate(chart.field, xs[0] if len(xs) == 1 else xs, cfg.integrator)
         for states in np.swapaxes(traj.states.reshape(len(traj.times), len(xs), d), 0, 1):
             obs = observables(chart, states)
+            _check_drift(traj.times, obs["residual"])
             gated = {"constraint_drift"} | chart.gated({k: v[0] for k, v in obs.items()})
             out.append((sorted(_integral_drifts(chart, states, obs).items()), gated))
     return out
@@ -495,7 +495,9 @@ def _crosscheck_deviations(cfg: RunConfig, partner):
     other, y0, deviation = partner(chart, state)
     ta = integrate(chart.field, chart.flatten(state), cfg.integrator)
     tb = integrate(other.field, y0, cfg.integrator)
-    return ta.times, [deviation(a, b) for a, b in zip(ta.states, tb.states)]
+    for side, traj in ((chart, ta), (other, tb)):
+        _check_drift(traj.times, side.invariant_residual(traj.states))
+    return ta.times, deviation(ta.states, tb.states)
 
 
 def cmd_crosscheck(cfg: RunConfig, pair_arg, out_dir) -> int:
@@ -514,10 +516,9 @@ def cmd_crosscheck(cfg: RunConfig, pair_arg, out_dir) -> int:
     except IntegrationAbort as exc:
         print(f"integration abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    rows = [[float(t), float(d)] for t, d in zip(times, devs)]
     path = _out_path(cfg, out_dir, f"crosscheck_{pair[0]}_{pair[1]}.csv")
-    write_csv(path, ["t", "deviation"], rows)
-    worst = max(devs)
+    write_csv(path, ["t", "deviation"], np.column_stack([times, devs]).tolist())
+    worst = float(np.max(devs))
     status = "pass" if worst <= tol else "fail"
     print(f"crosscheck {pair[0]}:{pair[1]}: max deviation {worst:.3e} ({status}) -> {path}")
     return EXIT_OK if status == "pass" else EXIT_TOLERANCE

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
+from .elr import _energy
 from .errors import (
     DefinitenessError,
     DimensionError,
@@ -140,17 +141,27 @@ def _solve_pd(K, rhs):
     return np.linalg.solve(K, rhs[..., None])[..., 0]
 
 
+def _k_coords(wc, Pi, op):
+    """Wedge coordinates of k_bold = I w + Pi w, batched over wc (..., N)
+    and Pi (..., N, N)."""
+    return op.apply_coords(wc) + (wc[..., None, :] @ np.swapaxes(Pi, -1, -2))[..., 0, :]
+
+
+def _velocity(kc, Pi, op):
+    """Wedge coordinates of w solving (I + Pi) w = k_bold, batched; raises
+    DefinitenessError unless I + Pi is positive definite."""
+    return _solve_pd(op.dense_matrix + Pi, kc)
+
+
 def k_from_omega(omega, Pi, op: InertiaOperator) -> np.ndarray:
     """k_bold = I w + Pi w."""
     wc = to_wedge(np.asarray(omega, dtype=float))
-    return from_wedge(op.apply_coords(wc) + wc @ np.asarray(Pi, dtype=float).T, op.n)
+    return from_wedge(_k_coords(wc, np.asarray(Pi, dtype=float), op), op.n)
 
 
 def omega_from_k(state: ELPRState, op: InertiaOperator) -> np.ndarray:
     """Solve (I + Pi) w = k_bold; raises if I + Pi is not positive definite."""
-    K = op.dense_matrix + state.Pi
-    wc = _solve_pd(K, to_wedge(state.k_bold))
-    return from_wedge(wc, op.n)
+    return from_wedge(_velocity(to_wedge(state.k_bold), state.Pi, op), op.n)
 
 
 def vf_elpr(state: ELPRState, op: InertiaOperator, eps: float):
@@ -177,8 +188,8 @@ def log_density_elpr(state_or_Pi, op: InertiaOperator) -> float:
 
 def energy(state: ELPRState, op: InertiaOperator) -> float:
     """H = <k_bold, w>/2, conserved for every eps."""
-    w = omega_from_k(state, op)
-    return 0.5 * float(liealg.inner_product(state.k_bold, w))
+    kc = to_wedge(state.k_bold)
+    return float(_energy(kc, _velocity(kc, state.Pi, op), op.n))
 
 
 def _unit_gamma(gamma_or_U):
@@ -262,6 +273,10 @@ class LPRChart(Chart):
         self.eps = float(eps)
         self.iu = np.triu_indices(self.N)
         self.dim = self.N + self.iu[0].size
+        # coordinate of Pi[i, j]: the upper-triangle entry (min(i, j), max(i, j))
+        upper = np.zeros((self.N, self.N), dtype=int)
+        upper[self.iu] = np.arange(self.N, self.dim)
+        self.pi_index = np.maximum(upper, upper.T)
 
     @classmethod
     def from_config(cls, cfg):
@@ -269,28 +284,24 @@ class LPRChart(Chart):
 
     def _split(self, coords):
         coords = np.asarray(coords, dtype=float)
-        wc = coords[..., : self.N]
-        Pi = np.zeros(coords.shape[:-1] + (self.N, self.N))
-        Pi[..., self.iu[0], self.iu[1]] = coords[..., self.N :]
-        Pi = Pi + np.swapaxes(Pi, -1, -2)
-        half = np.arange(self.N)
-        Pi[..., half, half] *= 0.5
-        return wc, Pi
+        return coords[..., : self.N], np.take(coords, self.pi_index, axis=-1)
 
     def _pack(self, wc, Pi):
         return np.concatenate([wc, Pi[..., self.iu[0], self.iu[1]]], axis=-1)
 
     def field(self, coords):
         wc, Pi = self._split(coords)
-        K = self.op.dense_matrix + Pi
         A = ad_coords(wc, self.n)
         # [I w, w] + (1 - eps) [Pi w, w] = -ad_w (I w + (1 - eps) Pi w)
         Iw = self.op.apply_coords(wc)
         Pw = np.einsum("...ij,...j->...i", Pi, wc)
         rhs = -np.einsum("...ij,...j->...i", A, Iw + (1.0 - self.eps) * Pw)
-        dwc = _solve_pd(K, rhs)
-        dPi = self.eps * (Pi @ A - A @ Pi)
-        return self._pack(dwc, dPi)
+        dwc = _solve_pd(self.op.dense_matrix + Pi, rhs)
+        # dPi = eps (Pi A - A Pi) = eps (Pi A + (Pi A)^T), as A is skew and Pi
+        # symmetric; only its upper triangle is packed
+        PA = Pi @ A
+        i, j = self.iu
+        return np.concatenate([dwc, self.eps * (PA[..., i, j] + PA[..., j, i])], axis=-1)
 
     def log_density(self, coords):
         return log_density_elpr(self._split(coords)[1], self.op)
@@ -311,12 +322,20 @@ class LPRChart(Chart):
         names = pair_labels(self.n, "w")
         return names + [f"Pi{i + 1}_{j + 1}" for i, j in zip(*self.iu)]
 
+    def velocity(self, coords):
+        """Wedge coordinates of w at coords (..., d), solved from k_bold =
+        (I + Pi) w as ``omega_from_k`` does for a state."""
+        wc, Pi = self._split(coords)
+        return _velocity(_k_coords(wc, Pi, self.op), Pi, self.op)
+
     def integrals(self, coords):
-        return {"H": energy(self.unflatten(coords), self.op)}
+        wc, Pi = self._split(coords)
+        kc = _k_coords(wc, Pi, self.op)
+        return {"H": _energy(kc, _velocity(kc, Pi, self.op), self.n)}
 
     def extra_drifts(self, states):
-        eigs = [np.linalg.eigvalsh(self.unflatten(coords).Pi) for coords in states]
-        return {"spectrum_drift": float(max(np.max(np.abs(e - eigs[0])) for e in eigs))}
+        eigs = np.linalg.eigvalsh(self._split(states)[1])
+        return {"spectrum_drift": np.max(np.abs(eigs - eigs[..., :1, :]), axis=(-2, -1))}
 
     def gated(self, first):
         return {"H_drift", "spectrum_drift"}
@@ -368,10 +387,8 @@ class LPRStiefelChart(_StiefelChart):
         return random_lpr_stiefel_state(self.n, self.r, rng)
 
     def integrals(self, coords):
-        st = self.unflatten(coords)
-        wc = _stiefel_velocity(to_wedge(st.k_bold), st.U.U, self.op, self.D)
-        w = from_wedge(wc, self.n)
-        return {"H": 0.5 * float(liealg.inner_product(st.k_bold, w))}
+        kc, U = self._split(coords)
+        return {"H": _energy(kc, _stiefel_velocity(kc, U, self.op, self.D), self.n)}
 
     def gated(self, first):
         return {"H_drift"}

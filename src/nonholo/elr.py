@@ -193,6 +193,28 @@ def _momentum_rhs(mc, P, op, eps):
     return dmc, wc, ad_w
 
 
+def _energy(mc, wc, n):
+    """<m, w>/2 from the wedge coordinates mc, wc (..., N), batched: the
+    energy of every flow here, with m the momentum its w pairs with."""
+    return 0.5 * inner_product(from_wedge(mc, n), from_wedge(wc, n))
+
+
+def _first_integrals(wc, ec, op):
+    """(phi (..., k), H, F) of the multiplier form at w, e_1..e_k given by
+    wc (..., N) and ec (..., k, N), batched; see first_integrals."""
+    n = op.n
+    elems = from_wedge(ec, n)
+    # w once per frame element, as a copy: einsum would sum a stride-0
+    # broadcast in another order, and a batch would round unlike one sample
+    w = np.repeat(from_wedge(wc, n)[..., None, :, :], elems.shape[-3], axis=-3)
+    mc = op.apply_coords(wc)
+    H = _energy(mc, wc, n)
+    coeff = _frame_solve(ec @ np.swapaxes(ec, -1, -2), inner_product(elems, w)[..., None])
+    pr_h_w = from_wedge((np.swapaxes(coeff, -1, -2) @ ec)[..., 0, :], n)
+    F = H - inner_product(pr_h_w, from_wedge(mc, n))
+    return inner_product(w, elems), H, F
+
+
 def _log_gram_det(ec, op, mode):
     if mode == "inverse_inertia":
         es = op.solve_coords(ec)
@@ -252,13 +274,12 @@ def momentum_of(
 
 
 def momentum_partner(chart, state: ELRMultiplierState):
-    """Multiplier form against its momentum form (crosscheck pair)."""
+    """Multiplier form against its momentum form (crosscheck pair); the
+    deviation of samples (..., d) is the largest velocity difference."""
     other = MomentumChart(chart.op, chart.k, chart.eps)
 
     def deviation(ra, rb):
-        wa = chart.unflatten(ra).omega
-        wb = omega_of(other.unflatten(rb), chart.op)
-        return float(np.max(np.abs(wa - wb)))
+        return np.max(np.abs(chart._split(ra)[0] - other.velocity(rb)), axis=-1)
 
     return other, other.flatten(momentum_of(state, chart.op)), deviation
 
@@ -266,10 +287,7 @@ def momentum_partner(chart, state: ELRMultiplierState):
 def omega_of(state: ELRMomentumState, op: InertiaOperator) -> np.ndarray:
     """Angular velocity from a momentum-form state: solve J w = m_bold."""
     fc = state.frames_d.coords
-    eye, shift = op.identity_and_shift
-    Jm = eye + (fc.T @ fc) @ shift
-    wc = np.linalg.solve(Jm, to_wedge(state.m_bold))
-    return from_wedge(wc, state.n)
+    return from_wedge(_momentum_velocity(to_wedge(state.m_bold), fc.T @ fc, op), state.n)
 
 
 @dataclass(frozen=True)
@@ -285,16 +303,8 @@ def first_integrals(state: ELRMultiplierState, op: InertiaOperator) -> FirstInte
     phi_i is conserved for every eps; H is conserved when all constants
     vanish; F is conserved exactly at eps = 1.
     """
-    w = state.omega
-    m = op.apply(w)
-    phi = inner_product(w, state.frames.elems)
-    H = 0.5 * float(inner_product(m, w))
-    ec = state.frames.coords
-    g = ec @ ec.T
-    coeff = _frame_solve(g, inner_product(state.frames.elems, w))
-    pr_h_w = from_wedge(coeff @ ec, state.n)
-    F = H - float(inner_product(pr_h_w, m))
-    return FirstIntegrals(phi=np.asarray(phi, dtype=float), energy=H, modified_energy=F)
+    phi, H, F = _first_integrals(to_wedge(state.omega), state.frames.coords, op)
+    return FirstIntegrals(phi=phi, energy=float(H), modified_energy=float(F))
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +372,12 @@ class MultiplierChart(_FrameChart):
         return random_multiplier_state(self.n, self.k, rng, zero_constants=zero_constants)
 
     def integrals(self, coords):
-        fi = first_integrals(self.unflatten(coords), self.op)
-        out = {"H": fi.energy, "F": fi.modified_energy}
-        for i, v in enumerate(fi.phi):
-            out[f"phi{i + 1}"] = float(v)
-        return out
+        wc, ec = self._split(coords)
+        det = np.linalg.det(ec @ np.swapaxes(ec, -1, -2))
+        if np.any(det <= 1e-12):  # the bound a state's Frame holds its rows to
+            raise SingularityError(f"frame is numerically dependent (Gram det {np.min(det):.3e})")
+        phi, H, F = _first_integrals(wc, ec, self.op)
+        return {"H": H, "F": F} | {f"phi{i + 1}": phi[..., i] for i in range(self.k)}
 
     def gated(self, first):
         gated = {f"phi{i + 1}_drift" for i in range(self.k)}
@@ -416,9 +427,14 @@ class MomentumChart(_FrameChart):
     def random_state(self, rng, zero_constants=False):
         return random_momentum_state(self.n, self.k, rng)
 
+    def velocity(self, coords):
+        """Wedge coordinates of w at coords (..., d)."""
+        mc, fc = self._split(coords)
+        return _momentum_velocity(mc, np.swapaxes(fc, -1, -2) @ fc, self.op)
+
     def integrals(self, coords):
-        w = omega_of(self.unflatten(coords), self.op)
-        return {"H": 0.5 * float(inner_product(self.op.apply(w), w))}
+        wc = self.velocity(coords)
+        return {"H": _energy(self.op.apply_coords(wc), wc, self.n)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Integration and measure-verification tools on flat coordinate charts.
 
-A "field" here is a callable mapping flat coordinates (..., d) to time
-derivatives (..., d); it must broadcast over leading batch dimensions so
-that finite-difference Jacobians can be evaluated in one vectorized call.
+Every callable this module takes (a field, a log density, constraints) is
+batched: it maps states (..., d) to values (..., m), or to (...) for a
+scalar, row by row, so that a finite-difference stencil or an ensemble is
+evaluated in one call.  A field returns time derivatives (..., d).  Wrap a
+function of one point (d,) in ``pointwise`` to make it batched; a stacked
+evaluation whose result has any other shape raises DimensionError.
 
 Two verification primitives are provided:
 
@@ -62,6 +65,7 @@ __all__ = [
     "constraint_tangent_basis",
     "tangent_volume_transport",
     "polar_orthonormalize",
+    "pointwise",
     "skew_symmetrize",
 ]
 
@@ -460,28 +464,30 @@ def _fd_points(x, h_scale):
     return pts, h
 
 
-def _eval_rows(fn, pts):
-    """fn on every row of pts (..., d) in one call: values (..., m).
+def pointwise(fn):
+    """Batched form of fn, a function of one point (d,) with a scalar or (m,)
+    value: the returned callable maps (..., d) to (..., m), calling fn once
+    per row."""
 
-    A scalar fn gives m = 1.  fn is called row by row only when its batched
-    call raises ValueError or TypeError or returns a wrongly shaped result,
-    which is how a function of one point at a time shows itself.  With as
-    many rows as columns, a pointwise fn that indexes its argument would
-    return a row-shaped result, so the last row is then evaluated twice.
-    """
+    def batched(x):
+        x = np.asarray(x, dtype=float)
+        rows = [np.asarray(fn(p), dtype=float).ravel() for p in x.reshape(-1, x.shape[-1])]
+        return np.array(rows).reshape(x.shape[:-1] + (-1,))
+
+    return batched
+
+
+def _eval_rows(fn, pts):
+    """Batched fn on every row of pts (..., d) in one call: values (..., m),
+    m = 1 for a scalar fn."""
     flat = pts.reshape(-1, pts.shape[-1])
-    rows = flat.shape[0]
-    if rows == flat.shape[1]:
-        flat = np.concatenate([flat, flat[-1:]])
-    try:
-        vals = np.asarray(fn(flat), dtype=float)
-    except NonholoError:
-        raise
-    except (ValueError, TypeError):
-        vals = None
-    if vals is None or vals.ndim not in (1, 2) or vals.shape[0] != flat.shape[0]:
-        vals = np.array([np.asarray(fn(p), dtype=float).ravel() for p in flat[:rows]])
-    return vals[:rows].reshape(pts.shape[:-1] + (-1,))
+    vals = np.asarray(fn(flat), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[0] != flat.shape[0]:
+        raise DimensionError(
+            f"a batched callable returned shape {vals.shape} for {flat.shape[0]} rows; "
+            "wrap a function of one point in numerics.pointwise"
+        )
+    return vals.reshape(pts.shape[:-1] + (-1,))
 
 
 def _field_and_jv(field_fn, x, Vt):
@@ -512,10 +518,8 @@ def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
     """Central finite-difference Jacobian of fn at x (..., d), shape (..., m, d).
 
     The step along coordinate i is h_scale * max(1, |x_i|) with
-    h_scale = eps**(1/3) by default.  fn is called once on the stacked
-    stencils of every point (2d rows each), and row by row only if that
-    call raises ValueError or TypeError or returns a wrongly shaped result;
-    any other error propagates.
+    h_scale = eps**(1/3) by default.  fn, batched, is called once on the
+    stacked stencils of every point (2d rows each).
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
@@ -555,6 +559,18 @@ def liouville_residual_ambient(field_fn, log_density_fn, x) -> float:
 
 # ---------------------------------------------------------------------------
 # constrained volume transport
+
+
+def _check_drift(times, drift):
+    """Raise ConstraintDriftError at the first of the sample times whose
+    constraint drift (largest |constraint|, one value per time) exceeds
+    _DRIFT_TOL."""
+    over = np.flatnonzero(np.asarray(drift) > _DRIFT_TOL)
+    if over.size:
+        i = over[0]
+        raise ConstraintDriftError(
+            f"constraint drift {drift[i]:.3e} exceeds {_DRIFT_TOL:g} at t={times[i]:.4g}"
+        )
 
 
 def constraint_tangent_basis(constraints_fn, x, rel_tol: float = 1e-9) -> np.ndarray:
@@ -623,8 +639,7 @@ def tangent_volume_transport(
     A member's residual can therefore differ from its own (d,) transport at
     the integrator-error level.  Any failure of one member raises for the
     whole ensemble.  The initial basis and every later sample time make one
-    call each of constraints_fn and log_density_fn on all members, so like
-    field_fn they must broadcast over a leading batch dimension.
+    call each of constraints_fn and log_density_fn on all members.
     Members run in consecutive groups small enough that one stacked field
     batch stays under 64 MB.
     """
@@ -670,11 +685,7 @@ def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_sample
         y = driver.advance(float(t)).copy()
         x = y[:, :d]
         if constraints_fn is not None:
-            drift = float(np.max(np.abs(_eval_rows(constraints_fn, x)), initial=0.0))
-            if drift > _DRIFT_TOL:
-                raise ConstraintDriftError(
-                    f"constraint drift {drift:.3e} exceeds {_DRIFT_TOL:.1e} at t={t:.4g}"
-                )
+            _check_drift([t], [np.max(np.abs(_eval_rows(constraints_fn, x)), initial=0.0)])
         Q, R = np.linalg.qr(np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2))
         diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
         if np.any(diag <= 0.0):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
-from .elr import _momentum_rhs, _momentum_velocity
+from .elr import _energy, _momentum_rhs, _momentum_velocity
 from .errors import ConfigError, DimensionError, ParameterError, UnsupportedSpecError
 from .liealg import (
     InertiaOperator,
@@ -42,7 +42,6 @@ from .liealg import (
     as_stiefel_matrix,
     dr_projector_matrix,
     from_wedge,
-    inner_product,
     to_wedge,
     wedge_dim,
 )
@@ -155,6 +154,12 @@ class _StiefelChart(Chart):
         """The columns of U, as the rows of U^T."""
         return self.N + np.arange(self.n * self.r).reshape(self.n, self.r).T
 
+    def _split(self, coords):
+        """The momentum block (..., N) and U (..., n, r) of coords (..., d)."""
+        coords = np.asarray(coords, dtype=float)
+        U = coords[..., self.N :].reshape(coords.shape[:-1] + (self.n, self.r))
+        return coords[..., : self.N], U
+
     def unflatten(self, coords):
         # loose Stiefel tolerance: trajectory samples carry integration drift
         coords = np.asarray(coords, dtype=float)
@@ -214,9 +219,8 @@ class VeselovaChart(_StiefelChart):
         return random_veselova_state(self.n, self.r, rng)
 
     def integrals(self, coords):
-        st = self.unflatten(coords)
-        w = from_wedge(_velocity(to_wedge(st.m_bold), st.U.U, self.op)[0], self.n)
-        return {"H": 0.5 * float(inner_product(self.op.apply(w), w))}
+        wc = _velocity(*self._split(coords), self.op)[0]
+        return {"H": _energy(self.op.apply_coords(wc), wc, self.n)}
 
 
 def random_veselova_state(n: int, r: int, rng: np.random.Generator) -> VeselovaState:

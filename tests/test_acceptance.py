@@ -56,6 +56,7 @@ from nonholo.numerics import (
     IntegratorConfig,
     integrate,
     liouville_residual_ambient,
+    pointwise,
     tangent_volume_transport,
 )
 from nonholo.veselova import (
@@ -169,6 +170,7 @@ def test_criterion_2_volume_transport_suite():
     for eps in EPS_GRID:
         chart = MomentumChart(op, k, eps)
 
+        @pointwise
         def wrong_m(c, eps=eps):
             fc = np.asarray(c)[N:].reshape(N - k, N)
             return (1.0 / eps - 1.0) * _log_gram_det(fc, op, "inertia")
@@ -186,6 +188,7 @@ def test_criterion_2_volume_transport_suite():
     for eps in EPS_GRID:
         chart = VeselovaChart(opv, r, eps)
 
+        @pointwise
         def wrong_v(c, eps=eps):
             return float(
                 (1.0 / eps - 1.0) * (n - r - 1) * _log_base(np.asarray(c)[N:], a, n, r, ())
@@ -201,6 +204,7 @@ def test_criterion_2_volume_transport_suite():
     sts = random_lpr_stiefel_state(n, r, rng)
     chart = LPRStiefelChart(a, D, r, 0.5)
 
+    @pointwise
     def wrong_s(c):
         # doubled exponent (the density carries no eps to perturb)
         return float(-(n - r - 1) * _log_base(np.asarray(c)[N:], 1.0 / np.asarray(a), n, r, ()))

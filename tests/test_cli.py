@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nonholo.ball3d import ChaplyginChart
-from nonholo import cli
+from nonholo import cli, numerics
 from nonholo.cli import PAIRS, SYSTEMS, load_config, main, observables
 from nonholo.errors import SingularityError
 from nonholo.numerics import IntegratorConfig, integrate
@@ -155,6 +155,31 @@ def test_degenerate_multiplier_frame_exits_four(tmp_path, capsys, command):
         assert len(rows) == 2 and rows[1][-1].startswith("abort: ")
     else:
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("system", CONSTRAINED_IDS)
+def test_constraint_drift_aborts_with_one_message_for_every_constrained_chart(
+    tmp_path, capsys, system
+):
+    # the seeded state with its frame scaled by 1 + 1e-5: the Gram matrix of
+    # the frame is off the identity by about 2e-5 from the first sample on
+    path = CONFIGS[CONFIG_IDS.index(system)]
+    run = load_config(path)
+    x = run.initial_coords(run.seed)
+    x[run.chart.frame_index] *= 1.0 + 1e-5
+    cfg = sample_config(path, initial={"coords": x.tolist()},
+                        integrator={"t_end": 0.5, "samples": 3})
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: constraint drift ")
+    assert "exceeds 1e-06 at t=0\n" in err
+    assert main(["verify", "--config", p, "--check", "integrals", "--seeds", "1",
+                 "--out", str(out)]) == 4
+    rows = read_rows(out / f"{system}_integrals.csv")
+    assert len(rows) == 2 and rows[1][7] == "abort"
+    assert rows[1][-1].startswith("abort: constraint drift ") and "exceeds 1e-06" in rows[1][-1]
 
 
 def test_simulate_abort_exits_four(tmp_path):
@@ -326,6 +351,21 @@ def test_env_var_sets_default_tolerance(tmp_path, monkeypatch):
                      "--out", str(tmp_path)]) == 3
 
 
+def test_negative_env_tolerance_exits_three_naming_the_variable(tmp_path, monkeypatch, capsys):
+    # a negative tolerance would fail every gated row; zero stays allowed
+    cfg = write_cfg(tmp_path, BALL_CFG)
+    monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "-5")
+    assert main(["verify", "--config", cfg, "--check", "volume",
+                 "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("config error: NONHOLO_DEFAULT_TOL: ")
+    monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "0")
+    assert main(["verify", "--config", cfg, "--check", "volume",
+                 "--out", str(tmp_path)]) == 2
+    zero = write_cfg(tmp_path, dict(BALL_CFG, tolerance=0), "zero.json")
+    assert main(["verify", "--config", zero, "--check", "volume",
+                 "--out", str(tmp_path)]) == 2
+
+
 def test_config_tolerance_wins_over_env(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, dict(BALL_CFG, tolerance=10.0))
     monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "1e-20")
@@ -347,6 +387,19 @@ def test_crosscheck_pair_and_reversed_alias(tmp_path):
     assert max(float(r[1]) for r in rows[1:]) < 1e-8
     assert main(["crosscheck", "--config", cfg,
                  "--pair", "elr_multiplier:ball_rubber", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("pair", ["elr_multiplier:elr_momentum", "ball_rubber:elr_multiplier"])
+def test_crosscheck_checks_the_drift_of_both_trajectories(tmp_path, capsys, monkeypatch, pair):
+    # with no drift allowed, rounding trips the check on the constrained side:
+    # the partner's trajectory in the first pair, the config's in the second
+    monkeypatch.setattr(numerics, "_DRIFT_TOL", 0.0)
+    system = pair.split(":")[0]
+    cfg = sample_config(CONFIGS[CONFIG_IDS.index(system)], integrator={"t_end": 0.5})
+    p = write_cfg(tmp_path, cfg)
+    assert main(["crosscheck", "--config", p, "--pair", pair, "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("numerical error: constraint drift ")
+    assert not glob.glob(str(tmp_path / "*.csv"))
 
 
 def test_crosscheck_requires_matching_system(tmp_path):
@@ -427,7 +480,7 @@ NON_FINITE = [
         {"integrator": {"renormalize_every": 1.5}},
         {"integrator": {"renormalize_every": 0}},
         VESELOVA_IDENTITY,
-    ] + [patch for patch, _ in NON_FINITE + NOT_INTEGER_OR_BOOLEAN],
+    ] + [patch for patch, _ in NON_FINITE + NOT_INTEGER_OR_BOOLEAN] + [{"tolerance": -1}],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
     cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
@@ -450,7 +503,7 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"integrator": {"renormalize_every": 1.5}}, "integrator"),
         ({"integrator": {"renormalize_every": 0}}, "integrator"),
         (VESELOVA_IDENTITY, "inertia"),
-    ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN,
+    ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN + [({"tolerance": -1}, "tolerance")],
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     # no --out: a malformed "output" must not get as far as choosing a directory

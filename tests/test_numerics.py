@@ -12,6 +12,7 @@ from nonholo.ball3d import ChaplyginChart, random_ball_state
 from nonholo.cli import SYSTEMS, load_config
 from nonholo.errors import (
     ConstraintDriftError,
+    DimensionError,
     IntegrationAbort,
     ParameterError,
     StiffnessError,
@@ -255,11 +256,12 @@ def test_fd_jacobian_linear_exact():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((5, 5))
     x = rng.standard_normal(5)
-    J = fd_jacobian(lambda v: A @ v, x)
+    J = fd_jacobian(numerics.pointwise(lambda v: A @ v), x)
     assert np.max(np.abs(J - A)) < 1e-9
 
 
 def test_fd_jacobian_nonlinear_oracle():
+    @numerics.pointwise
     def f(v):
         return np.array([np.sin(v[0]) * v[1], v[0] ** 2 + np.cos(v[1])])
 
@@ -287,7 +289,7 @@ def test_fd_jacobian_broadcasts_over_leading_dimensions():
 
 
 def test_fd_gradient_quadratic_halving():
-    f = lambda v: float(v @ v) + np.sin(v[0])
+    f = numerics.pointwise(lambda v: float(v @ v) + np.sin(v[0]))
     x = np.array([0.3, -1.2, 0.8])
     expect = 2 * x + np.array([np.cos(x[0]), 0.0, 0.0])
     g1 = fd_gradient(f, x, h_scale=1e-4)
@@ -308,9 +310,9 @@ def test_fd_gradient_falls_back_row_by_row_for_a_pointwise_function():
         return float(np.sum(v**3))
 
     g = fd_gradient(batched, x)
-    assert np.array_equal(fd_gradient(pointwise, x), g)
-    # a batched call that returns one scalar for the whole stencil is retried too
-    assert np.array_equal(fd_gradient(lambda v: np.sum(v**3), x), g)
+    assert np.array_equal(fd_gradient(numerics.pointwise(pointwise), x), g)
+    # a one-point function that would sum a whole stencil is adapted the same way
+    assert np.array_equal(fd_gradient(numerics.pointwise(lambda v: np.sum(v**3)), x), g)
 
 
 def test_fd_batched_call_errors_are_not_retried_row_by_row():
@@ -327,22 +329,50 @@ def test_fd_batched_call_errors_are_not_retried_row_by_row():
     assert calls == [(6, 3), (6, 3)]
 
 
+def test_a_wrongly_shaped_batched_result_raises_instead_of_a_row_by_row_retry():
+    calls = []
+
+    def one_point(v):
+        calls.append(np.shape(v))
+        return np.sum(v**3)  # one scalar for the whole stencil
+
+    with pytest.raises(DimensionError, match="pointwise"):
+        fd_gradient(one_point, np.zeros(3))
+    assert calls == [(6, 3)]
+
+
+def test_pointwise_adapter_maps_leading_axes_row_by_row():
+    rows = []
+
+    def f(v):
+        rows.append(np.shape(v))
+        return np.array([v[0], v[1] * v[2]])
+
+    x = np.arange(24.0).reshape(2, 4, 3)
+    out = numerics.pointwise(f)(x)
+    assert out.shape == (2, 4, 2) and rows == [(3,)] * 8
+    assert np.array_equal(out[1, 2], f(x[1, 2]))
+    assert numerics.pointwise(lambda v: float(v @ v))(np.ones(3)).shape == (1,)
+
+
 def test_divergence_of_linear_field_is_trace():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
     x = rng.standard_normal(4)
-    assert divergence(lambda v: A @ v, x) == pytest.approx(np.trace(A), abs=1e-7)
+    assert divergence(numerics.pointwise(lambda v: A @ v), x) == pytest.approx(
+        np.trace(A), abs=1e-7
+    )
 
 
 def test_liouville_residual_closed_forms():
     # rotation field with rotationally invariant density: residual vanishes
-    rot = lambda v: np.array([-v[1], v[0]])
-    logmu = lambda v: 0.7 * float(v @ v)
+    rot = numerics.pointwise(lambda v: np.array([-v[1], v[0]]))
+    logmu = numerics.pointwise(lambda v: 0.7 * float(v @ v))
     x = np.array([0.6, -1.1])
     assert abs(liouville_residual_ambient(rot, logmu, x)) < 1e-8
     # constant drift against a linear density: residual is the known slope
-    drift = lambda v: np.array([1.0, 0.0])
-    tilted = lambda v: 2.5 * v[0]
+    drift = numerics.pointwise(lambda v: np.array([1.0, 0.0]))
+    tilted = numerics.pointwise(lambda v: 2.5 * v[0])
     assert liouville_residual_ambient(drift, tilted, x) == pytest.approx(2.5, abs=1e-7)
 
 
@@ -350,6 +380,7 @@ def test_liouville_residual_closed_forms():
 # constrained tangent-volume transport
 
 
+@numerics.pointwise
 def sphere_constraints(x):
     return np.array([x @ x - 1.0])
 
@@ -367,7 +398,9 @@ def test_transport_rigid_rotation_constant_density():
     field = lambda x: np.cross(a, x)
     x0 = np.array([1.0, 0.0, 0.0])
     cfg = IntegratorConfig(t_end=5.0, abs_tol=1e-11, rel_tol=1e-11)
-    res = tangent_volume_transport(field, lambda x: 0.0, x0, sphere_constraints, cfg)
+    res = tangent_volume_transport(
+        field, numerics.pointwise(lambda x: 0.0), x0, sphere_constraints, cfg
+    )
     assert res.max_abs_residual < 1e-9
     assert res.times[-1] == pytest.approx(5.0)
 
@@ -377,20 +410,30 @@ def test_transport_residual_invariant_under_density_rescale():
     field = lambda x: np.cross(a, x)
     x0 = np.array([0.0, 1.0, 0.0])
     cfg = IntegratorConfig(t_end=3.0)
-    r1 = tangent_volume_transport(field, lambda x: 0.0, x0, sphere_constraints, cfg)
-    r2 = tangent_volume_transport(field, lambda x: 7.0, x0, sphere_constraints, cfg)
+    r1 = tangent_volume_transport(
+        field, numerics.pointwise(lambda x: 0.0), x0, sphere_constraints, cfg
+    )
+    r2 = tangent_volume_transport(
+        field, numerics.pointwise(lambda x: 7.0), x0, sphere_constraints, cfg
+    )
     assert np.allclose(r1.residual, r2.residual, atol=1e-12)
 
 
 def test_transport_flags_wrong_density():
     # contraction x' = -x on the plane with a constant density is not invariant
     cfg = IntegratorConfig(t_end=1.0)
-    res = tangent_volume_transport(lambda x: -x, lambda x: 0.0, np.array([1.0, 0.5]), None, cfg)
+    res = tangent_volume_transport(
+        lambda x: -x, numerics.pointwise(lambda x: 0.0), np.array([1.0, 0.5]), None, cfg
+    )
     assert res.max_abs_residual == pytest.approx(2.0, rel=1e-6)
     # log mu = -2 log|x| grows along the flow exactly as fast as the
     # tangent volume shrinks, restoring invariance
     good = tangent_volume_transport(
-        lambda x: -x, lambda x: -2.0 * np.log(np.linalg.norm(x)), np.array([1.0, 0.5]), None, cfg
+        lambda x: -x,
+        numerics.pointwise(lambda x: -2.0 * np.log(np.linalg.norm(x))),
+        np.array([1.0, 0.5]),
+        None,
+        cfg,
     )
     assert good.max_abs_residual < 1e-9
 
@@ -400,7 +443,11 @@ def test_transport_aborts_on_constraint_drift():
     cfg = IntegratorConfig(t_end=1.0)
     with pytest.raises(ConstraintDriftError):
         tangent_volume_transport(
-            lambda x: x, lambda x: 0.0, np.array([1.0, 0.0, 0.0]), sphere_constraints, cfg
+            lambda x: x,
+            numerics.pointwise(lambda x: 0.0),
+            np.array([1.0, 0.0, 0.0]),
+            sphere_constraints,
+            cfg,
         )
 
 
@@ -417,7 +464,7 @@ def test_transport_takes_the_constraint_jacobian_once():
     x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
     cfg = IntegratorConfig(t_end=1.0)
     results = tangent_volume_transport(
-        lambda x: np.cross(a, x), lambda x: 0.0, x0, sphere, cfg, n_samples=5
+        lambda x: np.cross(a, x), numerics.pointwise(lambda x: 0.0), x0, sphere, cfg, n_samples=5
     )
     assert calls[0] == (3 * 2 * 3, 3)  # the central-difference stencil of every member
     assert len(calls) == 1 + 4
@@ -426,7 +473,7 @@ def test_transport_takes_the_constraint_jacobian_once():
 
 def test_pointwise_function_is_read_row_by_row_when_members_equal_dimension():
     # three members in R^3: a pointwise x[0] must not be read as the first row
-    logmu = lambda x: 0.1 * x[0]
+    logmu = numerics.pointwise(lambda x: 0.1 * x[0])
     x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert np.array_equal(numerics._eval_rows(logmu, x0), [[0.0], [0.1], [0.0]])
     # rotation about e_1 keeps x[0], so the density is invariant
@@ -442,12 +489,19 @@ def test_transport_stats_satisfy_fsal_identity():
     field = lambda x: np.cross(a, x)
     cfg = IntegratorConfig(t_end=2.0)
     res = tangent_volume_transport(
-        field, lambda x: 0.0, np.array([0.0, 0.6, 0.8]), sphere_constraints, cfg, n_samples=6
+        field,
+        numerics.pointwise(lambda x: 0.0),
+        np.array([0.0, 0.6, 0.8]),
+        sphere_constraints,
+        cfg,
+        n_samples=6,
     )
     assert res.stats.fsal_resets == 4  # after every sample but the last
     assert fsal_identity(res.stats)
     x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
-    results = tangent_volume_transport(field, lambda x: 0.0, x0, sphere_constraints, cfg)
+    results = tangent_volume_transport(
+        field, numerics.pointwise(lambda x: 0.0), x0, sphere_constraints, cfg
+    )
     assert len(results) == 3
     assert all(r.stats is results[0].stats for r in results)
     assert fsal_identity(results[0].stats)
@@ -465,7 +519,9 @@ def test_transport_stage_is_one_field_call_on_one_plus_two_q_rows_per_member():
 
     x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
     cfg = IntegratorConfig(t_end=1.0)
-    results = tangent_volume_transport(field, lambda x: 0.0, x0, sphere_constraints, cfg)
+    results = tangent_volume_transport(
+        field, numerics.pointwise(lambda x: 0.0), x0, sphere_constraints, cfg
+    )
     assert rows == [(3 * 5, 3)] * results[0].stats.evaluations
 
 
@@ -491,14 +547,16 @@ def test_directional_jv_matches_the_fd_jacobian_times_v(path):
 def test_ambient_linear_field_log_volume_is_t_trace():
     A = 0.4 * np.random.default_rng(6).standard_normal((4, 4))
     cfg = IntegratorConfig(t_end=2.0)
-    res = tangent_volume_transport(lambda x: x @ A.T, lambda x: 0.0, np.ones(4), None, cfg)
+    res = tangent_volume_transport(
+        lambda x: x @ A.T, numerics.pointwise(lambda x: 0.0), np.ones(4), None, cfg
+    )
     assert np.max(np.abs(res.log_tangent_volume - res.times * np.trace(A))) <= 1e-8
 
 
 def test_transport_single_member_ensemble_is_the_single_transport():
     a = np.array([0.3, -0.5, 0.8])
     field = lambda x: np.cross(a, x)
-    logmu = lambda x: 0.1 * x[0]
+    logmu = numerics.pointwise(lambda x: 0.1 * x[0])
     x0 = np.array([0.0, 0.6, 0.8])
     cfg = IntegratorConfig(t_end=3.0)
     one = tangent_volume_transport(field, logmu, x0, sphere_constraints, cfg)
@@ -517,7 +575,7 @@ def swirl(x):
 def test_ensemble_steps_at_least_as_often_as_its_stiffest_member():
     cfg = IntegratorConfig(t_end=2.0, abs_tol=1e-9, rel_tol=1e-9)
     x0 = np.array([[1.0, 0.0], [0.0, 2.0]])  # the second turns four times faster
-    logmu = lambda x: 0.0
+    logmu = numerics.pointwise(lambda x: 0.0)
     alone = [tangent_volume_transport(swirl, logmu, x, None, cfg).stats.accepted for x in x0]
     assert alone[1] > alone[0]
     ensemble = tangent_volume_transport(swirl, logmu, x0, None, cfg)
@@ -527,7 +585,7 @@ def test_ensemble_steps_at_least_as_often_as_its_stiffest_member():
 def test_ensemble_split_into_groups_matches_serial(monkeypatch):
     cfg = IntegratorConfig(t_end=1.0)
     x0 = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
-    logmu = lambda x: 0.0
+    logmu = numerics.pointwise(lambda x: 0.0)
     serial = [tangent_volume_transport(swirl, logmu, x, None, cfg) for x in x0]
     # a batch bound below one member's stencil transports every seed alone
     monkeypatch.setattr(numerics, "_ENSEMBLE_BATCH_BYTES", 1)
