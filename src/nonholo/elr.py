@@ -373,9 +373,10 @@ class MultiplierChart(_FrameChart):
 
     def integrals(self, coords):
         wc, ec = self._split(coords)
-        det = np.linalg.det(ec @ np.swapaxes(ec, -1, -2))
-        if np.any(det <= 1e-12):  # the bound a state's Frame holds its rows to
-            raise SingularityError(f"frame is numerically dependent (Gram det {np.min(det):.3e})")
+        # scale-free, as in liealg.frame_gram: smallest Gram eigenvalue against the largest
+        ev = np.linalg.eigvalsh(ec @ np.swapaxes(ec, -1, -2))
+        if np.any(ev[..., 0] <= 1e-12 * np.maximum(ev[..., -1], 0.0)):
+            raise SingularityError("frame is numerically dependent (Gram eigenvalue ratio <= 1e-12)")
         phi, H, F = _first_integrals(wc, ec, self.op)
         return {"H": H, "F": F} | {f"phi{i + 1}": phi[..., i] for i in range(self.k)}
 

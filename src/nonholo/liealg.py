@@ -572,13 +572,18 @@ def restricted_det(op: InertiaOperator, frame: Frame, mode: str = "inertia") -> 
     return d
 
 
-def isotropy_frame(gamma: np.ndarray, rel_tol: float = 1e-9) -> Frame:
-    """Orthonormal frame of the isotropy subalgebra {x : [x, gamma] = 0}."""
+# Relative singular-value cut of ad_gamma's null space in isotropy_frame.
+_ISOTROPY_RTOL = 1e-9
+
+
+def isotropy_frame(gamma: np.ndarray) -> Frame:
+    """Orthonormal frame of the isotropy subalgebra {x : [x, gamma] = 0}; singular
+    values of ad_gamma at or below _ISOTROPY_RTOL times the largest count as zero."""
     gamma = np.asarray(gamma, dtype=float)
     check_skew(gamma)
     A = ad_matrix(gamma)
     _, s, vt = np.linalg.svd(A)
-    cut = rel_tol * max(s[0], 1e-300)
+    cut = _ISOTROPY_RTOL * max(s[0], 1e-300)
     null_rows = vt[s <= cut] if np.any(s <= cut) else vt[:0]
     if null_rows.shape[0] == 0:
         raise SingularityError("isotropy subalgebra is trivial at this tolerance")
@@ -620,8 +625,4 @@ def random_stiefel(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Random n x r orthonormal columns from a normal matrix (QR, sign-fixed)."""
     if not 1 <= r <= n:
         raise DimensionError(f"need 1 <= r <= n, got r={r}, n={n}")
-    g = rng.standard_normal((n, r))
-    q, rr = np.linalg.qr(g)
-    sign = np.sign(np.diag(rr))
-    sign[sign == 0.0] = 1.0
-    return q * sign
+    return orthonormalize_rows(rng.standard_normal((n, r)).T).T

@@ -74,6 +74,8 @@ _FD_H = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _ENSEMBLE_BATCH_BYTES = 64 * 2**20
 # Constraint drift at a sample time beyond this aborts a transport.
 _DRIFT_TOL = 1e-6
+# Relative singular-value cut of the constraint Jacobian's rank.
+_RANK_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,6 @@ class IntegrationStats:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
-    observations: dict = field(default_factory=dict)
     stats: IntegrationStats = field(default_factory=IntegrationStats)
 
 
@@ -284,7 +285,6 @@ class _AdaptiveDriver:
         self.t = 0.0
         self.h = None
         self.f0 = None
-        self.steps = 0
         self.accepted_since_renorm = 0
         self.stats = IntegrationStats()
 
@@ -320,7 +320,7 @@ class _AdaptiveDriver:
             self.h = self._initial_h(max(t_target - self.t, 1e-12))
         while self.t < t_target - 1e-14 * max(1.0, abs(t_target)):
             self._fsal_start()
-            if self.steps >= cfg.max_steps:
+            if self.stats.accepted + self.stats.rejected >= cfg.max_steps:
                 raise IntegrationAbort(self.t, "max_steps exceeded")
             h = min(self.h, t_target - self.t)
             if h < 1e-14 * max(1.0, abs(self.t)):
@@ -339,7 +339,6 @@ class _AdaptiveDriver:
             err_norm = _error_norm(h, K, sc)
             if not np.isfinite(err_norm):
                 raise IntegrationAbort(self.t, "non-finite field value")
-            self.steps += 1
             if err_norm <= 1.0:
                 self.stats._accept(h)
                 self.t += h
@@ -370,14 +369,13 @@ class _FixedDriver:
         self.x = np.asarray(x, dtype=float).copy()
         self.cfg = cfg
         self.t = 0.0
-        self.steps = 0
         self.accepted_since_renorm = 0
         self.stats = IntegrationStats()
 
     def advance(self, t_target, on_accept=None):
         dt = self.cfg.dt
         while self.t < t_target - 1e-14 * max(1.0, abs(t_target)):
-            if self.steps >= self.cfg.max_steps:
+            if self.stats.accepted >= self.cfg.max_steps:
                 raise IntegrationAbort(self.t, "max_steps exceeded")
             h = min(dt, t_target - self.t)
             try:
@@ -388,7 +386,6 @@ class _FixedDriver:
                 raise IntegrationAbort(self.t, "non-finite state")
             self.x = x
             self.t += h
-            self.steps += 1
             self.stats._accept(h)
             self.stats.evaluations += 4
             self.accepted_since_renorm += 1
@@ -406,7 +403,7 @@ def _make_driver(f, x0, cfg):
     return _AdaptiveDriver(f, x0, cfg)
 
 
-def integrate(field_fn, x0, cfg: IntegratorConfig, observers=None, renormalize_fn=None):
+def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
     """Integrate dx/dt = field_fn(x) and sample at cfg.sample_times().
 
     x0 is one state (d,) or an ensemble (S, d); states then has shape
@@ -415,8 +412,6 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, observers=None, renormalize_f
     dimension, and the adaptive pair controls the step by the largest member
     error, so a member can differ from its own (d,) run at the
     integrator-error level.
-    observers maps names to callables (t, x) -> scalar or array, evaluated
-    at every sample time on the whole state, (d,) or (S, d).
     renormalize_fn, if given together with cfg.renormalize_every, projects
     the state back onto its manifold after that many accepted steps.
     """
@@ -433,18 +428,10 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, observers=None, renormalize_f
             drv.reset_fsal()
 
     states = [driver.x.copy()]
-    obs = {name: [fn(0.0, driver.x)] for name, fn in (observers or {}).items()}
     for t in times[1:]:
         driver.advance(float(t), on_accept=on_accept)
         states.append(driver.x.copy())
-        for name, fn in (observers or {}).items():
-            obs[name].append(fn(float(t), driver.x))
-    return Trajectory(
-        times=times,
-        states=np.array(states),
-        observations={k: np.array(v) for k, v in obs.items()},
-        stats=driver.stats,
-    )
+    return Trajectory(times=times, states=np.array(states), stats=driver.stats)
 
 
 # ---------------------------------------------------------------------------
@@ -529,28 +516,31 @@ def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
     return np.swapaxes(diff, -1, -2)
 
 
+# fd_gradient calls the stencil by this name, so that a wrapper installed on
+# fd_jacobian (a profiler, say) sees only the Jacobians asked for as such
+_jacobian = fd_jacobian
+
+
 def fd_gradient(fn, x, h_scale: float | None = None) -> np.ndarray:
-    """Central finite-difference gradient of scalar fn at x, stencil as fd_jacobian."""
-    x = np.asarray(x, dtype=float).ravel()
-    d = x.size
-    pts, h = _fd_points(x, _FD_H if h_scale is None else h_scale)
-    vals = _eval_rows(fn, pts).reshape(2 * d)
-    return (vals[:d] - vals[d:]) / (2.0 * h)
+    """Gradient (..., d) of scalar fn at x (..., d): row 0 of its Jacobian."""
+    return _jacobian(fn, x, h_scale)[..., 0, :]
 
 
-def divergence(field_fn, x, h_scale: float | None = None) -> float:
-    """Trace of the finite-difference Jacobian of the field at x."""
-    return float(np.trace(fd_jacobian(field_fn, x, h_scale)))
+def divergence(field_fn, x, h_scale: float | None = None):
+    """Divergence (...) of the field at x (..., d): the trace of fd_jacobian."""
+    return np.trace(fd_jacobian(field_fn, x, h_scale), axis1=-2, axis2=-1)
 
 
 def liouville_residual_ambient(field_fn, log_density_fn, x) -> float:
-    """div(X)(x) + <grad log mu, X>(x) on a full linear chart.
+    """div(X)(x) + <grad log mu, X>(x) on a full linear chart, at one point x (d,).
 
     Vanishes identically when mu is the density of an invariant measure in
     these coordinates.  Both terms come from central finite differences, so
     the residual is independent of any closed-form divergence.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"x: expected one point (d,), got shape {x.shape}")
     div = divergence(field_fn, x)
     grad = fd_gradient(log_density_fn, x)
     fx = np.asarray(field_fn(x), dtype=float).ravel()
@@ -573,12 +563,13 @@ def _check_drift(times, drift):
         )
 
 
-def constraint_tangent_basis(constraints_fn, x, rel_tol: float = 1e-9) -> np.ndarray:
+def constraint_tangent_basis(constraints_fn, x) -> np.ndarray:
     """Orthonormal basis (..., d, q) of the null space of the constraint Jacobian
-    at x (..., d), from one stacked fd_jacobian; every point must leave the same q."""
+    at x (..., d), from one stacked fd_jacobian; every point must leave the same q.
+    Singular values at or below _RANK_RTOL times the largest count as zero."""
     jac = fd_jacobian(constraints_fn, x)
     _, s, vt = np.linalg.svd(jac)
-    ranks = np.unique(np.sum(s > rel_tol * s[..., :1], axis=-1))
+    ranks = np.unique(np.sum(s > _RANK_RTOL * s[..., :1], axis=-1))
     if ranks.size > 1:
         raise DimensionError("ensemble members have tangent spaces of different dimension")
     basis = np.swapaxes(vt[..., int(ranks[0]) :, :], -1, -2)

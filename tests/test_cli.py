@@ -73,13 +73,14 @@ def test_simulate_writes_trajectory_with_expected_header(tmp_path):
     assert rows[1][0] == "0"
 
 
-def test_simulate_deterministic_bytes(tmp_path):
-    cfg = write_cfg(tmp_path, BALL_CFG)
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_simulate_deterministic_bytes(tmp_path, path):
+    system = sample_config(path)["system"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-    b1 = (out1 / "ball_chaplygin_trajectory.csv").read_bytes()
-    b2 = (out2 / "ball_chaplygin_trajectory.csv").read_bytes()
+    assert main(["simulate", "--config", path, "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", path, "--out", str(out2)]) == 0
+    b1 = (out1 / f"{system}_trajectory.csv").read_bytes()
+    b2 = (out2 / f"{system}_trajectory.csv").read_bytes()
     assert b1 == b2
     assert b"\r" not in b1  # LF endings only
 
@@ -155,6 +156,17 @@ def test_degenerate_multiplier_frame_exits_four(tmp_path, capsys, command):
         assert len(rows) == 2 and rows[1][-1].startswith("abort: ")
     else:
         assert not (tmp_path / "out").exists()
+
+
+def test_multiplier_frame_check_is_scale_free(tmp_path):
+    # frame rows scaled by 1e-3: Gram det 1e-12, rows independent
+    path = CONFIGS[CONFIG_IDS.index("elr_multiplier")]
+    run = load_config(path)
+    x = run.initial_coords(run.seed).copy()
+    x[run.chart.N :] *= 1e-3
+    p = write_cfg(tmp_path, sample_config(path, initial={"coords": x.tolist()}))
+    for command in (["simulate"], ["verify", "--check", "integrals"]):
+        assert main(command + ["--config", p, "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("system", CONSTRAINED_IDS)
@@ -538,14 +550,21 @@ ZERO_EPSILON_REFUSED = {
 }
 
 
-@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize(
+    "path, checks",
+    [(p, ["integrals"]) for p in CONFIGS] + [(p, None) for p in CONFIGS],
+    ids=CONFIG_IDS + [f"{i}-no_checks" for i in CONFIG_IDS],
+)
 def test_zero_epsilon_undefined_density_exits_three_before_integrating(
-    tmp_path, monkeypatch, capsys, path
+    tmp_path, monkeypatch, capsys, path, checks
 ):
     # simulate and verify record log_density, so a density undefined at
-    # eps = 0 is a config error; crosscheck never evaluates it
-    cfg = sample_config(path, epsilon=0.0, checks=["integrals"],
+    # eps = 0 is a config error; crosscheck never evaluates it.  An absent
+    # checks key declares no check, so it refuses nothing.
+    cfg = sample_config(path, epsilon=0.0, checks=checks,
                         integrator={"t_end": 0.5, "samples": 3})
+    if checks is None:
+        del cfg["checks"]
     p = write_cfg(tmp_path, cfg)
     key = ZERO_EPSILON_REFUSED[cfg["system"]]
     integrations = []

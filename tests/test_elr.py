@@ -233,3 +233,16 @@ def test_dependent_frame_rows_raise_singularity_error():
     state = ELRMultiplierState.from_omega(e, Frame(np.stack([e, e]), gram_tolerance=-1.0))
     with pytest.raises(SingularityError, match="singular"):
         first_integrals(state, op)
+
+
+def test_integrals_frame_check_is_scale_free():
+    # the Gram eigenvalue ratio decides, not the Gram determinant
+    op = InertiaOperator.wedge_products([0.8, 1.1, 1.7, 2.3])
+    chart = MultiplierChart(op, k=2, eps=0.5)
+    x = chart.flatten(random_multiplier_state(4, 2, rng_for(8)))
+    scaled = np.concatenate([x[: chart.N], 1e-4 * x[chart.N :]])  # Gram det ~1e-16
+    out = chart.integrals(np.stack([x, scaled]))
+    assert out["H"].shape == (2,)
+    equal = np.concatenate([x[: 2 * chart.N], x[chart.N : 2 * chart.N]])
+    with pytest.raises(SingularityError, match="numerically dependent"):
+        chart.integrals(np.stack([x, equal]))

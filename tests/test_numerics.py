@@ -242,10 +242,9 @@ def test_observers_and_renormalization():
         lambda x: np.array([-x[1], x[0]]),
         np.array([1.0, 0.0]),
         cfg,
-        observers={"r": lambda t, x: float(np.linalg.norm(x))},
         renormalize_fn=lambda x: x / np.linalg.norm(x),
     )
-    assert np.max(np.abs(traj.observations["r"] - 1.0)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(traj.states, axis=-1) - 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +361,43 @@ def test_divergence_of_linear_field_is_trace():
     assert divergence(numerics.pointwise(lambda v: A @ v), x) == pytest.approx(
         np.trace(A), abs=1e-7
     )
+
+
+def test_fd_gradient_and_divergence_broadcast_over_a_batch():
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((4, 4))
+    w = rng.standard_normal(4)
+    field = lambda v: np.sin(v) @ A.T
+    logmu = lambda v: np.cos(v) @ w + np.sum(v**3, axis=-1)
+    xs = rng.standard_normal((5, 4))
+    grads, divs = fd_gradient(logmu, xs), divergence(field, xs)
+    assert grads.shape == (5, 4) and divs.shape == (5,)
+    for x, g, dv in zip(xs, grads, divs):
+        assert np.array_equal(g, fd_gradient(logmu, x))
+        assert dv == divergence(field, x)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1, 3)])
+def test_liouville_residual_takes_one_point(shape):
+    field = lambda v: np.stack([-v[..., 1], v[..., 0], v[..., 2]], axis=-1)
+    logmu = lambda v: np.sum(v * v, axis=-1)
+    with pytest.raises(DimensionError, match="one point"):
+        liouville_residual_ambient(field, logmu, np.ones(shape))
+
+
+def test_max_steps_bounds_every_attempted_step():
+    field = lambda x: np.ones_like(x)
+    fixed = IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=1.0, samples=2, max_steps=9)
+    with pytest.raises(IntegrationAbort, match="max_steps"):
+        integrate(field, np.zeros(1), fixed)
+    assert integrate(field, np.zeros(1), IntegratorConfig(
+        method="rk4_fixed", dt=0.1, t_end=1.0, samples=2, max_steps=10)).stats.accepted == 10
+    traj = integrate(lambda x: -50.0 * x, np.ones(2), IntegratorConfig(t_end=1.0, samples=2))
+    used = traj.stats.accepted + traj.stats.rejected
+    assert traj.stats.rejected > 0
+    with pytest.raises(IntegrationAbort, match="max_steps"):
+        integrate(lambda x: -50.0 * x, np.ones(2),
+                  IntegratorConfig(t_end=1.0, samples=2, max_steps=used - 1))
 
 
 def test_liouville_residual_closed_forms():
