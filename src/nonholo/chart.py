@@ -7,6 +7,10 @@ code.  Every method that takes coordinates takes a batch (..., d) and
 answers with arrays over the same leading axes; the command calls each one
 once per trajectory and never builds a state object:
 
+* ``field_jvp(coords, dirs)``: the field at coords (S, d) and its
+  directional derivatives (S, q, d) along the q directions dirs (S, q, d)
+  of each point, for volume transport; central differences by default,
+  exact forward-mode derivatives where a chart overrides it;
 * ``frame_index``: the (p, m) coordinates of the frame whose rows the flow
   keeps orthonormal, from which ``constraints`` and ``renormalize``
   follow; an ambient chart sets ``constraints = None`` instead;
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .liealg import wedge_index_pairs
-from .numerics import polar_orthonormalize
+from .numerics import fd_jvp, polar_orthonormalize
 
 
 def pair_labels(n: int, prefix: str) -> list[str]:
@@ -52,6 +56,11 @@ class Chart:
         when the density exponent divides by eps."""
         if self.eps_in_density and self.eps == 0.0:
             raise ParameterError("density is undefined at eps = 0")
+
+    def field_jvp(self, coords, dirs):
+        """(field (S, d), J dirs (S, q, d)) at coords (S, d) along dirs
+        (S, q, d), J the field's Jacobian: ``numerics.fd_jvp`` of ``field``."""
+        return fd_jvp(self.field, coords, dirs)
 
     def constraints(self, coords):
         """Upper triangle of F F^T - I for the frame F at coords (..., d)."""

@@ -376,7 +376,8 @@ def _liouville_results(cfg: RunConfig, x0) -> list:
 
 
 def _volume_results(cfg: RunConfig, x0) -> list:
-    """Max tangent-volume residual of each state, from one ensemble transport."""
+    """Max tangent-volume residual of each state, from one ensemble transport
+    whose J V comes from the chart's ``field_jvp``."""
     chart = cfg.chart
     results = tangent_volume_transport(
         chart.field,
@@ -384,6 +385,7 @@ def _volume_results(cfg: RunConfig, x0) -> list:
         x0,
         constraints_fn=chart.constraints,
         cfg=cfg.integrator,
+        jvp_fn=chart.field_jvp,
     )
     return [([("volume_residual", r.max_abs_residual)], {"volume_residual"}) for r in results]
 

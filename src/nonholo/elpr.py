@@ -374,6 +374,25 @@ class LPRStiefelChart(_StiefelChart):
         )
         return np.concatenate([dkc, dU], axis=-1)
 
+    def field_jvp(self, coords, dirs):
+        """The field at coords (S, d) and its exact derivatives along dirs
+        (S, q, d).  With T = I + D pr_{D_r} and T w = k_bold,
+        dw = T^-1 (dk - D dP w) from one inverse of T per member, and
+        d[k, w] = ad_k dw - ad_w dk."""
+        ks, us, G, dP = self._jvp_split(coords, dirs)
+        T = self.op.dense_matrix + self.D * dr_projector_matrix(G)
+        tinv_t = np.linalg.inv(T).swapaxes(-1, -2)
+        ws = ks @ tinv_t  # w, then T^-1 dk
+        w = ws[..., :1, :]
+        ws[..., 1:, :] -= self.D * (dP(w)[..., 0, :] @ tinv_t)
+        ad = ad_coords(np.concatenate([w, ks[..., :1, :]], axis=-2), self.n)
+        # dw ad_k^T + dk ad_w as rows; [k, w] is bilinear, so at (k, w)
+        # itself the same sum is twice the rate
+        rates = ws @ ad[..., 1, :, :].swapaxes(-1, -2) + ks @ ad[..., 0, :, :]
+        rates[..., 0, :] *= 0.5
+        out = np.concatenate([rates, self._frame_rates(ws, us)], axis=-1)
+        return out[..., 0, :], out[..., 1:, :]
+
     def log_density(self, coords):
         """log of (sum_I P_I^2 / a_I)^(-(n - r - 1)/2); independent of eps."""
         coords = np.asarray(coords, dtype=float)

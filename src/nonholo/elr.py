@@ -193,6 +193,41 @@ def _momentum_rhs(mc, P, op, eps):
     return dmc, wc, ad_w
 
 
+def _momentum_jvp(ms, P, op, eps, dP):
+    """_momentum_rhs and its derivative along q directions, batched.
+
+    ms (..., 1 + q, N) holds m_bold, then its q directions dm; P is as in
+    _momentum_rhs, and dP maps rows v (..., c, N) to the derivatives of P v
+    along the q directions, (..., q, c, N).  Returns d(m_bold)/dt, then its
+    q derivatives, (..., 1 + q, N); w, then its q derivatives dw, in the
+    same layout; and eps ad_w, which maps rows x to eps [x, w].
+
+    With Jm = Id + P shift (shift = I - Id), Jm w = m_bold gives
+    dw = Jm^-1 (dm - dP shift w), from one inverse of Jm per member.  The
+    brackets give d[m, w] = ad_m dw - ad_w dm and d[Iw, w] = ad_{Iw} dw -
+    ad_w I dw, and pr_D [Iw, w] adds dP [Iw, w].  Every ad is skew.
+    """
+    eye, shift = op.identity_and_shift
+    jinv_t = np.linalg.inv(eye + P @ shift).swapaxes(-1, -2)
+    ws = ms @ jinv_t  # w, then Jm^-1 dm
+    w = ws[..., :1, :]
+    Iw = op.apply_coords(w)
+    ad = ad_coords(np.concatenate([w, ms[..., :1, :], Iw], axis=-2), op.n)
+    ad_w = ad[..., 0, :, :]
+    # rows shift w and [Iw, w]
+    dPv = dP(np.concatenate([w @ shift, Iw @ ad_w], axis=-2))
+    ws[..., 1:, :] -= dPv[..., 0, :] @ jinv_t
+    # A dw + B dm is the derivative of the rate without its dP term.  The
+    # rate is quadratic in (m_bold, w) at fixed P, so at (m_bold, w) itself
+    # A w + B m_bold is twice the rate.
+    A = eps * ad[..., 1, :, :] + (1.0 - eps) * (P @ (ad[..., 2, :, :] - op.apply_coords(ad_w)))
+    rot = eps * ad_w  # B^T
+    rates = ws @ A.swapaxes(-1, -2) + ms @ rot
+    rates[..., 0, :] *= 0.5
+    rates[..., 1:, :] += (1.0 - eps) * dPv[..., 1, :]
+    return rates, ws, rot
+
+
 def _energy(mc, wc, n):
     """<m, w>/2 from the wedge coordinates mc, wc (..., N), batched: the
     energy of every flow here, with m the momentum its w pairs with."""
@@ -409,6 +444,29 @@ class MomentumChart(_FrameChart):
             [dmc, dfc.reshape(mc.shape[:-1] + (self.p * self.N,))],
             axis=-1,
         )
+
+    def field_jvp(self, coords, dirs):
+        """The field at coords (S, d) and its exact derivatives along dirs
+        (S, q, d), from _momentum_jvp with P = F^T F, so that
+        dP v = dF^T F v + F^T dF v, and d[f_i, w] = [df_i, w] + [f_i, dw]."""
+        N, p = self.N, self.p
+        ms, fs = self._split(np.concatenate([coords[..., None, :], dirs], axis=-2))
+        fc = fs[..., 0, :, :]
+        fs_t = fs.swapaxes(-1, -2)
+
+        def dP(v):
+            vf = v[..., None, :, :] @ fs_t  # v F^T, then v dF^T
+            return vf[..., 1:, :, :] @ fs[..., :1, :, :] + vf[..., :1, :, :] @ fs[..., 1:, :, :]
+
+        rates, ws, rot = _momentum_jvp(ms, fs_t[..., 0, :, :] @ fc, self.op, self.eps, dP)
+        # eps [f_i, w] for the frame rows and their directions at once, then
+        # eps [f_i, dw] from ad_{f_i}
+        lead = fs.shape[:-2]
+        df = (fs.reshape(lead[:-1] + (-1, N)) @ rot).reshape(lead + (p * N,))
+        ad_f = ad_coords(self.eps * fc, self.n).reshape(fc.shape[:-2] + (p * N, N))
+        df[..., 1:, :] += ws[..., 1:, :] @ ad_f.swapaxes(-1, -2)
+        out = np.concatenate([rates, df], axis=-1)
+        return out[..., 0, :], out[..., 1:, :]
 
     def log_density(self, coords):
         self.check_density()

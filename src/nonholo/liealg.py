@@ -61,6 +61,7 @@ __all__ = [
     "subspace_projectors",
     "projector_matrix",
     "dr_projector_matrix",
+    "dr_projector_tangent",
     "restricted_det",
     "isotropy_frame",
     "orthonormal_complement",
@@ -408,8 +409,10 @@ class InertiaOperator:
 class Frame:
     """Ordered tuple of linearly independent so(n) elements.
 
-    ``orthonormal=True`` additionally validates <e_i, e_j> = delta_ij
-    within 1e-10.
+    The elements count as dependent when the smallest eigenvalue of their
+    Gram matrix is at most gram_tolerance times the largest, a test that
+    does not depend on their scale.  ``orthonormal=True`` additionally
+    validates <e_i, e_j> = delta_ij within 1e-10.
     """
 
     elems: np.ndarray
@@ -428,10 +431,11 @@ class Frame:
         if self.orthonormal:
             if np.max(np.abs(g - np.eye(self.k))) > 1e-10:
                 raise ParameterError("frame flagged orthonormal is not")
-        det = float(np.linalg.det(g))
-        if det <= self.gram_tolerance:
+        ev = np.linalg.eigvalsh(g)
+        if ev[0] <= self.gram_tolerance * max(ev[-1], 0.0):
             raise SingularityError(
-                f"frame is numerically dependent (Gram det {det:.3e})"
+                f"frame is numerically dependent (Gram eigenvalues {ev[0]:.3e} "
+                f"against {ev[-1]:.3e})"
             )
 
     @property
@@ -542,6 +546,23 @@ def dr_projector_matrix(G: np.ndarray) -> np.ndarray:
     Q = (np.eye(n) - G).reshape(G.shape[:-2] + (n * n,))
     QEQ = Q[..., ai] * Q[..., jb] - Q[..., aj] * Q[..., ib]
     return np.eye(w.N) - QEQ.reshape(G.shape[:-2] + (w.N, w.N))
+
+
+def dr_projector_tangent(G: np.ndarray, dG: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    """Wedge coordinates (..., N) of dP v, the derivative of
+    dr_projector_matrix(G) @ vc along dG, broadcast over G and dG
+    (..., n, n), both symmetric, and vc (..., N).
+
+    pr_{D_r}(eta) = eta - Q eta Q with Q = Id - G, so dQ = -dG and
+
+        dP eta = dG eta Q + Q eta dG = X - X^T,   X = dG eta Q,
+
+    as eta is skew.  For G = U U^T, dG = dU U^T + U dU^T."""
+    G = np.asarray(G)
+    n = G.shape[-1]
+    w = _windex(n)
+    X = dG @ (from_wedge(vc, n) @ (np.eye(n) - G))
+    return X[..., w.rows, w.cols] - X[..., w.cols, w.rows]
 
 
 def subspace_projectors(frame: Frame):

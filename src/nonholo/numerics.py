@@ -18,12 +18,16 @@ Two verification primitives are provided:
   dV/dt = J(x(t)) V and accumulates the log volume of the transported
   parallelepiped; for an invariant measure mu the sum
   log mu(x(t)) + log vol(V(t)) stays constant.  J V is never formed from
-  J: each of its q columns is a central difference of the field along the
-  matching column of V.  The constraint Jacobian is taken once, for the
-  initial basis: the flow keeps V tangent, so later samples only check
-  the constraint drift and re-orthonormalize V.  An ensemble of initial
-  states (S, d) is transported together: each stage evaluates the field
-  once, on every member's point and its 2q directional points stacked.
+  J: a tangent kernel maps the states and the columns of V to the field
+  and its directional derivatives along them.  The default, ``fd_jvp``,
+  takes each of the q columns as a central difference of the field along
+  it, from one field call on 1 + 2q rows per state.  ``verify --check
+  volume`` passes ``Chart.field_jvp`` as ``jvp_fn``; where a chart's is
+  an exact forward-mode derivative, a stage needs one factorization per
+  state instead of 2q.  The constraint Jacobian is taken once, for the
+  initial basis: the flow keeps V tangent, so later samples only check the
+  constraint drift and re-orthonormalize V.  An ensemble of initial states (S, d) is transported together: each
+  stage makes one tangent-kernel call on every member at once.
 
 The default integrator is the embedded Dormand-Prince 8(5,3) pair of
 Hairer's DOP853 with a proportional step controller; a fixed-step classical
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -60,6 +65,7 @@ __all__ = [
     "integrate",
     "fd_jacobian",
     "fd_gradient",
+    "fd_jvp",
     "divergence",
     "liouville_residual_ambient",
     "constraint_tangent_basis",
@@ -477,7 +483,7 @@ def _eval_rows(fn, pts):
     return vals.reshape(pts.shape[:-1] + (-1,))
 
 
-def _field_and_jv(field_fn, x, Vt):
+def fd_jvp(field_fn, x, Vt):
     """field_fn at x (S, d) and (J V)^T (S, q, d) from one call on S (1 + 2q) rows.
 
     Vt (S, q, d) holds the columns v_j of each member's V as rows.  Row j of
@@ -606,17 +612,20 @@ def tangent_volume_transport(
     constraints_fn=None,
     cfg: IntegratorConfig | None = None,
     n_samples: int = 11,
+    jvp_fn=None,
 ) -> TransportResult | list[TransportResult]:
     """Transport a tangent-space volume element along the flow.
 
     The tangent basis (columns of V) starts as constraint_tangent_basis and
-    solves dV/dt = J(x(t)) V with J the Jacobian of the field; J V is taken
-    column by column, as the central difference of the field along each
-    column of V.  The flow's linearisation keeps V tangent, so V is never
-    projected.  At each sample time V is re-orthonormalized by QR and
-    |det R| is accumulated into a running log volume, which keeps the
-    computation well scaled over long runs.  Constraint drift beyond 1e-6
-    aborts.
+    solves dV/dt = J(x(t)) V with J the Jacobian of the field.  J V comes
+    from jvp_fn(x (S, d), Vt (S, q, d)) -> (field (S, d), (J V)^T (S, q, d)),
+    with the columns of V as the rows of Vt; None means fd_jvp of field_fn,
+    the central difference of the field along each column of V, and
+    field_fn is not called otherwise.  The flow's linearisation keeps V
+    tangent, so V is never projected.  At each sample time V is
+    re-orthonormalized by QR and |det R| is accumulated into a running log
+    volume, which keeps the computation well scaled over long runs.
+    Constraint drift beyond 1e-6 aborts.
 
     With constraints_fn None the transport runs on the full chart (the
     basis starts as the identity), which turns the check into an integrated
@@ -624,15 +633,16 @@ def tangent_volume_transport(
 
     x0 is one state (d,), which returns one TransportResult, or an ensemble
     (S, d), which returns a list with one TransportResult per member.  The
-    members share one driver: every stage calls field_fn once, on each
-    member's state and its 2q directional points stacked (q the number of
-    columns of V), and the step is controlled by the largest member error.
-    A member's residual can therefore differ from its own (d,) transport at
-    the integrator-error level.  Any failure of one member raises for the
+    members share one driver: every stage makes one jvp_fn call on all
+    members (with fd_jvp, one field_fn call on each member's state and its
+    2q directional points stacked, q the number of columns of V), and the
+    step is controlled by the largest member error.  A member's residual
+    can therefore differ from its own (d,) transport at the
+    integrator-error level.  Any failure of one member raises for the
     whole ensemble.  The initial basis and every later sample time make one
     call each of constraints_fn and log_density_fn on all members.
-    Members run in consecutive groups small enough that one stacked field
-    batch stays under 64 MB.
+    Members run in consecutive groups small enough that one stacked fd_jvp
+    field batch stays under 64 MB, whichever jvp_fn runs.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2):
@@ -641,17 +651,19 @@ def tangent_volume_transport(
     S, d = xs.shape
     if cfg is None:
         cfg = IntegratorConfig()
-    # a member's batch has 1 + 2q rows of d values, and q <= d
+    if jvp_fn is None:
+        jvp_fn = partial(fd_jvp, field_fn)
+    # a member's fd_jvp batch has 1 + 2q rows of d values, and q <= d
     group = max(1, _ENSEMBLE_BATCH_BYTES // (8 * (1 + 2 * d) * d))
     results = []
     for lo in range(0, S, group):
         results += _transport_group(
-            field_fn, log_density_fn, xs[lo : lo + group], constraints_fn, cfg, n_samples
+            jvp_fn, log_density_fn, xs[lo : lo + group], constraints_fn, cfg, n_samples
         )
     return results[0] if x0.ndim == 1 else results
 
 
-def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_samples):
+def _transport_group(jvp_fn, log_density_fn, xs, constraints_fn, cfg, n_samples):
     """tangent_volume_transport of an ensemble xs (S, d) on one shared driver."""
     S, d = xs.shape
     if constraints_fn is None:
@@ -662,7 +674,7 @@ def _transport_group(field_fn, log_density_fn, xs, constraints_fn, cfg, n_sample
 
     # the driver state of a member is x, then V^T row by row
     def aug_field(y):
-        fx, JVt = _field_and_jv(field_fn, y[:, :d], y[:, d:].reshape(S, q, d))
+        fx, JVt = jvp_fn(y[:, :d], y[:, d:].reshape(S, q, d))
         return np.concatenate([fx, JVt.reshape(S, q * d)], axis=1)
 
     t_grid = np.linspace(0.0, cfg.t_end, n_samples) if cfg.t_end > 0 else np.array([0.0])

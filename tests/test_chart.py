@@ -1,4 +1,5 @@
-"""The chart interface answers for a whole trajectory as it does sample by sample."""
+"""The chart interface answers for a whole trajectory as it does sample by
+sample, and the exact tangent kernels agree with central differences."""
 
 import glob
 import os
@@ -7,7 +8,11 @@ import numpy as np
 import pytest
 
 from nonholo.cli import PAIRS, load_config
-from nonholo.numerics import IntegratorConfig, integrate
+from nonholo.elpr import LPRStiefelChart
+from nonholo.elr import MomentumChart
+from nonholo.liealg import InertiaOperator, wedge_dim
+from nonholo.numerics import IntegratorConfig, constraint_tangent_basis, fd_jvp, integrate
+from nonholo.veselova import VeselovaChart
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
 CONFIG_IDS = [os.path.basename(p)[: -len(".json")] for p in CONFIGS]
@@ -70,3 +75,65 @@ def test_deviation_of_a_trajectory_pair_matches_each_sample(pair):
     scale = max(1.0, float(np.max(np.abs(ta))))
     for i in range(len(ta)):
         assert abs(devs[i] - deviation(ta[i], tb[i])) <= 1e-14 * scale
+
+
+# ---------------------------------------------------------------------------
+# exact tangent kernels: every chart that overrides field_jvp, at n = 3..5,
+# every valid rank and three values of eps
+
+
+def _a(n):
+    return np.linspace(0.9, 1.3, n)
+
+
+def _jvp_charts():
+    for n in (3, 4, 5):
+        op = InertiaOperator.wedge_products(_a(n))
+        for eps in (-1.0, 0.5, 2.0):
+            for k in range(1, wedge_dim(n)):
+                yield f"elr_momentum-n{n}-k{k}-eps{eps}", MomentumChart(op, k, eps)
+            for r in range(1, n):  # r = n - 1: pr_{D_r} is the identity
+                yield f"veselova-n{n}-r{r}-eps{eps}", VeselovaChart(op, r, eps)
+            for r in range(1, n + 1):
+                yield f"lpr_stiefel-n{n}-r{r}-eps{eps}", LPRStiefelChart(_a(n), 2.5, r, eps)
+
+
+JVP_CHARTS = list(_jvp_charts())
+
+
+def _jvp_points(chart, seed):
+    """(states, tangent directions) at three seeded states, and (points,
+    directions) off the manifold with directions that are not tangent."""
+    rng = np.random.default_rng(seed)
+    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(3)])
+    V = constraint_tangent_basis(chart.constraints, xs)
+    on = np.swapaxes(V, -1, -2)
+    off = xs + 0.1 * rng.standard_normal(xs.shape)
+    return [(xs, on), (off, rng.standard_normal((3, 4, chart.dim)))]
+
+
+@pytest.mark.parametrize("chart", [c for _, c in JVP_CHARTS], ids=[i for i, _ in JVP_CHARTS])
+def test_exact_jvp_matches_central_differences_and_the_field(chart):
+    for x, dirs in _jvp_points(chart, 41):
+        f, jv = chart.field_jvp(x, dirs)
+        f_fd, jv_fd = fd_jvp(chart.field, x, dirs)
+        assert jv.shape == dirs.shape and f.shape == x.shape
+        assert rel_diff(jv_fd, jv) <= 1e-7
+        assert rel_diff(chart.field(x), f) <= 1e-14
+
+
+@pytest.mark.parametrize("chart", [c for _, c in JVP_CHARTS], ids=[i for i, _ in JVP_CHARTS])
+def test_exact_jvp_is_linear_and_member_by_member(chart):
+    for x, dirs in _jvp_points(chart, 43):
+        a, b = dirs[:, :1], dirs[:, 1:2]
+        stacked = np.concatenate([a, b, 2.0 * a - 3.0 * b, np.zeros_like(a)], axis=1)
+        f, jv = chart.field_jvp(x, stacked)
+        assert rel_diff(jv[:, 2], 2.0 * jv[:, 0] - 3.0 * jv[:, 1]) <= 1e-13
+        assert np.array_equal(jv[:, 3], np.zeros_like(jv[:, 3]))
+        # equal up to rounding: a small BLAS product may round differently
+        # with the layout of its operands
+        f_all, jv_all = chart.field_jvp(x, dirs)
+        for i in range(len(x)):
+            f_one, jv_one = chart.field_jvp(x[i : i + 1], dirs[i : i + 1])
+            assert rel_diff(f_all[i], f_one[0]) <= 1e-14
+            assert rel_diff(jv_all[i], jv_one[0]) <= 1e-14

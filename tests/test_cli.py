@@ -272,6 +272,27 @@ def test_verify_volume_ensemble_matches_single_seed_runs(tmp_path, base):
         assert float(row[8]) <= float(row[9])
 
 
+@pytest.mark.parametrize("system", ["elr_momentum", "veselova", "lpr_stiefel"])
+def test_verify_volume_with_exact_kernels_keeps_the_fd_transport_results(tmp_path, system):
+    # these charts pass their forward-mode field_jvp to the transport; the
+    # finite-difference transport of the same ensemble is the reference
+    path = CONFIGS[CONFIG_IDS.index(system)]
+    assert main(["verify", "--config", path, "--check", "volume", "--seeds", "4",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / f"{system}_volume.csv")[1:]
+    run = load_config(path)
+    chart = run.chart
+    x0 = np.array([run.initial_coords(run.seed + i) for i in range(4)])
+    fd = numerics.tangent_volume_transport(
+        chart.field, chart.log_density, x0, chart.constraints, run.integrator
+    )
+    assert len(rows) == len(fd) == 4
+    for row, res in zip(rows, fd):
+        ref = res.max_abs_residual
+        assert row[10] == ("pass" if ref <= float(row[9]) else "fail")
+        assert abs(float(row[8]) - ref) <= 1e-8
+
+
 @pytest.mark.parametrize("method", ["field", "log_density"])
 def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
     # field errors reach verify wrapped in IntegrationAbort, log_density

@@ -243,6 +243,8 @@ def test_integrals_frame_check_is_scale_free():
     scaled = np.concatenate([x[: chart.N], 1e-4 * x[chart.N :]])  # Gram det ~1e-16
     out = chart.integrals(np.stack([x, scaled]))
     assert out["H"].shape == (2,)
+    # and the state-level path accepts the same frame
+    assert chart.unflatten(scaled).frames.k == 2
     equal = np.concatenate([x[: 2 * chart.N], x[chart.N : 2 * chart.N]])
     with pytest.raises(SingularityError, match="numerically dependent"):
         chart.integrals(np.stack([x, equal]))

@@ -245,6 +245,15 @@ def test_frame_rejects_dependent_or_falsely_orthonormal():
         Frame(np.array([2.0 * b[0]]), orthonormal=True)
 
 
+def test_frame_dependence_test_is_scale_free():
+    # elements scaled by 1e-4 have Gram determinant 1e-16 but are independent
+    b = wedge_basis(4)
+    fr = Frame(1e-4 * np.array([b[0], b[1] + 0.5 * b[2]]))
+    assert fr.k == 2
+    with pytest.raises(SingularityError, match="numerically dependent"):
+        Frame(1e-4 * np.array([b[1], b[1]]))
+
+
 def test_orthonormal_complement():
     rng = rng_for(29)
     ec = orthonormalize_rows(rng.standard_normal((2, 6)))

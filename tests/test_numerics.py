@@ -571,13 +571,13 @@ def test_directional_jv_matches_the_fd_jacobian_times_v(path):
     else:
         V = constraint_tangent_basis(chart.constraints, x)
         V = V @ np.linalg.qr(rng.standard_normal((V.shape[1],) * 2))[0]
-    fx, JVt = numerics._field_and_jv(chart.field, x[None], V.T[None])
+    fx, JVt = numerics.fd_jvp(chart.field, x[None], V.T[None])
     expect = fd_jacobian(chart.field, x) @ V
     assert np.allclose(fx[0], chart.field(x), rtol=0.0, atol=1e-12)
     assert np.max(np.abs(JVt[0].T - expect)) <= 1e-6 * np.max(np.abs(expect))
     # a zero column of V has a zero derivative, not a 0/0
     zero = np.zeros((1, 1, chart.dim))
-    assert np.array_equal(numerics._field_and_jv(chart.field, x[None], zero)[1], zero)
+    assert np.array_equal(numerics.fd_jvp(chart.field, x[None], zero)[1], zero)
 
 
 def test_ambient_linear_field_log_volume_is_t_trace():
