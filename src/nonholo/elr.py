@@ -245,7 +245,12 @@ def _first_integrals(wc, ec, op):
     mc = op.apply_coords(wc)
     H = _energy(mc, wc, n)
     coeff = _frame_solve(ec @ np.swapaxes(ec, -1, -2), inner_product(elems, w)[..., None])
-    pr_h_w = from_wedge((np.swapaxes(coeff, -1, -2) @ ec)[..., 0, :], n)
+    # sum_i coeff_i e_i in a fixed order over the k frame rows: a small BLAS
+    # product's last bits would depend on the operands' memory layout
+    pr_h = coeff[..., 0, :] * ec[..., 0, :]
+    for i in range(1, ec.shape[-2]):
+        pr_h = pr_h + coeff[..., i, :] * ec[..., i, :]
+    pr_h_w = from_wedge(pr_h, n)
     F = H - inner_product(pr_h_w, from_wedge(mc, n))
     return inner_product(w, elems), H, F
 

@@ -1,10 +1,13 @@
 """Frame-constrained rigid-body flow: multiplier and momentum forms."""
 
+import os
+
 import numpy as np
 import pytest
 
 from conftest import field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
+from nonholo.cli import load_config
 from nonholo.elr import (
     ELRMultiplierState,
     MomentumChart,
@@ -248,3 +251,21 @@ def test_integrals_frame_check_is_scale_free():
     equal = np.concatenate([x[: 2 * chart.N], x[chart.N : 2 * chart.N]])
     with pytest.raises(SingularityError, match="numerically dependent"):
         chart.integrals(np.stack([x, equal]))
+
+
+def test_integrals_keep_their_bits_across_memory_layouts():
+    # F sums its projection over the k frame rows in a fixed order; as a
+    # small BLAS product it rounded differently for a Fortran-ordered copy
+    rc = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "elr_multiplier.json"))
+    chart = rc.chart
+    x0 = chart.flatten(chart.random_state(rng_for(3)))
+    states = integrate(chart.field, x0, rc.integrator).states
+    ref = chart.integrals(states)
+    copies = [np.asfortranarray(states), np.repeat(states, 2, axis=0)[::2]]
+    for offset in range(1, 8):
+        copy = np.empty(states.size + 8)[offset : offset + states.size].reshape(states.shape)
+        copy[...] = states
+        copies.append(copy)
+    for copy in copies:
+        for name, value in chart.integrals(copy).items():
+            assert np.array_equal(value, ref[name]), name

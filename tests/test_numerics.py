@@ -2,6 +2,7 @@
 
 import glob
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import rng_for
 from nonholo import numerics
 from nonholo.ball3d import ChaplyginChart, random_ball_state
 from nonholo.cli import SYSTEMS, load_config
+from nonholo.elpr import LPRChart
 from nonholo.errors import (
     ConstraintDriftError,
     DimensionError,
@@ -24,6 +26,7 @@ from nonholo.numerics import (
     divergence,
     fd_gradient,
     fd_jacobian,
+    fd_jvp,
     integrate,
     liouville_residual_ambient,
     polar_orthonormalize,
@@ -338,6 +341,104 @@ def test_a_wrongly_shaped_batched_result_raises_instead_of_a_row_by_row_retry():
     with pytest.raises(DimensionError, match="pointwise"):
         fd_gradient(one_point, np.zeros(3))
     assert calls == [(6, 3)]
+
+
+def test_fd_stencil_matches_its_formula_bit_for_bit():
+    # signed zeros included: x + h_i e_i turns -0.0 into +0.0 off the diagonal
+    x = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3e5]])
+    pts, h = numerics._fd_points(x, 1e-3)
+    step = h[..., :, None] * np.eye(3)
+    ref = np.concatenate([x[..., None, :] + step, x[..., None, :] - step], axis=-2)
+    assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
+
+
+def test_a_scalar_result_in_a_multi_block_call_raises(monkeypatch):
+    calls = []
+
+    def one_point(v):
+        calls.append(np.shape(v))
+        return np.sum(v**3)
+
+    monkeypatch.setattr(numerics, "_BLOCK_BYTES", 2 * 8 * 3)  # two rows of R^3
+    with pytest.raises(DimensionError, match="pointwise"):
+        fd_gradient(one_point, np.zeros(3))
+    assert calls == [(2, 3)]
+    # a width that follows the block size is caught at the first block that differs
+    with pytest.raises(DimensionError, match="pointwise"):
+        numerics._eval_rows(lambda v: v[:, : len(v)], np.zeros((5, 3)))
+
+
+def test_row_blocks_differ_by_at_most_one_row_and_never_hold_one(monkeypatch):
+    calls = []
+
+    def f(v):
+        calls.append(np.shape(v))
+        return np.sin(v) * np.arange(1.0, 5.0)
+
+    pts = np.random.default_rng(8).standard_normal((7, 4))
+    whole = numerics._eval_rows(f, pts)
+    assert calls == [(7, 4)]
+    monkeypatch.setattr(numerics, "_BLOCK_BYTES", 3 * 8 * 4)  # three rows of R^4
+    calls.clear()
+    assert np.array_equal(numerics._eval_rows(f, pts), whole)
+    assert calls == [(2, 4), (2, 4), (3, 4)]
+    for per_block in range(2, 9):
+        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 8 * 4 * per_block)
+        for rows in range(1, 40):
+            calls.clear()
+            numerics._eval_rows(f, pts[np.arange(rows) % 7])
+            sizes = np.array(calls)[:, 0]
+            assert sizes.sum() == rows
+            assert sizes.max() - sizes.min() <= 1
+            assert len(sizes) == 1 or sizes.min() >= 2
+            # two rows per block leaves odd counts one block of three
+            assert sizes.max() <= max(per_block, 3)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_row_blocks_leave_every_chart_derivative_bitwise_unchanged(path, monkeypatch):
+    chart = load_config(path).chart
+    rng = np.random.default_rng(31)
+    x = np.array([chart.flatten(chart.random_state(rng)) for _ in range(2)])
+    Vt = rng.standard_normal((2, 3, chart.dim))
+    fns = {"field": chart.field, "log_density": chart.log_density}
+    if chart.constraints is not None:
+        fns["constraints"] = chart.constraints
+
+    def derivatives():
+        out = {name: fd_jacobian(fn, x) for name, fn in fns.items()}
+        out["gradient"] = fd_gradient(chart.log_density, x)
+        out["divergence"] = divergence(chart.field, x)
+        out["jvp_f"], out["jvp"] = fd_jvp(chart.field, x, Vt)
+        return out
+
+    monkeypatch.setattr(numerics, "_BLOCK_BYTES", 2**60)
+    whole = derivatives()
+    calls = []
+    field = chart.field
+    monkeypatch.setattr(chart, "field", lambda c: calls.append(len(c)) or field(c))
+    monkeypatch.setattr(numerics, "_BLOCK_BYTES", 3 * 8 * chart.dim)
+    blocked = derivatives()
+    assert max(calls) <= 3 and len(calls) > 2  # the field saw row blocks
+    for name, value in whole.items():
+        assert np.array_equal(blocked[name], value), name
+
+
+def test_elpr_n8_liouville_residual_peak_memory():
+    # d = 434: the 868-row stencil goes to the field in row blocks, so the
+    # peak is the stencil and its values, not the kernel's per-row temporaries
+    rng = np.random.default_rng(12)
+    chart = LPRChart(InertiaOperator.wedge_products(rng.uniform(1.0, 1.6, 8)), eps=2.0)
+    x = chart.flatten(chart.random_state(rng))
+    first = liouville_residual_ambient(chart.field, chart.log_density, x)
+    tracemalloc.start()
+    try:
+        again = liouville_residual_ambient(chart.field, chart.log_density, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_pointwise_adapter_maps_leading_axes_row_by_row():
