@@ -124,7 +124,12 @@ def _mapping(raw, key, allowed):
 
 
 def _float_array(value):
-    return np.asarray(value, dtype=float)
+    """value as a float array; null and the strings "nan" and "inf" would
+    convert to non-finite entries, so those are refused."""
+    v = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"expected finite numbers, got {value!r}")
+    return v
 
 
 def _parse_inertia_spec(node, n):

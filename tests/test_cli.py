@@ -484,6 +484,11 @@ NON_FINITE = [
     ({"system": "elr_multiplier", "n": 3, "k": 1, "D": None,
       "inertia": {"kind": "wedge_diagonal", "diag": [1.0, INF, 2.0]}}, "inertia.diag"),
 ]
+# a list entry null or "nan" would convert to NaN
+NAN_LIST_ENTRIES = [
+    ({"inertia": [1.0, None, 3.0]}, "inertia"),
+    ({"initial": {"coords": ["nan"] * 6}}, "initial.coords"),
+]
 
 
 @pytest.mark.parametrize(
@@ -513,7 +518,8 @@ NON_FINITE = [
         {"integrator": {"renormalize_every": 1.5}},
         {"integrator": {"renormalize_every": 0}},
         VESELOVA_IDENTITY,
-    ] + [patch for patch, _ in NON_FINITE + NOT_INTEGER_OR_BOOLEAN] + [{"tolerance": -1}],
+    ] + [patch for patch, _ in NON_FINITE + NOT_INTEGER_OR_BOOLEAN] + [{"tolerance": -1}]
+    + [patch for patch, _ in NAN_LIST_ENTRIES],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
     cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
@@ -536,7 +542,8 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"integrator": {"renormalize_every": 1.5}}, "integrator"),
         ({"integrator": {"renormalize_every": 0}}, "integrator"),
         (VESELOVA_IDENTITY, "inertia"),
-    ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN + [({"tolerance": -1}, "tolerance")],
+    ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN + [({"tolerance": -1}, "tolerance")]
+    + NAN_LIST_ENTRIES,
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     # no --out: a malformed "output" must not get as far as choosing a directory
