@@ -11,6 +11,11 @@ once per trajectory and never builds a state object:
   directional derivatives (S, q, d) along the q directions dirs (S, q, d)
   of each point, for volume transport; central differences by default,
   exact forward-mode derivatives where a chart overrides it;
+* ``divergence(coords)`` and ``log_density_grad(coords)``: the field's
+  divergence (...) and the gradient (..., d) of ``log_density`` in closed
+  form, for ``verify --check liouville``; only the two ambient charts
+  (``elr_multiplier``, ``elpr``) define them, and ``Chart`` gives no
+  default, since that check runs on ambient charts only;
 * ``frame_index``: the (p, m) coordinates of the frame whose rows the flow
   keeps orthonormal, from which ``constraints`` and ``renormalize``
   follow; an ambient chart sets ``constraints = None`` instead;

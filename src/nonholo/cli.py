@@ -374,9 +374,16 @@ def _integral_drifts(chart, states, obs) -> dict:
 
 
 def _liouville_results(cfg: RunConfig, x0) -> list:
-    """Pointwise Liouville residual of each state."""
+    """Pointwise Liouville residual of each state, from the chart's
+    closed-form divergence and log-density gradient."""
     chart = cfg.chart
-    values = [abs(liouville_residual_ambient(chart.field, chart.log_density, x)) for x in x0]
+    values = [
+        abs(liouville_residual_ambient(
+            chart.field, chart.log_density, x,
+            divergence_fn=chart.divergence, grad_fn=chart.log_density_grad,
+        ))
+        for x in x0
+    ]
     return [([("liouville_residual", v)], {"liouville_residual"}) for v in values]
 
 

@@ -56,6 +56,7 @@ from .liealg import (
     to_wedge,
     wedge_dim,
 )
+from .numerics import _finite_state
 from .veselova import _log_base, _StiefelChart
 
 __all__ = [
@@ -132,12 +133,17 @@ class LPRStiefelState:
 # generic L+R flow
 
 
-def _solve_pd(K, rhs):
-    """Solve K x = rhs requiring K positive definite (batched)."""
+def _check_pd(K):
+    """Raise DefinitenessError unless K (batched) is positive definite."""
     try:
         np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError("I + Pi lost positive definiteness") from exc
+
+
+def _solve_pd(K, rhs):
+    """Solve K x = rhs requiring K positive definite (batched)."""
+    _check_pd(K)
     return np.linalg.solve(K, rhs[..., None])[..., 0]
 
 
@@ -305,6 +311,31 @@ class LPRChart(Chart):
 
     def log_density(self, coords):
         return log_density_elpr(self._split(coords)[1], self.op)
+
+    def divergence(self, coords):
+        """div X (...) at coords (..., d): -tr(K^-1 ad_w B) with K = I + Pi
+        and B = I + (1 - eps) Pi.  The w block of the Jacobian is
+        K^-1 (ad_{Bw} - ad_w B), and tr(K^-1 ad_{Bw}) vanishes, K^-1 being
+        symmetric and ad_{Bw} skew.  The Pi block adds nothing: its diagonal
+        entries are those of eps (dPi ad_w - ad_w dPi) for unit dPi,
+        diagonal entries of the skew ad_w."""
+        wc, Pi = self._split(_finite_state(coords, "coords"))
+        B = self.op.dense_matrix + (1.0 - self.eps) * Pi
+        K = self.op.dense_matrix + Pi
+        _check_pd(K)
+        KAB = np.linalg.solve(K, ad_coords(wc, self.n) @ B)
+        return -np.trace(KAB, axis1=-2, axis2=-1)
+
+    def log_density_grad(self, coords):
+        """Gradient (..., d) of log_density at coords (..., d): 0 on w; on
+        the packed Pi, K^-1 / 2 on the diagonal and K^-1 above it, where one
+        coordinate moves both Pi_ij and Pi_ji (K = I + Pi)."""
+        wc, Pi = self._split(_finite_state(coords, "coords"))
+        K = self.op.dense_matrix + Pi
+        _check_pd(K)
+        i, j = self.iu
+        grad_pi = np.linalg.inv(K)[..., i, j] * np.where(i == j, 0.5, 1.0)
+        return np.concatenate([np.zeros_like(wc), grad_pi], axis=-1)
 
     def flatten(self, state: ELPRState) -> np.ndarray:
         w = omega_from_k(state, self.op)

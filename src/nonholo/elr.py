@@ -51,12 +51,12 @@ from .liealg import (
     Frame,
     InertiaOperator,
     ad_coords,
-    commutator,
     from_wedge,
     inner_product,
     to_wedge,
     wedge_dim,
 )
+from .numerics import _finite_state
 
 __all__ = [
     "ELRMultiplierState",
@@ -173,6 +173,22 @@ def _multiplier_rhs(wc, ec, op, eps):
     return dwc, dec, lam
 
 
+def _multiplier_divergence(wc, ec, op):
+    """Divergence (...) of the multiplier field at wc (..., N), ec (..., k, N).
+
+    Only the constraint force contributes:
+
+        div = sum_{ij} A^{ij} <[I^{-1} e_i, w], e_j>,   A_ij = <e_i, I^{-1} e_j>.
+
+    The frame block adds the trace of eps ad_w, which is skew.
+    """
+    es = op.solve_coords(ec)
+    br = -es @ np.swapaxes(ad_coords(wc, op.n), -1, -2)  # rows [I^{-1} e_i, w]
+    A = ec @ np.swapaxes(es, -1, -2)
+    inner = br @ np.swapaxes(ec, -1, -2)
+    return np.trace(_frame_solve(A, inner), axis1=-2, axis2=-1)
+
+
 def _momentum_velocity(mc, P, op):
     """Wedge coordinates of w solving m_bold = w + pr_D(I w - w), batched;
     P (..., N, N) is the wedge-coordinate matrix of pr_D."""
@@ -278,21 +294,9 @@ def multipliers(state: ELRMultiplierState, op: InertiaOperator) -> np.ndarray:
 
 
 def analytic_divergence(state: ELRMultiplierState, op: InertiaOperator) -> float:
-    """Closed-form divergence of the momentum block of the multiplier field.
-
-    Only the constraint-force term contributes:
-
-        div = sum_{ij} A^{ij} <[I^{-1} e_i, I^{-1} m], e_j>.
-    """
-    ec = state.frames.coords
-    es = op.solve_coords(ec)
-    A = ec @ es.T
-    Ainv = np.linalg.inv(A)
-    m = op.apply(state.omega)
-    ei_inv = from_wedge(es, state.n)
-    br = commutator(ei_inv, op.solve(m))
-    inner = np.einsum("iN,jN->ij", to_wedge(br), ec)
-    return float(np.sum(Ainv * inner))
+    """Closed-form divergence of the multiplier field at a state: the
+    batched kernel of ``MultiplierChart.divergence`` at one point."""
+    return float(_multiplier_divergence(to_wedge(state.omega), state.frames.coords, op))
 
 
 def momentum_of(
@@ -399,6 +403,19 @@ class MultiplierChart(_FrameChart):
         self.check_density()
         _, ec = self._split(coords)
         return _log_gram_det(ec, self.op, "inverse_inertia") / (2.0 * self.eps)
+
+    def divergence(self, coords):
+        """div X (...) at coords (..., d), from _multiplier_divergence."""
+        return _multiplier_divergence(*self._split(_finite_state(coords, "coords")), self.op)
+
+    def log_density_grad(self, coords):
+        """Gradient (..., d) of log_density at coords (..., d): 0 on w and
+        (1/eps) A^-1 E I^-1 on the frame rows E, A = E I^-1 E^T."""
+        self.check_density()
+        wc, ec = self._split(_finite_state(coords, "coords"))
+        es = self.op.solve_coords(ec)
+        rows = _frame_solve(ec @ np.swapaxes(es, -1, -2), es) / self.eps
+        return np.concatenate([np.zeros_like(wc), rows.reshape(wc.shape[:-1] + (-1,))], axis=-1)
 
     def flatten(self, state: ELRMultiplierState) -> np.ndarray:
         return np.concatenate([to_wedge(state.omega), state.frames.coords.ravel()])

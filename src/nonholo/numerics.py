@@ -14,8 +14,10 @@ has any other shape raises DimensionError.
 Two verification primitives are provided:
 
 * ``liouville_residual_ambient``: pointwise div(X) + d/dt log(mu) on a full
-  linear chart, with the divergence taken from a central finite-difference
-  Jacobian (deliberately independent of any closed-form divergence).
+  linear chart.  By default the divergence and the log-density gradient
+  come from central finite differences, independent of any closed form;
+  ``verify --check liouville`` passes the chart's closed-form
+  ``divergence`` and ``log_density_grad`` instead.
 
 * ``tangent_volume_transport``: propagates an orthonormal basis of the
   constraint-manifold tangent space with the variational equation
@@ -581,18 +583,33 @@ def divergence(field_fn, x, h_scale: float | None = None):
     return np.trace(fd_jacobian(field_fn, x, h_scale), axis1=-2, axis2=-1)
 
 
-def liouville_residual_ambient(field_fn, log_density_fn, x) -> float:
+def _finite_state(x, name="x"):
+    """The state x as a float array; ParameterError unless every entry is
+    finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{name}: non-finite state")
+    return x
+
+
+def liouville_residual_ambient(
+    field_fn, log_density_fn, x, divergence_fn=None, grad_fn=None
+) -> float:
     """div(X)(x) + <grad log mu, X>(x) on a full linear chart, at one point x (d,).
 
     Vanishes identically when mu is the density of an invariant measure in
-    these coordinates.  Both terms come from central finite differences, so
-    the residual is independent of any closed-form divergence.
+    these coordinates.  divergence_fn(x) -> (), the divergence of the field,
+    and grad_fn(x) -> (d,), the gradient of log mu, supply either term in
+    closed form; None takes it from central finite differences of field_fn
+    or log_density_fn, so with neither the residual is independent of any
+    closed-form term.  A non-finite x raises ParameterError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"x: expected one point (d,), got shape {x.shape}")
-    div = divergence(field_fn, x)
-    grad = fd_gradient(log_density_fn, x)
+    _finite_state(x)
+    div = divergence(field_fn, x) if divergence_fn is None else divergence_fn(x)
+    grad = fd_gradient(log_density_fn, x) if grad_fn is None else grad_fn(x)
     fx = np.asarray(field_fn(x), dtype=float).ravel()
     return float(div + grad @ fx)
 
@@ -669,7 +686,8 @@ def tangent_volume_transport(
     tangent, so V is never projected.  At each sample time V is
     re-orthonormalized by QR and |det R| is accumulated into a running log
     volume, which keeps the computation well scaled over long runs.
-    Constraint drift beyond 1e-6 aborts.
+    Constraint drift beyond 1e-6 aborts, and a non-finite x0 raises
+    ParameterError.
 
     With constraints_fn None the transport runs on the full chart (the
     basis starts as the identity), which turns the check into an integrated
@@ -693,6 +711,7 @@ def tangent_volume_transport(
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2):
         raise DimensionError(f"x0: expected shape (d,) or (S, d), got {x0.shape}")
+    _finite_state(x0, "x0")
     xs = x0.reshape(-1, x0.shape[-1])
     S, d = xs.shape
     if cfg is None:

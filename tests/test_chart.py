@@ -1,5 +1,6 @@
 """The chart interface answers for a whole trajectory as it does sample by
-sample, and the exact tangent kernels agree with central differences."""
+sample, and the exact tangent kernels and closed-form Liouville terms agree
+with central differences."""
 
 import glob
 import os
@@ -7,11 +8,20 @@ import os
 import numpy as np
 import pytest
 
+from conftest import random_spd_operator
 from nonholo.cli import PAIRS, load_config
-from nonholo.elpr import LPRStiefelChart
-from nonholo.elr import MomentumChart
+from nonholo.elpr import LPRChart, LPRStiefelChart
+from nonholo.elr import MomentumChart, MultiplierChart
+from nonholo.errors import ParameterError
 from nonholo.liealg import InertiaOperator, wedge_dim
-from nonholo.numerics import IntegratorConfig, constraint_tangent_basis, fd_jvp, integrate
+from nonholo.numerics import (
+    IntegratorConfig,
+    constraint_tangent_basis,
+    divergence,
+    fd_gradient,
+    fd_jvp,
+    integrate,
+)
 from nonholo.veselova import VeselovaChart
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
@@ -137,3 +147,67 @@ def test_exact_jvp_is_linear_and_member_by_member(chart):
             f_one, jv_one = chart.field_jvp(x[i : i + 1], dirs[i : i + 1])
             assert rel_diff(f_all[i], f_one[0]) <= 1e-14
             assert rel_diff(jv_all[i], jv_one[0]) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# closed-form Liouville terms of the two ambient charts: every ambient sample
+# config, then n = 3..8 with a wedge_products and a general inertia, the eps
+# grid and frame ranks k <= 3
+
+
+def _liouville_charts():
+    for path, name in zip(CONFIGS, CONFIG_IDS):
+        chart = load_config(path).chart
+        if chart.constraints is None:
+            yield f"config-{name}", chart
+    for n in range(3, 9):
+        ops = {
+            "products": InertiaOperator.wedge_products(_a(n)),
+            "general": random_spd_operator(n, np.random.default_rng(n)),
+        }
+        for kind, op in ops.items():
+            for eps in (-1.0, 0.5, 1.0, 2.0):
+                yield f"elpr-n{n}-{kind}-eps{eps}", LPRChart(op, eps)
+                for k in range(1, min(3, wedge_dim(n) - 1) + 1):
+                    yield f"elr_multiplier-n{n}-k{k}-{kind}-eps{eps}", MultiplierChart(op, k, eps)
+
+
+LIOUVILLE_CHARTS = list(_liouville_charts())
+
+
+def fd_close(exact, fd, tol):
+    """|exact - fd| within tol on the scale of the values, at least 1: the
+    central-difference floor is absolute where the values are small."""
+    exact, fd = np.asarray(exact), np.asarray(fd)
+    return float(np.max(np.abs(exact - fd))) <= tol * max(1.0, float(np.max(np.abs(fd))))
+
+
+@pytest.mark.parametrize(
+    "chart", [c for _, c in LIOUVILLE_CHARTS], ids=[i for i, _ in LIOUVILLE_CHARTS]
+)
+def test_closed_form_liouville_terms_match_central_differences(chart):
+    rng = np.random.default_rng(47)
+    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(2)])
+    div, grad = chart.divergence(xs), chart.log_density_grad(xs)
+    assert div.shape == (2,) and grad.shape == xs.shape
+    assert fd_close(div, divergence(chart.field, xs), 1e-7)
+    assert fd_close(grad, fd_gradient(chart.log_density, xs), 1e-7)
+    # batched against one point at a time, up to rounding
+    for i, x in enumerate(xs):
+        assert chart.divergence(x).shape == ()
+        assert rel_diff(div[i], chart.divergence(x)) <= 1e-14
+        assert rel_diff(grad[i], chart.log_density_grad(x)) <= 1e-14
+
+
+@pytest.mark.parametrize("system", ["elpr", "elr_multiplier"])
+def test_closed_form_liouville_terms_refuse_non_finite_states(system):
+    run = load_config(CONFIGS[CONFIG_IDS.index(system)])
+    chart = run.chart
+    x = run.initial_coords(run.seed)
+    for i in (0, chart.dim - 1):  # the so(n) block, then Pi or the frame
+        for bad in (np.nan, np.inf):
+            y = np.stack([x, x])
+            y[1, i] = bad
+            for term in (chart.divergence, chart.log_density_grad):
+                with pytest.raises(ParameterError, match="non-finite state"):
+                    term(y)

@@ -158,6 +158,48 @@ def test_degenerate_multiplier_frame_exits_four(tmp_path, capsys, command):
         assert not (tmp_path / "out").exists()
 
 
+AMBIENT_IDS = [i for i in CONFIG_IDS if SYSTEMS[i].constraints is None]
+
+
+@pytest.mark.parametrize("system", AMBIENT_IDS)
+def test_liouville_wrong_exponent_control_fails(tmp_path, monkeypatch, system):
+    # log_density_grad doubled: the gradient of a density with twice the
+    # exponent, which the flow does not preserve
+    chart_cls = SYSTEMS[system]
+    exact = chart_cls.log_density_grad
+    monkeypatch.setattr(chart_cls, "log_density_grad", lambda self, c: 2.0 * exact(self, c))
+    path = CONFIGS[CONFIG_IDS.index(system)]
+    assert main(["verify", "--config", path, "--check", "liouville", "--seeds", "3",
+                 "--out", str(tmp_path)]) == 2
+    rows = read_rows(tmp_path / f"{system}_liouville.csv")[1:]
+    assert len(rows) == 3
+    assert all(r[-1] == "fail" and float(r[8]) > 1e-3 for r in rows)
+
+
+# (system, initial coords, abort cause): Pi = -3 Id, which leaves I + Pi
+# indefinite (elpr, n = 4: 6 velocity, then 21 Pi coordinates), and two
+# equal frame rows (elr_multiplier, n = 4, k = 2)
+_PI = -3.0 * np.eye(6)
+DEGENERATE_LIOUVILLE = [
+    ("elpr", [0.1] * 6 + _PI[np.triu_indices(6)].tolist(), "I + Pi lost positive definiteness"),
+    ("elr_multiplier", [1.0] * 18, "frame Gram matrix is singular"),
+]
+
+
+@pytest.mark.parametrize("seeds", [1, 3])
+@pytest.mark.parametrize("system, coords, cause", DEGENERATE_LIOUVILLE,
+                         ids=[c[0] for c in DEGENERATE_LIOUVILLE])
+def test_liouville_on_a_degenerate_state_records_abort_rows(tmp_path, capsys, system,
+                                                            coords, cause, seeds):
+    cfg = sample_config(CONFIGS[CONFIG_IDS.index(system)], initial={"coords": coords})
+    p = write_cfg(tmp_path, cfg)
+    assert main(["verify", "--config", p, "--check", "liouville", "--seeds", str(seeds),
+                 "--out", str(tmp_path)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    rows = read_rows(tmp_path / f"{system}_liouville.csv")[1:]
+    assert [(r[7], r[-1]) for r in rows] == [("abort", f"abort: {cause}")] * seeds
+
+
 def test_multiplier_frame_check_is_scale_free(tmp_path):
     # frame rows scaled by 1e-3: Gram det 1e-12, rows independent
     path = CONFIGS[CONFIG_IDS.index("elr_multiplier")]

@@ -486,6 +486,62 @@ def test_liouville_residual_takes_one_point(shape):
         liouville_residual_ambient(field, logmu, np.ones(shape))
 
 
+def _counted(fn, calls):
+    def wrapped(x):
+        calls.append(np.shape(x))
+        return fn(x)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_is_refused_before_any_evaluation(where, bad):
+    # veselova transport used to raise LinAlgError from the SVD of the
+    # constraint Jacobian; the elpr residual returned nan (with a slogdet
+    # RuntimeWarning for a non-finite Pi)
+    for system in ("veselova", "elpr"):
+        run = load_config(CONFIGS[CONFIG_IDS.index(system)])
+        chart = run.chart
+        x = run.initial_coords(run.seed).copy()
+        x[0 if where == "first" else -1] = bad
+        calls = []
+        field, logmu = _counted(chart.field, calls), _counted(chart.log_density, calls)
+        with pytest.raises(ParameterError, match="x0: non-finite state"):
+            tangent_volume_transport(field, logmu, x, constraints_fn=chart.constraints)
+        with pytest.raises(ParameterError, match="x0: non-finite state"):
+            tangent_volume_transport(
+                field, logmu, np.stack([run.initial_coords(run.seed), x]),
+                constraints_fn=chart.constraints, jvp_fn=chart.field_jvp,
+            )
+        if chart.constraints is None:
+            with pytest.raises(ParameterError, match="x: non-finite state"):
+                liouville_residual_ambient(field, logmu, x)
+            with pytest.raises(ParameterError, match="x: non-finite state"):
+                liouville_residual_ambient(
+                    field, logmu, x,
+                    divergence_fn=chart.divergence, grad_fn=chart.log_density_grad,
+                )
+        assert calls == []
+
+
+def test_liouville_residual_takes_closed_form_terms():
+    # each supplied term replaces its central difference; None keeps it
+    rot = numerics.pointwise(lambda v: np.array([-v[1], v[0] + v[1]]))
+    logmu = numerics.pointwise(lambda v: 0.7 * float(v @ v))
+    x = np.array([0.6, -1.1])
+    fd = liouville_residual_ambient(rot, logmu, x)
+    div = divergence(rot, x)
+    grad = fd_gradient(logmu, x)
+    assert liouville_residual_ambient(rot, logmu, x, divergence_fn=lambda v: div) == fd
+    assert liouville_residual_ambient(rot, logmu, x, grad_fn=lambda v: grad) == fd
+    exact = liouville_residual_ambient(
+        rot, logmu, x, divergence_fn=lambda v: 1.0, grad_fn=lambda v: 1.4 * v
+    )
+    assert exact == 1.0 + 1.4 * x @ rot(x)
+    assert fd == pytest.approx(exact, abs=1e-8)
+
+
 def test_max_steps_bounds_every_attempted_step():
     field = lambda x: np.ones_like(x)
     fixed = IntegratorConfig(method="rk4_fixed", dt=0.1, t_end=1.0, samples=2, max_steps=9)
