@@ -40,6 +40,7 @@ from . import elpr, elr, veselova
 from .chart import Chart
 from .errors import ConfigError, DimensionError, ParameterError
 from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, unhat
+from .numerics import _finite_state
 
 __all__ = [
     "BallState",
@@ -304,7 +305,7 @@ class ChaplyginChart(_BallChart):
         return np.concatenate([dw, dg], axis=-1)
 
     def log_density(self, coords):
-        coords = np.asarray(coords, dtype=float)
+        coords = _finite_state(coords, "coords")
         g = coords[..., 3:]
         val = np.prod(self.it) * (1.0 - self.D * _dot(g, g / self.it))
         return 0.5 * np.log(val)
@@ -365,7 +366,7 @@ class RubberChart(_BallChart):
         return np.concatenate([dlead, dg], axis=-1)
 
     def log_density(self, coords):
-        coords = np.asarray(coords, dtype=float)
+        coords = _finite_state(coords, "coords")
         g = coords[..., 3:]
         return np.log(_dot(g, g / self.it)) / (2.0 * self.eps)
 

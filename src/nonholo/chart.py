@@ -5,16 +5,26 @@ A chart maps one system's states to flat coordinates.  Besides the flow
 needs to know about its system, so the command itself holds no per-system
 code.  Every method that takes coordinates takes a batch (..., d) and
 answers with arrays over the same leading axes; the command calls each one
-once per trajectory and never builds a state object:
+once per trajectory and never builds a state object.  ``log_density`` and
+``field_divergence`` refuse non-finite coordinates with ParameterError.
+The interface:
 
-* ``field_jvp(coords, dirs)``: the field at coords (S, d) and its
-  directional derivatives (S, q, d) along the q directions dirs (S, q, d)
-  of each point, for volume transport; central differences by default,
-  exact forward-mode derivatives where a chart overrides it;
-* ``divergence(coords)`` and ``log_density_grad(coords)``: the field's
-  divergence (...) and the gradient (..., d) of ``log_density`` in closed
-  form, for ``verify --check liouville``; only the two ambient charts
-  (``elr_multiplier``, ``elpr``) define them, and ``Chart`` gives no
+* ``field_divergence(coords)``: the field (..., d) at coords (..., d),
+  equal to ``field(coords)`` bit for bit, and its divergence (...), for
+  volume transport and ``verify --check liouville``.  The default takes
+  the divergence from central differences, on one field call of 1 + 2d
+  rows per point; every chart but the two balls overrides it with a
+  closed form.  Volume transport integrates this divergence over the whole
+  chart as the divergence on the constraint manifold.  That holds because
+  each constrained flow moves its frame F (the rows at ``frame_index``)
+  by F' = F Omega(x) with Omega skew: f' = eps [f, w] for
+  ``elr_momentum``, U' = -eps W U for ``veselova`` and ``lpr_stiefel``,
+  gamma' = eps gamma x w for the balls.  The normal space at F is
+  {S F : S symmetric}, on which the frame block of the Jacobian has no
+  trace, so a new chart must keep this frame law or transport by basis;
+* ``log_density_grad(coords)``: the gradient (..., d) of ``log_density``
+  in closed form, for ``verify --check liouville``; only the two ambient
+  charts (``elr_multiplier``, ``elpr``) define it, and ``Chart`` gives no
   default, since that check runs on ambient charts only;
 * ``frame_index``: the (p, m) coordinates of the frame whose rows the flow
   keeps orthonormal, from which ``constraints`` and ``renormalize``
@@ -40,7 +50,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .liealg import wedge_index_pairs
-from .numerics import fd_jvp, polar_orthonormalize
+from .numerics import _finite_state, fd_field_divergence, polar_orthonormalize
 
 
 def pair_labels(n: int, prefix: str) -> list[str]:
@@ -62,10 +72,11 @@ class Chart:
         if self.eps_in_density and self.eps == 0.0:
             raise ParameterError("density is undefined at eps = 0")
 
-    def field_jvp(self, coords, dirs):
-        """(field (S, d), J dirs (S, q, d)) at coords (S, d) along dirs
-        (S, q, d), J the field's Jacobian: ``numerics.fd_jvp`` of ``field``."""
-        return fd_jvp(self.field, coords, dirs)
+    def field_divergence(self, coords):
+        """(field (..., d), div (...)) at coords (..., d):
+        ``numerics.fd_field_divergence`` of ``field``.  Non-finite coords
+        raise ParameterError."""
+        return fd_field_divergence(self.field, _finite_state(coords, "coords"))
 
     def constraints(self, coords):
         """Upper triangle of F F^T - I for the frame F at coords (..., d)."""

@@ -375,12 +375,12 @@ def _integral_drifts(chart, states, obs) -> dict:
 
 def _liouville_results(cfg: RunConfig, x0) -> list:
     """Pointwise Liouville residual of each state, from the chart's
-    closed-form divergence and log-density gradient."""
+    field_divergence and log-density gradient, both in closed form."""
     chart = cfg.chart
     values = [
         abs(liouville_residual_ambient(
             chart.field, chart.log_density, x,
-            divergence_fn=chart.divergence, grad_fn=chart.log_density_grad,
+            divergence_fn=chart.field_divergence, grad_fn=chart.log_density_grad,
         ))
         for x in x0
     ]
@@ -389,7 +389,8 @@ def _liouville_results(cfg: RunConfig, x0) -> list:
 
 def _volume_results(cfg: RunConfig, x0) -> list:
     """Max tangent-volume residual of each state, from one ensemble transport
-    whose J V comes from the chart's ``field_jvp``."""
+    whose log volume integrates the divergence of the chart's
+    ``field_divergence``."""
     chart = cfg.chart
     results = tangent_volume_transport(
         chart.field,
@@ -397,7 +398,7 @@ def _volume_results(cfg: RunConfig, x0) -> list:
         x0,
         constraints_fn=chart.constraints,
         cfg=cfg.integrator,
-        jvp_fn=chart.field_jvp,
+        divergence_fn=chart.field_divergence,
     )
     return [([("volume_residual", r.max_abs_residual)], {"volume_residual"}) for r in results]
 

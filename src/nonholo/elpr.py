@@ -36,7 +36,7 @@ import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
-from .elr import _energy
+from .elr import _energy, _frame_divergence
 from .errors import (
     DefinitenessError,
     DimensionError,
@@ -248,18 +248,10 @@ def stiefel_total_inertia(a, D: float) -> InertiaOperator:
 
 
 def _stiefel_velocity(kc, U, op, D):
-    """Wedge coordinates of w solving I w + D pr_{D_r}(w) = k_bold, batched."""
-    T = op.dense_matrix + D * dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
-    return np.linalg.solve(T, kc[..., None])[..., 0]
-
-
-def _lpr_stiefel_rhs(kc, Uflat, op, D, eps, n, r):
-    shape = np.asarray(kc).shape[:-1]
-    U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
-    wc = _stiefel_velocity(kc, U, op, D)
-    dkc = -np.einsum("...ij,...j->...i", ad_coords(wc, n), kc)  # [k_bold, w]
-    dU = -eps * (from_wedge(wc, n) @ U)
-    return dkc, dU.reshape(shape + (n * r,)), wc
+    """Wedge coordinates of w solving I w + D pr_{D_r}(w) = k_bold, and the
+    matrix of pr_{D_r}; batched."""
+    P = dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
+    return np.linalg.solve(op.dense_matrix + D * P, kc[..., None])[..., 0], P
 
 
 # ---------------------------------------------------------------------------
@@ -310,21 +302,21 @@ class LPRChart(Chart):
         return np.concatenate([dwc, self.eps * (PA[..., i, j] + PA[..., j, i])], axis=-1)
 
     def log_density(self, coords):
-        return log_density_elpr(self._split(coords)[1], self.op)
+        return log_density_elpr(self._split(_finite_state(coords, "coords"))[1], self.op)
 
-    def divergence(self, coords):
-        """div X (...) at coords (..., d): -tr(K^-1 ad_w B) with K = I + Pi
-        and B = I + (1 - eps) Pi.  The w block of the Jacobian is
-        K^-1 (ad_{Bw} - ad_w B), and tr(K^-1 ad_{Bw}) vanishes, K^-1 being
-        symmetric and ad_{Bw} skew.  The Pi block adds nothing: its diagonal
-        entries are those of eps (dPi ad_w - ad_w dPi) for unit dPi,
-        diagonal entries of the skew ad_w."""
-        wc, Pi = self._split(_finite_state(coords, "coords"))
+    def field_divergence(self, coords):
+        """The field and its divergence at coords (..., d).  The divergence
+        is -tr(K^-1 ad_w B) with K = I + Pi and B = I + (1 - eps) Pi.  The w
+        block of the Jacobian is K^-1 (ad_{Bw} - ad_w B), and tr(K^-1
+        ad_{Bw}) vanishes, K^-1 being symmetric and ad_{Bw} skew.  The Pi
+        block adds nothing: its diagonal entries are those of eps (dPi ad_w
+        - ad_w dPi) for unit dPi, diagonal entries of the skew ad_w."""
+        coords = _finite_state(coords, "coords")
+        rates = self.field(coords)  # raises unless K is positive definite
+        wc, Pi = self._split(coords)
         B = self.op.dense_matrix + (1.0 - self.eps) * Pi
-        K = self.op.dense_matrix + Pi
-        _check_pd(K)
-        KAB = np.linalg.solve(K, ad_coords(wc, self.n) @ B)
-        return -np.trace(KAB, axis1=-2, axis2=-1)
+        KAB = np.linalg.solve(self.op.dense_matrix + Pi, ad_coords(wc, self.n) @ B)
+        return rates, -np.trace(KAB, axis1=-2, axis2=-1)
 
     def log_density_grad(self, coords):
         """Gradient (..., d) of log_density at coords (..., d): 0 on w; on
@@ -397,36 +389,30 @@ class LPRStiefelChart(_StiefelChart):
         a, D = cfg.vector("a"), cfg.get("D", float, required=True)
         return cls(a, D, cfg.get("r", int, required=True), cfg.epsilon)
 
-    def field(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        kc = coords[..., : self.N]
-        dkc, dU, _ = _lpr_stiefel_rhs(
-            kc, coords[..., self.N :], self.op, self.D, self.eps, self.n, self.r
-        )
-        return np.concatenate([dkc, dU], axis=-1)
+    def _rates(self, coords):
+        """The field at coords (..., d), then k_bold, P = pr_{D_r} and w."""
+        kc, U = self._split(coords)
+        wc, P = _stiefel_velocity(kc, U, self.op, self.D)
+        dkc = -np.einsum("...ij,...j->...i", ad_coords(wc, self.n), kc)  # [k_bold, w]
+        dU = -self.eps * (from_wedge(wc, self.n) @ U)
+        return np.concatenate([dkc, dU.reshape(kc.shape[:-1] + (-1,))], axis=-1), (kc, P, wc)
 
-    def field_jvp(self, coords, dirs):
-        """The field at coords (S, d) and its exact derivatives along dirs
-        (S, q, d).  With T = I + D pr_{D_r} and T w = k_bold,
-        dw = T^-1 (dk - D dP w) from one inverse of T per member, and
-        d[k, w] = ad_k dw - ad_w dk."""
-        ks, us, G, dP = self._jvp_split(coords, dirs)
-        T = self.op.dense_matrix + self.D * dr_projector_matrix(G)
-        tinv_t = np.linalg.inv(T).swapaxes(-1, -2)
-        ws = ks @ tinv_t  # w, then T^-1 dk
-        w = ws[..., :1, :]
-        ws[..., 1:, :] -= self.D * (dP(w)[..., 0, :] @ tinv_t)
-        ad = ad_coords(np.concatenate([w, ks[..., :1, :]], axis=-2), self.n)
-        # dw ad_k^T + dk ad_w as rows; [k, w] is bilinear, so at (k, w)
-        # itself the same sum is twice the rate
-        rates = ws @ ad[..., 1, :, :].swapaxes(-1, -2) + ks @ ad[..., 0, :, :]
-        rates[..., 0, :] *= 0.5
-        out = np.concatenate([rates, self._frame_rates(ws, us)], axis=-1)
-        return out[..., 0, :], out[..., 1:, :]
+    def field(self, coords):
+        return self._rates(coords)[0]
+
+    def field_divergence(self, coords):
+        """The field and its divergence at coords (..., d): with T = I + D P
+        and T w = k_bold, d[k, w] = ad_k dw - ad_w dk, so the momentum block
+        is tr(T^-1 ad_k), and the frame term is elr._frame_divergence with
+        u = D w."""
+        rates, (kc, P, wc) = self._rates(_finite_state(coords, "coords"))
+        T = self.op.dense_matrix + self.D * P
+        div = _frame_divergence(T, ad_coords(kc, self.n), P, self.D * wc, self.eps, self.n)
+        return rates, div
 
     def log_density(self, coords):
         """log of (sum_I P_I^2 / a_I)^(-(n - r - 1)/2); independent of eps."""
-        coords = np.asarray(coords, dtype=float)
+        coords = _finite_state(coords, "coords")
         base = _log_base(coords[..., self.N :], 1.0 / self.a, self.n, self.r, coords.shape[:-1])
         return -(self.n - self.r - 1) / 2.0 * base
 
@@ -438,7 +424,7 @@ class LPRStiefelChart(_StiefelChart):
 
     def integrals(self, coords):
         kc, U = self._split(coords)
-        return {"H": _energy(kc, _stiefel_velocity(kc, U, self.op, self.D), self.n)}
+        return {"H": _energy(kc, _stiefel_velocity(kc, U, self.op, self.D)[0], self.n)}
 
     def gated(self, first):
         return {"H_drift"}

@@ -209,39 +209,39 @@ def _momentum_rhs(mc, P, op, eps):
     return dmc, wc, ad_w
 
 
-def _momentum_jvp(ms, P, op, eps, dP):
-    """_momentum_rhs and its derivative along q directions, batched.
+def _frame_divergence(J, M, P, u, eps, n):
+    """tr(J^-1 (M - eps (ad_{Pu} - P ad_u))), batched: the divergence of a
+    momentum field whose velocity solves J w = m with J = J_0 + P S, u = S w.
 
-    ms (..., 1 + q, N) holds m_bold, then its q directions dm; P is as in
-    _momentum_rhs, and dP maps rows v (..., c, N) to the derivatives of P v
-    along the q directions, (..., q, c, N).  Returns d(m_bold)/dt, then its
-    q derivatives, (..., 1 + q, N); w, then its q derivatives dw, in the
-    same layout; and eps ad_w, which maps rows x to eps [x, w].
-
-    With Jm = Id + P shift (shift = I - Id), Jm w = m_bold gives
-    dw = Jm^-1 (dm - dP shift w), from one inverse of Jm per member.  The
-    brackets give d[m, w] = ad_m dw - ad_w dm and d[Iw, w] = ad_{Iw} dw -
-    ad_w I dw, and pr_D [Iw, w] adds dP [Iw, w].  Every ad is skew.
+    M J^-1 is the derivative of the momentum rate along m at a fixed frame,
+    so tr(J^-1 M) is the momentum block of the trace.  The frame F moves by
+    F' = F Omega(w), Omega(w) = eps ad_w (or eps w acting on R^n), and P is
+    Ad-equivariant in F.  The frame block is the trace of dF |-> dF Omega,
+    which is zero as Omega is skew, plus the trace of dF |-> F Omega(dw)
+    with dw = -J^-1 dP u.  That map factors through so(n), so by
+    tr(A B) = tr(B A) its trace is that of v |-> dw for dF = F Omega(v):
+    there dP = -eps [ad_v, P], and dw = eps J^-1 [ad_v, P] u
+    = -eps J^-1 (ad_{Pu} - P ad_u) v.
     """
+    Pu = np.einsum("...ij,...j->...i", P, u)
+    ad = ad_coords(np.stack([Pu, u], axis=-2), n)
+    A = M - eps * (ad[..., 0, :, :] - P @ ad[..., 1, :, :])
+    return np.trace(np.linalg.solve(J, A), axis1=-2, axis2=-1)
+
+
+def _momentum_divergence(mc, P, wc, ad_w, op, eps):
+    """Divergence (...) of the momentum form at m_bold = mc (..., N) with
+    the matrix P of pr_D, from the w and ad_w of _momentum_rhs.  With
+    Jm = Id + P shift (shift = I - Id), d[m, w] = ad_m dw - ad_w dm and
+    d[Iw, w] = (ad_{Iw} - ad_w I) dw, where dw = Jm^-1 dm and every ad is
+    skew; the frame term is _frame_divergence with u = shift w."""
     eye, shift = op.identity_and_shift
-    jinv_t = np.linalg.inv(eye + P @ shift).swapaxes(-1, -2)
-    ws = ms @ jinv_t  # w, then Jm^-1 dm
-    w = ws[..., :1, :]
-    Iw = op.apply_coords(w)
-    ad = ad_coords(np.concatenate([w, ms[..., :1, :], Iw], axis=-2), op.n)
-    ad_w = ad[..., 0, :, :]
-    # rows shift w and [Iw, w]
-    dPv = dP(np.concatenate([w @ shift, Iw @ ad_w], axis=-2))
-    ws[..., 1:, :] -= dPv[..., 0, :] @ jinv_t
-    # A dw + B dm is the derivative of the rate without its dP term.  The
-    # rate is quadratic in (m_bold, w) at fixed P, so at (m_bold, w) itself
-    # A w + B m_bold is twice the rate.
-    A = eps * ad[..., 1, :, :] + (1.0 - eps) * (P @ (ad[..., 2, :, :] - op.apply_coords(ad_w)))
-    rot = eps * ad_w  # B^T
-    rates = ws @ A.swapaxes(-1, -2) + ms @ rot
-    rates[..., 0, :] *= 0.5
-    rates[..., 1:, :] += (1.0 - eps) * dPv[..., 1, :]
-    return rates, ws, rot
+    ad = ad_coords(np.stack([mc, op.apply_coords(wc)], axis=-2), op.n)
+    M = eps * ad[..., 0, :, :] + (1.0 - eps) * (
+        P @ (ad[..., 1, :, :] - op.apply_coords(ad_w))
+    )
+    u = wc @ shift  # shift is symmetric
+    return _frame_divergence(eye + P @ shift, M, P, u, eps, op.n)
 
 
 def _energy(mc, wc, n):
@@ -295,7 +295,7 @@ def multipliers(state: ELRMultiplierState, op: InertiaOperator) -> np.ndarray:
 
 def analytic_divergence(state: ELRMultiplierState, op: InertiaOperator) -> float:
     """Closed-form divergence of the multiplier field at a state: the
-    batched kernel of ``MultiplierChart.divergence`` at one point."""
+    divergence of ``MultiplierChart.field_divergence`` at one point."""
     return float(_multiplier_divergence(to_wedge(state.omega), state.frames.coords, op))
 
 
@@ -401,12 +401,14 @@ class MultiplierChart(_FrameChart):
 
     def log_density(self, coords):
         self.check_density()
-        _, ec = self._split(coords)
+        _, ec = self._split(_finite_state(coords, "coords"))
         return _log_gram_det(ec, self.op, "inverse_inertia") / (2.0 * self.eps)
 
-    def divergence(self, coords):
-        """div X (...) at coords (..., d), from _multiplier_divergence."""
-        return _multiplier_divergence(*self._split(_finite_state(coords, "coords")), self.op)
+    def field_divergence(self, coords):
+        """The field and its divergence at coords (..., d), from
+        _multiplier_divergence."""
+        coords = _finite_state(coords, "coords")
+        return self.field(coords), _multiplier_divergence(*self._split(coords), self.op)
 
     def log_density_grad(self, coords):
         """Gradient (..., d) of log_density at coords (..., d): 0 on w and
@@ -457,42 +459,31 @@ class MomentumChart(_FrameChart):
         self.dim = (self.p + 1) * self.N
         self.frame_index = self.N + np.arange(self.p * self.N).reshape(self.p, self.N)
 
-    def field(self, coords):
+    def _rates(self, coords):
+        """The field at coords (..., d), then m_bold, P = F^T F and the w
+        and ad_w of _momentum_rhs."""
         mc, fc = self._split(coords)
         PD = np.swapaxes(fc, -1, -2) @ fc
-        dmc, _, ad_w = _momentum_rhs(mc, PD, self.op, self.eps)
+        dmc, wc, ad_w = _momentum_rhs(mc, PD, self.op, self.eps)
         dfc = -self.eps * (fc @ np.swapaxes(ad_w, -1, -2))  # eps [f_i, w]
-        return np.concatenate(
+        rates = np.concatenate(
             [dmc, dfc.reshape(mc.shape[:-1] + (self.p * self.N,))],
             axis=-1,
         )
+        return rates, (mc, PD, wc, ad_w)
 
-    def field_jvp(self, coords, dirs):
-        """The field at coords (S, d) and its exact derivatives along dirs
-        (S, q, d), from _momentum_jvp with P = F^T F, so that
-        dP v = dF^T F v + F^T dF v, and d[f_i, w] = [df_i, w] + [f_i, dw]."""
-        N, p = self.N, self.p
-        ms, fs = self._split(np.concatenate([coords[..., None, :], dirs], axis=-2))
-        fc = fs[..., 0, :, :]
-        fs_t = fs.swapaxes(-1, -2)
+    def field(self, coords):
+        return self._rates(coords)[0]
 
-        def dP(v):
-            vf = v[..., None, :, :] @ fs_t  # v F^T, then v dF^T
-            return vf[..., 1:, :, :] @ fs[..., :1, :, :] + vf[..., :1, :, :] @ fs[..., 1:, :, :]
-
-        rates, ws, rot = _momentum_jvp(ms, fs_t[..., 0, :, :] @ fc, self.op, self.eps, dP)
-        # eps [f_i, w] for the frame rows and their directions at once, then
-        # eps [f_i, dw] from ad_{f_i}
-        lead = fs.shape[:-2]
-        df = (fs.reshape(lead[:-1] + (-1, N)) @ rot).reshape(lead + (p * N,))
-        ad_f = ad_coords(self.eps * fc, self.n).reshape(fc.shape[:-2] + (p * N, N))
-        df[..., 1:, :] += ws[..., 1:, :] @ ad_f.swapaxes(-1, -2)
-        out = np.concatenate([rates, df], axis=-1)
-        return out[..., 0, :], out[..., 1:, :]
+    def field_divergence(self, coords):
+        """The field and its divergence at coords (..., d), from
+        _momentum_divergence with P = F^T F."""
+        rates, parts = self._rates(_finite_state(coords, "coords"))
+        return rates, _momentum_divergence(*parts, self.op, self.eps)
 
     def log_density(self, coords):
         self.check_density()
-        _, fc = self._split(coords)
+        _, fc = self._split(_finite_state(coords, "coords"))
         return (1.0 / (2.0 * self.eps) - 1.0) * _log_gram_det(fc, self.op, "inertia")
 
     def flatten(self, state: ELRMomentumState) -> np.ndarray:

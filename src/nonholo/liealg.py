@@ -61,7 +61,6 @@ __all__ = [
     "subspace_projectors",
     "projector_matrix",
     "dr_projector_matrix",
-    "dr_projector_tangent",
     "restricted_det",
     "isotropy_frame",
     "orthonormal_complement",
@@ -546,23 +545,6 @@ def dr_projector_matrix(G: np.ndarray) -> np.ndarray:
     Q = (np.eye(n) - G).reshape(G.shape[:-2] + (n * n,))
     QEQ = Q[..., ai] * Q[..., jb] - Q[..., aj] * Q[..., ib]
     return np.eye(w.N) - QEQ.reshape(G.shape[:-2] + (w.N, w.N))
-
-
-def dr_projector_tangent(G: np.ndarray, dG: np.ndarray, vc: np.ndarray) -> np.ndarray:
-    """Wedge coordinates (..., N) of dP v, the derivative of
-    dr_projector_matrix(G) @ vc along dG, broadcast over G and dG
-    (..., n, n), both symmetric, and vc (..., N).
-
-    pr_{D_r}(eta) = eta - Q eta Q with Q = Id - G, so dQ = -dG and
-
-        dP eta = dG eta Q + Q eta dG = X - X^T,   X = dG eta Q,
-
-    as eta is skew.  For G = U U^T, dG = dU U^T + U dU^T."""
-    G = np.asarray(G)
-    n = G.shape[-1]
-    w = _windex(n)
-    X = dG @ (from_wedge(vc, n) @ (np.eye(n) - G))
-    return X[..., w.rows, w.cols] - X[..., w.cols, w.rows]
 
 
 def subspace_projectors(frame: Frame):

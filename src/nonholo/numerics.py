@@ -17,23 +17,25 @@ Two verification primitives are provided:
   linear chart.  By default the divergence and the log-density gradient
   come from central finite differences, independent of any closed form;
   ``verify --check liouville`` passes the chart's closed-form
-  ``divergence`` and ``log_density_grad`` instead.
+  ``field_divergence`` and ``log_density_grad`` instead.
 
-* ``tangent_volume_transport``: propagates an orthonormal basis of the
+* ``tangent_volume_transport``: integrates the log volume of a tangent
+  volume element along the flow; for an invariant measure mu the sum
+  log mu(x(t)) + log vol(t) stays constant.  ``verify --check volume``
+  passes ``Chart.field_divergence`` as ``divergence_fn``: the log volume is
+  then one more number per state, whose rate is div X (Liouville's
+  formula), which on a constrained chart is the manifold divergence as
+  long as the flow moves its frame F by F' = F Omega, Omega skew.  Without
+  it, the default propagates an orthonormal basis V of the
   constraint-manifold tangent space with the variational equation
-  dV/dt = J(x(t)) V and accumulates the log volume of the transported
-  parallelepiped; for an invariant measure mu the sum
-  log mu(x(t)) + log vol(V(t)) stays constant.  J V is never formed from
-  J: a tangent kernel maps the states and the columns of V to the field
-  and its directional derivatives along them.  The default, ``fd_jvp``,
-  takes each of the q columns as a central difference of the field along
-  it, from one field call on 1 + 2q rows per state.  ``verify --check
-  volume`` passes ``Chart.field_jvp`` as ``jvp_fn``; where a chart's is
-  an exact forward-mode derivative, a stage needs one factorization per
-  state instead of 2q.  The constraint Jacobian is taken once, for the
+  dV/dt = J(x(t)) V, J V from ``fd_jvp``: each of the q columns as a
+  central difference of the field along it, from one field call on
+  1 + 2q rows per state.  The constraint Jacobian is taken once, for the
   initial basis: the flow keeps V tangent, so later samples only check the
-  constraint drift and re-orthonormalize V.  An ensemble of initial states (S, d) is transported together: each
-  stage makes one tangent-kernel call on every member at once.
+  constraint drift and re-orthonormalize V.  This basis transport is the
+  independent check of the divergence path.  An ensemble of initial
+  states (S, d) is transported together: each stage makes one call on
+  every member at once.
 
 The default integrator is the embedded Dormand-Prince 8(5,3) pair of
 Hairer's DOP853 with a proportional step controller; a fixed-step classical
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -73,6 +74,7 @@ __all__ = [
     "fd_gradient",
     "fd_jvp",
     "divergence",
+    "fd_field_divergence",
     "liouville_residual_ambient",
     "constraint_tangent_basis",
     "tangent_volume_transport",
@@ -433,9 +435,10 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
     error, so a member can differ from its own (d,) run at the
     integrator-error level.
     renormalize_fn, if given together with cfg.renormalize_every, projects
-    the state back onto its manifold after that many accepted steps.
+    the state back onto its manifold after that many accepted steps.  A
+    non-finite x0 raises ParameterError.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _finite_state(x0, "x0")
     times = cfg.sample_times()
     driver = _make_driver(field_fn, x0, cfg)
 
@@ -583,6 +586,18 @@ def divergence(field_fn, x, h_scale: float | None = None):
     return np.trace(fd_jacobian(field_fn, x, h_scale), axis1=-2, axis2=-1)
 
 
+def fd_field_divergence(field_fn, x):
+    """field_fn at x (..., d) and its divergence (...), from one field_fn
+    call on 1 + 2d stacked rows per point: x, then the stencil of
+    fd_jacobian, whose diagonal central differences are summed."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
+    stencil, h = _fd_points(x, _FD_H)
+    vals = _eval_rows(field_fn, np.concatenate([x[..., None, :], stencil], axis=-2))
+    diff = np.diagonal(vals[..., 1 : d + 1, :] - vals[..., d + 1 :, :], axis1=-2, axis2=-1)
+    return vals[..., 0, :], np.sum(diff / (2.0 * h), axis=-1)
+
+
 def _finite_state(x, name="x"):
     """The state x as a float array; ParameterError unless every entry is
     finite."""
@@ -598,20 +613,24 @@ def liouville_residual_ambient(
     """div(X)(x) + <grad log mu, X>(x) on a full linear chart, at one point x (d,).
 
     Vanishes identically when mu is the density of an invariant measure in
-    these coordinates.  divergence_fn(x) -> (), the divergence of the field,
-    and grad_fn(x) -> (d,), the gradient of log mu, supply either term in
-    closed form; None takes it from central finite differences of field_fn
-    or log_density_fn, so with neither the residual is independent of any
-    closed-form term.  A non-finite x raises ParameterError.
+    these coordinates.  divergence_fn(x) -> (field (d,), divergence ()), as
+    tangent_volume_transport takes it, and grad_fn(x) -> (d,), the gradient
+    of log mu, supply either term in closed form; field_fn is not called
+    when divergence_fn is given.  None takes the term from central
+    differences of field_fn or log_density_fn, so with neither the residual
+    is independent of any closed-form term.  A non-finite x raises
+    ParameterError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"x: expected one point (d,), got shape {x.shape}")
     _finite_state(x)
-    div = divergence(field_fn, x) if divergence_fn is None else divergence_fn(x)
+    if divergence_fn is None:
+        fx, div = field_fn(x), divergence(field_fn, x)
+    else:
+        fx, div = divergence_fn(x)
     grad = fd_gradient(log_density_fn, x) if grad_fn is None else grad_fn(x)
-    fx = np.asarray(field_fn(x), dtype=float).ravel()
-    return float(div + grad @ fx)
+    return float(div + grad @ np.asarray(fx, dtype=float).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -673,40 +692,48 @@ def tangent_volume_transport(
     constraints_fn=None,
     cfg: IntegratorConfig | None = None,
     n_samples: int = 11,
-    jvp_fn=None,
+    divergence_fn=None,
 ) -> TransportResult | list[TransportResult]:
     """Transport a tangent-space volume element along the flow.
 
-    The tangent basis (columns of V) starts as constraint_tangent_basis and
-    solves dV/dt = J(x(t)) V with J the Jacobian of the field.  J V comes
-    from jvp_fn(x (S, d), Vt (S, q, d)) -> (field (S, d), (J V)^T (S, q, d)),
-    with the columns of V as the rows of Vt; None means fd_jvp of field_fn,
-    the central difference of the field along each column of V, and
-    field_fn is not called otherwise.  The flow's linearisation keeps V
-    tangent, so V is never projected.  At each sample time V is
-    re-orthonormalized by QR and |det R| is accumulated into a running log
-    volume, which keeps the computation well scaled over long runs.
-    Constraint drift beyond 1e-6 aborts, and a non-finite x0 raises
-    ParameterError.
+    With divergence_fn(x (S, d)) -> (field (S, d), div (S,)), the log
+    volume follows Liouville's formula d/dt log vol = div X: each member's
+    driver state is x and one more number, whose rate is div X(x), and
+    field_fn is not called.  The divergence is the trace of the field's
+    Jacobian over the whole chart.  That equals the trace over the tangent
+    space of the constraint manifold when the flow moves its frame F as
+    F' = F Omega with Omega skew: the normal space at F is {S F : S
+    symmetric}, and the frame block of the Jacobian has no trace on it.
 
-    With constraints_fn None the transport runs on the full chart (the
-    basis starts as the identity), which turns the check into an integrated
-    ambient Liouville test.
+    With divergence_fn None, a tangent basis (columns of V) starts as
+    constraint_tangent_basis and solves dV/dt = J(x(t)) V with J the
+    Jacobian of the field, J V from fd_jvp of field_fn: the central
+    difference of the field along each column of V.  The flow's
+    linearisation keeps V tangent, so V is never projected.  At each sample
+    time V is re-orthonormalized by QR and |det R| is accumulated into a
+    running log volume, which keeps the computation well scaled over long
+    runs.  This basis transport assumes nothing of the frame, so it checks
+    the other path.
+
+    Constraint drift beyond 1e-6 at a sample time aborts, and a non-finite
+    x0 raises ParameterError.  With constraints_fn None the transport runs
+    on the full chart (the basis starts as the identity), which turns the
+    check into an integrated ambient Liouville test.
 
     x0 is one state (d,), which returns one TransportResult, or an ensemble
     (S, d), which returns a list with one TransportResult per member.  The
-    members share one driver: every stage makes one jvp_fn call on all
-    members (with fd_jvp, field_fn on each member's state and its 2q
-    directional points stacked, q the number of columns of V), and the
-    step is controlled by the largest member error.  A member's residual
-    can therefore differ from its own (d,) transport at the
-    integrator-error level.  Any failure of one member raises for the
-    whole ensemble.  The initial basis and every later sample time make one
-    call each of constraints_fn and log_density_fn on all members.
-    Members run in consecutive groups small enough that one group's fd_jvp
-    stencil, its S (1 + 2q) points of d values, stays under 64 MB, whichever
-    jvp_fn runs; that bounds the driver's stage arrays and each jvp_fn
-    call's input, while the field sees the stencil in row blocks.
+    members share one driver: every stage makes one divergence_fn call, or
+    one field_fn call on each member's state and its 2q directional points
+    stacked, on all members, and the step is controlled by the largest
+    member error.  A member's residual can therefore differ from its own
+    (d,) transport at the integrator-error level.  Any failure of one
+    member raises for the whole ensemble.  log_density_fn is called on all
+    members at once at the initial state, and so are log_density_fn and
+    constraints_fn at every later sample time.  Members run in consecutive groups small
+    enough that an fd_jvp stencil of S (1 + 2d) points of d values stays
+    under 64 MB, whichever path runs; that bounds the driver's stage arrays
+    and the stencil of a finite-difference divergence_fn, while the field
+    sees a stencil in row blocks.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2):
@@ -716,52 +743,64 @@ def tangent_volume_transport(
     S, d = xs.shape
     if cfg is None:
         cfg = IntegratorConfig()
-    if jvp_fn is None:
-        jvp_fn = partial(fd_jvp, field_fn)
     # a member's fd_jvp batch has 1 + 2q rows of d values, and q <= d
     group = max(1, _ENSEMBLE_BATCH_BYTES // (8 * (1 + 2 * d) * d))
     results = []
     for lo in range(0, S, group):
         results += _transport_group(
-            jvp_fn, log_density_fn, xs[lo : lo + group], constraints_fn, cfg, n_samples
+            field_fn, divergence_fn, log_density_fn, xs[lo : lo + group], constraints_fn, cfg,
+            n_samples,
         )
     return results[0] if x0.ndim == 1 else results
 
 
-def _transport_group(jvp_fn, log_density_fn, xs, constraints_fn, cfg, n_samples):
+def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn, cfg, n_samples):
     """tangent_volume_transport of an ensemble xs (S, d) on one shared driver."""
     S, d = xs.shape
-    if constraints_fn is None:
-        V = np.tile(np.eye(d), (S, 1, 1))
-    else:
-        V = constraint_tangent_basis(constraints_fn, xs)
-    q = V.shape[-1]
+    if divergence_fn is not None:
+        # the driver state of a member is x, then its log volume
 
-    # the driver state of a member is x, then V^T row by row
-    def aug_field(y):
-        fx, JVt = jvp_fn(y[:, :d], y[:, d:].reshape(S, q, d))
-        return np.concatenate([fx, JVt.reshape(S, q * d)], axis=1)
+        def aug_field(y):
+            fx, div = divergence_fn(y[:, :d])
+            return np.concatenate([fx, np.reshape(div, (S, 1))], axis=1)
+
+        y0 = np.concatenate([xs, np.zeros((S, 1))], axis=1)
+    else:
+        if constraints_fn is None:
+            V = np.tile(np.eye(d), (S, 1, 1))
+        else:
+            V = constraint_tangent_basis(constraints_fn, xs)
+        q = V.shape[-1]
+
+        # the driver state of a member is x, then V^T row by row
+        def aug_field(y):
+            fx, JVt = fd_jvp(field_fn, y[:, :d], y[:, d:].reshape(S, q, d))
+            return np.concatenate([fx, JVt.reshape(S, q * d)], axis=1)
+
+        y0 = np.concatenate([xs, np.swapaxes(V, 1, 2).reshape(S, q * d)], axis=1)
 
     t_grid = np.linspace(0.0, cfg.t_end, n_samples) if cfg.t_end > 0 else np.array([0.0])
     logvol = np.zeros(S)
     lds = [_eval_rows(log_density_fn, xs).reshape(S)]
     lvs = [logvol.copy()]
 
-    Vt = np.swapaxes(V, 1, 2).reshape(S, q * d)
-    driver = _make_driver(aug_field, np.concatenate([xs, Vt], axis=1), cfg)
+    driver = _make_driver(aug_field, y0, cfg)
     for t in t_grid[1:]:
         y = driver.advance(float(t)).copy()
         x = y[:, :d]
         if constraints_fn is not None:
             _check_drift([t], [np.max(np.abs(_eval_rows(constraints_fn, x)), initial=0.0)])
-        Q, R = np.linalg.qr(np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2))
-        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        if np.any(diag <= 0.0):
-            raise SingularityError("transported tangent volume collapsed")
-        logvol += np.sum(np.log(diag), axis=1)
-        y[:, d:] = np.swapaxes(Q, 1, 2).reshape(S, q * d)
-        driver.x = y
-        driver.reset_fsal()
+        if divergence_fn is not None:
+            logvol = y[:, d]
+        else:
+            Q, R = np.linalg.qr(np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2))
+            diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            if np.any(diag <= 0.0):
+                raise SingularityError("transported tangent volume collapsed")
+            logvol += np.sum(np.log(diag), axis=1)
+            y[:, d:] = np.swapaxes(Q, 1, 2).reshape(S, q * d)
+            driver.x = y
+            driver.reset_fsal()
         lds.append(_eval_rows(log_density_fn, x).reshape(S))
         lvs.append(logvol.copy())
     lds, lvs = np.array(lds), np.array(lvs)

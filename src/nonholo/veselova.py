@@ -34,18 +34,18 @@ import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
-from .elr import _energy, _momentum_jvp, _momentum_rhs, _momentum_velocity
+from .elr import _energy, _momentum_divergence, _momentum_rhs, _momentum_velocity
 from .errors import ConfigError, DimensionError, ParameterError, UnsupportedSpecError
 from .liealg import (
     InertiaOperator,
     StiefelPoint,
     as_stiefel_matrix,
     dr_projector_matrix,
-    dr_projector_tangent,
     from_wedge,
     to_wedge,
     wedge_dim,
 )
+from .numerics import _finite_state
 
 __all__ = [
     "VeselovaState",
@@ -106,16 +106,6 @@ def _velocity(mc, U, op):
     return _momentum_velocity(mc, P, op), P
 
 
-def _veselova_rhs(mc, Uflat, op, eps, n, r):
-    """The elr momentum form with D = D_r, and dU = -eps w U."""
-    shape = np.asarray(mc).shape[:-1]
-    U = np.asarray(Uflat, dtype=float).reshape(shape + (n, r))
-    P = dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
-    dmc, wc, _ = _momentum_rhs(mc, P, op, eps)
-    dU = -eps * (from_wedge(wc, n) @ U)
-    return dmc, dU.reshape(shape + (n * r,)), wc
-
-
 def pluecker_indices(n: int, r: int) -> list[tuple[int, ...]]:
     """Row tuples I in the order used by ``pluecker``."""
     return list(combinations(range(n), r))
@@ -161,35 +151,6 @@ class _StiefelChart(Chart):
         U = coords[..., self.N :].reshape(coords.shape[:-1] + (self.n, self.r))
         return coords[..., : self.N], U
 
-    def _jvp_split(self, coords, dirs):
-        """For field_jvp: the momentum block and U of coords (S, d), each
-        followed by its q directions from dirs (S, q, d), as (S, 1 + q, N)
-        and (S, 1 + q, n, r); G = U U^T; and the pr_{D_r} tangent dP, which
-        maps rows v (S, c, N) to the derivatives of pr_{D_r} v along the q
-        directions, (S, q, c, N)."""
-        ms, us = self._split(np.concatenate([coords[..., None, :], dirs], axis=-2))
-        U_t = us[..., 0, :, :].swapaxes(-1, -2)
-        G = U_t.swapaxes(-1, -2) @ U_t
-        dG = us[..., 1:, :, :] @ U_t[..., None, :, :]  # dU U^T, then + U dU^T
-        dG += dG.swapaxes(-1, -2)
-
-        def dP(v):
-            return dr_projector_tangent(
-                G[..., None, None, :, :], dG[..., :, None, :, :], v[..., None, :, :]
-            )
-
-        return ms, us, G, dP
-
-    def _frame_rates(self, ws, us):
-        """dU/dt = -eps w U, then its derivatives -eps (dw U + w dU), from w
-        and dw in ws (S, 1 + q, N) and U and dU in us (S, 1 + q, n, r);
-        flattened to (S, 1 + q, n r)."""
-        W = from_wedge(ws, self.n)
-        rates = W[..., :1, :, :] @ us
-        rates[..., 1:, :, :] += W[..., 1:, :, :] @ us[..., :1, :, :]
-        rates *= -self.eps
-        return rates.reshape(rates.shape[:-2] + (-1,))
-
     def unflatten(self, coords):
         # loose Stiefel tolerance: trajectory samples carry integration drift
         coords = np.asarray(coords, dtype=float)
@@ -229,24 +190,30 @@ class VeselovaChart(_StiefelChart):
         if self.op.kind != "wedge_products":
             raise UnsupportedSpecError(_WEDGE_ONLY)
 
-    def field(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        mc = coords[..., : self.N]
-        dmc, dU, _ = _veselova_rhs(mc, coords[..., self.N :], self.op, self.eps, self.n, self.r)
-        return np.concatenate([dmc, dU], axis=-1)
+    def _rates(self, coords):
+        """The field at coords (..., d): the elr momentum form with D = D_r,
+        and dU = -eps w U; then m_bold, the matrix P of pr_{D_r} and the w
+        and ad_w of _momentum_rhs."""
+        mc, U = self._split(coords)
+        P = dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
+        dmc, wc, ad_w = _momentum_rhs(mc, P, self.op, self.eps)
+        dU = -self.eps * (from_wedge(wc, self.n) @ U)
+        rates = np.concatenate([dmc, dU.reshape(mc.shape[:-1] + (-1,))], axis=-1)
+        return rates, (mc, P, wc, ad_w)
 
-    def field_jvp(self, coords, dirs):
-        """The field at coords (S, d) and its exact derivatives along dirs
-        (S, q, d): the elr momentum kernel's, with the pr_{D_r} tangent."""
-        ms, us, G, dP = self._jvp_split(coords, dirs)
-        rates, ws, _ = _momentum_jvp(ms, dr_projector_matrix(G), self.op, self.eps, dP)
-        out = np.concatenate([rates, self._frame_rates(ws, us)], axis=-1)
-        return out[..., 0, :], out[..., 1:, :]
+    def field(self, coords):
+        return self._rates(coords)[0]
+
+    def field_divergence(self, coords):
+        """The field and its divergence at coords (..., d): the elr momentum
+        form's, with P = pr_{D_r}."""
+        rates, parts = self._rates(_finite_state(coords, "coords"))
+        return rates, _momentum_divergence(*parts, self.op, self.eps)
 
     def log_density(self, coords):
         """log of (sum_I a_I P_I^2)^[(1/(2 eps) - 1)(n - r - 1)]."""
         self.check_density()
-        coords = np.asarray(coords, dtype=float)
+        coords = _finite_state(coords, "coords")
         base = _log_base(coords[..., self.N :], self.op.a, self.n, self.r, coords.shape[:-1])
         return (1.0 / (2.0 * self.eps) - 1.0) * (self.n - self.r - 1) * base
 

@@ -1,6 +1,7 @@
 """The chart interface answers for a whole trajectory as it does sample by
-sample, and the exact tangent kernels and closed-form Liouville terms agree
-with central differences."""
+sample, every chart's field_divergence and the closed-form Liouville terms
+agree with central differences, and on every constrained chart the trace
+of the field's Jacobian over the chart is its trace on the manifold."""
 
 import glob
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spd_operator
-from nonholo.cli import PAIRS, load_config
+from nonholo.ball3d import ChaplyginChart, RubberChart
+from nonholo.cli import PAIRS, SYSTEMS, load_config
 from nonholo.elpr import LPRChart, LPRStiefelChart
 from nonholo.elr import MomentumChart, MultiplierChart
 from nonholo.errors import ParameterError
@@ -19,7 +21,7 @@ from nonholo.numerics import (
     constraint_tangent_basis,
     divergence,
     fd_gradient,
-    fd_jvp,
+    fd_jacobian,
     integrate,
 )
 from nonholo.veselova import VeselovaChart
@@ -88,65 +90,123 @@ def test_deviation_of_a_trajectory_pair_matches_each_sample(pair):
 
 
 # ---------------------------------------------------------------------------
-# exact tangent kernels: every chart that overrides field_jvp, at n = 3..5,
-# every valid rank and three values of eps
+# field_divergence of every chart, at n = 3..5, every valid rank and three
+# values of eps: closed forms except on the balls, which take the Chart
+# default from central differences
 
 
 def _a(n):
     return np.linspace(0.9, 1.3, n)
 
 
-def _jvp_charts():
+def _divergence_charts():
     for n in (3, 4, 5):
         op = InertiaOperator.wedge_products(_a(n))
         for eps in (-1.0, 0.5, 2.0):
             for k in range(1, wedge_dim(n)):
                 yield f"elr_momentum-n{n}-k{k}-eps{eps}", MomentumChart(op, k, eps)
+                yield f"elr_multiplier-n{n}-k{k}-eps{eps}", MultiplierChart(op, k, eps)
             for r in range(1, n):  # r = n - 1: pr_{D_r} is the identity
                 yield f"veselova-n{n}-r{r}-eps{eps}", VeselovaChart(op, r, eps)
             for r in range(1, n + 1):
                 yield f"lpr_stiefel-n{n}-r{r}-eps{eps}", LPRStiefelChart(_a(n), 2.5, r, eps)
+            yield f"elpr-n{n}-eps{eps}", LPRChart(op, eps)
+    for eps in (-1.0, 0.5, 2.0):
+        yield f"ball_chaplygin-eps{eps}", ChaplyginChart([1.0, 2.0, 3.0], 0.5, eps)
+        for variables in ("m", "omega"):
+            chart = RubberChart([1.0, 2.0, 3.0], 0.5, eps, variables)
+            yield f"ball_rubber-{variables}-eps{eps}", chart
 
 
-JVP_CHARTS = list(_jvp_charts())
+DIVERGENCE_CHARTS = list(_divergence_charts())
 
 
-def _jvp_points(chart, seed):
-    """(states, tangent directions) at three seeded states, and (points,
-    directions) off the manifold with directions that are not tangent."""
+def _divergence_points(chart, seed):
+    """Three seeded states, then three points off the constraint manifold."""
     rng = np.random.default_rng(seed)
     xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(3)])
-    V = constraint_tangent_basis(chart.constraints, xs)
-    on = np.swapaxes(V, -1, -2)
-    off = xs + 0.1 * rng.standard_normal(xs.shape)
-    return [(xs, on), (off, rng.standard_normal((3, 4, chart.dim)))]
+    return [xs, xs + 0.05 * rng.standard_normal(xs.shape)]
 
 
-@pytest.mark.parametrize("chart", [c for _, c in JVP_CHARTS], ids=[i for i, _ in JVP_CHARTS])
-def test_exact_jvp_matches_central_differences_and_the_field(chart):
-    for x, dirs in _jvp_points(chart, 41):
-        f, jv = chart.field_jvp(x, dirs)
-        f_fd, jv_fd = fd_jvp(chart.field, x, dirs)
-        assert jv.shape == dirs.shape and f.shape == x.shape
-        assert rel_diff(jv_fd, jv) <= 1e-7
-        assert rel_diff(chart.field(x), f) <= 1e-14
+@pytest.mark.parametrize(
+    "chart", [c for _, c in DIVERGENCE_CHARTS], ids=[i for i, _ in DIVERGENCE_CHARTS]
+)
+def test_field_divergence_matches_central_differences_and_the_field(chart):
+    for x in _divergence_points(chart, 41):
+        f, div = chart.field_divergence(x)
+        assert f.shape == x.shape and div.shape == (len(x),)
+        assert np.array_equal(f, chart.field(x))
+        assert fd_close(div, divergence(chart.field, x), 1e-7)
 
 
-@pytest.mark.parametrize("chart", [c for _, c in JVP_CHARTS], ids=[i for i, _ in JVP_CHARTS])
-def test_exact_jvp_is_linear_and_member_by_member(chart):
-    for x, dirs in _jvp_points(chart, 43):
-        a, b = dirs[:, :1], dirs[:, 1:2]
-        stacked = np.concatenate([a, b, 2.0 * a - 3.0 * b, np.zeros_like(a)], axis=1)
-        f, jv = chart.field_jvp(x, stacked)
-        assert rel_diff(jv[:, 2], 2.0 * jv[:, 0] - 3.0 * jv[:, 1]) <= 1e-13
-        assert np.array_equal(jv[:, 3], np.zeros_like(jv[:, 3]))
-        # equal up to rounding: a small BLAS product may round differently
-        # with the layout of its operands
-        f_all, jv_all = chart.field_jvp(x, dirs)
+@pytest.mark.parametrize(
+    "chart", [c for _, c in DIVERGENCE_CHARTS], ids=[i for i, _ in DIVERGENCE_CHARTS]
+)
+def test_field_divergence_is_member_by_member(chart):
+    # equal up to rounding: a small BLAS product may round differently with
+    # the layout of its operands.  A divergence is a trace whose terms are
+    # of order one and can cancel, so its rounding is absolute.
+    for x in _divergence_points(chart, 43):
+        f_all, div_all = chart.field_divergence(x)
         for i in range(len(x)):
-            f_one, jv_one = chart.field_jvp(x[i : i + 1], dirs[i : i + 1])
-            assert rel_diff(f_all[i], f_one[0]) <= 1e-14
-            assert rel_diff(jv_all[i], jv_one[0]) <= 1e-14
+            f_one, div_one = chart.field_divergence(x[i])
+            assert div_one.shape == ()
+            assert np.array_equal(f_one, chart.field(x[i]))
+            assert rel_diff(f_all[i], f_one) <= 1e-14
+            assert abs(div_all[i] - div_one) <= 1e-13 * max(1.0, abs(div_one))
+
+
+# the normal-trace lemma behind transport by divergence: a flow that moves
+# its frame F by F' = F Omega with Omega skew has no Jacobian trace on the
+# normal space {S F : S symmetric}, so the trace over the whole chart is the
+# trace over the tangent space of the constraint manifold
+
+CONSTRAINED = [
+    (name, path) for name, path in zip(CONFIG_IDS, CONFIGS)
+    if load_config(path).chart.constraints is not None
+]
+
+
+def _traces(chart, field, xs):
+    """Traces of the field's central-difference Jacobian over the normal
+    space (the row space of the constraint Jacobian) and over the tangent
+    space, at each of the states xs."""
+    J = fd_jacobian(field, xs)
+    normal, _ = np.linalg.qr(np.swapaxes(fd_jacobian(chart.constraints, xs), -1, -2))
+    tangent = constraint_tangent_basis(chart.constraints, xs)
+
+    def trace(B):
+        return np.trace(np.swapaxes(B, -1, -2) @ J @ B, axis1=-2, axis2=-1)
+
+    return trace(normal), trace(tangent)
+
+
+def test_every_system_with_constraints_has_a_sample_config():
+    assert sorted(n for n, _ in CONSTRAINED) == sorted(
+        name for name, cls in SYSTEMS.items() if cls.constraints is not None
+    )
+
+
+@pytest.mark.parametrize("path", [p for _, p in CONSTRAINED], ids=[n for n, _ in CONSTRAINED])
+def test_frame_block_has_no_trace_on_the_normal_space(path):
+    chart = load_config(path).chart
+    rng = np.random.default_rng(53)
+    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(5)])
+    normal, tangent = _traces(chart, chart.field, xs)
+    assert fd_close(normal, np.zeros_like(normal), 1e-7)
+    assert fd_close(chart.field_divergence(xs)[1], tangent, 1e-7)
+
+    # control: a frame that also moves by F' = F, a symmetric Omega, has
+    # trace 1 along each of the normal directions
+    def dilated(x):
+        f = chart.field(x)
+        f[..., chart.frame_index] += np.asarray(x)[..., chart.frame_index]
+        return f
+
+    normal, tangent = _traces(chart, dilated, xs)
+    count = fd_jacobian(chart.constraints, xs).shape[-2]
+    assert np.allclose(normal, count, atol=1e-6)
+    assert not fd_close(divergence(dilated, xs), tangent, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +248,14 @@ def fd_close(exact, fd, tol):
 def test_closed_form_liouville_terms_match_central_differences(chart):
     rng = np.random.default_rng(47)
     xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(2)])
-    div, grad = chart.divergence(xs), chart.log_density_grad(xs)
+    div, grad = chart.field_divergence(xs)[1], chart.log_density_grad(xs)
     assert div.shape == (2,) and grad.shape == xs.shape
     assert fd_close(div, divergence(chart.field, xs), 1e-7)
     assert fd_close(grad, fd_gradient(chart.log_density, xs), 1e-7)
     # batched against one point at a time, up to rounding
     for i, x in enumerate(xs):
-        assert chart.divergence(x).shape == ()
-        assert rel_diff(div[i], chart.divergence(x)) <= 1e-14
+        assert chart.field_divergence(x)[1].shape == ()
+        assert rel_diff(div[i], chart.field_divergence(x)[1]) <= 1e-14
         assert rel_diff(grad[i], chart.log_density_grad(x)) <= 1e-14
 
 
@@ -208,6 +268,23 @@ def test_closed_form_liouville_terms_refuse_non_finite_states(system):
         for bad in (np.nan, np.inf):
             y = np.stack([x, x])
             y[1, i] = bad
-            for term in (chart.divergence, chart.log_density_grad):
+            for term in (chart.field_divergence, chart.log_density_grad):
                 with pytest.raises(ParameterError, match="non-finite state"):
                     term(y)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_log_density_and_field_divergence_refuse_non_finite_states(path):
+    # log_density used to return nan, with a RuntimeWarning from det or
+    # slogdet on every chart but the balls
+    run = load_config(path)
+    chart = run.chart
+    x = run.initial_coords(run.seed)
+    for i in (0, chart.dim - 1):  # the leading block, then the last coordinate
+        for bad in (np.nan, np.inf, -np.inf):
+            y = np.stack([x, x])
+            y[1, i] = bad
+            for term in (chart.log_density, chart.field_divergence):
+                for coords in (y, y[1]):
+                    with pytest.raises(ParameterError, match="coords: non-finite state"):
+                        term(coords)

@@ -314,10 +314,11 @@ def test_verify_volume_ensemble_matches_single_seed_runs(tmp_path, base):
         assert float(row[8]) <= float(row[9])
 
 
-@pytest.mark.parametrize("system", ["elr_momentum", "veselova", "lpr_stiefel"])
+@pytest.mark.parametrize("system", CONFIG_IDS)
 def test_verify_volume_with_exact_kernels_keeps_the_fd_transport_results(tmp_path, system):
-    # these charts pass their forward-mode field_jvp to the transport; the
-    # finite-difference transport of the same ensemble is the reference
+    # the command integrates each chart's field_divergence; the basis
+    # transport of the same ensemble, by central differences along a
+    # tangent basis, is the reference
     path = CONFIGS[CONFIG_IDS.index(system)]
     assert main(["verify", "--config", path, "--check", "volume", "--seeds", "4",
                  "--out", str(tmp_path)]) == 0
@@ -333,6 +334,24 @@ def test_verify_volume_with_exact_kernels_keeps_the_fd_transport_results(tmp_pat
         ref = res.max_abs_residual
         assert row[10] == ("pass" if ref <= float(row[9]) else "fail")
         assert abs(float(row[8]) - ref) <= 1e-8
+
+
+@pytest.mark.parametrize("system", CONFIG_IDS)
+def test_verify_volume_wrong_exponent_control_fails(tmp_path, monkeypatch, system):
+    # log_density doubled: a density with twice the exponent, which the flow
+    # does not preserve; at eps = 1/2 the veselova exponent is 0, so its
+    # control runs at eps = 2
+    chart_cls = SYSTEMS[system]
+    exact = chart_cls.log_density
+    monkeypatch.setattr(chart_cls, "log_density", lambda self, c: 2.0 * exact(self, c))
+    cfg = sample_config(CONFIGS[CONFIG_IDS.index(system)])
+    if system == "veselova":
+        cfg["epsilon"] = 2.0
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--check", "volume",
+                 "--seeds", "3", "--out", str(tmp_path)]) == 2
+    rows = read_rows(tmp_path / f"{system}_volume.csv")[1:]
+    assert len(rows) == 3
+    assert all(r[-1] == "fail" and float(r[8]) > 1e-3 for r in rows)
 
 
 @pytest.mark.parametrize("method", ["field", "log_density"])

@@ -278,7 +278,7 @@ def test_stiefel_field_and_round_trip():
     a, D = chaplygin_params(n, rng)
     op = InertiaOperator.wedge_products_chaplygin(a, D)
     st = random_lpr_stiefel_state(n, r, rng)
-    w = from_wedge(_stiefel_velocity(to_wedge(st.k_bold), st.U.U, op, D), n)
+    w = from_wedge(_stiefel_velocity(to_wedge(st.k_bold), st.U.U, op, D)[0], n)
     _, pr = gamma_projector(st.U)
     assert np.max(np.abs(op.apply(w) + D * pr(w) - st.k_bold)) < 1e-11
     dkc, dU = field_blocks(LPRStiefelChart(a, D, r, 0.5), st)

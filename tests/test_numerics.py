@@ -499,28 +499,33 @@ def _counted(fn, calls):
 def test_non_finite_state_is_refused_before_any_evaluation(where, bad):
     # veselova transport used to raise LinAlgError from the SVD of the
     # constraint Jacobian; the elpr residual returned nan (with a slogdet
-    # RuntimeWarning for a non-finite Pi)
-    for system in ("veselova", "elpr"):
+    # RuntimeWarning for a non-finite Pi); integrate aborted on its first
+    # field value
+    for system in CONFIG_IDS:
         run = load_config(CONFIGS[CONFIG_IDS.index(system)])
         chart = run.chart
         x = run.initial_coords(run.seed).copy()
         x[0 if where == "first" else -1] = bad
+        pair = np.stack([run.initial_coords(run.seed), x])
         calls = []
         field, logmu = _counted(chart.field, calls), _counted(chart.log_density, calls)
+        div = _counted(chart.field_divergence, calls)
         with pytest.raises(ParameterError, match="x0: non-finite state"):
             tangent_volume_transport(field, logmu, x, constraints_fn=chart.constraints)
         with pytest.raises(ParameterError, match="x0: non-finite state"):
             tangent_volume_transport(
-                field, logmu, np.stack([run.initial_coords(run.seed), x]),
-                constraints_fn=chart.constraints, jvp_fn=chart.field_jvp,
+                field, logmu, pair, constraints_fn=chart.constraints, divergence_fn=div,
             )
+        for x0 in (x, pair):
+            with pytest.raises(ParameterError, match="x0: non-finite state"):
+                integrate(field, x0, IntegratorConfig(t_end=1.0, samples=2))
         if chart.constraints is None:
             with pytest.raises(ParameterError, match="x: non-finite state"):
                 liouville_residual_ambient(field, logmu, x)
             with pytest.raises(ParameterError, match="x: non-finite state"):
                 liouville_residual_ambient(
                     field, logmu, x,
-                    divergence_fn=chart.divergence, grad_fn=chart.log_density_grad,
+                    divergence_fn=div, grad_fn=chart.log_density_grad,
                 )
         assert calls == []
 
@@ -533,10 +538,11 @@ def test_liouville_residual_takes_closed_form_terms():
     fd = liouville_residual_ambient(rot, logmu, x)
     div = divergence(rot, x)
     grad = fd_gradient(logmu, x)
-    assert liouville_residual_ambient(rot, logmu, x, divergence_fn=lambda v: div) == fd
+    closed = liouville_residual_ambient(rot, logmu, x, divergence_fn=lambda v: (rot(v), div))
+    assert closed == fd
     assert liouville_residual_ambient(rot, logmu, x, grad_fn=lambda v: grad) == fd
     exact = liouville_residual_ambient(
-        rot, logmu, x, divergence_fn=lambda v: 1.0, grad_fn=lambda v: 1.4 * v
+        rot, logmu, x, divergence_fn=lambda v: (rot(v), 1.0), grad_fn=lambda v: 1.4 * v
     )
     assert exact == 1.0 + 1.4 * x @ rot(x)
     assert fd == pytest.approx(exact, abs=1e-8)

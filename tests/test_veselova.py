@@ -28,7 +28,6 @@ from nonholo.veselova import (
     VeselovaChart,
     VeselovaState,
     _velocity,
-    _veselova_rhs,
     gamma_projector,
     pluecker,
     pluecker_indices,
@@ -189,13 +188,13 @@ def augmented_field(op, eps, n, r):
     manifold, so no state validation may run inside the field.
     """
     N = wedge_dim(n)
+    chart = VeselovaChart(op, r, eps)
 
     def field(y):
-        mc, Uf, Vf = y[:N], y[N : N + n * r], y[N + n * r :]
-        dmc, dUf, wc = _veselova_rhs(mc, Uf, op, eps, n, r)
+        rates, (_, _, wc, _) = chart._rates(y[: N + n * r])
         w = from_wedge(wc, n)
-        V = Vf.reshape(n, n)
-        return np.concatenate([dmc, dUf, (-eps * w @ V).ravel()])
+        V = y[N + n * r :].reshape(n, n)
+        return np.concatenate([rates, (-eps * w @ V).ravel()])
 
     return field
 
