@@ -40,7 +40,6 @@ from . import elpr, elr, veselova
 from .chart import Chart
 from .errors import ConfigError, DimensionError, ParameterError
 from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, unhat
-from .numerics import _finite_state
 
 __all__ = [
     "BallState",
@@ -304,11 +303,12 @@ class ChaplyginChart(_BallChart):
         dw = np.linalg.solve(_k_matrix(g, self.inertia, self.D), rhs[..., None])[..., 0]
         return np.concatenate([dw, dg], axis=-1)
 
-    def log_density(self, coords):
-        coords = _finite_state(coords, "coords")
+    density_exponent = 0.5
+
+    def log_base(self, coords):
+        """log det K(gamma) = log prod(I + D) (1 - D (gamma, (I + D)^-1 gamma))."""
         g = coords[..., 3:]
-        val = np.prod(self.it) * (1.0 - self.D * _dot(g, g / self.it))
-        return 0.5 * np.log(val)
+        return np.log(np.prod(self.it) * (1.0 - self.D * _dot(g, g / self.it)))
 
     def flatten(self, state: BallState) -> np.ndarray:
         return np.concatenate([state.omega, state.gamma])
@@ -337,7 +337,7 @@ class RubberChart(_BallChart):
     """Rubber ball in the (m, gamma) or (w, gamma) variables."""
 
     config_keys = ("inertia", "D", "variables")
-    eps_in_density = True
+    density_exponent = property(Chart._half_inverse_eps)
 
     def __init__(self, inertia, D, eps, variables: str = "m"):
         super().__init__(inertia, D, eps)
@@ -365,10 +365,10 @@ class RubberChart(_BallChart):
         dlead = dm if self.variables == "m" else dm / self.it
         return np.concatenate([dlead, dg], axis=-1)
 
-    def log_density(self, coords):
-        coords = _finite_state(coords, "coords")
+    def log_base(self, coords):
+        """log (gamma, (I + D)^-1 gamma)."""
         g = coords[..., 3:]
-        return np.log(_dot(g, g / self.it)) / (2.0 * self.eps)
+        return np.log(_dot(g, g / self.it))
 
     def flatten(self, state: BallState) -> np.ndarray:
         lead = m_vector(state) if self.variables == "m" else state.omega

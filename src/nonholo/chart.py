@@ -9,6 +9,15 @@ once per trajectory and never builds a state object.  ``log_density`` and
 ``field_divergence`` refuse non-finite coordinates with ParameterError.
 The interface:
 
+* ``density_exponent`` and ``log_base(coords)``: every density here is a
+  base to a power, and ``Chart`` defines ``log_density`` as their product.
+  The exponent is an attribute where it does not depend on eps, else a
+  property that raises ParameterError where it divides by eps = 0;
+  ``check_density()`` evaluates it, so the command can refuse a run whose
+  density is undefined before integrating;
+* ``log_base_grad(coords)``: the closed-form gradient (..., d) of
+  ``log_base`` on the two ambient charts, from which ``Chart`` makes
+  ``log_density_grad`` for ``verify --check liouville``;
 * ``field_divergence(coords)``: the field (..., d) at coords (..., d),
   equal to ``field(coords)`` bit for bit, and its divergence (...), for
   volume transport and ``verify --check liouville``.  The default takes
@@ -22,18 +31,12 @@ The interface:
   gamma' = eps gamma x w for the balls.  The normal space at F is
   {S F : S symmetric}, on which the frame block of the Jacobian has no
   trace, so a new chart must keep this frame law or transport by basis;
-* ``log_density_grad(coords)``: the gradient (..., d) of ``log_density``
-  in closed form, for ``verify --check liouville``; only the two ambient
-  charts (``elr_multiplier``, ``elpr``) define it, and ``Chart`` gives no
-  default, since that check runs on ambient charts only;
 * ``frame_index``: the (p, m) coordinates of the frame whose rows the flow
   keeps orthonormal, from which ``constraints`` and ``renormalize``
   follow; an ambient chart sets ``constraints = None`` instead;
 * ``config_keys`` and ``from_config(cfg)``: the top-level config keys the
   system reads, and the chart built from a validated ``cli.RunConfig``;
 * ``n``, ``r``, ``k``: the sizes reported in ``verify`` rows;
-* ``check_density()``: raises where ``log_density`` is undefined, so the
-  command can refuse such a run before integrating;
 * ``random_state(rng, zero_constants=False)``: a seeded random state;
 * ``columns()`` and ``row(coords)``: the CSV state block, (..., d) to
   (..., len(columns()));
@@ -64,13 +67,23 @@ class Chart:
     config_keys: tuple = ()
     r = k = 0
     frame_index = None  # (p, m) coordinates of the orthonormal frame
-    eps_in_density = False  # True where the density exponent divides by eps
+
+    def _half_inverse_eps(self):
+        """1 / (2 eps), the factor of every exponent that divides by eps."""
+        if self.eps == 0.0:
+            raise ParameterError("density is undefined at eps = 0")
+        return 1.0 / (2.0 * self.eps)
 
     def check_density(self):
-        """Raise ParameterError where ``log_density`` is undefined: at eps = 0
-        when the density exponent divides by eps."""
-        if self.eps_in_density and self.eps == 0.0:
-            raise ParameterError("density is undefined at eps = 0")
+        return self.density_exponent
+
+    def log_density(self, coords):
+        """The exponent comes first: an undefined density raises before
+        non-finite coords do."""
+        return self.density_exponent * self.log_base(_finite_state(coords, "coords"))
+
+    def log_density_grad(self, coords):
+        return self.density_exponent * self.log_base_grad(_finite_state(coords, "coords"))
 
     def field_divergence(self, coords):
         """(field (..., d), div (...)) at coords (..., d):

@@ -500,11 +500,18 @@ def cmd_verify(cfg: RunConfig, check, seeds, out_dir) -> int:
 
 
 def _crosscheck_deviations(cfg: RunConfig, partner):
-    """Integrate both sides of a pair from one seeded state; per-sample deviation."""
+    """Integrate both sides of a pair from the configured state; per-sample deviation."""
     chart = cfg.chart
-    state = chart.random_state(np.random.default_rng(cfg.seed))
-    other, y0, deviation = partner(chart, state)
-    ta = integrate(chart.field, chart.flatten(state), cfg.integrator)
+    if cfg.coords is None:  # the seeded state goes to the partner as drawn
+        state = chart.random_state(np.random.default_rng(cfg.seed), cfg.zero_constants)
+        x0, (other, y0, deviation) = chart.flatten(state), partner(chart, state)
+    else:
+        x0 = cfg.initial_coords(cfg.seed)
+        try:
+            other, y0, deviation = partner(chart, chart.unflatten(x0))
+        except NonholoError as exc:
+            raise ConfigError(f"initial.coords: the pair cannot lift this state: {exc}") from exc
+    ta = integrate(chart.field, x0, cfg.integrator)
     tb = integrate(other.field, y0, cfg.integrator)
     for side, traj in ((chart, ta), (other, tb)):
         _check_drift(traj.times, side.invariant_residual(traj.states))

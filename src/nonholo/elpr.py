@@ -65,7 +65,6 @@ __all__ = [
     "k_from_omega",
     "omega_from_k",
     "vf_elpr",
-    "log_density_elpr",
     "energy",
     "pi_variants",
     "stiefel_total_inertia",
@@ -179,19 +178,6 @@ def vf_elpr(state: ELPRState, op: InertiaOperator, eps: float):
     return dk, dPi
 
 
-def log_density_elpr(state_or_Pi, op: InertiaOperator) -> float:
-    """log sqrt(det(I + Pi)); the density for the (w, Pi) chart.
-
-    Batched over leading dimensions of Pi.
-    """
-    Pi = getattr(state_or_Pi, "Pi", state_or_Pi)
-    K = op.dense_matrix + np.asarray(Pi, dtype=float)
-    sign, logdet = np.linalg.slogdet(K)
-    if np.any(sign <= 0):
-        raise DefinitenessError("I + Pi must have positive determinant")
-    return 0.5 * logdet
-
-
 def energy(state: ELPRState, op: InertiaOperator) -> float:
     """H = <k_bold, w>/2, conserved for every eps."""
     kc = to_wedge(state.k_bold)
@@ -301,8 +287,14 @@ class LPRChart(Chart):
         i, j = self.iu
         return np.concatenate([dwc, self.eps * (PA[..., i, j] + PA[..., j, i])], axis=-1)
 
-    def log_density(self, coords):
-        return log_density_elpr(self._split(_finite_state(coords, "coords"))[1], self.op)
+    density_exponent = 0.5
+
+    def log_base(self, coords):
+        """log det(I + Pi); DefinitenessError unless the determinant is positive."""
+        sign, logdet = np.linalg.slogdet(self.op.dense_matrix + self._split(coords)[1])
+        if np.any(sign <= 0):
+            raise DefinitenessError("I + Pi must have positive determinant")
+        return logdet
 
     def field_divergence(self, coords):
         """The field and its divergence at coords (..., d).  The divergence
@@ -318,15 +310,15 @@ class LPRChart(Chart):
         KAB = np.linalg.solve(self.op.dense_matrix + Pi, ad_coords(wc, self.n) @ B)
         return rates, -np.trace(KAB, axis1=-2, axis2=-1)
 
-    def log_density_grad(self, coords):
-        """Gradient (..., d) of log_density at coords (..., d): 0 on w; on
-        the packed Pi, K^-1 / 2 on the diagonal and K^-1 above it, where one
+    def log_base_grad(self, coords):
+        """Gradient (..., d) of log_base at coords (..., d): 0 on w; on the
+        packed Pi, K^-1 on the diagonal and 2 K^-1 above it, where one
         coordinate moves both Pi_ij and Pi_ji (K = I + Pi)."""
-        wc, Pi = self._split(_finite_state(coords, "coords"))
+        wc, Pi = self._split(coords)
         K = self.op.dense_matrix + Pi
         _check_pd(K)
         i, j = self.iu
-        grad_pi = np.linalg.inv(K)[..., i, j] * np.where(i == j, 0.5, 1.0)
+        grad_pi = np.linalg.inv(K)[..., i, j] * np.where(i == j, 1.0, 2.0)
         return np.concatenate([np.zeros_like(wc), grad_pi], axis=-1)
 
     def flatten(self, state: ELPRState) -> np.ndarray:
@@ -376,13 +368,9 @@ class LPRStiefelChart(_StiefelChart):
         if np.any(self.a <= 0.0):
             raise ParameterError("requires positive a_i")
         self.D = float(D)
-        self.op = InertiaOperator.wedge_products_chaplygin(self.a, self.D)
-        self.n = self.op.n
-        self.N = self.op.N
-        self.r = int(r)
-        if not 1 <= self.r <= self.n:
-            raise DimensionError(f"need 1 <= r <= n, got r={r}")
-        self.eps = float(eps)
+        op = InertiaOperator.wedge_products_chaplygin(self.a, self.D)
+        super().__init__(op, r, eps, op.n)
+        self.density_exponent = -(self.n - self.r - 1) / 2.0  # independent of eps
 
     @classmethod
     def from_config(cls, cfg):
@@ -410,11 +398,9 @@ class LPRStiefelChart(_StiefelChart):
         div = _frame_divergence(T, ad_coords(kc, self.n), P, self.D * wc, self.eps, self.n)
         return rates, div
 
-    def log_density(self, coords):
-        """log of (sum_I P_I^2 / a_I)^(-(n - r - 1)/2); independent of eps."""
-        coords = _finite_state(coords, "coords")
-        base = _log_base(coords[..., self.N :], 1.0 / self.a, self.n, self.r, coords.shape[:-1])
-        return -(self.n - self.r - 1) / 2.0 * base
+    def log_base(self, coords):
+        """log sum_I P_I^2 / a_I over the r-minors P_I of U."""
+        return _log_base(coords[..., self.N :], 1.0 / self.a, self.n, self.r, coords.shape[:-1])
 
     def flatten(self, state: LPRStiefelState) -> np.ndarray:
         return np.concatenate([to_wedge(state.k_bold), state.U.U.ravel()])

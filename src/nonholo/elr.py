@@ -359,7 +359,6 @@ class _FrameChart(Chart):
     """Shared by the two elr charts: an so(n) block, then frame rows."""
 
     config_keys = ("n", "k", "inertia")
-    eps_in_density = True
 
     def __init__(self, op: InertiaOperator, k: int, eps: float):
         self.op = op
@@ -399,10 +398,11 @@ class MultiplierChart(_FrameChart):
             [dwc, dec.reshape(wc.shape[:-1] + (self.k * self.N,))], axis=-1
         )
 
-    def log_density(self, coords):
-        self.check_density()
-        _, ec = self._split(_finite_state(coords, "coords"))
-        return _log_gram_det(ec, self.op, "inverse_inertia") / (2.0 * self.eps)
+    density_exponent = property(Chart._half_inverse_eps)
+
+    def log_base(self, coords):
+        """log det(E I^-1 E^T) of the frame rows E."""
+        return _log_gram_det(self._split(coords)[1], self.op, "inverse_inertia")
 
     def field_divergence(self, coords):
         """The field and its divergence at coords (..., d), from
@@ -410,13 +410,12 @@ class MultiplierChart(_FrameChart):
         coords = _finite_state(coords, "coords")
         return self.field(coords), _multiplier_divergence(*self._split(coords), self.op)
 
-    def log_density_grad(self, coords):
-        """Gradient (..., d) of log_density at coords (..., d): 0 on w and
-        (1/eps) A^-1 E I^-1 on the frame rows E, A = E I^-1 E^T."""
-        self.check_density()
-        wc, ec = self._split(_finite_state(coords, "coords"))
+    def log_base_grad(self, coords):
+        """Gradient (..., d) of log_base at coords (..., d): 0 on w and
+        2 A^-1 E I^-1 on the frame rows E, A = E I^-1 E^T."""
+        wc, ec = self._split(coords)
         es = self.op.solve_coords(ec)
-        rows = _frame_solve(ec @ np.swapaxes(es, -1, -2), es) / self.eps
+        rows = 2.0 * _frame_solve(ec @ np.swapaxes(es, -1, -2), es)
         return np.concatenate([np.zeros_like(wc), rows.reshape(wc.shape[:-1] + (-1,))], axis=-1)
 
     def flatten(self, state: ELRMultiplierState) -> np.ndarray:
@@ -481,10 +480,13 @@ class MomentumChart(_FrameChart):
         rates, parts = self._rates(_finite_state(coords, "coords"))
         return rates, _momentum_divergence(*parts, self.op, self.eps)
 
-    def log_density(self, coords):
-        self.check_density()
-        _, fc = self._split(_finite_state(coords, "coords"))
-        return (1.0 / (2.0 * self.eps) - 1.0) * _log_gram_det(fc, self.op, "inertia")
+    @property
+    def density_exponent(self):
+        return self._half_inverse_eps() - 1.0
+
+    def log_base(self, coords):
+        """log det(F I F^T) of the D-frame rows F."""
+        return _log_gram_det(self._split(coords)[1], self.op, "inertia")
 
     def flatten(self, state: ELRMomentumState) -> np.ndarray:
         return np.concatenate([to_wedge(state.m_bold), state.frames_d.coords.ravel()])

@@ -27,7 +27,6 @@ is just (e_1, A e_1) with A = diag(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -136,14 +135,15 @@ class _StiefelChart(Chart):
     _lead = "m"  # column prefix of the momentum block
     _state = VeselovaState
 
-    @property
-    def dim(self):
-        return self.N + self.n * self.r
-
-    @cached_property
-    def frame_index(self):
-        """The columns of U, as the rows of U^T."""
-        return self.N + np.arange(self.n * self.r).reshape(self.n, self.r).T
+    def __init__(self, op: InertiaOperator, r: int, eps: float, r_max: int):
+        self.op, self.n, self.N = op, op.n, op.N
+        self.r = int(r)
+        if not 1 <= self.r <= r_max:
+            raise DimensionError(f"need 1 <= r <= {r_max} at n = {self.n}, got r={r}")
+        self.eps = float(eps)
+        self.dim = self.N + self.n * self.r
+        # the frame: the columns of U, as the rows of U^T
+        self.frame_index = self.N + np.arange(self.n * self.r).reshape(self.n, self.r).T
 
     def _split(self, coords):
         """The momentum block (..., N) and U (..., n, r) of coords (..., d)."""
@@ -167,16 +167,9 @@ class VeselovaChart(_StiefelChart):
     """Flat chart (m_bold wedge coords, raw entries of U)."""
 
     config_keys = ("n", "r", "inertia")
-    eps_in_density = True
 
     def __init__(self, op: InertiaOperator, r: int, eps: float):
-        self.op = op
-        self.n = op.n
-        self.N = op.N
-        self.r = int(r)
-        if not 1 <= self.r <= self.n - 1:
-            raise DimensionError(f"need 1 <= r <= n-1, got r={r}")
-        self.eps = float(eps)
+        super().__init__(op, r, eps, op.n - 1)
 
     @classmethod
     def from_config(cls, cfg):
@@ -185,10 +178,11 @@ class VeselovaChart(_StiefelChart):
             raise ConfigError(f"inertia: {_WEDGE_ONLY}, got kind {op.kind!r}")
         return cls(op, cfg.get("r", int, required=True), cfg.epsilon)
 
-    def check_density(self):
-        super().check_density()
+    @property
+    def density_exponent(self):
         if self.op.kind != "wedge_products":
             raise UnsupportedSpecError(_WEDGE_ONLY)
+        return (self._half_inverse_eps() - 1.0) * (self.n - self.r - 1)
 
     def _rates(self, coords):
         """The field at coords (..., d): the elr momentum form with D = D_r,
@@ -210,12 +204,9 @@ class VeselovaChart(_StiefelChart):
         rates, parts = self._rates(_finite_state(coords, "coords"))
         return rates, _momentum_divergence(*parts, self.op, self.eps)
 
-    def log_density(self, coords):
-        """log of (sum_I a_I P_I^2)^[(1/(2 eps) - 1)(n - r - 1)]."""
-        self.check_density()
-        coords = _finite_state(coords, "coords")
-        base = _log_base(coords[..., self.N :], self.op.a, self.n, self.r, coords.shape[:-1])
-        return (1.0 / (2.0 * self.eps) - 1.0) * (self.n - self.r - 1) * base
+    def log_base(self, coords):
+        """log sum_I a_I P_I^2 over the r-minors P_I of U."""
+        return _log_base(coords[..., self.N :], self.op.a, self.n, self.r, coords.shape[:-1])
 
     def flatten(self, state: VeselovaState) -> np.ndarray:
         return np.concatenate([to_wedge(state.m_bold), state.U.U.ravel()])

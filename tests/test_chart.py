@@ -1,8 +1,11 @@
 """The chart interface answers for a whole trajectory as it does sample by
 sample, every chart's field_divergence and the closed-form Liouville terms
-agree with central differences, and on every constrained chart the trace
-of the field's Jacobian over the chart is its trace on the manifold."""
+agree with central differences, on every constrained chart the trace of
+the field's Jacobian over the chart is its trace on the manifold, and every
+density is the chart's exponent times its log base, with the exponent the
+flow preserves."""
 
+import copy
 import glob
 import os
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd_operator
+from test_cli import ZERO_EPSILON_REFUSED
 from nonholo.ball3d import ChaplyginChart, RubberChart
 from nonholo.cli import PAIRS, SYSTEMS, load_config
 from nonholo.elpr import LPRChart, LPRStiefelChart
@@ -23,6 +27,7 @@ from nonholo.numerics import (
     fd_gradient,
     fd_jacobian,
     integrate,
+    tangent_volume_transport,
 )
 from nonholo.veselova import VeselovaChart
 
@@ -288,3 +293,94 @@ def test_log_density_and_field_divergence_refuse_non_finite_states(path):
                 for coords in (y, y[1]):
                     with pytest.raises(ParameterError, match="coords: non-finite state"):
                         term(coords)
+
+
+# ---------------------------------------------------------------------------
+# one density law per chart: log_density = density_exponent * log_base, with
+# the exponents of the README table
+
+EXPONENT_LAW = {
+    MultiplierChart: lambda c: 1.0 / (2.0 * c.eps),
+    MomentumChart: lambda c: 1.0 / (2.0 * c.eps) - 1.0,
+    VeselovaChart: lambda c: (1.0 / (2.0 * c.eps) - 1.0) * (c.n - c.r - 1),
+    LPRStiefelChart: lambda c: -(c.n - c.r - 1) / 2.0,
+    LPRChart: lambda c: 0.5,
+    ChaplyginChart: lambda c: 0.5,
+    RubberChart: lambda c: 1.0 / (2.0 * c.eps),
+}
+LAW_CHARTS = DIVERGENCE_CHARTS + [
+    (f"config-{name}", load_config(path).chart) for name, path in zip(CONFIG_IDS, CONFIGS)
+]
+
+
+@pytest.mark.parametrize("chart", [c for _, c in LAW_CHARTS], ids=[i for i, _ in LAW_CHARTS])
+def test_log_density_is_the_exponent_times_the_log_base(chart):
+    assert chart.density_exponent == EXPONENT_LAW[type(chart)](chart)
+    assert chart.check_density() == chart.density_exponent
+    for x in _divergence_points(chart, 59):
+        for coords in (x, x[0]):
+            got = chart.log_density(coords)
+            assert np.shape(got) == np.shape(coords)[:-1]
+            assert np.array_equal(got, chart.density_exponent * chart.log_base(coords))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_check_density_refuses_eps_zero_where_the_exponent_divides_by_it(path):
+    run = load_config(path)
+    chart = copy.copy(run.chart)  # the ball_rubber chart refuses to be built at eps = 0
+    chart.eps = 0.0
+    if ZERO_EPSILON_REFUSED[run.system] is None:
+        assert chart.check_density() == EXPONENT_LAW[type(chart)](chart)
+    else:
+        with pytest.raises(ParameterError, match="density is undefined at eps = 0"):
+            chart.check_density()
+        with pytest.raises(ParameterError, match="density is undefined at eps = 0"):
+            chart.log_density(run.initial_coords(run.seed))
+
+
+def _ambient_fit_charts():
+    for n in (3, 4, 5):
+        op = InertiaOperator.wedge_products(_a(n))
+        for eps in (-1.0, 0.5, 1.0, 2.0):
+            yield f"elpr-n{n}-eps{eps}", LPRChart(op, eps)
+            for k in (1, 2):
+                yield f"elr_multiplier-n{n}-k{k}-eps{eps}", MultiplierChart(op, k, eps)
+
+
+AMBIENT_FIT_CHARTS = list(_ambient_fit_charts())
+
+
+@pytest.mark.parametrize(
+    "chart", [c for _, c in AMBIENT_FIT_CHARTS], ids=[i for i, _ in AMBIENT_FIT_CHARTS]
+)
+def test_exponent_fitted_from_central_differences_is_the_chart_exponent(chart):
+    # the Liouville identity div X + alpha X . grad log b = 0 is linear in
+    # alpha, so the least-squares alpha over 20 states, from the
+    # central-difference divergence and log-base gradient alone, recovers
+    # the exponent the flow preserves
+    rng = np.random.default_rng(61)
+    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(20)])
+    div = divergence(chart.field, xs)
+    rate = np.einsum("...i,...i->...", chart.field(xs), fd_gradient(chart.log_base, xs))
+    alpha = -np.sum(div * rate) / np.sum(rate**2)
+    assert abs(alpha - chart.density_exponent) <= 1e-6 * abs(chart.density_exponent)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_divergence_transport_fails_with_the_exponent_off_by_one_half(path):
+    # a control built from the chart: the true law passes, and the same base
+    # to the exponent + 1/2 fails.  At the veselova config's eps = 1/2 the
+    # exponent is 0, where a doubled density would be no control at all.
+    run = load_config(path)
+    chart = run.chart
+    x0 = run.initial_coords(run.seed)
+
+    def residual(log_density):
+        return tangent_volume_transport(
+            chart.field, log_density, x0, constraints_fn=chart.constraints,
+            cfg=run.integrator, divergence_fn=chart.field_divergence,
+        ).max_abs_residual
+
+    assert residual(chart.log_density) <= 1e-6
+    wrong = chart.density_exponent + 0.5
+    assert residual(lambda c: wrong * chart.log_base(c)) > 1e-3

@@ -496,6 +496,86 @@ def test_crosscheck_checks_the_drift_of_both_trajectories(tmp_path, capsys, monk
     assert not glob.glob(str(tmp_path / "*.csv"))
 
 
+def _crosscheck_start(tmp_path, monkeypatch, cfg, pair):
+    """Exit code, CSV bytes and the config side's initial coordinates of a
+    crosscheck run."""
+    starts = []
+
+    def recording(field, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return integrate(field, x0, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    rc = main(["crosscheck", "--config", write_cfg(tmp_path, cfg), "--pair", pair,
+               "--out", str(tmp_path)])
+    out = tmp_path / f"crosscheck_{pair.replace(':', '_')}.csv"
+    return rc, out.read_bytes() if out.exists() else None, starts[0] if starts else None
+
+
+@pytest.mark.parametrize("pair", ["ball_rubber:veselova", "ball_rubber:elr_multiplier"])
+def test_crosscheck_starts_from_the_configured_coordinates(tmp_path, monkeypatch, pair):
+    # crosscheck used to draw its state from the seed whatever initial.coords
+    # said, so every one of these runs wrote the same CSV
+    cfg = sample_config(CONFIGS[CONFIG_IDS.index("ball_rubber")],
+                        integrator={"t_end": 1.0, "samples": 5})
+    outputs = set()
+    for m, g in (([0.3, -0.2, 0.5], [0.0, 0.6, 0.8]), ([1.0, 0.4, 0.0], [0.8, 0.0, 0.6]),
+                 ([0.0, 0.5, -1.0], [1.0, 0.0, 0.0])):
+        cfg["initial"] = {"coords": m + g}
+        rc, csv_bytes, x0 = _crosscheck_start(tmp_path, monkeypatch, cfg, pair)
+        assert rc == 0
+        assert np.array_equal(x0, m + g)
+        outputs.add(csv_bytes)
+    assert len(outputs) == 3
+
+
+def test_crosscheck_from_the_seeded_coordinates_matches_the_seeded_run(tmp_path, monkeypatch):
+    path = CONFIGS[CONFIG_IDS.index("elr_multiplier")]
+    cfg = sample_config(path, integrator={"t_end": 1.0, "samples": 5})
+    pair = "elr_multiplier:elr_momentum"
+    seeded = _crosscheck_start(tmp_path, monkeypatch, cfg, pair)
+    cfg["initial"] = {"coords": load_config(path).initial_coords(cfg["initial"]["seed"]).tolist()}
+    assert _crosscheck_start(tmp_path, monkeypatch, cfg, pair)[:2] == seeded[:2]
+
+
+@pytest.mark.parametrize("pair", ["ball_rubber:veselova", "ball_rubber:elr_multiplier"])
+def test_crosscheck_honours_zero_constants(tmp_path, monkeypatch, pair):
+    path = CONFIGS[CONFIG_IDS.index("ball_rubber")]
+    run = load_config(path)
+    assert run.zero_constants
+    cfg = sample_config(path, integrator={"t_end": 1.0, "samples": 5})
+    rc, on, x0 = _crosscheck_start(tmp_path, monkeypatch, cfg, pair)
+    assert rc == 0
+    assert np.array_equal(x0, run.initial_coords(run.seed))
+    assert abs(run.chart.integrals(x0)["phi1"]) <= 1e-15
+    cfg["initial"]["zero_constants"] = False
+    rc, off, x0 = _crosscheck_start(tmp_path, monkeypatch, cfg, pair)
+    assert rc == 0 and off != on
+    assert abs(run.chart.integrals(x0)["phi1"]) > 1e-3
+
+
+# (pair, coords the config's chart accepts but the pair cannot lift): a
+# multiplier frame that is not orthonormal, and unit gammas off by 1e-8,
+# within the balls' 1e-6 but not the lifts' 1e-10
+UNLIFTABLE = [
+    ("elr_multiplier:elr_momentum", [0.1] * 6 + [2.0, 0, 0, 0, 0, 0, 0, 2.0, 0, 0, 0, 0]),
+    ("ball_chaplygin:elpr", [0.3, -0.2, 0.5] + [0.0, 0.6, 0.8 + 1e-8]),
+    ("ball_rubber:elr_multiplier", [0.3, -0.2, 0.5] + [0.0, 0.6, 0.8 + 1e-8]),
+]
+
+
+@pytest.mark.parametrize("pair, coords", UNLIFTABLE, ids=[p for p, _ in UNLIFTABLE])
+def test_crosscheck_from_coordinates_the_pair_cannot_lift_exits_three(
+    tmp_path, monkeypatch, capsys, pair, coords
+):
+    # the multiplier frame used to exit 4 from momentum_of's orthonormality check
+    system = pair.split(":")[0]
+    cfg = sample_config(CONFIGS[CONFIG_IDS.index(system)], initial={"coords": coords})
+    rc, csv_bytes, x0 = _crosscheck_start(tmp_path, monkeypatch, cfg, pair)
+    assert (rc, csv_bytes, x0) == (3, None, None)
+    assert capsys.readouterr().err.startswith("config error: initial.coords: ")
+
+
 def test_crosscheck_requires_matching_system(tmp_path):
     cfg = write_cfg(tmp_path, BALL_CFG)
     assert main(["crosscheck", "--config", cfg,

@@ -13,7 +13,6 @@ from nonholo.elpr import (
     _stiefel_velocity,
     energy,
     k_from_omega,
-    log_density_elpr,
     omega_from_k,
     pi_variants,
     random_elpr_state,
@@ -52,6 +51,13 @@ from nonholo.veselova import gamma_projector, pluecker, pluecker_indices
 # the symmetric-operator flow
 
 
+def log_density(st, op):
+    """LPRChart.log_density at a state; it depends on Pi only, so the w
+    block is left at zero rather than solved from k_bold."""
+    chart = LPRChart(op, eps=1.0)
+    return chart.log_density(chart._pack(np.zeros(op.N), st.Pi))
+
+
 def test_momentum_map_round_trip():
     rng = rng_for(1)
     for n in (3, 4):
@@ -88,7 +94,7 @@ def test_pi_zero_reduces_to_free_rotation():
     dk, dPi = vf_elpr(st, op, 2.0)
     assert np.max(np.abs(dk - commutator(op.apply(w), w))) < 1e-12
     assert np.max(np.abs(dPi)) == 0.0
-    assert np.exp(log_density_elpr(st, op)) == pytest.approx(np.sqrt(op.det()), rel=1e-12)
+    assert np.exp(log_density(st, op)) == pytest.approx(np.sqrt(op.det()), rel=1e-12)
 
 
 def test_constant_multiple_of_identity_is_frozen():
@@ -109,7 +115,7 @@ def test_projector_density_closed_form():
     P = c @ c.T
     D = 2.5
     st = ELPRState(random_skew(4, rng), D * P)
-    assert log_density_elpr(st, op) == pytest.approx(np.log(1.0 + D), rel=1e-12)
+    assert log_density(st, op) == pytest.approx(np.log(1.0 + D), rel=1e-12)
 
 
 def test_indefinite_total_inertia_is_rejected():
@@ -118,7 +124,7 @@ def test_indefinite_total_inertia_is_rejected():
     with pytest.raises(DefinitenessError):
         omega_from_k(st, op)
     with pytest.raises(DefinitenessError):
-        log_density_elpr(st, op)
+        log_density(st, op)
 
 
 def test_energy_and_spectrum_conserved_along_flow():
@@ -339,4 +345,4 @@ def test_chaplygin_ball_is_the_so3_case():
     assert np.max(np.abs(unhat(dk) - dk_ball)) < 1e-12
     # density: sqrt(det(I + D)(1 - D (g, (I+D)^{-1} g))) in closed form
     expect = ball3d.densities_3d(ball, "chaplygin")
-    assert np.exp(log_density_elpr(lifted, op)) == pytest.approx(expect, rel=1e-12)
+    assert np.exp(log_density(lifted, op)) == pytest.approx(expect, rel=1e-12)
