@@ -5,9 +5,10 @@ A chart maps one system's states to flat coordinates.  Besides the flow
 needs to know about its system, so the command itself holds no per-system
 code.  Every method that takes coordinates takes a batch (..., d) and
 answers with arrays over the same leading axes; the command calls each one
-once per trajectory and never builds a state object.  ``log_density`` and
-``field_divergence`` refuse non-finite coordinates with ParameterError.
-The interface:
+once per trajectory, and builds a state object only to start a run (a
+seeded ``random_state``, or the state a crosscheck partner lifts).
+``log_density`` and ``field_divergence`` refuse non-finite coordinates with
+ParameterError.  The interface:
 
 * ``density_exponent`` and ``log_base(coords)``: every density here is a
   base to a power, and ``Chart`` defines ``log_density`` as their product.

@@ -208,6 +208,10 @@ class RunConfig:
             self.integrator = IntegratorConfig(**node)
         except (TypeError, ParameterError) as exc:
             raise ConfigError(f"integrator: {exc}") from exc
+        try:  # a sample count numpy cannot allocate is refused here, not mid-run
+            self.integrator.sample_times()
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"integrator.samples: {exc}") from exc
 
         try:
             self.chart = SYSTEMS[system].from_config(self)

@@ -3,13 +3,9 @@
 Every callable this module takes (a field, a log density, constraints) is
 batched: it maps states (..., d) to values (..., m), or to (...) for a
 scalar, row by row, so that a finite-difference stencil or an ensemble is
-evaluated in one call.  A stack larger than 256 KiB is passed in
-consecutive row blocks instead, each of at least two rows, which keeps a
-kernel's per-row temporaries in cache; a callable's rows must therefore not
-depend on which other rows share its call.  A field returns time
-derivatives (..., d).  Wrap a function of one point (d,) in ``pointwise``
-to make it batched; a stacked evaluation (a block included) whose result
-has any other shape raises DimensionError.
+evaluated in one call.  A field returns time derivatives (..., d).  Wrap a
+function of one point (d,) in ``pointwise`` to make it batched; a stacked
+evaluation whose result has any other shape raises DimensionError.
 
 Two verification primitives are provided:
 
@@ -73,7 +69,6 @@ __all__ = [
     "fd_jacobian",
     "fd_gradient",
     "fd_jvp",
-    "divergence",
     "fd_field_divergence",
     "liouville_residual_ambient",
     "constraint_tangent_basis",
@@ -87,13 +82,6 @@ _FD_H = float(np.finfo(float).eps) ** (1.0 / 3.0)
 # Upper bound on the stacked arrays of one ensemble group: a transport
 # group's fd_jvp stencil, an integrate group's stages and samples.
 _ENSEMBLE_BATCH_BYTES = 64 * 2**20
-# Upper bound on the input of one batched call that _eval_rows makes.  A
-# larger stack goes in row blocks, so a kernel's per-row temporaries stay in
-# cache and its peak memory stops growing with the stack.  On a 2-vCPU
-# Xeon, 128 and 256 KiB blocks ran the elpr n = 7 and 8 Liouville residuals
-# (504 and 868 rows) about a third faster than one call; 128 KiB also split
-# the n = 6 and elr_multiplier n = 8 stencils and made those up to 5% slower.
-_BLOCK_BYTES = 256 * 2**10
 # Constraint drift at a sample time beyond this aborts a transport.
 _DRIFT_TOL = 1e-6
 # Relative singular-value cut of the constraint Jacobian's rank.
@@ -213,8 +201,8 @@ class IntegratorConfig:
     [0, t_end] including both ends.  renormalize_every applies a chart
     renormalization after that many accepted steps; it is disabled by
     default and must stay disabled during measure checks.  samples,
-    max_steps and renormalize_every are integers; samples and
-    renormalize_every are at least 1.
+    max_steps and renormalize_every are integers; max_steps is nonnegative,
+    samples and renormalize_every are at least 1.
     """
 
     method: str = "dop853"
@@ -247,6 +235,8 @@ class IntegratorConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ParameterError("need at least one sample")
+        if self.max_steps < 0:
+            raise ParameterError(f"max_steps must be nonnegative, got {self.max_steps!r}")
         if self.renormalize_every is not None and self.renormalize_every < 1:
             raise ParameterError("renormalize_every must be at least 1")
 
@@ -461,22 +451,15 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
 # finite differences
 
 
-def _fd_points(x, h_scale):
+def _fd_points(x):
     """Central-difference stencil of x (..., d): points (..., 2d, d), steps (..., d).
 
     Row i of the stencil is x + h_i e_i and row d + i is x - h_i e_i, with
-    h_i = h_scale * max(1, |x_i|).
+    h_i = _FD_H * max(1, |x_i|).
     """
-    d = x.shape[-1]
-    h = h_scale * np.maximum(1.0, np.abs(x))
-    pts = np.empty(x.shape[:-1] + (2, d, d))
-    # x + h_i e_i adds 0.0 off the diagonal, which turns -0.0 into +0.0
-    np.add(x[..., None, :], 0.0, out=pts[..., 0, :, :])
-    pts[..., 1, :, :] = x[..., None, :]
-    diag = pts.reshape(x.shape[:-1] + (2, d * d))[..., :: d + 1]
-    np.add(x, h, out=diag[..., 0, :])
-    np.subtract(x, h, out=diag[..., 1, :])
-    return pts.reshape(x.shape[:-1] + (2 * d, d)), h
+    h = _FD_H * np.maximum(1.0, np.abs(x))
+    step = h[..., :, None] * np.eye(x.shape[-1])
+    return np.concatenate([x[..., None, :] + step, x[..., None, :] - step], axis=-2), h
 
 
 def pointwise(fn):
@@ -492,82 +475,48 @@ def pointwise(fn):
     return batched
 
 
-def _block_count(rows, row_bytes):
-    """Number of consecutive blocks _eval_rows calls fn on: each block's
-    input stays within _BLOCK_BYTES where two rows fit in it, and a split
-    never leaves a one-row block."""
-    if rows * row_bytes <= _BLOCK_BYTES:
-        return 1
-    per_block = max(2, _BLOCK_BYTES // row_bytes)
-    return max(1, min(-(-rows // per_block), rows // 2))
-
-
 def _eval_rows(fn, pts):
-    """Batched fn on every row of pts (..., d): values (..., m), m = 1 for a
-    scalar fn.  fn is called once per block of consecutive rows, so once in
-    all when the rows fit in _BLOCK_BYTES; block sizes differ by at most
-    one row."""
+    """Batched fn on every row of pts (..., d) in one call: values (..., m),
+    m = 1 for a scalar fn."""
     flat = pts.reshape(-1, pts.shape[-1])
-    rows = flat.shape[0]
-    count = _block_count(rows, flat.itemsize * flat.shape[1])
-    out = None
-    for i in range(count):
-        lo, hi = i * rows // count, (i + 1) * rows // count
-        vals = np.asarray(fn(flat[lo:hi]), dtype=float)
-        if vals.ndim not in (1, 2) or vals.shape[0] != hi - lo or (
-            out is not None and vals.size != (hi - lo) * out.shape[1]
-        ):
-            raise DimensionError(
-                f"a batched callable returned shape {vals.shape} for {hi - lo} rows; "
-                "wrap a function of one point in numerics.pointwise"
-            )
-        if count == 1:
-            return vals.reshape(pts.shape[:-1] + (-1,))
-        if out is None:
-            out = np.empty((rows, vals.size // (hi - lo)))
-        out[lo:hi] = vals.reshape(hi - lo, -1)
-    return out.reshape(pts.shape[:-1] + (-1,))
+    vals = np.asarray(fn(flat), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[0] != flat.shape[0]:
+        raise DimensionError(
+            f"a batched callable returned shape {vals.shape} for {flat.shape[0]} rows; "
+            "wrap a function of one point in numerics.pointwise"
+        )
+    return vals.reshape(pts.shape[:-1] + (-1,))
 
 
 def fd_jvp(field_fn, x, Vt):
-    """field_fn at x (S, d) and (J V)^T (S, q, d) from field_fn on S (1 + 2q) stacked rows.
+    """field_fn at x (S, d) and (J V)^T (S, q, d) from one call on S (1 + 2q) rows.
 
     Vt (S, q, d) holds the columns v_j of each member's V as rows.  Row j of
     (J V)^T is the central difference of the field along v_j with step
     t_j = _FD_H * max(1, |x|_inf) / |v_j|, which puts every point of a member
     at the same distance from x; a zero column gives a zero row.
     """
-    S, q, d = Vt.shape
+    q = Vt.shape[1]
     xr = x[:, None, :]
     scale = _FD_H * np.abs(xr).max(axis=-1, initial=1.0)
     t = scale / np.sqrt(np.maximum((Vt * Vt).sum(axis=-1), 1e-300))
     step = t[..., None] * Vt
-    # filled in place: a concatenate would copy every point once more
-    pts = np.empty((S, 1 + 2 * q, d))
-    pts[:, 0] = x
-    np.add(xr, step, out=pts[:, 1 : q + 1])
-    np.subtract(xr, step, out=pts[:, q + 1 :])
-    vals = _eval_rows(field_fn, pts)
-    jvt = vals[:, 1 : q + 1] - vals[:, q + 1 :]
-    jvt /= 2.0 * t[..., None]
-    return vals[:, 0], jvt
+    vals = _eval_rows(field_fn, np.concatenate([xr, xr + step, xr - step], axis=1))
+    return vals[:, 0], (vals[:, 1 : q + 1] - vals[:, q + 1 :]) / (2.0 * t[..., None])
 
 
-def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
+def fd_jacobian(fn, x) -> np.ndarray:
     """Central finite-difference Jacobian of fn at x (..., d), shape (..., m, d).
 
-    The step along coordinate i is h_scale * max(1, |x_i|) with
-    h_scale = eps**(1/3) by default.  fn, batched, is called on the stacked
-    stencils of every point (2d rows each): once, or once per row block of
-    a stack over _BLOCK_BYTES.
+    The step along coordinate i is _FD_H * max(1, |x_i|), _FD_H = eps**(1/3).
+    fn, batched, is called once on the stacked stencils of every point (2d
+    rows each).
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    pts, h = _fd_points(x, _FD_H if h_scale is None else h_scale)
+    pts, h = _fd_points(x)
     vals = _eval_rows(fn, pts)
-    del pts  # the stencil is as large as its values: free it before the difference
-    diff = vals[..., :d, :] - vals[..., d:, :]
-    diff /= 2.0 * h[..., :, None]
+    diff = (vals[..., :d, :] - vals[..., d:, :]) / (2.0 * h[..., :, None])
     return np.swapaxes(diff, -1, -2)
 
 
@@ -576,14 +525,9 @@ def fd_jacobian(fn, x, h_scale: float | None = None) -> np.ndarray:
 _jacobian = fd_jacobian
 
 
-def fd_gradient(fn, x, h_scale: float | None = None) -> np.ndarray:
+def fd_gradient(fn, x) -> np.ndarray:
     """Gradient (..., d) of scalar fn at x (..., d): row 0 of its Jacobian."""
-    return _jacobian(fn, x, h_scale)[..., 0, :]
-
-
-def divergence(field_fn, x, h_scale: float | None = None):
-    """Divergence (...) of the field at x (..., d): the trace of fd_jacobian."""
-    return np.trace(fd_jacobian(field_fn, x, h_scale), axis1=-2, axis2=-1)
+    return _jacobian(fn, x)[..., 0, :]
 
 
 def fd_field_divergence(field_fn, x):
@@ -592,7 +536,7 @@ def fd_field_divergence(field_fn, x):
     fd_jacobian, whose diagonal central differences are summed."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    stencil, h = _fd_points(x, _FD_H)
+    stencil, h = _fd_points(x)
     vals = _eval_rows(field_fn, np.concatenate([x[..., None, :], stencil], axis=-2))
     diff = np.diagonal(vals[..., 1 : d + 1, :] - vals[..., d + 1 :, :], axis1=-2, axis2=-1)
     return vals[..., 0, :], np.sum(diff / (2.0 * h), axis=-1)
@@ -626,7 +570,7 @@ def liouville_residual_ambient(
         raise DimensionError(f"x: expected one point (d,), got shape {x.shape}")
     _finite_state(x)
     if divergence_fn is None:
-        fx, div = field_fn(x), divergence(field_fn, x)
+        fx, div = fd_field_divergence(field_fn, x)
     else:
         fx, div = divergence_fn(x)
     grad = fd_gradient(log_density_fn, x) if grad_fn is None else grad_fn(x)
@@ -732,8 +676,7 @@ def tangent_volume_transport(
     constraints_fn at every later sample time.  Members run in consecutive groups small
     enough that an fd_jvp stencil of S (1 + 2d) points of d values stays
     under 64 MB, whichever path runs; that bounds the driver's stage arrays
-    and the stencil of a finite-difference divergence_fn, while the field
-    sees a stencil in row blocks.
+    and the stencil of a finite-difference divergence_fn.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2):

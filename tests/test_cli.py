@@ -630,6 +630,14 @@ NAN_LIST_ENTRIES = [
     ({"inertia": [1.0, None, 3.0]}, "inertia"),
     ({"initial": {"coords": ["nan"] * 6}}, "initial.coords"),
 ]
+# sample grids numpy refuses outright (10**20 overflows its size type, 2**62
+# floats exceed its largest array), never one it would try to allocate; and a
+# negative max_steps, a config error rather than an abort at t = 0
+TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS = [
+    ({"integrator": {"samples": 10**20}}, "integrator.samples"),
+    ({"integrator": {"samples": 2**62}}, "integrator.samples"),
+    ({"integrator": {"max_steps": -1}}, "integrator"),
+]
 
 
 @pytest.mark.parametrize(
@@ -660,7 +668,7 @@ NAN_LIST_ENTRIES = [
         {"integrator": {"renormalize_every": 0}},
         VESELOVA_IDENTITY,
     ] + [patch for patch, _ in NON_FINITE + NOT_INTEGER_OR_BOOLEAN] + [{"tolerance": -1}]
-    + [patch for patch, _ in NAN_LIST_ENTRIES],
+    + [patch for patch, _ in NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
     cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
@@ -684,7 +692,7 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"integrator": {"renormalize_every": 0}}, "integrator"),
         (VESELOVA_IDENTITY, "inertia"),
     ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN + [({"tolerance": -1}, "tolerance")]
-    + NAN_LIST_ENTRIES,
+    + NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS,
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     # no --out: a malformed "output" must not get as far as choosing a directory

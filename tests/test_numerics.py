@@ -2,7 +2,6 @@
 
 import glob
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from conftest import rng_for
 from nonholo import numerics
 from nonholo.ball3d import ChaplyginChart, random_ball_state
 from nonholo.cli import SYSTEMS, load_config
-from nonholo.elpr import LPRChart
 from nonholo.errors import (
     ConstraintDriftError,
     DimensionError,
@@ -23,7 +21,7 @@ from nonholo.liealg import InertiaOperator, to_wedge
 from nonholo.numerics import (
     IntegratorConfig,
     constraint_tangent_basis,
-    divergence,
+    fd_field_divergence,
     fd_gradient,
     fd_jacobian,
     fd_jvp,
@@ -290,12 +288,14 @@ def test_fd_jacobian_broadcasts_over_leading_dimensions():
             assert np.array_equal(J[i, j], fd_jacobian(f, xs[i, j]))
 
 
-def test_fd_gradient_quadratic_halving():
+def test_fd_gradient_quadratic_halving(monkeypatch):
     f = numerics.pointwise(lambda v: float(v @ v) + np.sin(v[0]))
     x = np.array([0.3, -1.2, 0.8])
     expect = 2 * x + np.array([np.cos(x[0]), 0.0, 0.0])
-    g1 = fd_gradient(f, x, h_scale=1e-4)
-    g2 = fd_gradient(f, x, h_scale=5e-5)
+    monkeypatch.setattr(numerics, "_FD_H", 1e-4)
+    g1 = fd_gradient(f, x)
+    monkeypatch.setattr(numerics, "_FD_H", 5e-5)
+    g2 = fd_gradient(f, x)
     # central differences: error O(h^2), so halving h shrinks it ~4x
     e1, e2 = np.max(np.abs(g1 - expect)), np.max(np.abs(g2 - expect))
     assert e2 < e1
@@ -343,102 +343,30 @@ def test_a_wrongly_shaped_batched_result_raises_instead_of_a_row_by_row_retry():
     assert calls == [(6, 3)]
 
 
-def test_fd_stencil_matches_its_formula_bit_for_bit():
+def test_fd_stencil_matches_its_formula_bit_for_bit(monkeypatch):
     # signed zeros included: x + h_i e_i turns -0.0 into +0.0 off the diagonal
     x = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3e5]])
-    pts, h = numerics._fd_points(x, 1e-3)
+    monkeypatch.setattr(numerics, "_FD_H", 1e-3)
+    pts, h = numerics._fd_points(x)
+    assert np.array_equal(h, 1e-3 * np.maximum(1.0, np.abs(x)))
     step = h[..., :, None] * np.eye(3)
     ref = np.concatenate([x[..., None, :] + step, x[..., None, :] - step], axis=-2)
     assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
 
 
-def test_a_scalar_result_in_a_multi_block_call_raises(monkeypatch):
-    calls = []
-
-    def one_point(v):
-        calls.append(np.shape(v))
-        return np.sum(v**3)
-
-    monkeypatch.setattr(numerics, "_BLOCK_BYTES", 2 * 8 * 3)  # two rows of R^3
-    with pytest.raises(DimensionError, match="pointwise"):
-        fd_gradient(one_point, np.zeros(3))
-    assert calls == [(2, 3)]
-    # a width that follows the block size is caught at the first block that differs
-    with pytest.raises(DimensionError, match="pointwise"):
-        numerics._eval_rows(lambda v: v[:, : len(v)], np.zeros((5, 3)))
-
-
-def test_row_blocks_differ_by_at_most_one_row_and_never_hold_one(monkeypatch):
-    calls = []
-
-    def f(v):
-        calls.append(np.shape(v))
-        return np.sin(v) * np.arange(1.0, 5.0)
-
-    pts = np.random.default_rng(8).standard_normal((7, 4))
-    whole = numerics._eval_rows(f, pts)
-    assert calls == [(7, 4)]
-    monkeypatch.setattr(numerics, "_BLOCK_BYTES", 3 * 8 * 4)  # three rows of R^4
-    calls.clear()
-    assert np.array_equal(numerics._eval_rows(f, pts), whole)
-    assert calls == [(2, 4), (2, 4), (3, 4)]
-    for per_block in range(2, 9):
-        monkeypatch.setattr(numerics, "_BLOCK_BYTES", 8 * 4 * per_block)
-        for rows in range(1, 40):
-            calls.clear()
-            numerics._eval_rows(f, pts[np.arange(rows) % 7])
-            sizes = np.array(calls)[:, 0]
-            assert sizes.sum() == rows
-            assert sizes.max() - sizes.min() <= 1
-            assert len(sizes) == 1 or sizes.min() >= 2
-            # two rows per block leaves odd counts one block of three
-            assert sizes.max() <= max(per_block, 3)
-
-
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
-def test_row_blocks_leave_every_chart_derivative_bitwise_unchanged(path, monkeypatch):
+def test_fd_field_divergence_is_the_trace_of_fd_jacobian_bit_for_bit(path):
+    # the one FD divergence: the diagonal of fd_jacobian's differences summed,
+    # with the field at x from the same call (equal up to the rounding of a
+    # batched evaluation)
     chart = load_config(path).chart
     rng = np.random.default_rng(31)
-    x = np.array([chart.flatten(chart.random_state(rng)) for _ in range(2)])
-    Vt = rng.standard_normal((2, 3, chart.dim))
-    fns = {"field": chart.field, "log_density": chart.log_density}
-    if chart.constraints is not None:
-        fns["constraints"] = chart.constraints
-
-    def derivatives():
-        out = {name: fd_jacobian(fn, x) for name, fn in fns.items()}
-        out["gradient"] = fd_gradient(chart.log_density, x)
-        out["divergence"] = divergence(chart.field, x)
-        out["jvp_f"], out["jvp"] = fd_jvp(chart.field, x, Vt)
-        return out
-
-    monkeypatch.setattr(numerics, "_BLOCK_BYTES", 2**60)
-    whole = derivatives()
-    calls = []
-    field = chart.field
-    monkeypatch.setattr(chart, "field", lambda c: calls.append(len(c)) or field(c))
-    monkeypatch.setattr(numerics, "_BLOCK_BYTES", 3 * 8 * chart.dim)
-    blocked = derivatives()
-    assert max(calls) <= 3 and len(calls) > 2  # the field saw row blocks
-    for name, value in whole.items():
-        assert np.array_equal(blocked[name], value), name
-
-
-def test_elpr_n8_liouville_residual_peak_memory():
-    # d = 434: the 868-row stencil goes to the field in row blocks, so the
-    # peak is the stencil and its values, not the kernel's per-row temporaries
-    rng = np.random.default_rng(12)
-    chart = LPRChart(InertiaOperator.wedge_products(rng.uniform(1.0, 1.6, 8)), eps=2.0)
-    x = chart.flatten(chart.random_state(rng))
-    first = liouville_residual_ambient(chart.field, chart.log_density, x)
-    tracemalloc.start()
-    try:
-        again = liouville_residual_ambient(chart.field, chart.log_density, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert again == first
-    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(2)])
+    for x in (xs[0], xs):
+        f, div = fd_field_divergence(chart.field, x)
+        trace = np.trace(fd_jacobian(chart.field, x), axis1=-2, axis2=-1)
+        assert div.shape == x.shape[:-1] and div.tobytes() == trace.tobytes()
+        assert np.allclose(f, chart.field(x), rtol=1e-13, atol=1e-15)
 
 
 def test_pointwise_adapter_maps_leading_axes_row_by_row():
@@ -459,7 +387,7 @@ def test_divergence_of_linear_field_is_trace():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
     x = rng.standard_normal(4)
-    assert divergence(numerics.pointwise(lambda v: A @ v), x) == pytest.approx(
+    assert fd_field_divergence(numerics.pointwise(lambda v: A @ v), x)[1] == pytest.approx(
         np.trace(A), abs=1e-7
     )
 
@@ -471,11 +399,11 @@ def test_fd_gradient_and_divergence_broadcast_over_a_batch():
     field = lambda v: np.sin(v) @ A.T
     logmu = lambda v: np.cos(v) @ w + np.sum(v**3, axis=-1)
     xs = rng.standard_normal((5, 4))
-    grads, divs = fd_gradient(logmu, xs), divergence(field, xs)
+    grads, divs = fd_gradient(logmu, xs), fd_field_divergence(field, xs)[1]
     assert grads.shape == (5, 4) and divs.shape == (5,)
     for x, g, dv in zip(xs, grads, divs):
         assert np.array_equal(g, fd_gradient(logmu, x))
-        assert dv == divergence(field, x)
+        assert dv == fd_field_divergence(field, x)[1]
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1, 3)])
@@ -536,7 +464,7 @@ def test_liouville_residual_takes_closed_form_terms():
     logmu = numerics.pointwise(lambda v: 0.7 * float(v @ v))
     x = np.array([0.6, -1.1])
     fd = liouville_residual_ambient(rot, logmu, x)
-    div = divergence(rot, x)
+    div = fd_field_divergence(rot, x)[1]
     grad = fd_gradient(logmu, x)
     closed = liouville_residual_ambient(rot, logmu, x, divergence_fn=lambda v: (rot(v), div))
     assert closed == fd
