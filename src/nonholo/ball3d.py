@@ -10,7 +10,13 @@ marble (no-slip) ball:
     k = I w + D w - D (w, gamma) gamma,
 
 with invariant density sqrt(det(I + D)(1 - D (gamma, (I + D)^{-1} gamma)))
-in the (w, gamma) variables.
+in the (w, gamma) variables.  The field there needs K(gamma)^{-1}, with
+K(gamma) = diag(I + D) - D gamma gamma^T the map w -> k at fixed gamma;
+by Sherman-Morrison, with u = (I + D)^{-1} gamma and s = 1 - D (gamma, u),
+
+    K^{-1} v = (I + D)^{-1} v + D (u, v) / s u,
+
+and the field's divergence is D (u, dgamma/dt) / s.
 
 rubber (no-slip, no-twist) ball, multiplier form:
 
@@ -19,8 +25,10 @@ rubber (no-slip, no-twist) ball, multiplier form:
 
 where lam is fixed by d/dt (w, gamma) = 0, so (w, gamma) = c is a first
 integral.  The invariant density is (I_tot^{-1} gamma, gamma)^(1/(2 eps))
-in both the (m, gamma) and (w, gamma) variables.  The equivalent
-momentum form carries m_bold = I_tot w + (gamma, w - I_tot w) gamma:
+in both the (m, gamma) and (w, gamma) variables, and so is the field's
+divergence, (I_tot^{-1} gamma, w x gamma) / (I_tot^{-1} gamma, gamma).
+The equivalent momentum form carries
+m_bold = I_tot w + (gamma, w - I_tot w) gamma:
 
     d(m_bold)/dt = eps m_bold x w
                    + (1 - eps)(I_tot w x w - (I_tot w x w, gamma) gamma).
@@ -40,6 +48,7 @@ from . import elpr, elr, veselova
 from .chart import Chart
 from .errors import ConfigError, DimensionError, ParameterError
 from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, unhat
+from .numerics import _finite_state
 
 __all__ = [
     "BallState",
@@ -154,17 +163,20 @@ def momentum_vector(state: BallState) -> np.ndarray:
     return _momentum_vector(state.omega, state.gamma, state.total_inertia)
 
 
-def _k_matrix(gamma, inertia, D):
-    """K(gamma) = diag(I + D) - D gamma gamma^T, batched over gamma."""
-    eye = np.eye(3)
-    diag = (np.asarray(inertia, dtype=float) + D) * eye
-    return diag - D * (gamma[..., :, None] * gamma[..., None, :])
+def _k_solve(v, g, it, D):
+    """K(gamma)^-1 v by the Sherman-Morrison formula above, batched; it holds
+    the principal moments of I + D.  Returns K^-1 v, u and s, which the
+    marble-ball divergence shares."""
+    u = g / it
+    s = 1.0 - D * _dot(g, u)
+    return v / it + (D * _dot(u, v) / s)[..., None] * u, u, s
 
 
 def omega_from_k(k, gamma, inertia, D) -> np.ndarray:
-    """Solve K(gamma) w = k for the marble ball."""
-    K = _k_matrix(np.asarray(gamma, dtype=float), inertia, float(D))
-    return np.linalg.solve(K, np.asarray(k, dtype=float)[..., None])[..., 0]
+    """Solve K(gamma) w = k for the marble ball, by _k_solve."""
+    D = float(D)
+    it = np.asarray(inertia, dtype=float) + D
+    return _k_solve(np.asarray(k, dtype=float), np.asarray(gamma, dtype=float), it, D)[0]
 
 
 def omega_from_momentum(m_bold, gamma, inertia, D) -> np.ndarray:
@@ -294,14 +306,25 @@ class _BallChart(Chart):
 class ChaplyginChart(_BallChart):
     """Marble ball in the (w, gamma) variables."""
 
-    def field(self, coords):
+    def _rates(self, coords):
+        """The field at coords (..., d), then u, s of _k_solve and dgamma."""
         w, g = self._split(coords)
         dk = _cross(_k_vector(w, g, self.inertia, self.D), w)
         dg = self.eps * _cross(g, w)
         # dk = K(gamma) dw - D ((w, dg) gamma + (w, gamma) dg)
         rhs = dk + self.D * (_dot(w, dg)[..., None] * g + _dot(w, g)[..., None] * dg)
-        dw = np.linalg.solve(_k_matrix(g, self.inertia, self.D), rhs[..., None])[..., 0]
-        return np.concatenate([dw, dg], axis=-1)
+        dw, u, s = _k_solve(rhs, g, self.it, self.D)
+        return np.concatenate([dw, dg], axis=-1), (u, s, dg)
+
+    def field(self, coords):
+        return self._rates(coords)[0]
+
+    def field_divergence(self, coords):
+        """The field and its divergence D (u, dgamma) / s at coords (..., d),
+        the trace D (gamma, K^-1 dgamma) of the w block; the gamma block
+        (gamma -> eps gamma x w) is skew and has no trace."""
+        rates, (u, s, dg) = self._rates(_finite_state(coords, "coords"))
+        return rates, self.D * _dot(u, dg) / s
 
     density_exponent = 0.5
 
@@ -355,15 +378,31 @@ class RubberChart(_BallChart):
     def _omega(self, lead):
         return lead / self.it if self.variables == "m" else lead
 
-    def field(self, coords):
+    def _rates(self, coords):
+        """The field at coords (..., d), then (I + D)^-1 gamma, its product
+        with gamma, and gamma x w."""
         w, g = self._split(coords)
         m = self.it * w
         mw = _cross(m, w)
-        lam = -_dot(g, mw / self.it) / _dot(g, g / self.it)
+        u = g / self.it
+        gu = _dot(g, u)
+        lam = -_dot(g, mw / self.it) / gu
         dm = mw + lam[..., None] * g
-        dg = self.eps * _cross(g, w)
+        gw = _cross(g, w)
+        dg = self.eps * gw
         dlead = dm if self.variables == "m" else dm / self.it
-        return np.concatenate([dlead, dg], axis=-1)
+        return np.concatenate([dlead, dg], axis=-1), (u, gu, gw)
+
+    def field(self, coords):
+        return self._rates(coords)[0]
+
+    def field_divergence(self, coords):
+        """The field and its divergence (u, w x gamma) / (gamma, u) at coords
+        (..., d), u = (I + D)^-1 gamma: the w block's trace, through lam, in
+        either variable set (m = (I + D) w is linear); the gamma block is
+        skew and has no trace."""
+        rates, (u, gu, gw) = self._rates(_finite_state(coords, "coords"))
+        return rates, -_dot(u, gw) / gu
 
     def log_base(self, coords):
         """log (gamma, (I + D)^-1 gamma)."""

@@ -21,11 +21,12 @@ ParameterError.  The interface:
   ``log_density_grad`` for ``verify --check liouville``;
 * ``field_divergence(coords)``: the field (..., d) at coords (..., d),
   equal to ``field(coords)`` bit for bit, and its divergence (...), for
-  volume transport and ``verify --check liouville``.  The default takes
-  the divergence from central differences, on one field call of 1 + 2d
-  rows per point; every chart but the two balls overrides it with a
-  closed form.  Volume transport integrates this divergence over the whole
-  chart as the divergence on the constraint manifold.  That holds because
+  volume transport and ``verify --check liouville``.  Every chart gives it
+  in closed form; ``Chart`` has no default, and
+  ``numerics.fd_field_divergence`` is the central-difference oracle the
+  tests hold each closed form to.  Volume transport integrates this
+  divergence over the whole chart as the divergence on the constraint
+  manifold.  That holds because
   each constrained flow moves its frame F (the rows at ``frame_index``)
   by F' = F Omega(x) with Omega skew: f' = eps [f, w] for
   ``elr_momentum``, U' = -eps W U for ``veselova`` and ``lpr_stiefel``,
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .liealg import wedge_index_pairs
-from .numerics import _finite_state, fd_field_divergence, polar_orthonormalize
+from .numerics import _finite_state, polar_orthonormalize
 
 
 def pair_labels(n: int, prefix: str) -> list[str]:
@@ -85,12 +86,6 @@ class Chart:
 
     def log_density_grad(self, coords):
         return self.density_exponent * self.log_base_grad(_finite_state(coords, "coords"))
-
-    def field_divergence(self, coords):
-        """(field (..., d), div (...)) at coords (..., d):
-        ``numerics.fd_field_divergence`` of ``field``.  Non-finite coords
-        raise ParameterError."""
-        return fd_field_divergence(self.field, _finite_state(coords, "coords"))
 
     def constraints(self, coords):
         """Upper triangle of F F^T - I for the frame F at coords (..., d)."""

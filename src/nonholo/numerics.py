@@ -18,11 +18,11 @@ Two verification primitives are provided:
 * ``tangent_volume_transport``: integrates the log volume of a tangent
   volume element along the flow; for an invariant measure mu the sum
   log mu(x(t)) + log vol(t) stays constant.  ``verify --check volume``
-  passes ``Chart.field_divergence`` as ``divergence_fn``: the log volume is
-  then one more number per state, whose rate is div X (Liouville's
-  formula), which on a constrained chart is the manifold divergence as
-  long as the flow moves its frame F by F' = F Omega, Omega skew.  Without
-  it, the default propagates an orthonormal basis V of the
+  passes the chart's ``field_divergence`` as ``divergence_fn``: the log
+  volume is then one more number per state, whose rate is div X
+  (Liouville's formula), which on a constrained chart is the manifold
+  divergence as long as the flow moves its frame F by F' = F Omega, Omega
+  skew.  Without it, the default propagates an orthonormal basis V of the
   constraint-manifold tangent space with the variational equation
   dV/dt = J(x(t)) V, J V from ``fd_jvp``: each of the q columns as a
   central difference of the field along it, from one field call on
@@ -451,15 +451,18 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
 # finite differences
 
 
-def _fd_points(x):
+def _fd_points(x, centre=False):
     """Central-difference stencil of x (..., d): points (..., 2d, d), steps (..., d).
 
     Row i of the stencil is x + h_i e_i and row d + i is x - h_i e_i, with
-    h_i = _FD_H * max(1, |x_i|).
+    h_i = _FD_H * max(1, |x_i|).  With centre, x itself comes first and the
+    stencil follows it (1 + 2d rows).
     """
     h = _FD_H * np.maximum(1.0, np.abs(x))
     step = h[..., :, None] * np.eye(x.shape[-1])
-    return np.concatenate([x[..., None, :] + step, x[..., None, :] - step], axis=-2), h
+    xr = x[..., None, :]
+    rows = [xr, xr + step, xr - step] if centre else [xr + step, xr - step]
+    return np.concatenate(rows, axis=-2), h
 
 
 def pointwise(fn):
@@ -536,10 +539,11 @@ def fd_field_divergence(field_fn, x):
     fd_jacobian, whose diagonal central differences are summed."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    stencil, h = _fd_points(x)
-    vals = _eval_rows(field_fn, np.concatenate([x[..., None, :], stencil], axis=-2))
-    diff = np.diagonal(vals[..., 1 : d + 1, :] - vals[..., d + 1 :, :], axis1=-2, axis2=-1)
-    return vals[..., 0, :], np.sum(diff / (2.0 * h), axis=-1)
+    pts, h = _fd_points(x, centre=True)
+    vals = _eval_rows(field_fn, pts)
+    plus = np.diagonal(vals[..., 1 : d + 1, :], axis1=-2, axis2=-1)
+    minus = np.diagonal(vals[..., d + 1 :, :], axis1=-2, axis2=-1)
+    return vals[..., 0, :], np.sum((plus - minus) / (2.0 * h), axis=-1)
 
 
 def _finite_state(x, name="x"):
@@ -596,8 +600,9 @@ def _check_drift(times, drift):
 def constraint_tangent_basis(constraints_fn, x) -> np.ndarray:
     """Orthonormal basis (..., d, q) of the null space of the constraint Jacobian
     at x (..., d), from one stacked fd_jacobian; every point must leave the same q.
-    Singular values at or below _RANK_RTOL times the largest count as zero."""
-    jac = fd_jacobian(constraints_fn, x)
+    Singular values at or below _RANK_RTOL times the largest count as zero.
+    A non-finite x raises ParameterError before any constraints_fn call."""
+    jac = fd_jacobian(constraints_fn, _finite_state(x, "x"))
     _, s, vt = np.linalg.svd(jac)
     ranks = np.unique(np.sum(s > _RANK_RTOL * s[..., :1], axis=-1))
     if ranks.size > 1:

@@ -94,6 +94,26 @@ def test_momentum_maps_round_trip():
     assert np.allclose(m_vector(st), st.total_inertia * st.omega, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "scale, D", [(1.0, 1.3), (1.05, 1.3), (1.0, 0.0)], ids=["unit", "off-sphere", "D0"]
+)
+def test_omega_from_k_is_a_dense_solve_of_k_gamma(scale, D):
+    # Sherman-Morrison against np.linalg.solve of K(gamma) = diag(I + D) - D gamma
+    # gamma^T, on |gamma| = 1, off it, and at D = 0, where K is diagonal
+    rng = rng_for(5)
+    inertia = np.array([1.1, 1.9, 3.2])
+    g = rng.standard_normal((4, 3))
+    g = scale * g / np.linalg.norm(g, axis=-1, keepdims=True)
+    k = rng.standard_normal((4, 3))
+    K = (inertia + D) * np.eye(3) - D * (g[:, :, None] * g[:, None, :])
+    expect = np.linalg.solve(K, k[..., None])[..., 0]
+    w = omega_from_k(k, g, inertia, D)
+    assert w.shape == (4, 3)
+    for i in range(4):
+        for got in (w[i], omega_from_k(k[i], g[i], inertia, D)):
+            assert np.max(np.abs(got - expect[i])) <= 1e-13 * np.max(np.abs(expect[i]))
+
+
 def test_k_vector_formula():
     st = random_ball_state(rng_for(3), inertia=[1.0, 2.0, 3.0], D=0.9)
     w, g = st.omega, st.gamma

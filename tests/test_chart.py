@@ -15,6 +15,7 @@ import pytest
 from conftest import random_spd_operator
 from test_cli import ZERO_EPSILON_REFUSED
 from nonholo.ball3d import ChaplyginChart, RubberChart
+from nonholo.chart import Chart
 from nonholo.cli import PAIRS, SYSTEMS, load_config
 from nonholo.elpr import LPRChart, LPRStiefelChart
 from nonholo.elr import MomentumChart, MultiplierChart
@@ -96,8 +97,8 @@ def test_deviation_of_a_trajectory_pair_matches_each_sample(pair):
 
 # ---------------------------------------------------------------------------
 # field_divergence of every chart, at n = 3..5, every valid rank and three
-# values of eps: closed forms except on the balls, which take the Chart
-# default from central differences
+# values of eps: each chart's own closed form, held to the central
+# differences of fd_field_divergence
 
 
 def _a(n):
@@ -159,6 +160,14 @@ def test_field_divergence_is_member_by_member(chart):
             assert np.array_equal(f_one, chart.field(x[i]))
             assert rel_diff(f_all[i], f_one) <= 1e-14
             assert abs(div_all[i] - div_one) <= 1e-13 * max(1.0, abs(div_one))
+
+
+def test_every_system_chart_gives_its_own_field_divergence():
+    # Chart has no finite-difference default: central differences are the
+    # tests' oracle, not a production path
+    assert not hasattr(Chart, "field_divergence")
+    for system, cls in SYSTEMS.items():
+        assert "field_divergence" in vars(cls), system
 
 
 # the normal-trace lemma behind transport by divergence: a flow that moves

@@ -354,10 +354,11 @@ def test_verify_volume_wrong_exponent_control_fails(tmp_path, monkeypatch, syste
     assert all(r[-1] == "fail" and float(r[8]) > 1e-3 for r in rows)
 
 
-@pytest.mark.parametrize("method", ["field", "log_density"])
+@pytest.mark.parametrize("method", ["field_divergence", "log_density"])
 def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
-    # field errors reach verify wrapped in IntegrationAbort, log_density
-    # errors unwrapped; either way only the failing seed aborts
+    # errors of field_divergence, which volume transport integrates, reach
+    # verify wrapped in IntegrationAbort, log_density errors unwrapped;
+    # either way only the failing seed aborts
     cfg = write_cfg(tmp_path, BALL_CFG)
     bad = load_config(cfg).initial_coords(8)
     original = getattr(ChaplyginChart, method)

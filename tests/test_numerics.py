@@ -520,6 +520,23 @@ def test_constraint_tangent_basis_on_sphere():
     assert np.allclose(V.T @ V, np.eye(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constraint_tangent_basis_refuses_non_finite_states(bad):
+    # a NaN state used to raise numpy's LinAlgError ("SVD did not converge")
+    calls = []
+
+    def constraints(x):
+        calls.append(x)
+        return sphere_constraints(x)
+
+    one = np.array([0.0, 0.6, bad])
+    batch = np.array([[0.0, 0.6, 0.8], [0.0, bad, 0.8]])
+    for x in (one, batch):
+        with pytest.raises(ParameterError, match="x: non-finite state"):
+            constraint_tangent_basis(constraints, x)
+    assert not calls
+
+
 def test_transport_rigid_rotation_constant_density():
     a = np.array([0.3, -0.5, 0.8])
     field = lambda x: np.cross(a, x)
