@@ -35,7 +35,8 @@ m_bold = I_tot w + (gamma, w - I_tot w) gamma:
 
 Everything here is written with plain cross products, independent of the
 wedge-coordinate machinery, so these flows can serve as oracles for the
-so(3) specializations of the general modules (see ``lift_to_so3``).
+so(3) specializations of the general modules (see the crosscheck partners
+below, which lift ball coordinates onto them).
 """
 
 from __future__ import annotations
@@ -47,14 +48,11 @@ import numpy as np
 from . import elpr, elr, veselova
 from .chart import Chart
 from .errors import ConfigError, DimensionError, ParameterError
-from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, unhat
+from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, to_wedge, unhat
 from .numerics import _finite_state
 
 __all__ = [
     "BallState",
-    "k_vector",
-    "m_vector",
-    "momentum_vector",
     "omega_from_k",
     "omega_from_momentum",
     "vf_chaplygin",
@@ -64,7 +62,6 @@ __all__ = [
     "epsilon_from_radii",
     "ChaplyginChart",
     "RubberChart",
-    "lift_to_so3",
     "elpr_partner",
     "elr_partner",
     "veselova_partner",
@@ -101,18 +98,14 @@ def _blas_dot(a, b):
 
 @dataclass(frozen=True, eq=False)
 class BallState:
-    """Ball state (w, gamma) with parameters (inertia, D, eps).
-
-    tolerance bounds the accepted deviation of |gamma| from 1; trajectory
-    samples carrying integration drift may pass a looser value.
-    """
+    """Ball state (w, gamma) with parameters (inertia, D, eps); |gamma| is
+    1 within 1e-10."""
 
     omega: np.ndarray
     gamma: np.ndarray
     inertia: np.ndarray
     D: float = 0.0
     eps: float = 1.0
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         omega = _vec3(self.omega, "omega")
@@ -123,7 +116,7 @@ class BallState:
         D = float(self.D)
         if D < 0.0:
             raise ParameterError("D must be nonnegative")
-        if abs(_dot(gamma, gamma) - 1.0) > self.tolerance:
+        if abs(_dot(gamma, gamma) - 1.0) > 1e-10:
             raise ParameterError("gamma must be a unit vector")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "gamma", gamma)
@@ -142,25 +135,11 @@ def _k_vector(w, g, inertia, D):
     return inertia * w + D * (w - _dot(w, g)[..., None] * g)
 
 
-def k_vector(state: BallState) -> np.ndarray:
-    """Marble-ball momentum k = I w + D w - D (w, gamma) gamma."""
-    return _k_vector(state.omega, state.gamma, state.inertia, state.D)
-
-def m_vector(state: BallState) -> np.ndarray:
-    """Rubber-ball multiplier-form momentum m = (I + D) w."""
-    return state.total_inertia * state.omega
-
-
 def _momentum_vector(w, g, it):
     """Rubber-ball momentum m_bold = I_tot w + (gamma, w - I_tot w) gamma,
     batched; it holds the principal moments of I_tot."""
     v = it * w
     return v + _dot(g, w - v)[..., None] * g
-
-
-def momentum_vector(state: BallState) -> np.ndarray:
-    """Rubber-ball momentum m_bold = I_tot w + (gamma, w - I_tot w) gamma."""
-    return _momentum_vector(state.omega, state.gamma, state.total_inertia)
 
 
 def _k_solve(v, g, it, D):
@@ -190,7 +169,7 @@ def omega_from_momentum(m_bold, gamma, inertia, D) -> np.ndarray:
 def vf_chaplygin(state: BallState):
     """Marble-ball field; returns (dk, dgamma)."""
     w, g = state.omega, state.gamma
-    k = k_vector(state)
+    k = _k_vector(w, g, state.inertia, state.D)
     return _cross(k, w), state.eps * _cross(g, w)
 
 
@@ -217,12 +196,12 @@ def vf_rubber(state: BallState, form: str = "multiplier"):
     w, g = state.omega, state.gamma
     dg = state.eps * _cross(g, w)
     if form == "multiplier":
-        m = m_vector(state)
+        m = state.total_inertia * w
         return _cross(m, w) + rubber_multiplier(state) * g, dg
     if form == "momentum":
         eps = state.eps
         v = state.total_inertia * w
-        mb = momentum_vector(state)
+        mb = _momentum_vector(w, g, state.total_inertia)
         vw = _cross(v, w)
         return eps * _cross(mb, w) + (1.0 - eps) * (vw - _dot(vw, g) * g), dg
     raise ParameterError(f"unknown rubber form {form!r}")
@@ -289,10 +268,11 @@ class _BallChart(Chart):
         inertia, D = cfg.vector("inertia", 3), cfg.get("D", float, default=0.0)
         return cls(inertia, D, cfg.epsilon, **kwargs)
 
-    def random_state(self, rng, zero_constants=False):
-        return random_ball_state(
+    def random_coords(self, rng, zero_constants=False):
+        state = random_ball_state(
             rng, inertia=self.inertia, D=self.D, eps=self.eps, zero_constraint=zero_constants
         )
+        return self.flatten(state)
 
     def _split(self, coords):
         """w and gamma (..., 3) at coords (..., 6)."""
@@ -335,11 +315,6 @@ class ChaplyginChart(_BallChart):
 
     def flatten(self, state: BallState) -> np.ndarray:
         return np.concatenate([state.omega, state.gamma])
-
-    def unflatten(self, coords) -> BallState:
-        # loose tolerance: trajectory samples carry integration drift
-        coords = np.asarray(coords, dtype=float)
-        return BallState(coords[:3], coords[3:], self.inertia, self.D, self.eps, tolerance=1e-6)
 
     def columns(self):
         return ["k1", "k2", "k3", "g1", "g2", "g3"]
@@ -410,14 +385,8 @@ class RubberChart(_BallChart):
         return np.log(_dot(g, g / self.it))
 
     def flatten(self, state: BallState) -> np.ndarray:
-        lead = m_vector(state) if self.variables == "m" else state.omega
+        lead = self.it * state.omega if self.variables == "m" else state.omega
         return np.concatenate([lead, state.gamma])
-
-    def unflatten(self, coords) -> BallState:
-        # loose tolerance: trajectory samples carry integration drift
-        coords = np.asarray(coords, dtype=float)
-        w = self._omega(coords[:3])
-        return BallState(w, coords[3:], self.inertia, self.D, self.eps, tolerance=1e-6)
 
     def columns(self):
         lead = "m" if self.variables == "m" else "w"
@@ -432,34 +401,12 @@ class RubberChart(_BallChart):
 
 
 # ---------------------------------------------------------------------------
-# lifts to the general so(3) modules
-
-
-def lift_to_so3(state: BallState, target: str):
-    """Lift to a general-module state whose flow projects back to this one.
-
-    Returns (state, operator):
-      "elpr":     marble ball as the symmetric-operator flow with
-                  Pi = D pr_{gamma-perp} and the so(3) inertia of I;
-      "elr":      rubber ball as the multiplier-form frame flow with
-                  k = 1, e1 = hat(gamma) and inertia I + D;
-      "veselova": rubber ball as the r = 1 moving-frame flow with the
-                  shifted inertia (its wedge-product density formula does
-                  not apply to this operator).
-    """
-    if target == "elpr":
-        op = InertiaOperator.so3_vector(state.inertia)
-        Pi = elpr.pi_variants(hat(state.gamma), state.D, "d_proj")
-        return elpr.ELPRState(hat(k_vector(state)), Pi), op
-    if target == "elr":
-        op = InertiaOperator.so3_vector(state.total_inertia)
-        frames = Frame(hat(state.gamma)[None], orthonormal=True)
-        return elr.ELRMultiplierState.from_omega(hat(state.omega), frames), op
-    if target == "veselova":
-        op = InertiaOperator.shifted(InertiaOperator.so3_vector(state.inertia), state.D)
-        U = StiefelPoint(state.gamma[:, None])
-        return veselova.VeselovaState(hat(momentum_vector(state)), U), op
-    raise ParameterError(f"no so(3) lift for target {target!r}")
+# crosscheck partners: lifts to the general so(3) modules
+#
+# Each takes ball coordinates (d,) and returns the general chart, the lifted
+# coordinates, and the deviation of ball samples from lifted samples.  A
+# lift refuses a gamma whose squared norm is off 1 by more than 1e-10 with
+# ParameterError (from pi_variants, Frame or StiefelPoint).
 
 
 def _vec(c):
@@ -473,39 +420,49 @@ def _max_abs(*diffs):
     return np.max(np.abs(np.concatenate(diffs, axis=-1)), axis=-1)
 
 
-def elpr_partner(chart: ChaplyginChart, state: BallState):
-    """Marble ball against its so(3) lift to the L+R flow (crosscheck pair)."""
-    lifted, op = lift_to_so3(state, "elpr")
-    other = elpr.LPRChart(op, chart.eps)
+def elpr_partner(chart: ChaplyginChart, coords):
+    """Marble ball as the symmetric-operator flow with Pi = D pr_{gamma-perp},
+    k_bold = hat(k) and the so(3) inertia of I."""
+    w, g = chart._split(coords)
+    other = elpr.LPRChart(InertiaOperator.so3_vector(chart.inertia), chart.eps)
+    Pi = elpr.pi_variants(hat(g), chart.D, "d_proj")
+    kc = to_wedge(hat(_k_vector(w, g, chart.inertia, chart.D)))
 
     def deviation(rb, rg):
         return _max_abs(chart._split(rb)[0] - _vec(other.velocity(rg)))
 
-    return other, other.flatten(lifted), deviation
+    return other, other._pack(elpr._velocity(kc, Pi, other.op), Pi), deviation
 
 
-def elr_partner(chart: RubberChart, state: BallState):
-    """Rubber ball against the frame-constrained flow with frame hat(gamma)."""
-    lifted, op = lift_to_so3(state, "elr")
-    other = elr.MultiplierChart(op, 1, chart.eps)
+def elr_partner(chart: RubberChart, coords):
+    """Rubber ball as the multiplier-form frame flow with k = 1, e1 =
+    hat(gamma) and inertia I + D."""
+    w, g = chart._split(coords)
+    other = elr.MultiplierChart(InertiaOperator.so3_vector(chart.it), 1, chart.eps)
+    frame = Frame(hat(g)[None], orthonormal=True)
 
     def deviation(rb, rg):
         w, g = chart._split(rb)
         return _max_abs(w - _vec(rg[..., :3]), g - _vec(rg[..., 3:]))
 
-    return other, other.flatten(lifted), deviation
+    return other, np.concatenate([to_wedge(hat(w)), frame.coords.ravel()]), deviation
 
 
-def veselova_partner(chart: RubberChart, state: BallState):
-    """Rubber ball against the moving-frame flow with U = gamma."""
-    lifted, op = lift_to_so3(state, "veselova")
+def veselova_partner(chart: RubberChart, coords):
+    """Rubber ball as the r = 1 moving-frame flow with U = gamma,
+    m_bold = hat of the momentum-form vector and the shifted inertia (its
+    wedge-product density formula does not apply to this operator)."""
+    w, g = chart._split(coords)
+    op = InertiaOperator.shifted(InertiaOperator.so3_vector(chart.inertia), chart.D)
     other = veselova.VeselovaChart(op, 1, chart.eps)
+    U = StiefelPoint(g[:, None]).U
+    mc = to_wedge(hat(_momentum_vector(w, g, chart.it)))
 
     def deviation(rb, rg):
         w, g = chart._split(rb)
         return _max_abs(_momentum_vector(w, g, chart.it) - _vec(rg[..., :3]), g - rg[..., 3:])
 
-    return other, other.flatten(lifted), deviation
+    return other, np.concatenate([mc, U.ravel()]), deviation
 
 
 def random_ball_state(

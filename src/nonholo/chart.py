@@ -1,12 +1,13 @@
 """What every flat chart answers for the command line, with shared defaults.
 
-A chart maps one system's states to flat coordinates.  Besides the flow
-(``field``, ``log_density``) it carries everything the ``nonholo`` command
-needs to know about its system, so the command itself holds no per-system
-code.  Every method that takes coordinates takes a batch (..., d) and
-answers with arrays over the same leading axes; the command calls each one
-once per trajectory, and builds a state object only to start a run (a
-seeded ``random_state``, or the state a crosscheck partner lifts).
+A chart gives one system's states as flat coordinates, the only state the
+``nonholo`` command handles.  Besides the flow (``field``, ``log_density``)
+it carries everything the command needs to know about its system, so the
+command itself holds no per-system code.  Every method that takes
+coordinates takes a batch (..., d) and answers with arrays over the same
+leading axes; the command calls each one once per trajectory.  A run starts
+from ``random_coords`` or from the configured coordinates, and a crosscheck
+partner (``cli.PAIRS``) lifts those coordinates to its own chart.
 ``log_density`` and ``field_divergence`` refuse non-finite coordinates with
 ParameterError.  The interface:
 
@@ -39,7 +40,9 @@ ParameterError.  The interface:
 * ``config_keys`` and ``from_config(cfg)``: the top-level config keys the
   system reads, and the chart built from a validated ``cli.RunConfig``;
 * ``n``, ``r``, ``k``: the sizes reported in ``verify`` rows;
-* ``random_state(rng, zero_constants=False)``: a seeded random state;
+* ``random_coords(rng, zero_constants=False)``: seeded random coordinates
+  (d,), on the zero level of the constants where the system has them and
+  ``zero_constants`` is true;
 * ``columns()`` and ``row(coords)``: the CSV state block, (..., d) to
   (..., len(columns()));
 * ``integrals(coords)``: named first integrals, each (...);

@@ -58,10 +58,11 @@ SYSTEMS = {
 COMMON_KEYS = ("system", "epsilon", "tolerance", "initial", "checks", "integrator", "output")
 CHECKS = ("liouville", "volume", "integrals")
 
-# (config system, partner) -> function (chart, state) returning the partner
+# (config system, partner) -> function (chart, coords) that lifts the
+# chart's initial coordinates (d,) to the partner: it returns the partner
 # chart, its initial coordinates, and deviation(samples, partner samples),
 # batched over (..., d): the largest difference of the quantities both sides
-# carry
+# carry.  A NonholoError means the pair cannot lift those coordinates.
 PAIRS = {
     ("elr_multiplier", "elr_momentum"): elr.momentum_partner,
     ("ball_chaplygin", "elpr"): ball3d.elpr_partner,
@@ -258,7 +259,7 @@ class RunConfig:
             raise ConfigError(f"epsilon: {exc} for {self.system}") from exc
 
     def initial_coords(self, seed: int) -> np.ndarray:
-        """The configured coordinates, else a seeded random state."""
+        """The configured coordinates, else the chart's seeded random ones."""
         if self.coords is not None:
             if self.coords.shape != (self.chart.dim,):
                 raise ConfigError(
@@ -266,8 +267,7 @@ class RunConfig:
                     f"got {self.coords.size}"
                 )
             return self.coords
-        rng = np.random.default_rng(seed)
-        return self.chart.flatten(self.chart.random_state(rng, self.zero_constants))
+        return self.chart.random_coords(np.random.default_rng(seed), self.zero_constants)
 
 
 def load_config(path: str) -> RunConfig:
@@ -504,17 +504,15 @@ def cmd_verify(cfg: RunConfig, check, seeds, out_dir) -> int:
 
 
 def _crosscheck_deviations(cfg: RunConfig, partner):
-    """Integrate both sides of a pair from the configured state; per-sample deviation."""
+    """Integrate both sides of a pair from the configured coordinates, seeded
+    or given, and the partner's lift of them; per-sample deviation."""
     chart = cfg.chart
-    if cfg.coords is None:  # the seeded state goes to the partner as drawn
-        state = chart.random_state(np.random.default_rng(cfg.seed), cfg.zero_constants)
-        x0, (other, y0, deviation) = chart.flatten(state), partner(chart, state)
-    else:
-        x0 = cfg.initial_coords(cfg.seed)
-        try:
-            other, y0, deviation = partner(chart, chart.unflatten(x0))
-        except NonholoError as exc:
-            raise ConfigError(f"initial.coords: the pair cannot lift this state: {exc}") from exc
+    x0 = cfg.initial_coords(cfg.seed)
+    try:
+        other, y0, deviation = partner(chart, x0)
+    except NonholoError as exc:
+        key = "initial.seed" if cfg.coords is None else "initial.coords"
+        raise ConfigError(f"{key}: the pair cannot lift this state: {exc}") from exc
     ta = integrate(chart.field, x0, cfg.integrator)
     tb = integrate(other.field, y0, cfg.integrator)
     for side, traj in ((chart, ta), (other, tb)):

@@ -62,10 +62,7 @@ from .veselova import _log_base, _StiefelChart
 __all__ = [
     "ELPRState",
     "LPRStiefelState",
-    "k_from_omega",
-    "omega_from_k",
     "vf_elpr",
-    "energy",
     "pi_variants",
     "stiefel_total_inertia",
     "LPRChart",
@@ -158,30 +155,14 @@ def _velocity(kc, Pi, op):
     return _solve_pd(op.dense_matrix + Pi, kc)
 
 
-def k_from_omega(omega, Pi, op: InertiaOperator) -> np.ndarray:
-    """k_bold = I w + Pi w."""
-    wc = to_wedge(np.asarray(omega, dtype=float))
-    return from_wedge(_k_coords(wc, np.asarray(Pi, dtype=float), op), op.n)
-
-
-def omega_from_k(state: ELPRState, op: InertiaOperator) -> np.ndarray:
-    """Solve (I + Pi) w = k_bold; raises if I + Pi is not positive definite."""
-    return from_wedge(_velocity(to_wedge(state.k_bold), state.Pi, op), op.n)
-
-
 def vf_elpr(state: ELPRState, op: InertiaOperator, eps: float):
-    """Vector field; returns (dk_bold, dPi)."""
-    w = omega_from_k(state, op)
+    """Vector field; returns (dk_bold, dPi).  Raises DefinitenessError
+    unless I + Pi is positive definite."""
+    w = from_wedge(_velocity(to_wedge(state.k_bold), state.Pi, op), op.n)
     dk = commutator(state.k_bold, w)
     A = ad_matrix(w)
     dPi = eps * (state.Pi @ A - A @ state.Pi)
     return dk, dPi
-
-
-def energy(state: ELPRState, op: InertiaOperator) -> float:
-    """H = <k_bold, w>/2, conserved for every eps."""
-    kc = to_wedge(state.k_bold)
-    return float(_energy(kc, _velocity(kc, state.Pi, op), op.n))
 
 
 def _unit_gamma(gamma_or_U):
@@ -322,24 +303,18 @@ class LPRChart(Chart):
         return np.concatenate([np.zeros_like(wc), grad_pi], axis=-1)
 
     def flatten(self, state: ELPRState) -> np.ndarray:
-        w = omega_from_k(state, self.op)
-        return self._pack(to_wedge(w), state.Pi)
+        return self._pack(_velocity(to_wedge(state.k_bold), state.Pi, self.op), state.Pi)
 
-    def unflatten(self, coords) -> ELPRState:
-        wc, Pi = self._split(coords)
-        k = k_from_omega(from_wedge(wc, self.n), Pi, self.op)
-        return ELPRState(k, Pi)
-
-    def random_state(self, rng, zero_constants=False):
-        return random_elpr_state(self.n, rng)
+    def random_coords(self, rng, zero_constants=False):
+        return self.flatten(random_elpr_state(self.n, rng))
 
     def columns(self):
         names = pair_labels(self.n, "w")
         return names + [f"Pi{i + 1}_{j + 1}" for i, j in zip(*self.iu)]
 
     def velocity(self, coords):
-        """Wedge coordinates of w at coords (..., d), solved from k_bold =
-        (I + Pi) w as ``omega_from_k`` does for a state."""
+        """Wedge coordinates of w at coords (..., d), solved back from
+        k_bold = (I + Pi) w, as ``flatten`` solves a state's k_bold."""
         wc, Pi = self._split(coords)
         return _velocity(_k_coords(wc, Pi, self.op), Pi, self.op)
 
@@ -361,7 +336,6 @@ class LPRStiefelChart(_StiefelChart):
 
     config_keys = ("a", "D", "r")
     _lead = "k"
-    _state = LPRStiefelState
 
     def __init__(self, a, D: float, r: int, eps: float):
         self.a = np.asarray(a, dtype=float)
@@ -405,8 +379,8 @@ class LPRStiefelChart(_StiefelChart):
     def flatten(self, state: LPRStiefelState) -> np.ndarray:
         return np.concatenate([to_wedge(state.k_bold), state.U.U.ravel()])
 
-    def random_state(self, rng, zero_constants=False):
-        return random_lpr_stiefel_state(self.n, self.r, rng)
+    def random_coords(self, rng, zero_constants=False):
+        return self.flatten(random_lpr_stiefel_state(self.n, self.r, rng))
 
     def integrals(self, coords):
         kc, U = self._split(coords)

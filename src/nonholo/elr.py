@@ -62,11 +62,6 @@ __all__ = [
     "ELRMultiplierState",
     "ELRMomentumState",
     "multipliers",
-    "analytic_divergence",
-    "momentum_of",
-    "omega_of",
-    "first_integrals",
-    "FirstIntegrals",
     "MultiplierChart",
     "MomentumChart",
     "random_multiplier_state",
@@ -115,15 +110,11 @@ class ELRMultiplierState:
 
 @dataclass(frozen=True, eq=False)
 class ELRMomentumState:
-    """Momentum-form state: m_bold in so(n) and an orthonormal D-frame.
-
-    tolerance bounds the accepted Gram deviation; trajectory samples
-    carrying integration drift may pass a looser value than the default.
-    """
+    """Momentum-form state: m_bold in so(n) and a D-frame orthonormal
+    within 1e-10."""
 
     m_bold: np.ndarray
     frames_d: Frame
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         m = np.asarray(self.m_bold, dtype=float)
@@ -131,7 +122,7 @@ class ELRMomentumState:
         if m.shape[-1] != self.frames_d.n:
             raise DimensionError("m_bold and frame sizes differ")
         g = self.frames_d.gram()
-        if np.max(np.abs(g - np.eye(self.frames_d.k))) > self.tolerance:
+        if np.max(np.abs(g - np.eye(self.frames_d.k))) > 1e-10:
             raise ParameterError("momentum form requires an orthonormal D-frame")
         object.__setattr__(self, "m_bold", m)
 
@@ -252,7 +243,11 @@ def _energy(mc, wc, n):
 
 def _first_integrals(wc, ec, op):
     """(phi (..., k), H, F) of the multiplier form at w, e_1..e_k given by
-    wc (..., N) and ec (..., k, N), batched; see first_integrals."""
+    wc (..., N) and ec (..., k, N), batched: the constraint values
+    phi_i = <w, e_i>, the energy H = <I w, w>/2 and F = H - <pr_H w, I w>.
+
+    phi_i is conserved for every eps; H is conserved when all constants
+    vanish; F is conserved exactly at eps = 1."""
     n = op.n
     elems = from_wedge(ec, n)
     # w once per frame element, as a copy: einsum would sum a stride-0
@@ -293,62 +288,29 @@ def multipliers(state: ELRMultiplierState, op: InertiaOperator) -> np.ndarray:
     return lam
 
 
-def analytic_divergence(state: ELRMultiplierState, op: InertiaOperator) -> float:
-    """Closed-form divergence of the multiplier field at a state: the
-    divergence of ``MultiplierChart.field_divergence`` at one point."""
-    return float(_multiplier_divergence(to_wedge(state.omega), state.frames.coords, op))
+# ---------------------------------------------------------------------------
+# crosscheck partner
 
 
-def momentum_of(
-    state: ELRMultiplierState, op: InertiaOperator, frames_d: Frame | None = None
-) -> ELRMomentumState:
-    """Momentum-form state from an orthonormal multiplier-form state.
-
-    The D-frame defaults to an orthonormal completion of the H-frame.
-    """
-    g = state.frames.gram()
-    if np.max(np.abs(g - np.eye(state.k))) > 1e-10:
-        raise ParameterError("momentum_of requires an orthonormal H-frame")
-    if frames_d is None:
-        frames_d = liealg.orthonormal_complement(state.frames)
-    pr_h, _ = liealg.subspace_projectors(state.frames)
-    pr_d, _ = liealg.subspace_projectors(frames_d)
-    m_bold = pr_d(op.apply(state.omega)) + pr_h(state.omega)
-    return ELRMomentumState(m_bold, frames_d)
-
-
-def momentum_partner(chart, state: ELRMultiplierState):
-    """Multiplier form against its momentum form (crosscheck pair); the
-    deviation of samples (..., d) is the largest velocity difference."""
+def momentum_partner(chart, coords):
+    """Multiplier form against its momentum form (crosscheck pair): the
+    momentum chart, the coordinates (m_bold, D-frame) of the multiplier
+    coordinates (d,), and the largest velocity difference of samples
+    (..., d).  The D-frame is an orthonormal completion of the H-frame, which
+    must be orthonormal within 1e-10, and m_bold = pr_D I w + pr_H w."""
     other = MomentumChart(chart.op, chart.k, chart.eps)
+    wc, ec = chart._split(coords)
+    frames = Frame(from_wedge(ec, chart.n))
+    pr_h, _ = liealg.subspace_projectors(frames)
+    frames_d = liealg.orthonormal_complement(frames)
+    pr_d, _ = liealg.subspace_projectors(frames_d)
+    omega = from_wedge(wc, chart.n)
+    mc = to_wedge(pr_d(chart.op.apply(omega)) + pr_h(omega))
 
     def deviation(ra, rb):
         return np.max(np.abs(chart._split(ra)[0] - other.velocity(rb)), axis=-1)
 
-    return other, other.flatten(momentum_of(state, chart.op)), deviation
-
-
-def omega_of(state: ELRMomentumState, op: InertiaOperator) -> np.ndarray:
-    """Angular velocity from a momentum-form state: solve J w = m_bold."""
-    fc = state.frames_d.coords
-    return from_wedge(_momentum_velocity(to_wedge(state.m_bold), fc.T @ fc, op), state.n)
-
-
-@dataclass(frozen=True)
-class FirstIntegrals:
-    phi: np.ndarray
-    energy: float
-    modified_energy: float
-
-
-def first_integrals(state: ELRMultiplierState, op: InertiaOperator) -> FirstIntegrals:
-    """Constraint values phi_i, energy H = <I w, w>/2, and F = H - <pr_H w, I w>.
-
-    phi_i is conserved for every eps; H is conserved when all constants
-    vanish; F is conserved exactly at eps = 1.
-    """
-    phi, H, F = _first_integrals(to_wedge(state.omega), state.frames.coords, op)
-    return FirstIntegrals(phi=phi, energy=float(H), modified_energy=float(F))
+    return other, np.concatenate([mc, frames_d.coords.ravel()]), deviation
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +383,10 @@ class MultiplierChart(_FrameChart):
     def flatten(self, state: ELRMultiplierState) -> np.ndarray:
         return np.concatenate([to_wedge(state.omega), state.frames.coords.ravel()])
 
-    def unflatten(self, coords) -> ELRMultiplierState:
-        wc, ec = self._split(coords)
-        omega = from_wedge(wc, self.n)
-        return ELRMultiplierState.from_omega(omega, Frame(from_wedge(ec, self.n)))
-
-    def random_state(self, rng, zero_constants=False):
-        return random_multiplier_state(self.n, self.k, rng, zero_constants=zero_constants)
+    def random_coords(self, rng, zero_constants=False):
+        return self.flatten(
+            random_multiplier_state(self.n, self.k, rng, zero_constants=zero_constants)
+        )
 
     def integrals(self, coords):
         wc, ec = self._split(coords)
@@ -491,15 +450,8 @@ class MomentumChart(_FrameChart):
     def flatten(self, state: ELRMomentumState) -> np.ndarray:
         return np.concatenate([to_wedge(state.m_bold), state.frames_d.coords.ravel()])
 
-    def unflatten(self, coords) -> ELRMomentumState:
-        # loose Gram tolerance: trajectory samples carry integration drift
-        mc, fc = self._split(coords)
-        return ELRMomentumState(
-            from_wedge(mc, self.n), Frame(from_wedge(fc, self.n)), tolerance=1e-6
-        )
-
-    def random_state(self, rng, zero_constants=False):
-        return random_momentum_state(self.n, self.k, rng)
+    def random_coords(self, rng, zero_constants=False):
+        return self.flatten(random_momentum_state(self.n, self.k, rng))
 
     def velocity(self, coords):
         """Wedge coordinates of w at coords (..., d)."""

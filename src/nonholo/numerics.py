@@ -727,7 +727,12 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
 
         y0 = np.concatenate([xs, np.swapaxes(V, 1, 2).reshape(S, q * d)], axis=1)
 
+    def check_drift(t, x):
+        if constraints_fn is not None:
+            _check_drift([t], [np.max(np.abs(_eval_rows(constraints_fn, x)), initial=0.0)])
+
     t_grid = np.linspace(0.0, cfg.t_end, n_samples) if cfg.t_end > 0 else np.array([0.0])
+    check_drift(t_grid[0], xs)  # a bad start is named at t=0, before any step
     logvol = np.zeros(S)
     lds = [_eval_rows(log_density_fn, xs).reshape(S)]
     lvs = [logvol.copy()]
@@ -736,8 +741,7 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
     for t in t_grid[1:]:
         y = driver.advance(float(t)).copy()
         x = y[:, :d]
-        if constraints_fn is not None:
-            _check_drift([t], [np.max(np.abs(_eval_rows(constraints_fn, x)), initial=0.0)])
+        check_drift(t, x)
         if divergence_fn is not None:
             logvol = y[:, d]
         else:

@@ -133,7 +133,6 @@ class _StiefelChart(Chart):
     point U; shared by VeselovaChart and LPRStiefelChart."""
 
     _lead = "m"  # column prefix of the momentum block
-    _state = VeselovaState
 
     def __init__(self, op: InertiaOperator, r: int, eps: float, r_max: int):
         self.op, self.n, self.N = op, op.n, op.N
@@ -150,13 +149,6 @@ class _StiefelChart(Chart):
         coords = np.asarray(coords, dtype=float)
         U = coords[..., self.N :].reshape(coords.shape[:-1] + (self.n, self.r))
         return coords[..., : self.N], U
-
-    def unflatten(self, coords):
-        # loose Stiefel tolerance: trajectory samples carry integration drift
-        coords = np.asarray(coords, dtype=float)
-        m = from_wedge(coords[: self.N], self.n)
-        U = coords[self.N :].reshape(self.n, self.r)
-        return self._state(m, StiefelPoint(U, tolerance=1e-6))
 
     def columns(self):
         U = [f"U{i + 1}{j + 1}" for i in range(self.n) for j in range(self.r)]
@@ -211,8 +203,8 @@ class VeselovaChart(_StiefelChart):
     def flatten(self, state: VeselovaState) -> np.ndarray:
         return np.concatenate([to_wedge(state.m_bold), state.U.U.ravel()])
 
-    def random_state(self, rng, zero_constants=False):
-        return random_veselova_state(self.n, self.r, rng)
+    def random_coords(self, rng, zero_constants=False):
+        return self.flatten(random_veselova_state(self.n, self.r, rng))
 
     def integrals(self, coords):
         wc = _velocity(*self._split(coords), self.op)[0]

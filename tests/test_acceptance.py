@@ -9,14 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import chaplygin_params, field_blocks, random_spd_operator, rng_for
+from conftest import chaplygin_params, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.ball3d import BallState, ChaplyginChart, RubberChart, densities_3d, random_ball_state
 from nonholo.elpr import (
+    ELPRState,
     LPRChart,
     LPRStiefelChart,
-    energy as elpr_energy,
-    omega_from_k as elpr_omega_from_k,
     pi_variants,
     random_elpr_state,
     random_lpr_stiefel_state,
@@ -27,9 +26,7 @@ from nonholo.elr import (
     MomentumChart,
     MultiplierChart,
     _log_gram_det,
-    first_integrals,
-    momentum_of,
-    omega_of,
+    momentum_partner,
     random_momentum_state,
     random_multiplier_state,
 )
@@ -47,7 +44,6 @@ from nonholo.liealg import (
     random_skew,
     random_stiefel,
     restricted_det,
-    to_wedge,
     unhat,
     wedge_dim,
     wedge_index_pairs,
@@ -246,10 +242,8 @@ def test_criterion_3_operator_flow_suite():
         for eps in EPS_GRID:
             chart = LPRChart(op, eps)
             traj = integrate(chart.field, chart.flatten(st), cfg)
-            H = np.array([elpr_energy(chart.unflatten(c), op) for c in traj.states])
-            eigs = np.array(
-                [np.linalg.eigvalsh(chart.unflatten(c).Pi) for c in traj.states]
-            )
+            H = chart.integrals(traj.states)["H"]
+            eigs = np.linalg.eigvalsh(chart._split(traj.states)[1])
             assert np.max(np.abs(H - H[0])) <= 1e-8 * abs(H[0]), (n, eps)
             assert np.max(np.abs(eigs - eigs[0])) <= 1e-8, (n, eps)
     report(f"criterion 3 (operator flow, worst Liouville {worst:.2e})")
@@ -302,7 +296,8 @@ def test_criterion_5_first_integral_suite():
     for eps in EPS_GRID:
         chart = MultiplierChart(op, k=k, eps=eps)
         traj = integrate(chart.field, chart.flatten(st), cfg)
-        phis = np.array([chart.unflatten(c).phi() for c in traj.states])
+        obs = chart.integrals(traj.states)
+        phis = np.stack([obs[f"phi{i + 1}"] for i in range(k)], axis=-1)
         assert np.max(np.abs(phis - phis[0])) <= 1e-8, ("phi", eps)
 
     # energy of the operator flow for every eps
@@ -310,7 +305,7 @@ def test_criterion_5_first_integral_suite():
     for eps in EPS_GRID:
         chart = LPRChart(op, eps)
         traj = integrate(chart.field, chart.flatten(st_op), cfg)
-        H = np.array([elpr_energy(chart.unflatten(c), op) for c in traj.states])
+        H = chart.integrals(traj.states)["H"]
         assert np.max(np.abs(H - H[0])) <= 1e-8 * max(1.0, abs(H[0])), ("H op", eps)
 
     # energy of the frame flow on the zero-constant level
@@ -318,9 +313,7 @@ def test_criterion_5_first_integral_suite():
     for eps in (0.5, 2.0):
         chart = MultiplierChart(op, k=k, eps=eps)
         traj = integrate(chart.field, chart.flatten(st0), cfg)
-        H = np.array(
-            [first_integrals(chart.unflatten(c), op).energy for c in traj.states]
-        )
+        H = chart.integrals(traj.states)["H"]
         assert np.max(np.abs(H - H[0])) <= 1e-8 * max(1.0, abs(H[0])), ("H c=0", eps)
 
     # the modified energy holds exactly at eps = 1 and breaks at eps = 2
@@ -329,9 +322,7 @@ def test_criterion_5_first_integral_suite():
     def f_drift(eps):
         chart = MultiplierChart(op, k=k, eps=eps)
         traj = integrate(chart.field, chart.flatten(st), cfg)
-        F = np.array(
-            [first_integrals(chart.unflatten(c), op).modified_energy for c in traj.states]
-        )
+        F = chart.integrals(traj.states)["F"]
         return float(np.max(np.abs(F - F[0])))
 
     assert f_drift(1.0) <= 1e-8
@@ -389,80 +380,74 @@ def test_criterion_7_equivalences():
     for n, k, eps in ((3, 1, 2.0), (4, 2, 0.5)):
         op = random_spd_operator(n, rng_for(80 + n))
         st = random_multiplier_state(n, k, rng_for(81 + n))
-        mst = momentum_of(st, op)
         cfg = IntegratorConfig(t_end=5.0, samples=11)
         c1 = MultiplierChart(op, k=k, eps=eps)
-        c2 = MomentumChart(op, k=k, eps=eps)
-        t1 = integrate(c1.field, c1.flatten(st), cfg)
-        t2 = integrate(c2.field, c2.flatten(mst), cfg)
-        dev = max(
-            float(np.max(np.abs(c1.unflatten(a).omega - omega_of(c2.unflatten(b), op))))
-            for a, b in zip(t1.states, t2.states)
-        )
+        x = c1.flatten(st)
+        c2, y, _ = momentum_partner(c1, x)
+        t1 = integrate(c1.field, x, cfg)
+        t2 = integrate(c2.field, y, cfg)
+        dev = float(np.max(np.abs(c1._split(t1.states)[0] - c2.velocity(t2.states))))
         assert dev <= 1e-8, (n, k, eps, dev)
 
-    # 3-D oracle fields match the general so(3) fields pointwise
+    # 3-D oracle fields match the general so(3) fields pointwise, at the
+    # coordinates the crosscheck partners lift the ball's to
     ball = random_ball_state(rng_for(85), inertia=[1.0, 2.0, 3.0], D=1.0, eps=0.5)
-    lifted, op3 = ball3d.lift_to_so3(ball, "elpr")
-    dk, _ = vf_elpr(lifted, op3, ball.eps)
+    bchart = ChaplyginChart(ball.inertia, ball.D, ball.eps)
+    xb = bchart.flatten(ball)
+    gchart, yg, _ = ball3d.elpr_partner(bchart, xb)
+    lifted = ELPRState(hat(bchart.row(xb)[:3]), gchart._split(yg)[1])  # row holds k
+    dk, _ = vf_elpr(lifted, gchart.op, ball.eps)
     dk_ball, _ = ball3d.vf_chaplygin(ball)
     assert np.max(np.abs(unhat(dk) - dk_ball)) <= 1e-12
 
     rubber = random_ball_state(rng_for(86), inertia=[1.0, 2.0, 3.0], D=0.5, eps=0.7)
-    lifted_r, op_r = ball3d.lift_to_so3(rubber, "elr")
-    dwc, dec = field_blocks(MultiplierChart(op_r, 1, rubber.eps), lifted_r)
-    dw, de = from_wedge(dwc, 3), from_wedge(dec.reshape(1, -1), 3)
+    rchart = RubberChart(rubber.inertia, rubber.D, rubber.eps, variables="omega")
+    xr = rchart.flatten(rubber)
+    echart, ye, _ = ball3d.elr_partner(rchart, xr)
+    f = echart.field(ye)
+    dw, de = from_wedge(f[:3], 3), from_wedge(f[3:], 3)
     dm, dg = ball3d.vf_rubber(rubber, form="multiplier")
     assert np.max(np.abs(dw - hat(dm / rubber.total_inertia))) <= 1e-12
-    assert np.max(np.abs(de[0] - hat(rubber.eps * np.cross(rubber.gamma, rubber.omega)))) <= 1e-12
+    assert np.max(np.abs(de - hat(rubber.eps * np.cross(rubber.gamma, rubber.omega)))) <= 1e-12
 
-    lifted_v, op_v = ball3d.lift_to_so3(rubber, "veselova")
-    dmc, dUv = field_blocks(VeselovaChart(op_v, 1, rubber.eps), lifted_v)
-    dmv, dUv = from_wedge(dmc, 3), dUv.reshape(3, 1)
+    vchart, yv, _ = ball3d.veselova_partner(rchart, xr)
+    op_v = vchart.op
+    f = vchart.field(yv)
+    dmv, dUv = from_wedge(f[:3], 3), f[3:]
     dmb, dgb = ball3d.vf_rubber(rubber, form="momentum")
     assert np.max(np.abs(dmv - hat(dmb))) <= 1e-12
-    assert np.max(np.abs(dUv[:, 0] - dgb)) <= 1e-12
+    assert np.max(np.abs(dUv - dgb)) <= 1e-12
 
     # ... and along trajectories over t in [0, 10]
     cfg10 = IntegratorConfig(t_end=10.0, samples=21)
-    bchart = ChaplyginChart(ball.inertia, ball.D, ball.eps)
-    gchart = LPRChart(op3, ball.eps)
-    tb = integrate(bchart.field, bchart.flatten(ball), cfg10)
-    tg = integrate(gchart.field, gchart.flatten(lifted), cfg10)
-    dev = max(
-        float(
-            np.max(np.abs(a[:3] - unhat(elpr_omega_from_k(gchart.unflatten(b), op3))))
-        )
-        for a, b in zip(tb.states, tg.states)
-    )
+    tb = integrate(bchart.field, xb, cfg10)
+    tg = integrate(gchart.field, yg, cfg10)
+    dev = float(np.max(np.abs(tb.states[:, :3] - unhat(from_wedge(gchart.velocity(tg.states), 3)))))
     assert dev <= 1e-8, f"marble trajectory deviation {dev}"
 
-    rchart = RubberChart(rubber.inertia, rubber.D, rubber.eps, variables="omega")
-    echart = MultiplierChart(op_r, k=1, eps=rubber.eps)
-    tr = integrate(rchart.field, rchart.flatten(rubber), cfg10)
-    te = integrate(echart.field, echart.flatten(lifted_r), cfg10)
+    tr = integrate(rchart.field, xr, cfg10)
+    te = integrate(echart.field, ye, cfg10)
     dev = 0.0
     for a, b in zip(tr.states, te.states):
-        stb = echart.unflatten(b)
-        dev = max(dev, float(np.max(np.abs(a[:3] - unhat(stb.omega)))))
-        dev = max(dev, float(np.max(np.abs(hat(a[3:]) - stb.frames.elems[0]))))
+        dev = max(dev, float(np.max(np.abs(a[:3] - unhat(from_wedge(b[:3], 3))))))
+        dev = max(dev, float(np.max(np.abs(hat(a[3:]) - from_wedge(b[3:], 3)))))
     assert dev <= 1e-8, f"rubber/frame trajectory deviation {dev}"
 
-    vchart = VeselovaChart(op_v, r=1, eps=rubber.eps)
-    tv = integrate(vchart.field, vchart.flatten(lifted_v), cfg10)
+    tv = integrate(vchart.field, yv, cfg10)
     dev = 0.0
     for a, b in zip(tr.states, tv.states):
-        stv = vchart.unflatten(b)
-        w_v = unhat(from_wedge(_velocity(to_wedge(stv.m_bold), stv.U.U, op_v)[0], 3))
+        mc, U = vchart._split(b)
+        w_v = unhat(from_wedge(_velocity(mc, U, op_v)[0], 3))
         dev = max(dev, float(np.max(np.abs(a[:3] - w_v))))
-        dev = max(dev, float(np.max(np.abs(a[3:] - stv.U.U[:, 0]))))
+        dev = max(dev, float(np.max(np.abs(a[3:] - U[:, 0]))))
     assert dev <= 1e-8, f"rubber/moving-frame trajectory deviation {dev}"
 
-    # eps = 1 operator flow equals the unmodified flow exactly
+    # eps = 1 operator flow equals the unmodified flow exactly; the leading
+    # block of LPRChart.flatten is the w that vf_elpr solves for
     st_op = random_elpr_state(4, rng_for(87))
     op4 = random_spd_operator(4, rng_for(88))
     dk1, dPi1 = vf_elpr(st_op, op4, 1.0)
-    w = elpr_omega_from_k(st_op, op4)
+    w = from_wedge(LPRChart(op4, 1.0).flatten(st_op)[: op4.N], 4)
     A = ad_matrix(w)
     assert np.array_equal(dPi1, st_op.Pi @ A - A @ st_op.Pi)
     assert np.array_equal(dk1, commutator(st_op.k_bold, w))

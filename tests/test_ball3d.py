@@ -6,15 +6,13 @@ import pytest
 from conftest import rng_for
 from nonholo.ball3d import (
     _cross,
+    _momentum_vector,
     BallState,
     ChaplyginChart,
     RubberChart,
     densities_3d,
+    elpr_partner,
     epsilon_from_radii,
-    k_vector,
-    lift_to_so3,
-    m_vector,
-    momentum_vector,
     omega_from_k,
     omega_from_momentum,
     random_ball_state,
@@ -22,9 +20,8 @@ from nonholo.ball3d import (
     vf_chaplygin,
     vf_rubber,
 )
-from nonholo.elpr import LPRChart, omega_from_k as elpr_omega_from_k
 from nonholo.errors import ParameterError
-from nonholo.liealg import unhat
+from nonholo.liealg import from_wedge, unhat
 from nonholo.numerics import IntegratorConfig, integrate, tangent_volume_transport
 
 
@@ -81,17 +78,24 @@ def test_log_density_consistency_and_eps_guard():
 # momentum maps
 
 
+def k_of(st):
+    """The marble ball's k at a state: the leading block of the chart's row."""
+    chart = ChaplyginChart(st.inertia, st.D, st.eps)
+    return chart.row(chart.flatten(st))[:3]
+
+
 def test_momentum_maps_round_trip():
     st = random_ball_state(rng_for(2), inertia=[1.1, 1.9, 3.2], D=1.3, eps=0.7)
+    assert np.allclose(omega_from_k(k_of(st), st.gamma, st.inertia, st.D), st.omega, atol=1e-12)
     assert np.allclose(
-        omega_from_k(k_vector(st), st.gamma, st.inertia, st.D), st.omega, atol=1e-12
-    )
-    assert np.allclose(
-        omega_from_momentum(momentum_vector(st), st.gamma, st.inertia, st.D),
+        omega_from_momentum(
+            _momentum_vector(st.omega, st.gamma, st.total_inertia), st.gamma, st.inertia, st.D
+        ),
         st.omega,
         atol=1e-12,
     )
-    assert np.allclose(m_vector(st), st.total_inertia * st.omega, atol=1e-15)
+    m = RubberChart(st.inertia, st.D, st.eps, variables="m").flatten(st)[:3]
+    assert np.allclose(m, st.total_inertia * st.omega, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -118,7 +122,7 @@ def test_k_vector_formula():
     st = random_ball_state(rng_for(3), inertia=[1.0, 2.0, 3.0], D=0.9)
     w, g = st.omega, st.gamma
     expect = st.inertia * w + st.D * (w - np.dot(w, g) * g)
-    assert np.allclose(k_vector(st), expect, atol=1e-14)
+    assert np.allclose(k_of(st), expect, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +154,10 @@ def test_chaplygin_chart_pullback_consistent():
     f = chart.field(x)
     h = 1e-6
 
-    def k_of(coords):
-        return k_vector(chart.unflatten(coords))
+    def k_at(coords):
+        return chart.row(coords)[:3]
 
-    fd = (k_of(x + h * f) - k_of(x - h * f)) / (2.0 * h)
+    fd = (k_at(x + h * f) - k_at(x - h * f)) / (2.0 * h)
     dk, _ = vf_chaplygin(st)
     assert np.max(np.abs(fd - dk)) < 1e-8
 
@@ -210,7 +214,7 @@ def test_rubber_forms_trace_the_same_trajectories():
     chart = RubberChart(inertia, D, eps, variables="m")
     cfg = IntegratorConfig(t_end=5.0, samples=11)
     tr_mult = integrate(chart.field, chart.flatten(st), cfg)
-    x0 = np.concatenate([momentum_vector(st), st.gamma])
+    x0 = np.concatenate([_momentum_vector(st.omega, st.gamma, st.total_inertia), st.gamma])
     tr_mom = integrate(momentum_form_field(inertia, D, eps), x0, cfg)
     dev = 0.0
     for c1, c2 in zip(tr_mult.states, tr_mom.states):
@@ -275,20 +279,14 @@ def test_rubber_transport_both_charts():
 def test_marble_lift_trajectories_match():
     st = random_ball_state(rng_for(24), inertia=[1.0, 2.0, 3.0], D=1.0, eps=0.5)
     ball_chart = ChaplyginChart(st.inertia, st.D, st.eps)
-    lifted, op = lift_to_so3(st, "elpr")
-    gen_chart = LPRChart(op, st.eps)
+    x = ball_chart.flatten(st)
+    gen_chart, y, _ = elpr_partner(ball_chart, x)
     cfg = IntegratorConfig(t_end=3.0, samples=7)
-    tb = integrate(ball_chart.field, ball_chart.flatten(st), cfg)
-    tg = integrate(gen_chart.field, gen_chart.flatten(lifted), cfg)
+    tb = integrate(ball_chart.field, x, cfg)
+    tg = integrate(gen_chart.field, y, cfg)
     for cb, cg in zip(tb.states, tg.states):
-        w_gen = unhat(elpr_omega_from_k(gen_chart.unflatten(cg), op))
+        w_gen = unhat(from_wedge(gen_chart.velocity(cg), 3))
         assert np.max(np.abs(cb[:3] - w_gen)) < 1e-9
-
-
-def test_lift_rejects_unknown_target():
-    st = random_ball_state(rng_for(25))
-    with pytest.raises(ParameterError):
-        lift_to_so3(st, "nowhere")
 
 
 # ---------------------------------------------------------------------------

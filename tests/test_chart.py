@@ -83,9 +83,9 @@ def test_extra_drifts_of_stacked_trajectories_match_each_trajectory(path):
 def test_deviation_of_a_trajectory_pair_matches_each_sample(pair):
     run = load_config(CONFIGS[CONFIG_IDS.index(pair[0])])
     chart = run.chart
-    state = chart.random_state(np.random.default_rng(run.seed))
-    other, y0, deviation = PAIRS[pair](chart, state)
-    ta, tb = trajectory(chart, chart.flatten(state)), trajectory(other, y0)
+    x0 = chart.random_coords(np.random.default_rng(run.seed))
+    other, y0, deviation = PAIRS[pair](chart, x0)
+    ta, tb = trajectory(chart, x0), trajectory(other, y0)
     devs = deviation(ta, tb)
     assert devs.shape == (len(ta),)
     # the deviation is a difference of velocities of order one, so compare it
@@ -130,7 +130,7 @@ DIVERGENCE_CHARTS = list(_divergence_charts())
 def _divergence_points(chart, seed):
     """Three seeded states, then three points off the constraint manifold."""
     rng = np.random.default_rng(seed)
-    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(3)])
+    xs = np.array([chart.random_coords(rng) for _ in range(3)])
     return [xs, xs + 0.05 * rng.standard_normal(xs.shape)]
 
 
@@ -205,7 +205,7 @@ def test_every_system_with_constraints_has_a_sample_config():
 def test_frame_block_has_no_trace_on_the_normal_space(path):
     chart = load_config(path).chart
     rng = np.random.default_rng(53)
-    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(5)])
+    xs = np.array([chart.random_coords(rng) for _ in range(5)])
     normal, tangent = _traces(chart, chart.field, xs)
     assert fd_close(normal, np.zeros_like(normal), 1e-7)
     assert fd_close(chart.field_divergence(xs)[1], tangent, 1e-7)
@@ -261,7 +261,7 @@ def fd_close(exact, fd, tol):
 )
 def test_closed_form_liouville_terms_match_central_differences(chart):
     rng = np.random.default_rng(47)
-    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(2)])
+    xs = np.array([chart.random_coords(rng) for _ in range(2)])
     div, grad = chart.field_divergence(xs)[1], chart.log_density_grad(xs)
     assert div.shape == (2,) and grad.shape == xs.shape
     assert fd_close(div, fd_field_divergence(chart.field, xs)[1], 1e-7)
@@ -368,7 +368,7 @@ def test_exponent_fitted_from_central_differences_is_the_chart_exponent(chart):
     # central-difference divergence and log-base gradient alone, recovers
     # the exponent the flow preserves
     rng = np.random.default_rng(61)
-    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(20)])
+    xs = np.array([chart.random_coords(rng) for _ in range(20)])
     div = fd_field_divergence(chart.field, xs)[1]
     rate = np.einsum("...i,...i->...", chart.field(xs), fd_gradient(chart.log_base, xs))
     alpha = -np.sum(div * rate) / np.sum(rate**2)

@@ -229,11 +229,15 @@ def test_constraint_drift_aborts_with_one_message_for_every_constrained_chart(
     err = capsys.readouterr().err
     assert err.startswith("numerical error: constraint drift ")
     assert "exceeds 1e-06 at t=0\n" in err
-    assert main(["verify", "--config", p, "--check", "integrals", "--seeds", "1",
-                 "--out", str(out)]) == 4
-    rows = read_rows(out / f"{system}_integrals.csv")
-    assert len(rows) == 2 and rows[1][7] == "abort"
-    assert rows[1][-1].startswith("abort: constraint drift ") and "exceeds 1e-06" in rows[1][-1]
+    # volume transport used to integrate the first interval before its
+    # first drift check, and named t=0.05
+    for check in ("integrals", "volume"):
+        assert main(["verify", "--config", p, "--check", check, "--seeds", "1",
+                     "--out", str(out)]) == 4
+        rows = read_rows(out / f"{system}_{check}.csv")
+        assert len(rows) == 2 and rows[1][7] == "abort"
+        assert rows[1][-1].startswith("abort: constraint drift ")
+        assert rows[1][-1].endswith(" exceeds 1e-06 at t=0")
 
 
 def test_simulate_abort_exits_four(tmp_path):
@@ -530,11 +534,15 @@ def test_crosscheck_starts_from_the_configured_coordinates(tmp_path, monkeypatch
     assert len(outputs) == 3
 
 
-def test_crosscheck_from_the_seeded_coordinates_matches_the_seeded_run(tmp_path, monkeypatch):
-    path = CONFIGS[CONFIG_IDS.index("elr_multiplier")]
+@pytest.mark.parametrize("pair", [":".join(p) for p in PAIRS])
+def test_crosscheck_from_the_seeded_coordinates_matches_the_seeded_run(
+    tmp_path, monkeypatch, pair
+):
+    # the partner lifts the seeded coordinates as it lifts given ones
+    path = CONFIGS[CONFIG_IDS.index(pair.split(":")[0])]
     cfg = sample_config(path, integrator={"t_end": 1.0, "samples": 5})
-    pair = "elr_multiplier:elr_momentum"
     seeded = _crosscheck_start(tmp_path, monkeypatch, cfg, pair)
+    assert seeded[0] == 0
     cfg["initial"] = {"coords": load_config(path).initial_coords(cfg["initial"]["seed"]).tolist()}
     assert _crosscheck_start(tmp_path, monkeypatch, cfg, pair)[:2] == seeded[:2]
 
@@ -556,20 +564,24 @@ def test_crosscheck_honours_zero_constants(tmp_path, monkeypatch, pair):
 
 
 # (pair, coords the config's chart accepts but the pair cannot lift): a
-# multiplier frame that is not orthonormal, and unit gammas off by 1e-8,
-# within the balls' 1e-6 but not the lifts' 1e-10
+# multiplier frame that is not orthonormal, one that is dependent, and unit
+# gammas off by 1e-8, within the 1e-6 drift bound of a run but not the
+# lifts' 1e-10
 UNLIFTABLE = [
     ("elr_multiplier:elr_momentum", [0.1] * 6 + [2.0, 0, 0, 0, 0, 0, 0, 2.0, 0, 0, 0, 0]),
     ("ball_chaplygin:elpr", [0.3, -0.2, 0.5] + [0.0, 0.6, 0.8 + 1e-8]),
     ("ball_rubber:elr_multiplier", [0.3, -0.2, 0.5] + [0.0, 0.6, 0.8 + 1e-8]),
+    ("ball_rubber:veselova", [0.3, -0.2, 0.5] + [0.0, 0.6, 0.8 + 1e-8]),
+    ("elr_multiplier:elr_momentum", [0.1] * 6 + [1.0, 0, 0, 0, 0, 0] * 2),
 ]
+UNLIFTABLE_IDS = [p for p, _ in UNLIFTABLE[:-1]] + ["elr_multiplier:elr_momentum-dependent"]
 
 
-@pytest.mark.parametrize("pair, coords", UNLIFTABLE, ids=[p for p, _ in UNLIFTABLE])
+@pytest.mark.parametrize("pair, coords", UNLIFTABLE, ids=UNLIFTABLE_IDS)
 def test_crosscheck_from_coordinates_the_pair_cannot_lift_exits_three(
     tmp_path, monkeypatch, capsys, pair, coords
 ):
-    # the multiplier frame used to exit 4 from momentum_of's orthonormality check
+    # the non-orthonormal multiplier frame used to exit 4, a numerical error
     system = pair.split(":")[0]
     cfg = sample_config(CONFIGS[CONFIG_IDS.index(system)], initial={"coords": coords})
     rc, csv_bytes, x0 = _crosscheck_start(tmp_path, monkeypatch, cfg, pair)

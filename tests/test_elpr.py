@@ -9,11 +9,8 @@ from nonholo.elpr import (
     ELPRState,
     LPRChart,
     LPRStiefelChart,
-    LPRStiefelState,
+    _k_coords,
     _stiefel_velocity,
-    energy,
-    k_from_omega,
-    omega_from_k,
     pi_variants,
     random_elpr_state,
     random_lpr_stiefel_state,
@@ -58,13 +55,19 @@ def log_density(st, op):
     return chart.log_density(chart._pack(np.zeros(op.N), st.Pi))
 
 
+def omega_of(st, op):
+    """w solved from k_bold = (I + Pi) w: the leading block of LPRChart.flatten."""
+    return from_wedge(LPRChart(op, eps=1.0).flatten(st)[: op.N], op.n)
+
+
 def test_momentum_map_round_trip():
     rng = rng_for(1)
     for n in (3, 4):
         op = random_spd_operator(n, rng)
         st = random_elpr_state(n, rng)
-        w = omega_from_k(st, op)
-        assert np.max(np.abs(k_from_omega(w, st.Pi, op) - st.k_bold)) < 1e-11
+        chart = LPRChart(op, eps=1.0)
+        wc, Pi = chart._split(chart.flatten(st))
+        assert np.max(np.abs(_k_coords(wc, Pi, op) - to_wedge(st.k_bold))) < 1e-11
 
 
 def test_field_shape_and_pi_symmetry():
@@ -72,7 +75,7 @@ def test_field_shape_and_pi_symmetry():
     op = random_spd_operator(4, rng_for(3))
     dk, dPi = vf_elpr(st, op, 0.5)
     assert np.max(np.abs(dPi - dPi.T)) == 0.0
-    w = omega_from_k(st, op)
+    w = omega_of(st, op)
     assert np.max(np.abs(dk - commutator(st.k_bold, w))) < 1e-12
 
 
@@ -80,7 +83,7 @@ def test_eps_one_matches_unmodified_flow_exactly():
     st = random_elpr_state(4, rng_for(4))
     op = random_spd_operator(4, rng_for(5))
     dk, dPi = vf_elpr(st, op, 1.0)
-    w = omega_from_k(st, op)
+    w = omega_of(st, op)
     A = ad_matrix(w)
     assert np.array_equal(dPi, st.Pi @ A - A @ st.Pi)
     assert np.array_equal(dk, commutator(st.k_bold, w))
@@ -122,7 +125,7 @@ def test_indefinite_total_inertia_is_rejected():
     st = ELPRState(random_skew(3, rng_for(9)), -2.0 * np.eye(3))
     op = InertiaOperator.identity(3)
     with pytest.raises(DefinitenessError):
-        omega_from_k(st, op)
+        omega_of(st, op)
     with pytest.raises(DefinitenessError):
         log_density(st, op)
 
@@ -134,10 +137,8 @@ def test_energy_and_spectrum_conserved_along_flow():
     for eps in (-1.0, 0.5, 1.0, 2.0):
         chart = LPRChart(op, eps)
         traj = integrate(chart.field, chart.flatten(st), cfg)
-        H = np.array([energy(chart.unflatten(c), op) for c in traj.states])
-        eigs = np.array(
-            [np.linalg.eigvalsh(chart.unflatten(c).Pi) for c in traj.states]
-        )
+        H = chart.integrals(traj.states)["H"]
+        eigs = np.linalg.eigvalsh(chart._split(traj.states)[1])
         assert np.max(np.abs(H - H[0])) < 1e-8 * max(1.0, abs(H[0]))
         assert np.max(np.abs(eigs - eigs[0])) < 1e-8
 
@@ -339,10 +340,17 @@ def test_stiefel_energy_conserved():
 
 def test_chaplygin_ball_is_the_so3_case():
     ball = ball3d.random_ball_state(rng_for(57), inertia=[1.0, 2.0, 3.0], D=1.0, eps=0.5)
-    lifted, op = ball3d.lift_to_so3(ball, "elpr")
-    dk, dPi = vf_elpr(lifted, op, ball.eps)
+    ball_chart = ball3d.ChaplyginChart(ball.inertia, ball.D, ball.eps)
+    x = ball_chart.flatten(ball)
+    chart, y, _ = ball3d.elpr_partner(ball_chart, x)
+    wc, Pi = chart._split(y)
+    # the lift keeps k: row gives the ball's k, _k_coords the lifted k_bold
+    k = ball_chart.row(x)[:3]
+    assert np.max(np.abs(_k_coords(wc, Pi, chart.op) - to_wedge(hat(k)))) < 1e-12
+    lifted = ELPRState(hat(k), Pi)
+    dk, dPi = vf_elpr(lifted, chart.op, ball.eps)
     dk_ball, dg_ball = ball3d.vf_chaplygin(ball)
     assert np.max(np.abs(unhat(dk) - dk_ball)) < 1e-12
     # density: sqrt(det(I + D)(1 - D (g, (I+D)^{-1} g))) in closed form
     expect = ball3d.densities_3d(ball, "chaplygin")
-    assert np.exp(log_density(lifted, op)) == pytest.approx(expect, rel=1e-12)
+    assert np.exp(chart.log_density(y)) == pytest.approx(expect, rel=1e-12)

@@ -12,11 +12,9 @@ from nonholo.elr import (
     ELRMultiplierState,
     MomentumChart,
     MultiplierChart,
-    analytic_divergence,
-    first_integrals,
-    momentum_of,
+    _first_integrals,
+    momentum_partner,
     multipliers,
-    omega_of,
     random_momentum_state,
     random_multiplier_state,
 )
@@ -62,7 +60,8 @@ def test_constraints_hold_along_integrated_flow():
     st = random_multiplier_state(4, 2, rng_for(42))
     cfg = IntegratorConfig(t_end=2.0, samples=9)
     traj = integrate(chart.field, chart.flatten(st), cfg)
-    phis = np.array([chart.unflatten(c).phi() for c in traj.states])
+    obs = chart.integrals(traj.states)
+    phis = np.stack([obs["phi1"], obs["phi2"]], axis=-1)
     assert np.max(np.abs(phis - phis[0])) < 1e-8
 
 
@@ -83,16 +82,18 @@ def test_analytic_divergence_matches_finite_difference():
         st = random_multiplier_state(n, k, rng_for(10 * n + k))
         op = random_spd_operator(n, rng_for(11 * n + k))
         chart = MultiplierChart(op, k=k, eps=1.0)
-        fd = fd_field_divergence(chart.field, chart.flatten(st))[1]
-        assert fd == pytest.approx(analytic_divergence(st, op), abs=1e-6)
+        x = chart.flatten(st)
+        fd = fd_field_divergence(chart.field, x)[1]
+        assert fd == pytest.approx(chart.field_divergence(x)[1], abs=1e-6)
 
 
 def test_rubber_ball_is_the_k1_so3_case():
     # n = 3, k = 1 with inertia I + D reproduces the hand-coded rubber field
     ball = ball3d.random_ball_state(rng_for(8), inertia=[1.0, 2.0, 3.0], D=0.5, eps=0.7)
-    lifted, op = ball3d.lift_to_so3(ball, "elr")
-    dwc, dec = field_blocks(MultiplierChart(op, 1, ball.eps), lifted)
-    dw, de = from_wedge(dwc, 3), from_wedge(dec.reshape(1, -1), 3)
+    rubber = ball3d.RubberChart(ball.inertia, ball.D, ball.eps)
+    chart, lifted, _ = ball3d.elr_partner(rubber, rubber.flatten(ball))
+    f = chart.field(lifted)
+    dw, de = from_wedge(f[:3], 3), from_wedge(f[3:].reshape(1, -1), 3)
     dm, dg = ball3d.vf_rubber(ball, form="multiplier")
     assert np.max(np.abs(dw - hat(dm / ball.total_inertia))) < 1e-12
     assert np.max(np.abs(de[0] - hat(ball.eps * np.cross(ball.gamma, ball.omega)))) < 1e-12
@@ -156,8 +157,9 @@ def test_momentum_round_trip():
     for n, k in ((3, 1), (4, 2), (5, 3)):
         st = random_multiplier_state(n, k, rng)
         op = random_spd_operator(n, rng)
-        mst = momentum_of(st, op)
-        assert np.max(np.abs(omega_of(mst, op) - st.omega)) < 1e-11
+        chart = MultiplierChart(op, k, 1.0)
+        mom, y, _ = momentum_partner(chart, chart.flatten(st))
+        assert np.max(np.abs(from_wedge(mom.velocity(y), n) - st.omega)) < 1e-11
 
 
 def test_momentum_field_preserves_frame_orthonormality():
@@ -172,18 +174,14 @@ def test_momentum_field_preserves_frame_orthonormality():
 def test_forms_trace_the_same_omega_trajectories():
     op = random_spd_operator(4, rng_for(35))
     st = random_multiplier_state(4, 2, rng_for(36))
-    mst = momentum_of(st, op)
     cfg = IntegratorConfig(t_end=5.0, samples=11)
-    eps = 0.5
-    mult_chart = MultiplierChart(op, k=2, eps=eps)
-    mom_chart = MomentumChart(op, k=2, eps=eps)
-    tr1 = integrate(mult_chart.field, mult_chart.flatten(st), cfg)
-    tr2 = integrate(mom_chart.field, mom_chart.flatten(mst), cfg)
-    dev = [
-        np.max(np.abs(mult_chart.unflatten(c1).omega - omega_of(mom_chart.unflatten(c2), op)))
-        for c1, c2 in zip(tr1.states, tr2.states)
-    ]
-    assert max(dev) < 1e-8
+    mult_chart = MultiplierChart(op, k=2, eps=0.5)
+    x = mult_chart.flatten(st)
+    mom_chart, y, _ = momentum_partner(mult_chart, x)
+    tr1 = integrate(mult_chart.field, x, cfg)
+    tr2 = integrate(mom_chart.field, y, cfg)
+    dev = np.abs(mult_chart._split(tr1.states)[0] - mom_chart.velocity(tr2.states))
+    assert np.max(dev) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,8 @@ def test_phi_conserved_for_all_eps():
     for eps in (-1.0, 0.5, 1.0, 2.0):
         chart = MultiplierChart(op, k=2, eps=eps)
         traj = integrate(chart.field, chart.flatten(st), cfg)
-        phis = np.array([chart.unflatten(c).phi() for c in traj.states])
+        obs = chart.integrals(traj.states)
+        phis = np.stack([obs["phi1"], obs["phi2"]], axis=-1)
         assert np.max(np.abs(phis - phis[0])) < 1e-8
 
 
@@ -207,7 +206,7 @@ def test_energy_conserved_on_zero_constant_level():
     assert np.max(np.abs(st.constants)) < 1e-12
     chart = MultiplierChart(op, k=2, eps=2.0)
     traj = integrate(chart.field, chart.flatten(st), IntegratorConfig(t_end=10.0, samples=21))
-    H = np.array([first_integrals(chart.unflatten(c), op).energy for c in traj.states])
+    H = chart.integrals(traj.states)["H"]
     assert np.max(np.abs(H - H[0])) < 1e-8
 
 
@@ -219,9 +218,7 @@ def test_modified_energy_conserved_only_at_eps_one():
     def f_drift(eps):
         chart = MultiplierChart(op, k=2, eps=eps)
         traj = integrate(chart.field, chart.flatten(st), cfg)
-        F = np.array(
-            [first_integrals(chart.unflatten(c), op).modified_energy for c in traj.states]
-        )
+        F = chart.integrals(traj.states)["F"]
         return float(np.max(np.abs(F - F[0])))
 
     assert f_drift(1.0) < 1e-8
@@ -237,10 +234,9 @@ def test_dependent_frame_rows_raise_singularity_error():
         chart.field(coords)
     with pytest.raises(SingularityError, match="singular"):
         chart.field(np.stack([coords, coords + 0.5]))
-    e = from_wedge(np.ones(6), 4)
-    state = ELRMultiplierState.from_omega(e, Frame(np.stack([e, e]), gram_tolerance=-1.0))
+    # the first-integral kernel behind integrals, past its dependence check
     with pytest.raises(SingularityError, match="singular"):
-        first_integrals(state, op)
+        _first_integrals(*chart._split(coords), op)
 
 
 def test_integrals_frame_check_is_scale_free():
@@ -251,8 +247,8 @@ def test_integrals_frame_check_is_scale_free():
     scaled = np.concatenate([x[: chart.N], 1e-4 * x[chart.N :]])  # Gram det ~1e-16
     out = chart.integrals(np.stack([x, scaled]))
     assert out["H"].shape == (2,)
-    # and the state-level path accepts the same frame
-    assert chart.unflatten(scaled).frames.k == 2
+    # and so does liealg.Frame
+    assert Frame(from_wedge(chart._split(scaled)[1], 4)).k == 2
     equal = np.concatenate([x[: 2 * chart.N], x[chart.N : 2 * chart.N]])
     with pytest.raises(SingularityError, match="numerically dependent"):
         chart.integrals(np.stack([x, equal]))
@@ -263,7 +259,7 @@ def test_integrals_keep_their_bits_across_memory_layouts():
     # small BLAS product it rounded differently for a Fortran-ordered copy
     rc = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "elr_multiplier.json"))
     chart = rc.chart
-    x0 = chart.flatten(chart.random_state(rng_for(3)))
+    x0 = chart.random_coords(rng_for(3))
     states = integrate(chart.field, x0, rc.integrator).states
     ref = chart.integrals(states)
     copies = [np.asfortranarray(states), np.repeat(states, 2, axis=0)[::2]]

@@ -361,7 +361,7 @@ def test_fd_field_divergence_is_the_trace_of_fd_jacobian_bit_for_bit(path):
     # batched evaluation)
     chart = load_config(path).chart
     rng = np.random.default_rng(31)
-    xs = np.array([chart.flatten(chart.random_state(rng)) for _ in range(2)])
+    xs = np.array([chart.random_coords(rng) for _ in range(2)])
     for x in (xs[0], xs):
         f, div = fd_field_divergence(chart.field, x)
         trace = np.trace(fd_jacobian(chart.field, x), axis1=-2, axis2=-1)
@@ -595,9 +595,35 @@ def test_transport_aborts_on_constraint_drift():
         )
 
 
+@pytest.mark.parametrize("divergence", [False, True], ids=["basis", "divergence"])
+def test_transport_names_a_bad_start_at_t0_before_any_step(divergence):
+    # |x|^2 - 1 = 2e-3 from the start, kept by the rotation: the drift check
+    # used to run only after the first interval, and named t=0.1
+    a = np.array([0.3, -0.5, 0.8])
+    calls = []
+
+    def field(x):
+        calls.append(x.shape)
+        return np.cross(a, x)
+
+    def field_divergence(x):
+        return field(x), np.zeros(x.shape[:-1])
+
+    with pytest.raises(ConstraintDriftError, match=r" at t=0$"):
+        tangent_volume_transport(
+            field,
+            numerics.pointwise(lambda x: 0.0),
+            1.001 * np.array([0.0, 0.6, 0.8]),
+            sphere_constraints,
+            IntegratorConfig(t_end=1.0),
+            divergence_fn=field_divergence if divergence else None,
+        )
+    assert calls == []
+
+
 def test_transport_takes_the_constraint_jacobian_once():
     # the flow keeps V tangent: after the initial stencil, constraints only
-    # see the drift check, one call on all members per sample after t = 0
+    # see the drift check, one call on all members per sample, t = 0 included
     a = np.array([0.3, -0.5, 0.8])
     calls = []
 
@@ -611,7 +637,7 @@ def test_transport_takes_the_constraint_jacobian_once():
         lambda x: np.cross(a, x), numerics.pointwise(lambda x: 0.0), x0, sphere, cfg, n_samples=5
     )
     assert calls[0] == (3 * 2 * 3, 3)  # the central-difference stencil of every member
-    assert len(calls) == 1 + 4
+    assert len(calls) == 1 + 5
     assert max(r.max_abs_residual for r in results) < 1e-9
 
 
@@ -673,7 +699,7 @@ def test_transport_stage_is_one_field_call_on_one_plus_two_q_rows_per_member():
 def test_directional_jv_matches_the_fd_jacobian_times_v(path):
     chart = load_config(path).chart
     rng = np.random.default_rng(31)
-    x = chart.flatten(chart.random_state(rng))
+    x = chart.random_coords(rng)
     if chart.constraints is None:
         V = np.linalg.qr(rng.standard_normal((chart.dim, chart.dim)))[0]
     else:
@@ -771,7 +797,7 @@ def test_ensemble_certifies_every_member_and_flags_wrong_exponent(case):
 def test_chart_renormalize_restores_the_frame_and_keeps_the_lead_block(system):
     chart = load_config(CONFIGS[CONFIG_IDS.index(system)]).chart
     rng = np.random.default_rng(43)
-    x = chart.flatten(chart.random_state(rng))
+    x = chart.random_coords(rng)
     frame = chart.frame_index.ravel()
     bent = x.copy()
     bent[frame] += 1e-6 * rng.standard_normal(frame.size)
