@@ -411,8 +411,12 @@ def _integral_results(cfg: RunConfig, x0) -> list:
     """Drift of each conserved quantity from each state.
 
     The states are integrated as one ensemble, in consecutive groups whose
-    stage array and stored samples stay under _ENSEMBLE_BATCH_BYTES; a group
-    of one state is integrated as a (d,) state, as a one-seed run is.
+    stored samples, with the stages of a step that covers no sample, stay
+    under _ENSEMBLE_BATCH_BYTES.  The bound leaves the branch rows out: the
+    driver gives a step only as many as keep its stage array under the same
+    bound, so a larger group gets fewer branches per step, not a larger
+    stage array.  A group of one state is integrated as a (d,) state, as a
+    one-seed run is.
     """
     chart = cfg.chart
     S, d = x0.shape

@@ -19,10 +19,10 @@ Two verification primitives are provided:
   volume element along the flow; for an invariant measure mu the sum
   log mu(x(t)) + log vol(t) stays constant.  ``verify --check volume``
   passes the chart's ``field_divergence`` as ``divergence_fn``: the log
-  volume is then one more number per state, whose rate is div X
-  (Liouville's formula), which on a constrained chart is the manifold
-  divergence as long as the flow moves its frame F by F' = F Omega, Omega
-  skew.  Without it, the default propagates an orthonormal basis V of the
+  volume is then one more number per state, integrated and sampled by
+  ``integrate`` at the rate div X (Liouville's formula), which on a
+  constrained chart is the manifold divergence as long as the flow moves
+  its frame F by F' = F Omega, Omega skew.  Without it, the default propagates an orthonormal basis V of the
   constraint-manifold tangent space with the variational equation
   dV/dt = J(x(t)) V, J V from ``fd_jvp``: each of the q columns as a
   central difference of the field along it, from one field call on
@@ -36,15 +36,19 @@ Two verification primitives are provided:
 The default integrator is the embedded Dormand-Prince 8(5,3) pair of
 Hairer's DOP853 with a proportional step controller; a fixed-step classical
 RK4 is available for convergence studies.  Both are deterministic.  The
-adaptive driver also steps an ensemble state (S, D) with one shared step
-sequence; its error norm is the largest member error, so no member is
-under-controlled.
+adaptive driver's step follows the tolerance, not the sample grid: each
+sample time inside a trial step is reached by a branch, a step of that
+length from the same start, stacked as one more row of the same field
+calls.  Its error norm is the largest over the step, its branches and the
+members of an ensemble state (S, D), which share one step sequence, so no
+sample and no member is under-controlled.  RK4 ends a step on every sample
+time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 
 import numpy as np
@@ -249,11 +253,13 @@ class IntegratorConfig:
 @dataclass
 class IntegrationStats:
     """What a driver did.  The adaptive pair reuses its last stage (FSAL), so
-    evaluations == 1 + 12 * (accepted + rejected) + fsal_resets.
+    evaluations == 1 + 12 * (accepted + rejected) + fsal_resets; a branch
+    (see ``integrate``) rides on its step's field calls and is not a step.
 
     h_min and h_max are the smallest and largest accepted step, the last
-    step before each sample time included; they stay inf and 0 until a
-    step is accepted.
+    step before the end time included; the adaptive pair ends a step on a
+    sample time only where the branch cap cuts it there.  They stay inf and
+    0 until a step is accepted.
     """
 
     accepted: int = 0
@@ -281,24 +287,63 @@ def _rms(a):
     return np.sqrt(np.mean(a**2, axis=-1))
 
 
-class _AdaptiveDriver:
-    """Dormand-Prince 8(5,3) stepping between target times, FSAL reused.
+class _Driver:
+    """The state x at time t, the stats, and the renormalization that
+    accepted steps fall due for; a driver's ``advance(t_stop, samples)``
+    steps x to t_stop and returns the states at the sample times, increasing
+    times in (t, t_stop)."""
 
-    The state is (D,) or an ensemble (S, D) stepped with one shared step
-    sequence; the step is controlled by the largest member error.  A step
-    shortened to end on a target time leaves the step size it was cut from
-    for the next step, unless its own error allows a longer one.
-    """
-
-    def __init__(self, f, x, cfg):
+    def __init__(self, f, x, cfg, renormalize_fn=None):
         self.f = f
         self.x = np.asarray(x, dtype=float).copy()
         self.cfg = cfg
         self.t = 0.0
-        self.h = None
         self.f0 = None
+        self.renormalize_fn = renormalize_fn if cfg.renormalize_every else None
         self.accepted_since_renorm = 0
         self.stats = IntegrationStats()
+
+    def _accept(self, h, rows):
+        """Take a step of length h whose end states are rows (R, ...): row 0
+        becomes x, the other rows are returned.  A step due for
+        renormalization renormalizes all rows in one call, so a branch
+        sample gets what a step ending at its time would get."""
+        self.stats._accept(h)
+        self.t += h
+        self.accepted_since_renorm += 1
+        if self.renormalize_fn is not None and (
+            self.accepted_since_renorm >= self.cfg.renormalize_every
+        ):
+            rows = np.asarray(self.renormalize_fn(rows), dtype=float)
+            self.accepted_since_renorm = 0
+            self.reset_fsal()
+        self.x = rows[0]
+        return list(rows[1:])
+
+    def reset_fsal(self):
+        self.f0 = None
+
+
+class _AdaptiveDriver(_Driver):
+    """Dormand-Prince 8(5,3) stepping to a stop time, FSAL reused.
+
+    The state is (D,) or an ensemble (S, D) stepped with one shared step
+    sequence.  The step size follows the tolerance alone: each sample time
+    that a trial step covers is reached by a branch, a step of length
+    t_s - t from the same start, stacked as one more row on the main row,
+    so each stage stays one field call.  The error norm is the largest over
+    the main row and its branches, each with its own length, and the largest
+    member error within a row.  A step covers at most as many sample times
+    as keep its stage array under _ENSEMBLE_BATCH_BYTES and otherwise ends
+    on the next one.  A step cut short, to end on the stop time or on a
+    sample time, leaves the step size it was cut from for the next step,
+    unless its own error allows a longer one.
+    """
+
+    def __init__(self, f, x, cfg, renormalize_fn=None):
+        super().__init__(f, x, cfg, renormalize_fn)
+        self.h = None
+        self.max_branches = max(0, _ENSEMBLE_BATCH_BYTES // (8 * _STAGES * self.x.size) - 1)
 
     def _eval(self, x):
         self.stats.evaluations += 1
@@ -325,66 +370,71 @@ class _AdaptiveDriver:
         )
         return min(max(h, 1e-8 * span), span)
 
-    def advance(self, t_target, on_accept=None):
+    def _step(self, hs):
+        """One step of each length in hs (R,) from x: the end states
+        (R, ...) and the error norm, the largest over every row."""
         cfg = self.cfg
+        shape = hs.shape + self.x.shape
+        hr = hs.reshape(hs.shape + (1,) * self.x.ndim)
+        # stage i is row i of K; K[:i] feeds stage i, all of K the update
+        K = np.empty((_STAGES, hs.size * self.x.size))
+        stages = K.reshape((_STAGES,) + shape)
+        stages[0] = self.f0
+        for i in range(1, _STAGES):
+            stages[i] = self._eval(self.x + hr * (_DOP853_A[i] @ K[:i]).reshape(shape))
+        x_new = self.x + hr * (_DOP853_B @ K).reshape(shape)
+        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.x), np.abs(x_new))
+        err_norm = _error_norm(hr[..., 0], K, sc)
+        return x_new, stages[-1, 0], err_norm
+
+    def advance(self, t_stop, samples=()):
+        cfg = self.cfg
+        samples = np.asarray(samples, dtype=float)
+        out = []
         self._fsal_start()
         if self.h is None:
-            self.h = self._initial_h(max(t_target - self.t, 1e-12))
-        while self.t < t_target - 1e-14 * max(1.0, abs(t_target)):
+            self.h = self._initial_h(max(t_stop - self.t, 1e-12))
+        while self.t < t_stop - 1e-14 * max(1.0, abs(t_stop)):
             self._fsal_start()
             if self.stats.accepted + self.stats.rejected >= cfg.max_steps:
                 raise IntegrationAbort(self.t, "max_steps exceeded")
-            h = min(self.h, t_target - self.t)
+            h = min(self.h, t_stop - self.t)
             if h < 1e-14 * max(1.0, abs(self.t)):
                 raise StiffnessError(
                     f"step size underflow at t={self.t:.6g} (h={h:.3e})"
                 )
-            # stage i is row i of K; K[:i] feeds stage i, all of K the update
-            K = np.empty((_STAGES, self.x.size))
-            stages = K.reshape((_STAGES,) + self.x.shape)
-            stages[0] = self.f0
-            x = self.x.reshape(-1)
-            for i in range(1, _STAGES):
-                stages[i] = self._eval((x + h * (_DOP853_A[i] @ K[:i])).reshape(self.x.shape))
-            x_new = (x + h * (_DOP853_B @ K)).reshape(self.x.shape)
-            sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.x), np.abs(x_new))
-            err_norm = _error_norm(h, K, sc)
+            # samples[i:j] lie in the step; past the cap it ends on samples[j]
+            i = len(out)
+            j = max(i, int(np.searchsorted(samples, self.t + h, side="right")))
+            ends_on_sample = j - i > self.max_branches
+            if ends_on_sample:
+                j = i + self.max_branches
+                h = samples[j] - self.t
+            x_new, f_new, err_norm = self._step(np.concatenate([[h], samples[i:j] - self.t]))
             if not np.isfinite(err_norm):
                 raise IntegrationAbort(self.t, "non-finite field value")
             if err_norm <= 1.0:
-                self.stats._accept(h)
-                self.t += h
-                self.x = x_new
-                self.f0 = stages[-1]  # FSAL: last stage is f at the accepted point
-                self.accepted_since_renorm += 1
-                if on_accept is not None:
-                    on_accept(self)
+                self.f0 = f_new  # FSAL: last stage is f at the accepted point
+                out += self._accept(h, x_new)
+                if ends_on_sample:
+                    out.append(self.x.copy())
                 factor = 5.0 if err_norm == 0.0 else min(
                     5.0, max(0.2, 0.9 * err_norm ** -0.125)
                 )
-                # a step cut short to end on t_target keeps the size it was cut from
+                # a step cut short keeps the size it was cut from
                 self.h = max(self.h, h * factor) if h < self.h else h * factor
             else:
                 self.stats.rejected += 1
                 self.h = h * max(0.2, 0.9 * err_norm ** -0.125)
-        return self.x
-
-    def reset_fsal(self):
-        self.f0 = None
+        # sample times within rounding of t_stop take the state there
+        return out + [self.x.copy() for _ in range(len(samples) - len(out))]
 
 
-class _FixedDriver:
-    """Classical RK4 with a fixed step, shortened to hit target times."""
+class _FixedDriver(_Driver):
+    """Classical RK4 with a fixed step, shortened to end on every sample
+    time and on the stop time."""
 
-    def __init__(self, f, x, cfg):
-        self.f = f
-        self.x = np.asarray(x, dtype=float).copy()
-        self.cfg = cfg
-        self.t = 0.0
-        self.accepted_since_renorm = 0
-        self.stats = IntegrationStats()
-
-    def advance(self, t_target, on_accept=None):
+    def _step_to(self, t_target):
         dt = self.cfg.dt
         while self.t < t_target - 1e-14 * max(1.0, abs(t_target)):
             if self.stats.accepted >= self.cfg.max_steps:
@@ -396,53 +446,49 @@ class _FixedDriver:
                 raise IntegrationAbort(self.t, exc) from exc
             if not np.all(np.isfinite(x)):
                 raise IntegrationAbort(self.t, "non-finite state")
-            self.x = x
-            self.t += h
-            self.stats._accept(h)
             self.stats.evaluations += 4
-            self.accepted_since_renorm += 1
-            if on_accept is not None:
-                on_accept(self)
-        return self.x
+            self._accept(h, x[None])
 
-    def reset_fsal(self):
-        pass
+    def advance(self, t_stop, samples=()):
+        out = []
+        for t in samples:
+            self._step_to(float(t))
+            out.append(self.x.copy())
+        self._step_to(t_stop)
+        return out
 
 
-def _make_driver(f, x0, cfg):
+def _make_driver(f, x0, cfg, renormalize_fn=None):
     if cfg.method == "rk4_fixed":
-        return _FixedDriver(f, x0, cfg)
-    return _AdaptiveDriver(f, x0, cfg)
+        return _FixedDriver(f, x0, cfg, renormalize_fn)
+    return _AdaptiveDriver(f, x0, cfg, renormalize_fn)
 
 
 def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
     """Integrate dx/dt = field_fn(x) and sample at cfg.sample_times().
 
     x0 is one state (d,) or an ensemble (S, d); states then has shape
-    (T, d) or (T, S, d).  An ensemble shares one driver: field_fn is called
-    on all S members at once, so it must broadcast over a leading batch
-    dimension, and the adaptive pair controls the step by the largest member
-    error, so a member can differ from its own (d,) run at the
+    (T, d) or (T, S, d).  field_fn is batched: it maps states (..., d) of
+    any leading shape to their time derivatives, as every callable of this
+    module does.  The adaptive pair steps freely to t_end and reaches each
+    sample time that a step covers by a branch, a step of that length from
+    the same start stacked as one more row of the same field calls; the
+    branch rows share the step's error control, so a sample carries the
+    integrator error at the tolerance, not the error of a step ended there.
+    An ensemble shares one driver: the step is controlled by the largest
+    member error, so a member can differ from its own (d,) run at the
     integrator-error level.
     renormalize_fn, if given together with cfg.renormalize_every, projects
-    the state back onto its manifold after that many accepted steps.  A
-    non-finite x0 raises ParameterError.
+    states (..., d) back onto their manifold after that many accepted
+    steps, the samples inside the step included.  A non-finite x0 raises
+    ParameterError.
     """
     x0 = _finite_state(x0, "x0")
     times = cfg.sample_times()
-    driver = _make_driver(field_fn, x0, cfg)
-
-    every = cfg.renormalize_every
-
-    def on_accept(drv):
-        if renormalize_fn is not None and every and drv.accepted_since_renorm >= every:
-            drv.x = np.asarray(renormalize_fn(drv.x), dtype=float)
-            drv.accepted_since_renorm = 0
-            drv.reset_fsal()
-
+    driver = _make_driver(field_fn, x0, cfg, renormalize_fn)
     states = [driver.x.copy()]
-    for t in times[1:]:
-        driver.advance(float(t), on_accept=on_accept)
+    if times.size > 1:
+        states += driver.advance(float(times[-1]), times[1:-1])
         states.append(driver.x.copy())
     return Trajectory(times=times, states=np.array(states), stats=driver.stats)
 
@@ -676,12 +722,14 @@ def tangent_volume_transport(
     stacked, on all members, and the step is controlled by the largest
     member error.  A member's residual can therefore differ from its own
     (d,) transport at the integrator-error level.  Any failure of one
-    member raises for the whole ensemble.  log_density_fn is called on all
-    members at once at the initial state, and so are log_density_fn and
-    constraints_fn at every later sample time.  Members run in consecutive groups small
-    enough that an fd_jvp stencil of S (1 + 2d) points of d values stays
-    under 64 MB, whichever path runs; that bounds the driver's stage arrays
-    and the stencil of a finite-difference divergence_fn.
+    member raises for the whole ensemble.  On the divergence path the
+    samples are those of ``integrate``, branches of free steps, and
+    log_density_fn and constraints_fn are called once each on every sample
+    of every member; the basis path ends a step on every sample time and
+    calls both on all members there.  Members run in consecutive groups
+    small enough that an fd_jvp stencil of S (1 + 2d) points of d values
+    stays under 64 MB, whichever path runs; the driver keeps its stage
+    array, branch rows included, under the same bound on its own.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2):
@@ -705,68 +753,83 @@ def tangent_volume_transport(
 def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn, cfg, n_samples):
     """tangent_volume_transport of an ensemble xs (S, d) on one shared driver."""
     S, d = xs.shape
-    if divergence_fn is not None:
-        # the driver state of a member is x, then its log volume
+    cfg = replace(cfg, samples=n_samples)
+    times = cfg.sample_times()
 
-        def aug_field(y):
-            fx, div = divergence_fn(y[:, :d])
-            return np.concatenate([fx, np.reshape(div, (S, 1))], axis=1)
-
-        y0 = np.concatenate([xs, np.zeros((S, 1))], axis=1)
-    else:
-        if constraints_fn is None:
-            V = np.tile(np.eye(d), (S, 1, 1))
-        else:
-            V = constraint_tangent_basis(constraints_fn, xs)
-        q = V.shape[-1]
-
-        # the driver state of a member is x, then V^T row by row
-        def aug_field(y):
-            fx, JVt = fd_jvp(field_fn, y[:, :d], y[:, d:].reshape(S, q, d))
-            return np.concatenate([fx, JVt.reshape(S, q * d)], axis=1)
-
-        y0 = np.concatenate([xs, np.swapaxes(V, 1, 2).reshape(S, q * d)], axis=1)
-
-    def check_drift(t, x):
+    def check_drift(times, x):
+        """Drift check of the members x (T, S, d) at the T times."""
         if constraints_fn is not None:
-            _check_drift([t], [np.max(np.abs(_eval_rows(constraints_fn, x)), initial=0.0)])
+            c = np.abs(_eval_rows(constraints_fn, x))
+            _check_drift(times, np.max(c.reshape(len(times), -1), axis=-1, initial=0.0))
 
-    t_grid = np.linspace(0.0, cfg.t_end, n_samples) if cfg.t_end > 0 else np.array([0.0])
-    check_drift(t_grid[0], xs)  # a bad start is named at t=0, before any step
-    logvol = np.zeros(S)
-    lds = [_eval_rows(log_density_fn, xs).reshape(S)]
-    lvs = [logvol.copy()]
+    if divergence_fn is None:
+        lds, lvs, stats = _basis_transport(
+            field_fn, log_density_fn, xs, constraints_fn, cfg, times, check_drift
+        )
+    else:
+        check_drift(times[:1], xs[None])  # a bad start is named at t=0, before any step
 
-    driver = _make_driver(aug_field, y0, cfg)
-    for t in t_grid[1:]:
-        y = driver.advance(float(t)).copy()
-        x = y[:, :d]
-        check_drift(t, x)
-        if divergence_fn is not None:
-            logvol = y[:, d]
-        else:
-            Q, R = np.linalg.qr(np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2))
-            diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-            if np.any(diag <= 0.0):
-                raise SingularityError("transported tangent volume collapsed")
-            logvol += np.sum(np.log(diag), axis=1)
-            y[:, d:] = np.swapaxes(Q, 1, 2).reshape(S, q * d)
-            driver.x = y
-            driver.reset_fsal()
-        lds.append(_eval_rows(log_density_fn, x).reshape(S))
-        lvs.append(logvol.copy())
-    lds, lvs = np.array(lds), np.array(lvs)
+        # the state of a member is x, then its log volume
+        def aug_field(y):
+            fx, div = divergence_fn(y[..., :d])
+            return np.concatenate([fx, np.reshape(div, y.shape[:-1] + (1,))], axis=-1)
+
+        traj = integrate(aug_field, np.concatenate([xs, np.zeros((S, 1))], axis=1), cfg)
+        x, lvs, stats = traj.states[..., :d], traj.states[..., d], traj.stats
+        check_drift(times, x)
+        lds = _eval_rows(log_density_fn, x).reshape(lvs.shape)
     res = lds + lvs - lds[0]
     return [
         TransportResult(
-            times=t_grid.copy(),
+            times=times.copy(),
             log_density=lds[:, i],
             log_tangent_volume=lvs[:, i],
             residual=res[:, i],
-            stats=driver.stats,
+            stats=stats,
         )
         for i in range(S)
     ]
+
+
+def _basis_transport(field_fn, log_density_fn, xs, constraints_fn, cfg, times, check_drift):
+    """Log densities and log volumes (T, S) at the T times of the basis
+    transport of xs (S, d), and the driver's stats.  A step ends on every
+    sample time, where V is re-orthonormalized."""
+    S, d = xs.shape
+    if constraints_fn is None:
+        V = np.tile(np.eye(d), (S, 1, 1))
+    else:
+        V = constraint_tangent_basis(constraints_fn, xs)
+    q = V.shape[-1]
+    check_drift(times[:1], xs[None])  # a bad start is named at t=0, before any step
+
+    # the driver state of a member is x, then V^T row by row
+    def aug_field(y):
+        flat = y.reshape(-1, y.shape[-1])
+        fx, JVt = fd_jvp(field_fn, flat[:, :d], flat[:, d:].reshape(-1, q, d))
+        return np.concatenate([fx, JVt.reshape(-1, q * d)], axis=1).reshape(y.shape)
+
+    y0 = np.concatenate([xs, np.swapaxes(V, 1, 2).reshape(S, q * d)], axis=1)
+    logvol = np.zeros(S)
+    lds = [_eval_rows(log_density_fn, xs).reshape(S)]
+    lvs = [logvol.copy()]
+    driver = _make_driver(aug_field, y0, cfg)
+    for t in times[1:]:
+        driver.advance(float(t))
+        y = driver.x.copy()
+        x = y[:, :d]
+        check_drift([t], x[None])
+        Q, R = np.linalg.qr(np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2))
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        if np.any(diag <= 0.0):
+            raise SingularityError("transported tangent volume collapsed")
+        logvol += np.sum(np.log(diag), axis=1)
+        y[:, d:] = np.swapaxes(Q, 1, 2).reshape(S, q * d)
+        driver.x = y
+        driver.reset_fsal()
+        lds.append(_eval_rows(log_density_fn, x).reshape(S))
+        lvs.append(logvol.copy())
+    return np.array(lds), np.array(lvs), driver.stats
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from nonholo.ball3d import (
 )
 from nonholo.errors import ParameterError
 from nonholo.liealg import from_wedge, unhat
-from nonholo.numerics import IntegratorConfig, integrate, tangent_volume_transport
+from nonholo.numerics import IntegratorConfig, integrate, pointwise, tangent_volume_transport
 
 
 def test_state_validation():
@@ -215,7 +215,7 @@ def test_rubber_forms_trace_the_same_trajectories():
     cfg = IntegratorConfig(t_end=5.0, samples=11)
     tr_mult = integrate(chart.field, chart.flatten(st), cfg)
     x0 = np.concatenate([_momentum_vector(st.omega, st.gamma, st.total_inertia), st.gamma])
-    tr_mom = integrate(momentum_form_field(inertia, D, eps), x0, cfg)
+    tr_mom = integrate(pointwise(momentum_form_field(inertia, D, eps)), x0, cfg)
     dev = 0.0
     for c1, c2 in zip(tr_mult.states, tr_mom.states):
         w1, g1 = c1[:3] / (inertia + D), c1[3:]

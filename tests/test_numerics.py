@@ -2,6 +2,7 @@
 
 import glob
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ def test_adaptive_euler_top_conserves_energy_and_norm():
 
     k0 = np.array([0.4, -0.7, 1.1])
     cfg = IntegratorConfig(t_end=10.0, abs_tol=1e-10, rel_tol=1e-10, samples=41)
-    traj = integrate(f, k0, cfg)
+    traj = integrate(numerics.pointwise(f), k0, cfg)
     H = np.array([0.5 * kc @ np.linalg.solve(M, kc) for kc in traj.states])
     nrm = np.linalg.norm(traj.states, axis=1)
     assert np.max(np.abs(H - H[0])) < 1e-9
@@ -143,7 +144,7 @@ def test_integrate_stats_satisfy_fsal_identity():
 
     def f(x):
         calls[0] += 1
-        return np.array([-x[1], x[0] * (1.0 + x[0] ** 2)])
+        return np.stack([-x[..., 1], x[..., 0] * (1.0 + x[..., 0] ** 2)], axis=-1)
 
     stats = integrate(f, np.array([1.0, 0.0]), cfg).stats
     assert stats.evaluations == calls[0]
@@ -157,10 +158,10 @@ def test_integrate_stats_satisfy_fsal_identity():
     # renormalizing after every step drops the FSAL value each time
     cfg = IntegratorConfig(t_end=1.0, samples=5, renormalize_every=1)
     stats = integrate(
-        lambda x: np.array([-x[1], x[0]]),
+        numerics.pointwise(lambda x: np.array([-x[1], x[0]])),
         np.array([1.0, 0.0]),
         cfg,
-        renormalize_fn=lambda x: x / np.linalg.norm(x),
+        renormalize_fn=numerics.pointwise(lambda x: x / np.linalg.norm(x)),
     ).stats
     assert stats.fsal_resets == stats.accepted - 1
     assert fsal_identity(stats)
@@ -179,6 +180,73 @@ def test_integrate_ensemble_of_members_matches_serial():
             # one shared step sequence: equal up to the integrator error
             scale = np.max(np.abs(serial))
             assert np.max(np.abs(ens.states[:, i] - serial)) <= 1e-8 * scale
+
+
+def _sample_run(path, **integrator):
+    """The field, initial coordinates and integrator of a sample config, the
+    integrator with the given settings replaced."""
+    run = load_config(path)
+    cfg = replace(run.integrator, **integrator)
+    return run.chart.field, run.initial_coords(run.seed), cfg
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_sample_times_do_not_set_the_step(path):
+    # a sample time is reached by a branch of the step that covers it, so
+    # the grid adds at most one step over a run sampled at its ends only
+    field, x0, cfg = _sample_run(path, samples=33)
+    dense = integrate(field, x0, cfg).stats
+    ends = integrate(field, x0, replace(cfg, samples=2)).stats
+    assert dense.accepted <= ends.accepted + 1
+    assert fsal_identity(dense)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_every_sample_is_within_the_tolerance_of_a_reference_run(path):
+    # the reference ends a step on every sample time, at abs/rel 1e-13
+    field, x0, cfg = _sample_run(path, samples=33)
+    traj = integrate(field, x0, cfg)
+    ref = [x0]
+    for dt in np.diff(traj.times):
+        step = replace(cfg, t_end=float(dt), samples=2, abs_tol=1e-13, rel_tol=1e-13)
+        ref.append(integrate(field, ref[-1], step).states[-1])
+    ref = np.array(ref)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def _rows_counted(field, rows):
+    """field, recording the leading rows of each call into rows."""
+
+    def counted(x):
+        rows.append(int(np.prod(np.shape(x)[:-1])))
+        return field(x)
+
+    return counted
+
+
+def test_a_dense_sample_grid_keeps_each_field_call_under_the_batch_bound():
+    path = CONFIGS[CONFIG_IDS.index("ball_chaplygin")]
+    field, x0, cfg = _sample_run(path, samples=20001, t_end=1.0)
+    rows = []
+    traj = integrate(_rows_counted(field, rows), x0, cfg)
+    assert traj.states.shape == (20001, x0.size) and np.all(np.isfinite(traj.states))
+    bound = numerics._ENSEMBLE_BATCH_BYTES // (8 * numerics._STAGES * x0.size)
+    assert 1 < max(rows) <= bound
+
+
+def test_a_step_past_the_branch_cap_ends_on_a_sample(monkeypatch):
+    path = CONFIGS[CONFIG_IDS.index("ball_chaplygin")]
+    field, x0, cfg = _sample_run(path, samples=201, t_end=2.0)
+    free = integrate(field, x0, cfg)
+    # room for the main row and two branches
+    monkeypatch.setattr(numerics, "_ENSEMBLE_BATCH_BYTES", 3 * 8 * numerics._STAGES * x0.size)
+    rows = []
+    capped = integrate(_rows_counted(field, rows), x0, cfg)
+    assert max(rows) == 3
+    assert capped.stats.accepted > free.stats.accepted
+    assert fsal_identity(capped.stats)
+    scale = np.max(np.abs(free.states))
+    assert np.max(np.abs(capped.states - free.states)) <= 1e-8 * scale
 
 
 def test_non_finite_field_aborts_at_first_step():
@@ -240,10 +308,10 @@ def test_dop853_integrates_a_degree_seven_polynomial_exactly():
 def test_observers_and_renormalization():
     cfg = IntegratorConfig(t_end=1.0, samples=5, renormalize_every=1)
     traj = integrate(
-        lambda x: np.array([-x[1], x[0]]),
+        numerics.pointwise(lambda x: np.array([-x[1], x[0]])),
         np.array([1.0, 0.0]),
         cfg,
-        renormalize_fn=lambda x: x / np.linalg.norm(x),
+        renormalize_fn=numerics.pointwise(lambda x: x / np.linalg.norm(x)),
     )
     assert np.max(np.abs(np.linalg.norm(traj.states, axis=-1) - 1.0)) < 1e-12
 

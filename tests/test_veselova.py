@@ -23,7 +23,7 @@ from nonholo.liealg import (
     to_wedge,
     wedge_dim,
 )
-from nonholo.numerics import IntegratorConfig, integrate, tangent_volume_transport
+from nonholo.numerics import IntegratorConfig, integrate, pointwise, tangent_volume_transport
 from nonholo.veselova import (
     VeselovaChart,
     VeselovaState,
@@ -218,7 +218,8 @@ def test_trailing_block_of_frame_velocity_is_conserved():
     y0 = np.concatenate([to_wedge(st.m_bold), st.U.U.ravel(), V.ravel()])
     for eps in (0.5, 2.0):
         traj = integrate(
-            augmented_field(op, eps, n, r), y0, IntegratorConfig(t_end=5.0, samples=11)
+            pointwise(augmented_field(op, eps, n, r)), y0,
+            IntegratorConfig(t_end=5.0, samples=11),
         )
         blocks = np.array([block_invariant(y, op, n, r) for y in traj.states])
         assert np.max(np.abs(blocks - blocks[0])) < 1e-9
