@@ -415,8 +415,7 @@ def _integral_results(cfg: RunConfig, x0) -> list:
     under _ENSEMBLE_BATCH_BYTES.  The bound leaves the branch rows out: the
     driver gives a step only as many as keep its stage array under the same
     bound, so a larger group gets fewer branches per step, not a larger
-    stage array.  A group of one state is integrated as a (d,) state, as a
-    one-seed run is.
+    stage array.
     """
     chart = cfg.chart
     S, d = x0.shape
@@ -424,8 +423,8 @@ def _integral_results(cfg: RunConfig, x0) -> list:
     out = []
     for lo in range(0, S, group):
         xs = x0[lo : lo + group]
-        traj = integrate(chart.field, xs[0] if len(xs) == 1 else xs, cfg.integrator)
-        for states in np.swapaxes(traj.states.reshape(len(traj.times), len(xs), d), 0, 1):
+        traj = integrate(chart.field, xs, cfg.integrator)
+        for states in np.swapaxes(traj.states, 0, 1):
             obs = observables(chart, states)
             _check_drift(traj.times, obs["residual"])
             gated = {"constraint_drift"} | chart.gated({k: v[0] for k, v in obs.items()})

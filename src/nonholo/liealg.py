@@ -403,19 +403,24 @@ class InertiaOperator:
 # ---------------------------------------------------------------------------
 # frames and projectors
 
+# Frame elements are dependent when their smallest Gram eigenvalue is at most
+# this times the largest.
+_GRAM_RTOL = 1e-12
+# Largest deviation of U^T U from the identity that a StiefelPoint accepts.
+_STIEFEL_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Frame:
     """Ordered tuple of linearly independent so(n) elements.
 
     The elements count as dependent when the smallest eigenvalue of their
-    Gram matrix is at most gram_tolerance times the largest, a test that
+    Gram matrix is at most _GRAM_RTOL (1e-12) times the largest, a test that
     does not depend on their scale.  ``orthonormal=True`` additionally
     validates <e_i, e_j> = delta_ij within 1e-10.
     """
 
     elems: np.ndarray
-    gram_tolerance: float = 1e-12
     orthonormal: bool = False
 
     def __post_init__(self):
@@ -431,7 +436,7 @@ class Frame:
             if np.max(np.abs(g - np.eye(self.k))) > 1e-10:
                 raise ParameterError("frame flagged orthonormal is not")
         ev = np.linalg.eigvalsh(g)
-        if ev[0] <= self.gram_tolerance * max(ev[-1], 0.0):
+        if ev[0] <= _GRAM_RTOL * max(ev[-1], 0.0):
             raise SingularityError(
                 f"frame is numerically dependent (Gram eigenvalues {ev[0]:.3e} "
                 f"against {ev[-1]:.3e})"
@@ -454,27 +459,19 @@ class Frame:
         c = self.coords
         return c @ c.T
 
-    def __iter__(self):
-        return iter(self.elems)
-
 
 @dataclass(frozen=True, eq=False)
 class StiefelPoint:
-    """An n x r matrix with orthonormal columns (a point of V_{n,r}).
-
-    tolerance is the accepted deviation of U^T U from the identity; the
-    default suits freshly constructed frames, while trajectory samples
-    carrying integration drift may pass a looser value.
-    """
+    """An n x r matrix with orthonormal columns (a point of V_{n,r}): U^T U
+    is the identity within _STIEFEL_TOL (1e-10)."""
 
     U: np.ndarray
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
         if U.ndim != 2 or U.shape[0] < U.shape[1] or U.shape[1] < 1:
             raise DimensionError(f"Stiefel point must be n x r with n >= r >= 1, got {U.shape}")
-        if np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) > self.tolerance:
+        if np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) > _STIEFEL_TOL:
             raise ParameterError("columns are not orthonormal")
         object.__setattr__(self, "U", U)
 
@@ -497,7 +494,7 @@ def frame_gram(frame: Frame, op: InertiaOperator, mode: str = "inverse_inertia")
 
     mode "inverse_inertia" gives G_ij = <e_i, I^{-1} e_j>; mode "inertia"
     gives G_ij = <I e_i, e_j>.  The result is symmetric positive definite;
-    an eigenvalue ratio at or below the frame tolerance (a scale-free
+    an eigenvalue ratio at or below _GRAM_RTOL (a scale-free
     degeneracy signal) raises SingularityError.
     """
     c = frame.coords
@@ -510,7 +507,7 @@ def frame_gram(frame: Frame, op: InertiaOperator, mode: str = "inverse_inertia")
     g = c @ s.T
     g = 0.5 * (g + g.T)
     ev = np.linalg.eigvalsh(g)
-    if ev[0] <= frame.gram_tolerance * max(ev[-1], 0.0):
+    if ev[0] <= _GRAM_RTOL * max(ev[-1], 0.0):
         raise SingularityError("frame Gram matrix under the operator is degenerate")
     return g
 

@@ -28,10 +28,12 @@ Two verification primitives are provided:
   central difference of the field along it, from one field call on
   1 + 2q rows per state.  The constraint Jacobian is taken once, for the
   initial basis: the flow keeps V tangent, so later samples only check the
-  constraint drift and re-orthonormalize V.  This basis transport is the
-  independent check of the divergence path.  An ensemble of initial
-  states (S, d) is transported together: each stage makes one call on
-  every member at once.
+  constraint drift.  Every accepted step re-orthonormalizes V and adds
+  log |det R| to the log volume, which is one more number per state as on
+  the divergence path.  This basis transport is the independent check of
+  the divergence path.  Both paths are one ``integrate`` call, and an
+  ensemble of initial states (S, d) is transported together: each stage
+  makes one call on every member at once.
 
 The default integrator is the embedded Dormand-Prince 8(5,3) pair of
 Hairer's DOP853 with a proportional step controller; a fixed-step classical
@@ -204,7 +206,9 @@ class IntegratorConfig:
     (requires dt).  samples is the number of equally spaced output times on
     [0, t_end] including both ends.  renormalize_every applies a chart
     renormalization after that many accepted steps; it is disabled by
-    default and must stay disabled during measure checks.  samples,
+    default and must stay disabled during measure checks, since projecting
+    x changes the flow whose measure is checked (the basis transport
+    rescales only its tangent basis, after every step).  samples,
     max_steps and renormalize_every are integers; max_steps is nonnegative,
     samples and renormalize_every are at least 1.
     """
@@ -316,12 +320,9 @@ class _Driver:
         ):
             rows = np.asarray(self.renormalize_fn(rows), dtype=float)
             self.accepted_since_renorm = 0
-            self.reset_fsal()
+            self.f0 = None  # the FSAL value is the field at the old row 0
         self.x = rows[0]
         return list(rows[1:])
-
-    def reset_fsal(self):
-        self.f0 = None
 
 
 class _AdaptiveDriver(_Driver):
@@ -353,7 +354,7 @@ class _AdaptiveDriver(_Driver):
             raise IntegrationAbort(self.t, exc) from exc
 
     def _fsal_start(self):
-        if self.f0 is None:  # first call, or FSAL value dropped by a reset
+        if self.f0 is None:  # first call, or FSAL value dropped by a renormalization
             if self.stats.evaluations:
                 self.stats.fsal_resets += 1
             self.f0 = self._eval(self.x)
@@ -387,7 +388,7 @@ class _AdaptiveDriver(_Driver):
         err_norm = _error_norm(hr[..., 0], K, sc)
         return x_new, stages[-1, 0], err_norm
 
-    def advance(self, t_stop, samples=()):
+    def advance(self, t_stop, samples):
         cfg = self.cfg
         samples = np.asarray(samples, dtype=float)
         out = []
@@ -449,19 +450,13 @@ class _FixedDriver(_Driver):
             self.stats.evaluations += 4
             self._accept(h, x[None])
 
-    def advance(self, t_stop, samples=()):
+    def advance(self, t_stop, samples):
         out = []
         for t in samples:
             self._step_to(float(t))
             out.append(self.x.copy())
         self._step_to(t_stop)
         return out
-
-
-def _make_driver(f, x0, cfg, renormalize_fn=None):
-    if cfg.method == "rk4_fixed":
-        return _FixedDriver(f, x0, cfg, renormalize_fn)
-    return _AdaptiveDriver(f, x0, cfg, renormalize_fn)
 
 
 def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
@@ -478,14 +473,16 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
     An ensemble shares one driver: the step is controlled by the largest
     member error, so a member can differ from its own (d,) run at the
     integrator-error level.
-    renormalize_fn, if given together with cfg.renormalize_every, projects
-    states (..., d) back onto their manifold after that many accepted
-    steps, the samples inside the step included.  A non-finite x0 raises
-    ParameterError.
+    renormalize_fn, if given together with cfg.renormalize_every, maps
+    states (..., d) to their renormalized form (a projection back onto
+    their manifold, say) after that many accepted steps, the samples
+    inside the step included.  A non-finite x0 raises ParameterError.
     """
     x0 = _finite_state(x0, "x0")
     times = cfg.sample_times()
-    driver = _make_driver(field_fn, x0, cfg, renormalize_fn)
+    driver = (_FixedDriver if cfg.method == "rk4_fixed" else _AdaptiveDriver)(
+        field_fn, x0, cfg, renormalize_fn
+    )
     states = [driver.x.copy()]
     if times.size > 1:
         states += driver.advance(float(times[-1]), times[1:-1])
@@ -704,11 +701,11 @@ def tangent_volume_transport(
     constraint_tangent_basis and solves dV/dt = J(x(t)) V with J the
     Jacobian of the field, J V from fd_jvp of field_fn: the central
     difference of the field along each column of V.  The flow's
-    linearisation keeps V tangent, so V is never projected.  At each sample
-    time V is re-orthonormalized by QR and |det R| is accumulated into a
-    running log volume, which keeps the computation well scaled over long
-    runs.  This basis transport assumes nothing of the frame, so it checks
-    the other path.
+    linearisation keeps V tangent, so V is never projected.  After every
+    accepted step V = QR is replaced by Q and log |det R| is added to the
+    log volume (the discrete QR method), which keeps V well scaled however
+    far apart the samples are.  This basis transport assumes nothing of the
+    frame, so it checks the other path.
 
     Constraint drift beyond 1e-6 at a sample time aborts, and a non-finite
     x0 raises ParameterError.  With constraints_fn None the transport runs
@@ -722,14 +719,14 @@ def tangent_volume_transport(
     stacked, on all members, and the step is controlled by the largest
     member error.  A member's residual can therefore differ from its own
     (d,) transport at the integrator-error level.  Any failure of one
-    member raises for the whole ensemble.  On the divergence path the
-    samples are those of ``integrate``, branches of free steps, and
-    log_density_fn and constraints_fn are called once each on every sample
-    of every member; the basis path ends a step on every sample time and
-    calls both on all members there.  Members run in consecutive groups
-    small enough that an fd_jvp stencil of S (1 + 2d) points of d values
-    stays under 64 MB, whichever path runs; the driver keeps its stage
-    array, branch rows included, under the same bound on its own.
+    member raises for the whole ensemble.  Either path is one ``integrate``
+    call, so the samples are branches of free steps; constraints_fn is
+    called once on the members at t = 0, before any step, and then it and
+    log_density_fn once each on every sample of every member.  Members run
+    in consecutive groups small enough that an fd_jvp stencil of S (1 + 2d)
+    points of d values stays under 64 MB, whichever path runs; the driver
+    keeps its stage array, branch rows included, under the same bound on
+    its own.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2):
@@ -751,7 +748,9 @@ def tangent_volume_transport(
 
 
 def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn, cfg, n_samples):
-    """tangent_volume_transport of an ensemble xs (S, d) on one shared driver."""
+    """tangent_volume_transport of an ensemble xs (S, d) on one shared driver.
+    The state of a member is x, then V^T row by row on the basis path, then
+    its log volume."""
     S, d = xs.shape
     cfg = replace(cfg, samples=n_samples)
     times = cfg.sample_times()
@@ -762,22 +761,45 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
             c = np.abs(_eval_rows(constraints_fn, x))
             _check_drift(times, np.max(c.reshape(len(times), -1), axis=-1, initial=0.0))
 
+    renormalize_fn = None
     if divergence_fn is None:
-        lds, lvs, stats = _basis_transport(
-            field_fn, log_density_fn, xs, constraints_fn, cfg, times, check_drift
-        )
-    else:
-        check_drift(times[:1], xs[None])  # a bad start is named at t=0, before any step
+        if constraints_fn is None:
+            V = np.tile(np.eye(d), (S, 1, 1))
+        else:
+            V = constraint_tangent_basis(constraints_fn, xs)
+        q = V.shape[-1]
+        y0 = np.concatenate([xs, np.swapaxes(V, 1, 2).reshape(S, q * d), np.zeros((S, 1))], axis=1)
 
-        # the state of a member is x, then its log volume
+        def aug_field(y):
+            flat = y.reshape(-1, y.shape[-1])
+            fx, JVt = fd_jvp(field_fn, flat[:, :d], flat[:, d:-1].reshape(-1, q, d))
+            rates = [fx, JVt.reshape(-1, q * d), np.zeros((len(flat), 1))]
+            return np.concatenate(rates, axis=1).reshape(y.shape)
+
+        def renormalize_fn(y):
+            """V = QR becomes Q, and log |det R| joins the log volume."""
+            y = y.copy()
+            Q, R = np.linalg.qr(np.swapaxes(y[..., d:-1].reshape(y.shape[:-1] + (q, d)), -1, -2))
+            diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+            if np.any(diag <= 0.0):
+                raise SingularityError("transported tangent volume collapsed")
+            y[..., d:-1] = np.swapaxes(Q, -1, -2).reshape(y.shape[:-1] + (q * d,))
+            y[..., -1] += np.sum(np.log(diag), axis=-1)
+            return y
+
+        cfg = replace(cfg, renormalize_every=1)
+    else:
+        y0 = np.concatenate([xs, np.zeros((S, 1))], axis=1)
+
         def aug_field(y):
             fx, div = divergence_fn(y[..., :d])
             return np.concatenate([fx, np.reshape(div, y.shape[:-1] + (1,))], axis=-1)
 
-        traj = integrate(aug_field, np.concatenate([xs, np.zeros((S, 1))], axis=1), cfg)
-        x, lvs, stats = traj.states[..., :d], traj.states[..., d], traj.stats
-        check_drift(times, x)
-        lds = _eval_rows(log_density_fn, x).reshape(lvs.shape)
+    check_drift(times[:1], xs[None])  # a bad start is named at t=0, before any step
+    traj = integrate(aug_field, y0, cfg, renormalize_fn)
+    x, lvs = traj.states[..., :d], traj.states[..., -1]
+    check_drift(times, x)
+    lds = _eval_rows(log_density_fn, x).reshape(lvs.shape)
     res = lds + lvs - lds[0]
     return [
         TransportResult(
@@ -785,51 +807,10 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
             log_density=lds[:, i],
             log_tangent_volume=lvs[:, i],
             residual=res[:, i],
-            stats=stats,
+            stats=traj.stats,
         )
         for i in range(S)
     ]
-
-
-def _basis_transport(field_fn, log_density_fn, xs, constraints_fn, cfg, times, check_drift):
-    """Log densities and log volumes (T, S) at the T times of the basis
-    transport of xs (S, d), and the driver's stats.  A step ends on every
-    sample time, where V is re-orthonormalized."""
-    S, d = xs.shape
-    if constraints_fn is None:
-        V = np.tile(np.eye(d), (S, 1, 1))
-    else:
-        V = constraint_tangent_basis(constraints_fn, xs)
-    q = V.shape[-1]
-    check_drift(times[:1], xs[None])  # a bad start is named at t=0, before any step
-
-    # the driver state of a member is x, then V^T row by row
-    def aug_field(y):
-        flat = y.reshape(-1, y.shape[-1])
-        fx, JVt = fd_jvp(field_fn, flat[:, :d], flat[:, d:].reshape(-1, q, d))
-        return np.concatenate([fx, JVt.reshape(-1, q * d)], axis=1).reshape(y.shape)
-
-    y0 = np.concatenate([xs, np.swapaxes(V, 1, 2).reshape(S, q * d)], axis=1)
-    logvol = np.zeros(S)
-    lds = [_eval_rows(log_density_fn, xs).reshape(S)]
-    lvs = [logvol.copy()]
-    driver = _make_driver(aug_field, y0, cfg)
-    for t in times[1:]:
-        driver.advance(float(t))
-        y = driver.x.copy()
-        x = y[:, :d]
-        check_drift([t], x[None])
-        Q, R = np.linalg.qr(np.swapaxes(y[:, d:].reshape(S, q, d), 1, 2))
-        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-        if np.any(diag <= 0.0):
-            raise SingularityError("transported tangent volume collapsed")
-        logvol += np.sum(np.log(diag), axis=1)
-        y[:, d:] = np.swapaxes(Q, 1, 2).reshape(S, q * d)
-        driver.x = y
-        driver.reset_fsal()
-        lds.append(_eval_rows(log_density_fn, x).reshape(S))
-        lvs.append(logvol.copy())
-    return np.array(lds), np.array(lvs), driver.stats
 
 
 # ---------------------------------------------------------------------------

@@ -691,7 +691,7 @@ def test_transport_names_a_bad_start_at_t0_before_any_step(divergence):
 
 def test_transport_takes_the_constraint_jacobian_once():
     # the flow keeps V tangent: after the initial stencil, constraints only
-    # see the drift check, one call on all members per sample, t = 0 included
+    # see the drift check, one call at t = 0 and one on every later sample
     a = np.array([0.3, -0.5, 0.8])
     calls = []
 
@@ -705,8 +705,22 @@ def test_transport_takes_the_constraint_jacobian_once():
         lambda x: np.cross(a, x), numerics.pointwise(lambda x: 0.0), x0, sphere, cfg, n_samples=5
     )
     assert calls[0] == (3 * 2 * 3, 3)  # the central-difference stencil of every member
-    assert len(calls) == 1 + 5
+    assert calls[1:] == [(3, 3), (5 * 3, 3)]
     assert max(r.max_abs_residual for r in results) < 1e-9
+
+
+def test_basis_transport_rescales_v_between_samples():
+    # the saddle stretches V by e^t: left unscaled between two samples it
+    # overflows the error norm near t = 355, while its volume stays 1
+    res = tangent_volume_transport(
+        lambda x: x * np.array([1.0, -1.0]),
+        numerics.pointwise(lambda x: 0.0),
+        np.zeros(2),
+        None,
+        IntegratorConfig(t_end=400.0),
+        n_samples=2,
+    )
+    assert res.max_abs_residual <= 1e-8
 
 
 def test_pointwise_function_is_read_row_by_row_when_members_equal_dimension():
@@ -734,7 +748,8 @@ def test_transport_stats_satisfy_fsal_identity():
         cfg,
         n_samples=6,
     )
-    assert res.stats.fsal_resets == 4  # after every sample but the last
+    # V is rescaled after every accepted step, the last one's reset unused
+    assert res.stats.fsal_resets == res.stats.accepted - 1
     assert fsal_identity(res.stats)
     x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
     results = tangent_volume_transport(
@@ -747,7 +762,8 @@ def test_transport_stats_satisfy_fsal_identity():
 
 
 def test_transport_stage_is_one_field_call_on_one_plus_two_q_rows_per_member():
-    # d = 3 on the sphere leaves q = 2 tangent directions: 5 rows a member, not 1 + 2d = 7
+    # d = 3 on the sphere leaves q = 2 tangent directions: 5 rows a member, not 1 + 2d = 7;
+    # sampled at the ends only, no call carries branch rows
     a = np.array([0.3, -0.5, 0.8])
     rows = []
 
@@ -758,7 +774,7 @@ def test_transport_stage_is_one_field_call_on_one_plus_two_q_rows_per_member():
     x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
     cfg = IntegratorConfig(t_end=1.0)
     results = tangent_volume_transport(
-        field, numerics.pointwise(lambda x: 0.0), x0, sphere_constraints, cfg
+        field, numerics.pointwise(lambda x: 0.0), x0, sphere_constraints, cfg, n_samples=2
     )
     assert rows == [(3 * 5, 3)] * results[0].stats.evaluations
 
@@ -824,9 +840,10 @@ def test_ensemble_split_into_groups_matches_serial(monkeypatch):
     cfg = IntegratorConfig(t_end=1.0)
     x0 = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
     logmu = numerics.pointwise(lambda x: 0.0)
-    serial = [tangent_volume_transport(swirl, logmu, x, None, cfg) for x in x0]
-    # a batch bound below one member's stencil transports every seed alone
+    # a batch bound below one member's stencil transports every seed alone;
+    # it also leaves the driver no branches, so the serial runs share it
     monkeypatch.setattr(numerics, "_ENSEMBLE_BATCH_BYTES", 1)
+    serial = [tangent_volume_transport(swirl, logmu, x, None, cfg) for x in x0]
     split = tangent_volume_transport(swirl, logmu, x0, None, cfg)
     for one, member in zip(serial, split):
         assert np.array_equal(one.residual, member.residual)

@@ -201,10 +201,7 @@ def augmented_field(op, eps, n, r):
 
 def block_invariant(y, op, n, r):
     N = wedge_dim(n)
-    st = VeselovaState(
-        from_wedge(y[:N], n), StiefelPoint(y[N : N + n * r].reshape(n, r), tolerance=1e-6)
-    )
-    w = omega_of(st, op)
+    w = from_wedge(_velocity(y[:N], y[N : N + n * r].reshape(n, r), op)[0], n)
     V = y[N + n * r :].reshape(n, n)
     return (V.T @ w @ V)[r:, r:]
 
