@@ -49,7 +49,6 @@ from . import elpr, elr, veselova
 from .chart import Chart
 from .errors import ConfigError, DimensionError, ParameterError
 from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, to_wedge, unhat
-from .numerics import _finite_state
 
 __all__ = [
     "BallState",
@@ -296,15 +295,11 @@ class ChaplyginChart(_BallChart):
         dw, u, s = _k_solve(rhs, g, self.it, self.D)
         return np.concatenate([dw, dg], axis=-1), (u, s, dg)
 
-    def field(self, coords):
-        return self._rates(coords)[0]
-
-    def field_divergence(self, coords):
-        """The field and its divergence D (u, dgamma) / s at coords (..., d),
-        the trace D (gamma, K^-1 dgamma) of the w block; the gamma block
-        (gamma -> eps gamma x w) is skew and has no trace."""
-        rates, (u, s, dg) = self._rates(_finite_state(coords, "coords"))
-        return rates, self.D * _dot(u, dg) / s
+    def _divergence(self, u, s, dg):
+        """D (u, dgamma) / s, the trace D (gamma, K^-1 dgamma) of the w
+        block; the gamma block (gamma -> eps gamma x w) is skew and has no
+        trace."""
+        return self.D * _dot(u, dg) / s
 
     density_exponent = 0.5
 
@@ -368,16 +363,11 @@ class RubberChart(_BallChart):
         dlead = dm if self.variables == "m" else dm / self.it
         return np.concatenate([dlead, dg], axis=-1), (u, gu, gw)
 
-    def field(self, coords):
-        return self._rates(coords)[0]
-
-    def field_divergence(self, coords):
-        """The field and its divergence (u, w x gamma) / (gamma, u) at coords
-        (..., d), u = (I + D)^-1 gamma: the w block's trace, through lam, in
-        either variable set (m = (I + D) w is linear); the gamma block is
-        skew and has no trace."""
-        rates, (u, gu, gw) = self._rates(_finite_state(coords, "coords"))
-        return rates, -_dot(u, gw) / gu
+    def _divergence(self, u, gu, gw):
+        """(u, w x gamma) / (gamma, u), u = (I + D)^-1 gamma: the w block's
+        trace, through lam, in either variable set (m = (I + D) w is
+        linear); the gamma block is skew and has no trace."""
+        return -_dot(u, gw) / gu
 
     def log_base(self, coords):
         """log (gamma, (I + D)^-1 gamma)."""

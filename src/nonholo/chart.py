@@ -20,14 +20,17 @@ ParameterError.  The interface:
 * ``log_base_grad(coords)``: the closed-form gradient (..., d) of
   ``log_base`` on the two ambient charts, from which ``Chart`` makes
   ``log_density_grad`` for ``verify --check liouville``;
-* ``field_divergence(coords)``: the field (..., d) at coords (..., d),
-  equal to ``field(coords)`` bit for bit, and its divergence (...), for
-  volume transport and ``verify --check liouville``.  Every chart gives it
-  in closed form; ``Chart`` has no default, and
-  ``numerics.fd_field_divergence`` is the central-difference oracle the
-  tests hold each closed form to.  Volume transport integrates this
-  divergence over the whole chart as the divergence on the constraint
-  manifold.  That holds because
+* ``_rates(coords)`` and ``_divergence(*parts)``: the chart's two flow
+  kernels.  ``_rates`` gives the field (..., d) at coords (..., d) and the
+  intermediate arrays ``parts`` that its divergence reuses; ``_divergence``
+  gives the divergence (...) from them in closed form.  ``Chart`` has no
+  default for either, and ``numerics.fd_field_divergence`` is the
+  central-difference oracle the tests hold each closed form to.  From them
+  ``Chart`` defines ``field(coords)`` and ``field_divergence(coords)``,
+  the field, equal to ``field(coords)`` bit for bit, and its divergence,
+  for volume transport and ``verify --check liouville``.  Volume transport
+  integrates this divergence over the whole chart as the divergence on the
+  constraint manifold.  That holds because
   each constrained flow moves its frame F (the rows at ``frame_index``)
   by F' = F Omega(x) with Omega skew: f' = eps [f, w] for
   ``elr_momentum``, U' = -eps W U for ``veselova`` and ``lpr_stiefel``,
@@ -78,6 +81,13 @@ class Chart:
         if self.eps == 0.0:
             raise ParameterError("density is undefined at eps = 0")
         return 1.0 / (2.0 * self.eps)
+
+    def field(self, coords):
+        return self._rates(coords)[0]
+
+    def field_divergence(self, coords):
+        rates, parts = self._rates(_finite_state(coords, "coords"))
+        return rates, self._divergence(*parts)
 
     def check_density(self):
         return self.density_exponent

@@ -547,8 +547,15 @@ def cmd_crosscheck(cfg: RunConfig, pair_arg, out_dir) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are a config error (exit 3); exit 2 is a failed gate."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nonholo",
         description="Simulate and verify nonholonomic flows on so(n) "
         "and their 3-d ball specializations.",
@@ -574,8 +581,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.command == "simulate":
             if args.seed is not None and args.seed < 0:

@@ -56,7 +56,6 @@ from .liealg import (
     to_wedge,
     wedge_dim,
 )
-from .numerics import _finite_state
 from .veselova import _log_base, _StiefelChart
 
 __all__ = [
@@ -254,19 +253,31 @@ class LPRChart(Chart):
     def _pack(self, wc, Pi):
         return np.concatenate([wc, Pi[..., self.iu[0], self.iu[1]]], axis=-1)
 
-    def field(self, coords):
+    def _rates(self, coords):
+        """The field at coords (..., d), then Pi, ad_w and K = I + Pi."""
         wc, Pi = self._split(coords)
         A = ad_coords(wc, self.n)
         # [I w, w] + (1 - eps) [Pi w, w] = -ad_w (I w + (1 - eps) Pi w)
         Iw = self.op.apply_coords(wc)
         Pw = np.einsum("...ij,...j->...i", Pi, wc)
         rhs = -np.einsum("...ij,...j->...i", A, Iw + (1.0 - self.eps) * Pw)
-        dwc = _solve_pd(self.op.dense_matrix + Pi, rhs)
+        K = self.op.dense_matrix + Pi
+        dwc = _solve_pd(K, rhs)
         # dPi = eps (Pi A - A Pi) = eps (Pi A + (Pi A)^T), as A is skew and Pi
         # symmetric; only its upper triangle is packed
         PA = Pi @ A
         i, j = self.iu
-        return np.concatenate([dwc, self.eps * (PA[..., i, j] + PA[..., j, i])], axis=-1)
+        rates = np.concatenate([dwc, self.eps * (PA[..., i, j] + PA[..., j, i])], axis=-1)
+        return rates, (Pi, A, K)
+
+    def _divergence(self, Pi, ad_w, K):
+        """-tr(K^-1 ad_w B) with B = I + (1 - eps) Pi.  The w block of the
+        Jacobian is K^-1 (ad_{Bw} - ad_w B), and tr(K^-1 ad_{Bw}) vanishes,
+        K^-1 being symmetric and ad_{Bw} skew.  The Pi block adds nothing:
+        its diagonal entries are those of eps (dPi ad_w - ad_w dPi) for unit
+        dPi, diagonal entries of the skew ad_w."""
+        B = self.op.dense_matrix + (1.0 - self.eps) * Pi
+        return -np.trace(np.linalg.solve(K, ad_w @ B), axis1=-2, axis2=-1)
 
     density_exponent = 0.5
 
@@ -276,20 +287,6 @@ class LPRChart(Chart):
         if np.any(sign <= 0):
             raise DefinitenessError("I + Pi must have positive determinant")
         return logdet
-
-    def field_divergence(self, coords):
-        """The field and its divergence at coords (..., d).  The divergence
-        is -tr(K^-1 ad_w B) with K = I + Pi and B = I + (1 - eps) Pi.  The w
-        block of the Jacobian is K^-1 (ad_{Bw} - ad_w B), and tr(K^-1
-        ad_{Bw}) vanishes, K^-1 being symmetric and ad_{Bw} skew.  The Pi
-        block adds nothing: its diagonal entries are those of eps (dPi ad_w
-        - ad_w dPi) for unit dPi, diagonal entries of the skew ad_w."""
-        coords = _finite_state(coords, "coords")
-        rates = self.field(coords)  # raises unless K is positive definite
-        wc, Pi = self._split(coords)
-        B = self.op.dense_matrix + (1.0 - self.eps) * Pi
-        KAB = np.linalg.solve(self.op.dense_matrix + Pi, ad_coords(wc, self.n) @ B)
-        return rates, -np.trace(KAB, axis1=-2, axis2=-1)
 
     def log_base_grad(self, coords):
         """Gradient (..., d) of log_base at coords (..., d): 0 on w; on the
@@ -359,18 +356,12 @@ class LPRStiefelChart(_StiefelChart):
         dU = -self.eps * (from_wedge(wc, self.n) @ U)
         return np.concatenate([dkc, dU.reshape(kc.shape[:-1] + (-1,))], axis=-1), (kc, P, wc)
 
-    def field(self, coords):
-        return self._rates(coords)[0]
-
-    def field_divergence(self, coords):
-        """The field and its divergence at coords (..., d): with T = I + D P
-        and T w = k_bold, d[k, w] = ad_k dw - ad_w dk, so the momentum block
-        is tr(T^-1 ad_k), and the frame term is elr._frame_divergence with
-        u = D w."""
-        rates, (kc, P, wc) = self._rates(_finite_state(coords, "coords"))
+    def _divergence(self, kc, P, wc):
+        """With T = I + D P and T w = k_bold, d[k, w] = ad_k dw - ad_w dk, so
+        the momentum block is tr(T^-1 ad_k), and the frame term is
+        elr._frame_divergence with u = D w."""
         T = self.op.dense_matrix + self.D * P
-        div = _frame_divergence(T, ad_coords(kc, self.n), P, self.D * wc, self.eps, self.n)
-        return rates, div
+        return _frame_divergence(T, ad_coords(kc, self.n), P, self.D * wc, self.eps, self.n)
 
     def log_base(self, coords):
         """log sum_I P_I^2 / a_I over the r-minors P_I of U."""

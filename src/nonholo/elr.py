@@ -56,7 +56,6 @@ from .liealg import (
     to_wedge,
     wedge_dim,
 )
-from .numerics import _finite_state
 
 __all__ = [
     "ELRMultiplierState",
@@ -150,7 +149,8 @@ def _frame_solve(A, b):
 
 
 def _multiplier_rhs(wc, ec, op, eps):
-    """Batched field. wc: (..., N), ec: (..., k, N). Returns (dwc, dec, lam)."""
+    """Batched field. wc: (..., N), ec: (..., k, N). Returns (dwc, dec, lam)
+    and the I^-1 e_i, A and ad_w it was built from."""
     ad_w = ad_coords(wc, op.n)
     br = -np.einsum("...ij,...j->...i", ad_w, op.apply_coords(wc))  # [I w, w]
     s = op.solve_coords(br)
@@ -161,23 +161,7 @@ def _multiplier_rhs(wc, ec, op, eps):
     dmc = br + np.einsum("...k,...kN->...N", lam, ec)
     dwc = op.solve_coords(dmc)
     dec = -eps * (ec @ np.swapaxes(ad_w, -1, -2))  # eps [e_i, w]
-    return dwc, dec, lam
-
-
-def _multiplier_divergence(wc, ec, op):
-    """Divergence (...) of the multiplier field at wc (..., N), ec (..., k, N).
-
-    Only the constraint force contributes:
-
-        div = sum_{ij} A^{ij} <[I^{-1} e_i, w], e_j>,   A_ij = <e_i, I^{-1} e_j>.
-
-    The frame block adds the trace of eps ad_w, which is skew.
-    """
-    es = op.solve_coords(ec)
-    br = -es @ np.swapaxes(ad_coords(wc, op.n), -1, -2)  # rows [I^{-1} e_i, w]
-    A = ec @ np.swapaxes(es, -1, -2)
-    inner = br @ np.swapaxes(ec, -1, -2)
-    return np.trace(_frame_solve(A, inner), axis1=-2, axis2=-1)
+    return dwc, dec, lam, (es, A, ad_w)
 
 
 def _momentum_velocity(mc, P, op):
@@ -218,21 +202,6 @@ def _frame_divergence(J, M, P, u, eps, n):
     ad = ad_coords(np.stack([Pu, u], axis=-2), n)
     A = M - eps * (ad[..., 0, :, :] - P @ ad[..., 1, :, :])
     return np.trace(np.linalg.solve(J, A), axis1=-2, axis2=-1)
-
-
-def _momentum_divergence(mc, P, wc, ad_w, op, eps):
-    """Divergence (...) of the momentum form at m_bold = mc (..., N) with
-    the matrix P of pr_D, from the w and ad_w of _momentum_rhs.  With
-    Jm = Id + P shift (shift = I - Id), d[m, w] = ad_m dw - ad_w dm and
-    d[Iw, w] = (ad_{Iw} - ad_w I) dw, where dw = Jm^-1 dm and every ad is
-    skew; the frame term is _frame_divergence with u = shift w."""
-    eye, shift = op.identity_and_shift
-    ad = ad_coords(np.stack([mc, op.apply_coords(wc)], axis=-2), op.n)
-    M = eps * ad[..., 0, :, :] + (1.0 - eps) * (
-        P @ (ad[..., 1, :, :] - op.apply_coords(ad_w))
-    )
-    u = wc @ shift  # shift is symmetric
-    return _frame_divergence(eye + P @ shift, M, P, u, eps, op.n)
 
 
 def _energy(mc, wc, n):
@@ -284,8 +253,7 @@ def _log_gram_det(ec, op, mode):
 
 def multipliers(state: ELRMultiplierState, op: InertiaOperator) -> np.ndarray:
     """Constraint multipliers lam^i at the given state."""
-    _, _, lam = _multiplier_rhs(to_wedge(state.omega), state.frames.coords, op, 1.0)
-    return lam
+    return _multiplier_rhs(to_wedge(state.omega), state.frames.coords, op, 1.0)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +321,28 @@ class MultiplierChart(_FrameChart):
     _lead, _row = "w", "e"
     constraints = None
 
-    def field(self, coords):
+    def _rates(self, coords):
+        """The field at coords (..., d), then the frame rows E and the
+        I^-1 E, A and ad_w of _multiplier_rhs."""
         wc, ec = self._split(coords)
-        dwc, dec, _ = _multiplier_rhs(wc, ec, self.op, self.eps)
-        return np.concatenate(
-            [dwc, dec.reshape(wc.shape[:-1] + (self.k * self.N,))], axis=-1
-        )
+        dwc, dec, _, (es, A, ad_w) = _multiplier_rhs(wc, ec, self.op, self.eps)
+        rates = np.concatenate([dwc, dec.reshape(wc.shape[:-1] + (self.k * self.N,))], axis=-1)
+        return rates, (ec, es, A, ad_w)
+
+    def _divergence(self, ec, es, A, ad_w):
+        """Only the constraint force contributes:
+
+            div = sum_{ij} A^{ij} <[I^{-1} e_i, w], e_j>,   A_ij = <e_i, I^{-1} e_j>.
+
+        The frame block adds the trace of eps ad_w, which is skew."""
+        br = -es @ np.swapaxes(ad_w, -1, -2)  # rows [I^{-1} e_i, w]
+        return np.trace(_frame_solve(A, br @ np.swapaxes(ec, -1, -2)), axis1=-2, axis2=-1)
 
     density_exponent = property(Chart._half_inverse_eps)
 
     def log_base(self, coords):
         """log det(E I^-1 E^T) of the frame rows E."""
         return _log_gram_det(self._split(coords)[1], self.op, "inverse_inertia")
-
-    def field_divergence(self, coords):
-        """The field and its divergence at coords (..., d), from
-        _multiplier_divergence."""
-        coords = _finite_state(coords, "coords")
-        return self.field(coords), _multiplier_divergence(*self._split(coords), self.op)
 
     def log_base_grad(self, coords):
         """Gradient (..., d) of log_base at coords (..., d): 0 on w and
@@ -430,14 +402,19 @@ class MomentumChart(_FrameChart):
         )
         return rates, (mc, PD, wc, ad_w)
 
-    def field(self, coords):
-        return self._rates(coords)[0]
-
-    def field_divergence(self, coords):
-        """The field and its divergence at coords (..., d), from
-        _momentum_divergence with P = F^T F."""
-        rates, parts = self._rates(_finite_state(coords, "coords"))
-        return rates, _momentum_divergence(*parts, self.op, self.eps)
+    def _divergence(self, mc, P, wc, ad_w):
+        """Also veselova's, with P = pr_{D_r}.  With Jm = Id + P shift
+        (shift = I - Id), d[m, w] = ad_m dw - ad_w dm and d[Iw, w] =
+        (ad_{Iw} - ad_w I) dw, where dw = Jm^-1 dm and every ad is skew; the
+        frame term is _frame_divergence with u = shift w."""
+        op, eps = self.op, self.eps
+        eye, shift = op.identity_and_shift
+        ad = ad_coords(np.stack([mc, op.apply_coords(wc)], axis=-2), op.n)
+        M = eps * ad[..., 0, :, :] + (1.0 - eps) * (
+            P @ (ad[..., 1, :, :] - op.apply_coords(ad_w))
+        )
+        u = wc @ shift  # shift is symmetric
+        return _frame_divergence(eye + P @ shift, M, P, u, eps, op.n)
 
     @property
     def density_exponent(self):

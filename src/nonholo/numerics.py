@@ -81,7 +81,6 @@ __all__ = [
     "tangent_volume_transport",
     "polar_orthonormalize",
     "pointwise",
-    "skew_symmetrize",
 ]
 
 _FD_H = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -825,8 +824,3 @@ def polar_orthonormalize(U: np.ndarray) -> np.ndarray:
     if np.any(s <= 1e-12 * np.maximum(s[..., :1], 1e-300)):
         raise SingularityError("matrix is rank deficient; polar factor undefined")
     return u @ vt
-
-def skew_symmetrize(M: np.ndarray) -> np.ndarray:
-    """Skew part (M - M^T)/2, the nearest skew-symmetric matrix."""
-    M = np.asarray(M, dtype=float)
-    return 0.5 * (M - np.swapaxes(M, -1, -2))

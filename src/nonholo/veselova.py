@@ -33,7 +33,7 @@ import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
-from .elr import _energy, _momentum_divergence, _momentum_rhs, _momentum_velocity
+from .elr import MomentumChart, _energy, _momentum_rhs, _momentum_velocity
 from .errors import ConfigError, DimensionError, ParameterError, UnsupportedSpecError
 from .liealg import (
     InertiaOperator,
@@ -44,7 +44,6 @@ from .liealg import (
     to_wedge,
     wedge_dim,
 )
-from .numerics import _finite_state
 
 __all__ = [
     "VeselovaState",
@@ -187,14 +186,7 @@ class VeselovaChart(_StiefelChart):
         rates = np.concatenate([dmc, dU.reshape(mc.shape[:-1] + (-1,))], axis=-1)
         return rates, (mc, P, wc, ad_w)
 
-    def field(self, coords):
-        return self._rates(coords)[0]
-
-    def field_divergence(self, coords):
-        """The field and its divergence at coords (..., d): the elr momentum
-        form's, with P = pr_{D_r}."""
-        rates, parts = self._rates(_finite_state(coords, "coords"))
-        return rates, _momentum_divergence(*parts, self.op, self.eps)
+    _divergence = MomentumChart._divergence  # the elr momentum form's, P = pr_{D_r}
 
     def log_base(self, coords):
         """log sum_I a_I P_I^2 over the r-minors P_I of U."""

@@ -162,12 +162,17 @@ def test_field_divergence_is_member_by_member(chart):
             assert abs(div_all[i] - div_one) <= 1e-13 * max(1.0, abs(div_one))
 
 
-def test_every_system_chart_gives_its_own_field_divergence():
-    # Chart has no finite-difference default: central differences are the
-    # tests' oracle, not a production path
-    assert not hasattr(Chart, "field_divergence")
+def test_every_system_chart_gives_its_own_flow_kernels():
+    # Chart builds field and field_divergence from each chart's _rates and
+    # _divergence, and has no finite-difference default for either: central
+    # differences are the tests' oracle, not a production path
+    assert not hasattr(Chart, "_rates") and not hasattr(Chart, "_divergence")
     for system, cls in SYSTEMS.items():
-        assert "field_divergence" in vars(cls), system
+        below = cls.__mro__[: cls.__mro__.index(Chart)]
+        for kernel in ("_rates", "_divergence"):
+            assert any(kernel in vars(c) for c in below), (system, kernel)
+        for method in ("field", "field_divergence"):
+            assert not any(method in vars(c) for c in below), (system, method)
 
 
 # the normal-trace lemma behind transport by divergence: a flow that moves

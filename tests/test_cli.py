@@ -797,6 +797,26 @@ def test_malformed_json_and_missing_file(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+ELPR_CONFIG = CONFIGS[CONFIG_IDS.index("elpr")]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "--config", ELPR_CONFIG, "--check", "bogus"], "--check"),
+        (["verify", "--config", ELPR_CONFIG, "--check", "volume", "--seeds", "x"], "--seeds"),
+        (["verify", "--check", "volume"], "--config"),
+        (["crosscheck", "--config", ELPR_CONFIG], "--pair"),
+    ],
+    ids=["bad-check", "bad-seeds", "no-config", "no-pair"],
+)
+def test_bad_arguments_are_config_errors(capsys, argv, option):
+    # exit 2 means a gated quantity failed, so argparse's own exit 2 must not leak
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and option in err
+
+
 def test_explicit_initial_coordinates(tmp_path):
     cfg = dict(BALL_CFG)
     cfg["initial"] = {"coords": [0.3, -0.2, 0.5, 0.0, 0.6, 0.8]}

@@ -30,7 +30,6 @@ from nonholo.numerics import (
     liouville_residual_ambient,
     polar_orthonormalize,
     rk4_step,
-    skew_symmetrize,
     tangent_volume_transport,
 )
 from nonholo.veselova import VeselovaChart, random_veselova_state
@@ -901,10 +900,3 @@ def test_polar_orthonormalize_nearest_frame():
     W = polar_orthonormalize(U + 1e-6 * rng.standard_normal((5, 3)))
     assert np.max(np.abs(W.T @ W - np.eye(3))) < 1e-14
     assert np.max(np.abs(W - U)) < 1e-5
-
-
-def test_skew_symmetrize():
-    M = np.arange(9.0).reshape(3, 3)
-    S = skew_symmetrize(M)
-    assert np.allclose(S, 0.5 * (M - M.T), atol=1e-15)
-    assert np.allclose(S, -S.T, atol=1e-15)
