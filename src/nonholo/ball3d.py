@@ -23,10 +23,15 @@ rubber (no-slip, no-twist) ball, multiplier form:
     dm/dt = m x w + lam gamma,   dgamma/dt = eps gamma x w,
     m = (I + D) w = I_tot w,
 
-where lam is fixed by d/dt (w, gamma) = 0, so (w, gamma) = c is a first
-integral.  The invariant density is (I_tot^{-1} gamma, gamma)^(1/(2 eps))
-in both the (m, gamma) and (w, gamma) variables, and so is the field's
-divergence, (I_tot^{-1} gamma, w x gamma) / (I_tot^{-1} gamma, gamma).
+where lam is fixed by d/dt (w, gamma) = 0 (the (w, eps gamma x w) term
+vanishes),
+
+    lam = -(gamma, I_tot^{-1} (m x w)) / (gamma, I_tot^{-1} gamma),
+
+so (w, gamma) = c is a first integral.  The invariant density is
+(I_tot^{-1} gamma, gamma)^(1/(2 eps)) in both the (m, gamma) and
+(w, gamma) variables, and so is the field's divergence,
+(I_tot^{-1} gamma, w x gamma) / (I_tot^{-1} gamma, gamma).
 The equivalent momentum form carries
 m_bold = I_tot w + (gamma, w - I_tot w) gamma:
 
@@ -52,11 +57,6 @@ from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, to_we
 
 __all__ = [
     "BallState",
-    "omega_from_k",
-    "omega_from_momentum",
-    "vf_chaplygin",
-    "vf_rubber",
-    "rubber_multiplier",
     "densities_3d",
     "epsilon_from_radii",
     "ChaplyginChart",
@@ -148,62 +148,6 @@ def _k_solve(v, g, it, D):
     u = g / it
     s = 1.0 - D * _dot(g, u)
     return v / it + (D * _dot(u, v) / s)[..., None] * u, u, s
-
-
-def omega_from_k(k, gamma, inertia, D) -> np.ndarray:
-    """Solve K(gamma) w = k for the marble ball, by _k_solve."""
-    D = float(D)
-    it = np.asarray(inertia, dtype=float) + D
-    return _k_solve(np.asarray(k, dtype=float), np.asarray(gamma, dtype=float), it, D)[0]
-
-
-def omega_from_momentum(m_bold, gamma, inertia, D) -> np.ndarray:
-    """Solve (diag(I_tot) + gamma gamma^T (E - diag(I_tot))) w = m_bold."""
-    it = np.asarray(inertia, dtype=float) + float(D)
-    g = np.asarray(gamma, dtype=float)
-    M = it * np.eye(3) + (g[..., :, None] * g[..., None, :]) @ (np.eye(3) - it * np.eye(3))
-    return np.linalg.solve(M, np.asarray(m_bold, dtype=float)[..., None])[..., 0]
-
-
-def vf_chaplygin(state: BallState):
-    """Marble-ball field; returns (dk, dgamma)."""
-    w, g = state.omega, state.gamma
-    k = _k_vector(w, g, state.inertia, state.D)
-    return _cross(k, w), state.eps * _cross(g, w)
-
-
-def rubber_multiplier(state: BallState) -> float:
-    """Reaction scalar lam keeping (w, gamma) constant along the rubber flow.
-
-    Solving d/dt (w, gamma) = 0 with dw = I_tot^{-1}(m x w + lam gamma)
-    and dgamma = eps gamma x w gives
-    lam = -(gamma, I_tot^{-1} (m x w)) / (gamma, I_tot^{-1} gamma);
-    the gamma x w contribution drops since it is orthogonal to w.
-    """
-    w, g = state.omega, state.gamma
-    it = state.total_inertia
-    m = it * w
-    return float(-_dot(g, _cross(m, w) / it) / _dot(g, g / it))
-
-
-def vf_rubber(state: BallState, form: str = "multiplier"):
-    """Rubber-ball field; returns (dm, dgamma) or (dm_bold, dgamma).
-
-    Both forms trace the same (w, gamma) trajectories from matched
-    initial data.
-    """
-    w, g = state.omega, state.gamma
-    dg = state.eps * _cross(g, w)
-    if form == "multiplier":
-        m = state.total_inertia * w
-        return _cross(m, w) + rubber_multiplier(state) * g, dg
-    if form == "momentum":
-        eps = state.eps
-        v = state.total_inertia * w
-        mb = _momentum_vector(w, g, state.total_inertia)
-        vw = _cross(v, w)
-        return eps * _cross(mb, w) + (1.0 - eps) * (vw - _dot(vw, g) * g), dg
-    raise ParameterError(f"unknown rubber form {form!r}")
 
 
 def densities_3d(state: BallState, which: str) -> float:

@@ -48,7 +48,6 @@ from .liealg import (
     ad_coords,
     ad_matrix,
     as_stiefel_matrix,
-    commutator,
     dr_projector_matrix,
     from_wedge,
     isotropy_frame,
@@ -61,7 +60,6 @@ from .veselova import _log_base, _StiefelChart
 __all__ = [
     "ELPRState",
     "LPRStiefelState",
-    "vf_elpr",
     "pi_variants",
     "stiefel_total_inertia",
     "LPRChart",
@@ -152,16 +150,6 @@ def _velocity(kc, Pi, op):
     """Wedge coordinates of w solving (I + Pi) w = k_bold, batched; raises
     DefinitenessError unless I + Pi is positive definite."""
     return _solve_pd(op.dense_matrix + Pi, kc)
-
-
-def vf_elpr(state: ELPRState, op: InertiaOperator, eps: float):
-    """Vector field; returns (dk_bold, dPi).  Raises DefinitenessError
-    unless I + Pi is positive definite."""
-    w = from_wedge(_velocity(to_wedge(state.k_bold), state.Pi, op), op.n)
-    dk = commutator(state.k_bold, w)
-    A = ad_matrix(w)
-    dPi = eps * (state.Pi @ A - A @ state.Pi)
-    return dk, dPi
 
 
 def _unit_gamma(gamma_or_U):

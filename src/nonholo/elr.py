@@ -7,7 +7,7 @@ equations are
     dm/dt   = [m, w] + sum_i lam^i e_i,
     de_i/dt = eps [e_i, w],
 
-where the multipliers enforce d/dt <w, e_i> = 0:
+where the lam^i enforce d/dt <w, e_i> = 0:
 
     lam^i = - sum_j A^{ij} <e_j, I^{-1}[m, w]>,   A_ij = <e_i, I^{-1} e_j>.
 
@@ -60,7 +60,6 @@ from .liealg import (
 __all__ = [
     "ELRMultiplierState",
     "ELRMomentumState",
-    "multipliers",
     "MultiplierChart",
     "MomentumChart",
     "random_multiplier_state",
@@ -149,8 +148,8 @@ def _frame_solve(A, b):
 
 
 def _multiplier_rhs(wc, ec, op, eps):
-    """Batched field. wc: (..., N), ec: (..., k, N). Returns (dwc, dec, lam)
-    and the I^-1 e_i, A and ad_w it was built from."""
+    """Batched field. wc: (..., N), ec: (..., k, N). Returns (dwc, dec) and
+    the I^-1 e_i, A and ad_w it was built from."""
     ad_w = ad_coords(wc, op.n)
     br = -np.einsum("...ij,...j->...i", ad_w, op.apply_coords(wc))  # [I w, w]
     s = op.solve_coords(br)
@@ -161,7 +160,7 @@ def _multiplier_rhs(wc, ec, op, eps):
     dmc = br + np.einsum("...k,...kN->...N", lam, ec)
     dwc = op.solve_coords(dmc)
     dec = -eps * (ec @ np.swapaxes(ad_w, -1, -2))  # eps [e_i, w]
-    return dwc, dec, lam, (es, A, ad_w)
+    return dwc, dec, (es, A, ad_w)
 
 
 def _momentum_velocity(mc, P, op):
@@ -248,15 +247,6 @@ def _log_gram_det(ec, op, mode):
 
 
 # ---------------------------------------------------------------------------
-# state-level operations
-
-
-def multipliers(state: ELRMultiplierState, op: InertiaOperator) -> np.ndarray:
-    """Constraint multipliers lam^i at the given state."""
-    return _multiplier_rhs(to_wedge(state.omega), state.frames.coords, op, 1.0)[2]
-
-
-# ---------------------------------------------------------------------------
 # crosscheck partner
 
 
@@ -325,7 +315,7 @@ class MultiplierChart(_FrameChart):
         """The field at coords (..., d), then the frame rows E and the
         I^-1 E, A and ad_w of _multiplier_rhs."""
         wc, ec = self._split(coords)
-        dwc, dec, _, (es, A, ad_w) = _multiplier_rhs(wc, ec, self.op, self.eps)
+        dwc, dec, (es, A, ad_w) = _multiplier_rhs(wc, ec, self.op, self.eps)
         rates = np.concatenate([dwc, dec.reshape(wc.shape[:-1] + (self.k * self.N,))], axis=-1)
         return rates, (ec, es, A, ad_w)
 

@@ -209,7 +209,8 @@ class IntegratorConfig:
     x changes the flow whose measure is checked (the basis transport
     rescales only its tangent basis, after every step).  samples,
     max_steps and renormalize_every are integers; max_steps is nonnegative,
-    samples and renormalize_every are at least 1.
+    samples and renormalize_every are at least 1, and samples is at least 2
+    when t_end > 0, since one sample is the initial state alone.
     """
 
     method: str = "dop853"
@@ -242,13 +243,15 @@ class IntegratorConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ParameterError("need at least one sample")
+        if self.samples < 2 and self.t_end > 0.0:
+            raise ParameterError("samples must be at least 2 when t_end > 0")
         if self.max_steps < 0:
             raise ParameterError(f"max_steps must be nonnegative, got {self.max_steps!r}")
         if self.renormalize_every is not None and self.renormalize_every < 1:
             raise ParameterError("renormalize_every must be at least 1")
 
     def sample_times(self) -> np.ndarray:
-        if self.samples == 1 or self.t_end == 0.0:
+        if self.t_end == 0.0:
             return np.array([0.0])
         return np.linspace(0.0, self.t_end, self.samples)
 

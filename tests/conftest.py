@@ -32,3 +32,14 @@ def field_blocks(chart, state):
     coordinates) and the rest of the flat coordinates."""
     f = chart.field(chart.flatten(state))
     return f[: chart.N], f[chart.N :]
+
+
+def ball_momentum_rate(chart, coords):
+    """d/dt of the rubber ball's m_bold = I_tot w + (gamma, w - I_tot w) gamma
+    (``ball3d._momentum_vector``) along ``RubberChart.field`` at coords (6,),
+    by the product rule."""
+    f = chart.field(coords)
+    w, g = chart._split(coords)
+    dw, dg = chart._omega(f[:3]), f[3:]
+    v, dv = chart.it * w, chart.it * dw
+    return dv + (np.dot(dg, w - v) + np.dot(g, dw - dv)) * g + np.dot(g, w - v) * dg

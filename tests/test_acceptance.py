@@ -9,18 +9,16 @@ import time
 import numpy as np
 import pytest
 
-from conftest import chaplygin_params, random_spd_operator, rng_for
+from conftest import ball_momentum_rate, chaplygin_params, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.ball3d import BallState, ChaplyginChart, RubberChart, densities_3d, random_ball_state
 from nonholo.elpr import (
-    ELPRState,
     LPRChart,
     LPRStiefelChart,
     pi_variants,
     random_elpr_state,
     random_lpr_stiefel_state,
     stiefel_total_inertia,
-    vf_elpr,
 )
 from nonholo.elr import (
     MomentumChart,
@@ -33,8 +31,7 @@ from nonholo.elr import (
 from nonholo.liealg import (
     Frame,
     InertiaOperator,
-    ad_matrix,
-    commutator,
+    ad_coords,
     frame_gram,
     from_wedge,
     hat,
@@ -44,6 +41,7 @@ from nonholo.liealg import (
     random_skew,
     random_stiefel,
     restricted_det,
+    to_wedge,
     unhat,
     wedge_dim,
     wedge_index_pairs,
@@ -389,34 +387,33 @@ def test_criterion_7_equivalences():
         dev = float(np.max(np.abs(c1._split(t1.states)[0] - c2.velocity(t2.states))))
         assert dev <= 1e-8, (n, k, eps, dev)
 
-    # 3-D oracle fields match the general so(3) fields pointwise, at the
-    # coordinates the crosscheck partners lift the ball's to
+    # each ball chart's field matches its partner's general so(3) field
+    # pointwise, at the coordinates the crosscheck partner lifts the ball's to
     ball = random_ball_state(rng_for(85), inertia=[1.0, 2.0, 3.0], D=1.0, eps=0.5)
     bchart = ChaplyginChart(ball.inertia, ball.D, ball.eps)
     xb = bchart.flatten(ball)
     gchart, yg, _ = ball3d.elpr_partner(bchart, xb)
-    lifted = ELPRState(hat(bchart.row(xb)[:3]), gchart._split(yg)[1])  # row holds k
-    dk, _ = vf_elpr(lifted, gchart.op, ball.eps)
-    dk_ball, _ = ball3d.vf_chaplygin(ball)
-    assert np.max(np.abs(unhat(dk) - dk_ball)) <= 1e-12
+    fb = bchart.field(xb)
+    dwg, dPi = gchart._split(gchart.field(yg))
+    assert np.max(np.abs(unhat(from_wedge(dwg, 3)) - fb[:3])) <= 1e-12
+    # Pi = D (Id - c c^T) with c the wedge coordinates of hat(gamma)
+    c, dc = to_wedge(hat(ball.gamma)), to_wedge(hat(fb[3:]))
+    assert np.max(np.abs(dPi + ball.D * (np.outer(dc, c) + np.outer(c, dc)))) <= 1e-12
 
     rubber = random_ball_state(rng_for(86), inertia=[1.0, 2.0, 3.0], D=0.5, eps=0.7)
     rchart = RubberChart(rubber.inertia, rubber.D, rubber.eps, variables="omega")
     xr = rchart.flatten(rubber)
     echart, ye, _ = ball3d.elr_partner(rchart, xr)
-    f = echart.field(ye)
-    dw, de = from_wedge(f[:3], 3), from_wedge(f[3:], 3)
-    dm, dg = ball3d.vf_rubber(rubber, form="multiplier")
-    assert np.max(np.abs(dw - hat(dm / rubber.total_inertia))) <= 1e-12
-    assert np.max(np.abs(de - hat(rubber.eps * np.cross(rubber.gamma, rubber.omega)))) <= 1e-12
+    fr, fe = rchart.field(xr), echart.field(ye)
+    assert np.max(np.abs(from_wedge(fe[:3], 3) - hat(fr[:3]))) <= 1e-12
+    assert np.max(np.abs(from_wedge(fe[3:], 3) - hat(fr[3:]))) <= 1e-12
 
+    # the momentum form: the rate of the ball's m_bold along its field
     vchart, yv, _ = ball3d.veselova_partner(rchart, xr)
     op_v = vchart.op
-    f = vchart.field(yv)
-    dmv, dUv = from_wedge(f[:3], 3), f[3:]
-    dmb, dgb = ball3d.vf_rubber(rubber, form="momentum")
-    assert np.max(np.abs(dmv - hat(dmb))) <= 1e-12
-    assert np.max(np.abs(dUv - dgb)) <= 1e-12
+    fv = vchart.field(yv)
+    assert np.max(np.abs(from_wedge(fv[:3], 3) - hat(ball_momentum_rate(rchart, xr)))) <= 1e-12
+    assert np.max(np.abs(fv[3:] - fr[3:])) <= 1e-12
 
     # ... and along trajectories over t in [0, 10]
     cfg10 = IntegratorConfig(t_end=10.0, samples=21)
@@ -442,15 +439,17 @@ def test_criterion_7_equivalences():
         dev = max(dev, float(np.max(np.abs(a[3:] - U[:, 0]))))
     assert dev <= 1e-8, f"rubber/moving-frame trajectory deviation {dev}"
 
-    # eps = 1 operator flow equals the unmodified flow exactly; the leading
-    # block of LPRChart.flatten is the w that vf_elpr solves for
-    st_op = random_elpr_state(4, rng_for(87))
+    # eps = 1 operator flow equals the unmodified flow exactly: the chart's
+    # (1 - eps) Pi w term is an exact zero and eps (Pi A + (Pi A)^T) an
+    # exact copy, against (I + Pi) w' = [I w, w], Pi' = Pi ad_w - ad_w Pi
     op4 = random_spd_operator(4, rng_for(88))
-    dk1, dPi1 = vf_elpr(st_op, op4, 1.0)
-    w = from_wedge(LPRChart(op4, 1.0).flatten(st_op)[: op4.N], 4)
-    A = ad_matrix(w)
-    assert np.array_equal(dPi1, st_op.Pi @ A - A @ st_op.Pi)
-    assert np.array_equal(dk1, commutator(st_op.k_bold, w))
+    chart4 = LPRChart(op4, 1.0)
+    x4 = chart4.flatten(random_elpr_state(4, rng_for(87)))
+    wc, Pi = chart4._split(x4)
+    A = ad_coords(wc, 4)
+    rhs = -np.einsum("ij,j->i", A, op4.apply_coords(wc))
+    dw = np.linalg.solve(op4.dense_matrix + Pi, rhs[:, None])[:, 0]
+    assert np.array_equal(chart4.field(x4), chart4._pack(dw, Pi @ A - A @ Pi))
     report("criterion 7 (equivalences)")
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import rng_for
 from nonholo.ball3d import (
     _cross,
+    _k_solve,
     _momentum_vector,
     BallState,
     ChaplyginChart,
@@ -13,12 +14,7 @@ from nonholo.ball3d import (
     densities_3d,
     elpr_partner,
     epsilon_from_radii,
-    omega_from_k,
-    omega_from_momentum,
     random_ball_state,
-    rubber_multiplier,
-    vf_chaplygin,
-    vf_rubber,
 )
 from nonholo.errors import ParameterError
 from nonholo.liealg import from_wedge, unhat
@@ -84,16 +80,19 @@ def k_of(st):
     return chart.row(chart.flatten(st))[:3]
 
 
+def omega_of_momentum(m_bold, gamma, it):
+    """Solve (diag(I_tot) + gamma gamma^T (E - diag(I_tot))) w = m_bold, the
+    rubber ball's momentum-form map, by a dense solve; it holds I_tot."""
+    M = it * np.eye(3) + np.outer(gamma, gamma) @ (np.eye(3) - it * np.eye(3))
+    return np.linalg.solve(M, m_bold)
+
+
 def test_momentum_maps_round_trip():
     st = random_ball_state(rng_for(2), inertia=[1.1, 1.9, 3.2], D=1.3, eps=0.7)
-    assert np.allclose(omega_from_k(k_of(st), st.gamma, st.inertia, st.D), st.omega, atol=1e-12)
-    assert np.allclose(
-        omega_from_momentum(
-            _momentum_vector(st.omega, st.gamma, st.total_inertia), st.gamma, st.inertia, st.D
-        ),
-        st.omega,
-        atol=1e-12,
-    )
+    w = _k_solve(k_of(st), st.gamma, st.total_inertia, st.D)[0]
+    assert np.allclose(w, st.omega, atol=1e-12)
+    mb = _momentum_vector(st.omega, st.gamma, st.total_inertia)
+    assert np.allclose(omega_of_momentum(mb, st.gamma, st.total_inertia), st.omega, atol=1e-12)
     m = RubberChart(st.inertia, st.D, st.eps, variables="m").flatten(st)[:3]
     assert np.allclose(m, st.total_inertia * st.omega, atol=1e-15)
 
@@ -102,8 +101,9 @@ def test_momentum_maps_round_trip():
     "scale, D", [(1.0, 1.3), (1.05, 1.3), (1.0, 0.0)], ids=["unit", "off-sphere", "D0"]
 )
 def test_omega_from_k_is_a_dense_solve_of_k_gamma(scale, D):
-    # Sherman-Morrison against np.linalg.solve of K(gamma) = diag(I + D) - D gamma
-    # gamma^T, on |gamma| = 1, off it, and at D = 0, where K is diagonal
+    # _k_solve's Sherman-Morrison w from k against np.linalg.solve of
+    # K(gamma) = diag(I + D) - D gamma gamma^T, on |gamma| = 1, off it, and at
+    # D = 0, where K is diagonal
     rng = rng_for(5)
     inertia = np.array([1.1, 1.9, 3.2])
     g = rng.standard_normal((4, 3))
@@ -111,10 +111,10 @@ def test_omega_from_k_is_a_dense_solve_of_k_gamma(scale, D):
     k = rng.standard_normal((4, 3))
     K = (inertia + D) * np.eye(3) - D * (g[:, :, None] * g[:, None, :])
     expect = np.linalg.solve(K, k[..., None])[..., 0]
-    w = omega_from_k(k, g, inertia, D)
+    w = _k_solve(k, g, inertia + D, D)[0]
     assert w.shape == (4, 3)
     for i in range(4):
-        for got in (w[i], omega_from_k(k[i], g[i], inertia, D)):
+        for got in (w[i], _k_solve(k[i], g[i], inertia + D, D)[0]):
             assert np.max(np.abs(got - expect[i])) <= 1e-13 * np.max(np.abs(expect[i]))
 
 
@@ -131,19 +131,20 @@ def test_k_vector_formula():
 
 def test_chaplygin_reduces_to_free_top_at_d_zero():
     st = random_ball_state(rng_for(4), inertia=[1.0, 2.0, 3.0], D=0.0, eps=2.0)
-    dk, dg = vf_chaplygin(st)
+    f = ChaplyginChart(st.inertia, st.D, st.eps).field(np.concatenate([st.omega, st.gamma]))
     k = st.inertia * st.omega
-    assert np.allclose(dk, np.cross(k, st.omega), atol=1e-14)
-    assert np.allclose(dg, 2.0 * np.cross(st.gamma, st.omega), atol=1e-14)
+    assert np.allclose(st.inertia * f[:3], np.cross(k, st.omega), atol=1e-14)
+    assert np.allclose(f[3:], 2.0 * np.cross(st.gamma, st.omega), atol=1e-14)
 
 
 def test_gamma_frozen_when_aligned_with_omega():
     g = np.array([0.0, 0.6, 0.8])
-    st = BallState(2.0 * g, g, [1.0, 2.0, 3.0], D=1.0, eps=0.5)
-    _, dg = vf_chaplygin(st)
-    assert np.max(np.abs(dg)) == 0.0
-    _, dg2 = vf_rubber(st, form="multiplier")
-    assert np.max(np.abs(dg2)) == 0.0
+    x = np.concatenate([2.0 * g, g])
+    for chart in (
+        ChaplyginChart([1.0, 2.0, 3.0], 1.0, 0.5),
+        RubberChart([1.0, 2.0, 3.0], 1.0, 0.5, variables="omega"),
+    ):
+        assert np.max(np.abs(chart.field(x)[3:])) == 0.0
 
 
 def test_chaplygin_chart_pullback_consistent():
@@ -158,27 +159,29 @@ def test_chaplygin_chart_pullback_consistent():
         return chart.row(coords)[:3]
 
     fd = (k_at(x + h * f) - k_at(x - h * f)) / (2.0 * h)
-    dk, _ = vf_chaplygin(st)
-    assert np.max(np.abs(fd - dk)) < 1e-8
+    # the marble ball's momentum equation dk/dt = k x w
+    assert np.max(np.abs(fd - np.cross(k_at(x), st.omega))) < 1e-8
 
 
 def test_rubber_multiplier_keeps_contact_constraint():
     for seed in range(5):
         st = random_ball_state(rng_for(10 + seed), inertia=[1.0, 2.3, 3.1], D=0.6, eps=1.5)
-        dm, dg = vf_rubber(st, form="multiplier")
-        dw = dm / st.total_inertia
+        chart = RubberChart(st.inertia, st.D, st.eps, variables="omega")
+        f = chart.field(chart.flatten(st))
+        dw, dg = f[:3], f[3:]
         assert abs(np.dot(dw, st.gamma) + np.dot(st.omega, dg)) < 1e-12
-    with pytest.raises(ParameterError):
-        vf_rubber(st, form="bogus")
 
 
 def test_rubber_multiplier_matches_direct_solve():
+    # the reaction dm/dt - m x w is lam gamma, with lam solved from
+    # d/dt (w, gamma) = 0
     st = random_ball_state(rng_for(16), inertia=[1.0, 2.0, 3.0], D=0.4, eps=0.5)
+    chart = RubberChart(st.inertia, st.D, st.eps, variables="m")
     it = st.total_inertia
     m = it * st.omega
-    lam = rubber_multiplier(st)
+    reaction = chart.field(chart.flatten(st))[:3] - np.cross(m, st.omega)
     expect = -np.dot(st.gamma, np.cross(m, st.omega) / it) / np.dot(st.gamma, st.gamma / it)
-    assert lam == pytest.approx(expect, rel=1e-14)
+    assert np.max(np.abs(reaction - expect * st.gamma)) <= 1e-14 * abs(expect)
 
 
 def test_contact_projection_conserved_along_rubber_flow():
@@ -199,7 +202,7 @@ def momentum_form_field(inertia, D, eps):
 
     def field(x):
         mb, g = x[:3], x[3:]
-        w = omega_from_momentum(mb, g, inertia, D)
+        w = omega_of_momentum(mb, g, it)
         v = it * w
         vw = np.cross(v, w)
         dmb = eps * np.cross(mb, w) + (1.0 - eps) * (vw - np.dot(vw, g) * g)
@@ -219,7 +222,7 @@ def test_rubber_forms_trace_the_same_trajectories():
     dev = 0.0
     for c1, c2 in zip(tr_mult.states, tr_mom.states):
         w1, g1 = c1[:3] / (inertia + D), c1[3:]
-        w2 = omega_from_momentum(c2[:3], c2[3:], inertia, D)
+        w2 = omega_of_momentum(c2[:3], c2[3:], inertia + D)
         dev = max(dev, float(np.max(np.abs(w1 - w2))), float(np.max(np.abs(g1 - c2[3:]))))
     assert dev < 1e-9
 

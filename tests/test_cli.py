@@ -488,6 +488,44 @@ def test_crosscheck_pair_and_reversed_alias(tmp_path):
                  "--pair", "elr_multiplier:ball_rubber", "--out", str(tmp_path)]) == 0
 
 
+def _eps_shifted(partner):
+    """partner with its chart's eps moved by 1e-3: a model error."""
+
+    def lift(chart, coords):
+        other, y, deviation = partner(chart, coords)
+        other.eps += 1e-3
+        return other, y, deviation
+
+    return lift
+
+
+# every pair on its sample config, the rubber ball's also in the omega variables
+PAIR_CASES = [(pair, {}) for pair in PAIRS] + [
+    (pair, {"variables": "omega"}) for pair in PAIRS if pair[0] == "ball_rubber"
+]
+
+
+@pytest.mark.parametrize(
+    "pair, patch", PAIR_CASES,
+    ids=[":".join(pair) + "".join(f"-{v}" for v in patch.values()) for pair, patch in PAIR_CASES],
+)
+def test_crosscheck_deviation_is_integrator_error(pair, patch):
+    # a tolerance 10 times smaller shrinks a correct pair's deviation about
+    # tenfold (or it sits at the rounding floor), and leaves a model error
+    # as it was: integrator error is told from model error by tightening
+    raw = sample_config(CONFIGS[CONFIG_IDS.index(pair[0])], **patch)
+
+    def deviation(partner, tol):
+        integ = dict(raw["integrator"], abs_tol=tol, rel_tol=tol)
+        cfg = cli.RunConfig(dict(raw, integrator=integ))
+        return float(np.max(cli._crosscheck_deviations(cfg, partner)[1]))
+
+    real = [deviation(PAIRS[pair], tol) for tol in (1e-10, 1e-11)]
+    assert real[0] <= 1e-13 or real[0] >= 5.0 * real[1], real
+    mutant = [deviation(_eps_shifted(PAIRS[pair]), tol) for tol in (1e-10, 1e-11)]
+    assert mutant[0] >= 1e-4 and mutant[0] < 2.0 * mutant[1], mutant
+
+
 @pytest.mark.parametrize("pair", ["elr_multiplier:elr_momentum", "ball_rubber:elr_multiplier"])
 def test_crosscheck_checks_the_drift_of_both_trajectories(tmp_path, capsys, monkeypatch, pair):
     # with no drift allowed, rounding trips the check on the constrained side:
@@ -714,6 +752,32 @@ def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 3
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["verify", "--check", "integrals", "--seeds", "2"],
+     ["crosscheck", "--pair", "elr_multiplier:elr_momentum"]],
+    ids=["simulate", "verify", "crosscheck"],
+)
+def test_one_sample_after_t_zero_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # one sample at t_end > 0 would be the initial state alone: no step is
+    # taken, and every drift and deviation reads 0
+    monkeypatch.chdir(tmp_path)
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "elr_multiplier.json")
+    cfg = sample_config(path, integrator={"samples": 1, "t_end": 50})
+    p = write_cfg(tmp_path, cfg)
+    assert main(argv[:1] + ["--config", p, "--out", str(tmp_path)] + argv[1:]) == 3
+    assert capsys.readouterr().err.startswith("config error: integrator: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+def test_one_sample_at_t_zero_runs(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "elr_multiplier.json")
+    p = write_cfg(tmp_path, sample_config(path, integrator={"samples": 1, "t_end": 0}))
+    assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "elr_multiplier_trajectory.csv")
+    assert [float(r[0]) for r in rows[1:]] == [0.0]
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)

@@ -15,13 +15,12 @@ from nonholo.elpr import (
     random_elpr_state,
     random_lpr_stiefel_state,
     stiefel_total_inertia,
-    vf_elpr,
 )
 from nonholo.errors import DefinitenessError, ParameterError
 from nonholo.liealg import (
     Frame,
     InertiaOperator,
-    ad_matrix,
+    ad_coords,
     commutator,
     from_wedge,
     hat,
@@ -60,6 +59,20 @@ def omega_of(st, op):
     return from_wedge(LPRChart(op, eps=1.0).flatten(st)[: op.N], op.n)
 
 
+def rates(st, op, eps):
+    """LPRChart's w and Pi at a state, then its field there as w' (wedge
+    coordinates) and the symmetric Pi'."""
+    chart = LPRChart(op, eps)
+    x = chart.flatten(st)
+    return chart._split(x) + chart._split(chart.field(x))
+
+
+def k_rate(wc, Pi, dwc, dPi, op):
+    """Wedge coordinates of d/dt k_bold = (I + Pi) w' + Pi' w, by the product
+    rule on k_bold = (I + Pi) w."""
+    return _k_coords(dwc, Pi, op) + dPi @ wc
+
+
 def test_momentum_map_round_trip():
     rng = rng_for(1)
     for n in (3, 4):
@@ -73,20 +86,25 @@ def test_momentum_map_round_trip():
 def test_field_shape_and_pi_symmetry():
     st = random_elpr_state(4, rng_for(2))
     op = random_spd_operator(4, rng_for(3))
-    dk, dPi = vf_elpr(st, op, 0.5)
-    assert np.max(np.abs(dPi - dPi.T)) == 0.0
-    w = omega_of(st, op)
-    assert np.max(np.abs(dk - commutator(st.k_bold, w))) < 1e-12
+    wc, Pi, dwc, dPi = rates(st, op, 0.5)
+    assert dwc.shape == (6,) and dPi.shape == (6, 6)
+    # the packed Pi' is the symmetric eps [Pi, ad_w], and k_bold' = [k_bold, w]
+    A = ad_coords(wc, 4)
+    assert np.max(np.abs(dPi - 0.5 * (Pi @ A - A @ Pi))) < 1e-14 * np.max(np.abs(dPi))
+    dk = from_wedge(k_rate(wc, Pi, dwc, dPi, op), 4)
+    assert np.max(np.abs(dk - commutator(st.k_bold, omega_of(st, op)))) < 1e-12
 
 
 def test_eps_one_matches_unmodified_flow_exactly():
-    st = random_elpr_state(4, rng_for(4))
+    # a batch of states against (I + Pi) w' = [I w, w], Pi' = Pi ad_w - ad_w Pi
     op = random_spd_operator(4, rng_for(5))
-    dk, dPi = vf_elpr(st, op, 1.0)
-    w = omega_of(st, op)
-    A = ad_matrix(w)
-    assert np.array_equal(dPi, st.Pi @ A - A @ st.Pi)
-    assert np.array_equal(dk, commutator(st.k_bold, w))
+    chart = LPRChart(op, 1.0)
+    x = np.stack([chart.flatten(random_elpr_state(4, rng_for(4 + 10 * i))) for i in range(3)])
+    wc, Pi = chart._split(x)
+    A = ad_coords(wc, 4)
+    rhs = -np.einsum("...ij,...j->...i", A, op.apply_coords(wc))
+    dw = np.linalg.solve(op.dense_matrix + Pi, rhs[..., None])[..., 0]
+    assert np.array_equal(chart.field(x), chart._pack(dw, Pi @ A - A @ Pi))
 
 
 def test_pi_zero_reduces_to_free_rotation():
@@ -94,8 +112,8 @@ def test_pi_zero_reduces_to_free_rotation():
     op = random_spd_operator(3, rng)
     w = random_skew(3, rng)
     st = ELPRState(op.apply(w), np.zeros((3, 3)))
-    dk, dPi = vf_elpr(st, op, 2.0)
-    assert np.max(np.abs(dk - commutator(op.apply(w), w))) < 1e-12
+    _, _, dwc, dPi = rates(st, op, 2.0)
+    assert np.max(np.abs(op.apply(from_wedge(dwc, 3)) - commutator(op.apply(w), w))) < 1e-12
     assert np.max(np.abs(dPi)) == 0.0
     assert np.exp(log_density(st, op)) == pytest.approx(np.sqrt(op.det()), rel=1e-12)
 
@@ -105,7 +123,7 @@ def test_constant_multiple_of_identity_is_frozen():
     op = random_spd_operator(4, rng)
     D = 1.7
     st = ELPRState(random_skew(4, rng), D * np.eye(6))
-    _, dPi = vf_elpr(st, op, 0.5)
+    dPi = rates(st, op, 0.5)[3]
     assert np.max(np.abs(dPi)) < 1e-14
 
 
@@ -347,10 +365,10 @@ def test_chaplygin_ball_is_the_so3_case():
     # the lift keeps k: row gives the ball's k, _k_coords the lifted k_bold
     k = ball_chart.row(x)[:3]
     assert np.max(np.abs(_k_coords(wc, Pi, chart.op) - to_wedge(hat(k)))) < 1e-12
-    lifted = ELPRState(hat(k), Pi)
-    dk, dPi = vf_elpr(lifted, chart.op, ball.eps)
-    dk_ball, dg_ball = ball3d.vf_chaplygin(ball)
-    assert np.max(np.abs(unhat(dk) - dk_ball)) < 1e-12
+    # the general flow's k_bold' is the ball's k' = k x w
+    dwc, dPi = chart._split(chart.field(y))
+    dk = from_wedge(k_rate(wc, Pi, dwc, dPi, chart.op), 3)
+    assert np.max(np.abs(unhat(dk) - np.cross(k, ball.omega))) < 1e-12
     # density: sqrt(det(I + D)(1 - D (g, (I+D)^{-1} g))) in closed form
     expect = ball3d.densities_3d(ball, "chaplygin")
     assert np.exp(chart.log_density(y)) == pytest.approx(expect, rel=1e-12)

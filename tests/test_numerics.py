@@ -105,7 +105,17 @@ def test_integrator_config_validation_and_sampling():
     with pytest.raises(ParameterError):
         IntegratorConfig(t_end=-1.0)
     assert IntegratorConfig(t_end=0.0).sample_times().tolist() == [0.0]
-    assert IntegratorConfig(samples=1).sample_times().tolist() == [0.0]
+    assert IntegratorConfig(t_end=0.0, samples=1).sample_times().tolist() == [0.0]
+    # one sample at t_end > 0 would be the initial state alone, and a volume
+    # transport sampled there alone would pass any density
+    with pytest.raises(ParameterError, match="samples"):
+        IntegratorConfig(samples=1)
+    chart = ChaplyginChart([1.0, 2.0, 3.0], 1.0, 0.5)
+    with pytest.raises(ParameterError, match="samples"):
+        tangent_volume_transport(
+            chart.field, chart.log_density, chart.random_coords(rng_for(1)), chart.constraints,
+            n_samples=1, divergence_fn=chart.field_divergence,
+        )
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import field_blocks, random_spd_operator, rng_for
+from conftest import ball_momentum_rate, field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.elr import MomentumChart
 from nonholo.errors import ParameterError, UnsupportedSpecError
@@ -244,13 +244,14 @@ def test_energy_conserved_on_zero_block_level():
 
 def test_rubber_ball_is_the_r1_so3_case():
     ball = ball3d.random_ball_state(rng_for(16), inertia=[1.0, 2.0, 3.0], D=0.5, eps=0.7)
+    # (in the (m, gamma) variables; criterion 7 takes the (w, gamma) ones)
     rubber = ball3d.RubberChart(ball.inertia, ball.D, ball.eps)
-    chart, lifted, _ = ball3d.veselova_partner(rubber, rubber.flatten(ball))
+    x = rubber.flatten(ball)
+    chart, lifted, _ = ball3d.veselova_partner(rubber, x)
     f = chart.field(lifted)
     dm, dU = from_wedge(f[:3], 3), f[3:].reshape(3, 1)
-    dm_ball, dg_ball = ball3d.vf_rubber(ball, form="momentum")
-    assert np.max(np.abs(dm - hat(dm_ball))) < 1e-12
-    assert np.max(np.abs(dU[:, 0] - dg_ball)) < 1e-12
+    assert np.max(np.abs(dm - hat(ball_momentum_rate(rubber, x)))) < 1e-12
+    assert np.max(np.abs(dU[:, 0] - rubber.field(x)[3:])) < 1e-12
     # the shifted so(3) operator falls outside the product-coefficient density
     with pytest.raises(UnsupportedSpecError):
         chart.log_density(lifted)
