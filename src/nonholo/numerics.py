@@ -19,21 +19,24 @@ Two verification primitives are provided:
   volume element along the flow; for an invariant measure mu the sum
   log mu(x(t)) + log vol(t) stays constant.  ``verify --check volume``
   passes the chart's ``field_divergence`` as ``divergence_fn``: the log
-  volume is then one more number per state, integrated and sampled by
+  volume is then one more number per state, a pure quadrature of
   ``integrate`` at the rate div X (Liouville's formula), which on a
   constrained chart is the manifold divergence as long as the flow moves
-  its frame F by F' = F Omega, Omega skew.  Without it, the default propagates an orthonormal basis V of the
-  constraint-manifold tangent space with the variational equation
-  dV/dt = J(x(t)) V, J V from ``fd_jvp``: each of the q columns as a
-  central difference of the field along it, from one field call on
-  1 + 2q rows per state.  The constraint Jacobian is taken once, for the
-  initial basis: the flow keeps V tangent, so later samples only check the
-  constraint drift.  Every accepted step re-orthonormalizes V and adds
-  log |det R| to the log volume, which is one more number per state as on
-  the divergence path.  This basis transport is the independent check of
-  the divergence path.  Both paths are one ``integrate`` call, and an
-  ensemble of initial states (S, d) is transported together: each stage
-  makes one call on every member at once.
+  its frame F by F' = F Omega, Omega skew.  The state steps by the field
+  alone, and the divergence is one call per step on the stage points that
+  carry a weight.  Without divergence_fn, the default propagates an
+  orthonormal basis V of the constraint-manifold tangent space with the
+  variational equation dV/dt = J(x(t)) V, J V from ``fd_jvp``: each of the
+  q columns as a central difference of the field along it, from one field
+  call on 1 + 2q rows per state.  The constraint Jacobian is taken once,
+  for the initial basis: the flow keeps V tangent, so later samples only
+  check the constraint drift.  Every accepted step re-orthonormalizes V
+  and adds log |det R| to the log volume, which is one more number per
+  state as on the divergence path.  This basis transport is the
+  independent check of the divergence path.  Both paths are one
+  ``integrate`` call, and an ensemble of initial states (S, d) is
+  transported together: each stage and each quadrature makes one call on
+  every member at once.
 
 The default integrator is the embedded Dormand-Prince 8(5,3) pair of
 Hairer's DOP853 with a proportional step controller; a fixed-step classical
@@ -44,7 +47,9 @@ length from the same start, stacked as one more row of the same field
 calls.  Its error norm is the largest over the step, its branches and the
 members of an ensemble state (S, D), which share one step sequence, so no
 sample and no member is under-controlled.  RK4 ends a step on every sample
-time.
+time.  A last column that never feeds back into the others can be a pure
+quadrature (see ``integrate``): it is evaluated once per step, on the stage
+points that carry a weight, instead of at every stage.
 """
 
 from __future__ import annotations
@@ -97,14 +102,27 @@ _RANK_RTOL = 1e-9
 # steppers
 
 
-def rk4_step(f, x, dt):
-    """One classical fourth-order Runge-Kutta step for autonomous f."""
+def rk4_step(f, x, dt, quadrature_fn=None):
+    """One classical fourth-order Runge-Kutta step for autonomous f.
+
+    With quadrature_fn, the last entry of x (..., d + 1) is a pure
+    quadrature: f and quadrature_fn see x[..., :d], f returns (..., d) and
+    quadrature_fn (...), the quadrature's rate, once on the four stage
+    points stacked."""
     x = np.asarray(x, dtype=float)
-    k1 = np.asarray(f(x))
-    k2 = np.asarray(f(x + 0.5 * dt * k1))
-    k3 = np.asarray(f(x + 0.5 * dt * k2))
-    k4 = np.asarray(f(x + dt * k3))
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = x if quadrature_fn is None else x[..., :-1]
+    k1 = np.asarray(f(y))
+    y2 = y + 0.5 * dt * k1
+    k2 = np.asarray(f(y2))
+    y3 = y + 0.5 * dt * k2
+    k3 = np.asarray(f(y3))
+    y4 = y + dt * k3
+    k4 = np.asarray(f(y4))
+    k = k1 + 2.0 * k2 + 2.0 * k3 + k4
+    if quadrature_fn is not None:
+        r = _eval_rows(quadrature_fn, np.stack([y, y2, y3, y4]))[..., 0]
+        k = np.concatenate([k, (r[0] + 2.0 * r[1] + 2.0 * r[2] + r[3])[..., None]], axis=-1)
+    return x + (dt / 6.0) * k
 
 
 # Dormand-Prince 8(5,3), the coefficients of Hairer's DOP853 (Hairer,
@@ -180,6 +198,9 @@ _DOP853_E3 = _DOP853_B - np.array([
     0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
     0.733846688281611857341361741547, 0, 0, 0.220588235294117647058823529412e-1, 0,
 ])
+# the stages that carry a weight in the update or in either error estimate,
+# the only ones a pure quadrature enters: the start and stages 6-12
+_WEIGHTED = np.flatnonzero((_DOP853_B != 0) | (_DOP853_E5 != 0) | (_DOP853_E3 != 0))
 # names of the adaptive method; "embedded_adaptive" and "dp45" are kept for
 # configs written when the method was Dormand-Prince 5(4)
 _ADAPTIVE = ("dop853", "embedded_adaptive", "dp45")
@@ -261,6 +282,9 @@ class IntegrationStats:
     """What a driver did.  The adaptive pair reuses its last stage (FSAL), so
     evaluations == 1 + 12 * (accepted + rejected) + fsal_resets; a branch
     (see ``integrate``) rides on its step's field calls and is not a step.
+    With a quadrature (see ``integrate``), quadrature_calls == 1 + accepted
+    + rejected for the adaptive pair, whose initial step size takes one more
+    call, and == accepted for RK4; without one it stays 0.
 
     h_min and h_max are the smallest and largest accepted step, the last
     step before the end time included; the adaptive pair ends a step on a
@@ -272,6 +296,7 @@ class IntegrationStats:
     rejected: int = 0
     evaluations: int = 0
     fsal_resets: int = 0
+    quadrature_calls: int = 0
     h_min: float = float("inf")
     h_max: float = 0.0
 
@@ -299,8 +324,9 @@ class _Driver:
     steps x to t_stop and returns the states at the sample times, increasing
     times in (t, t_stop)."""
 
-    def __init__(self, f, x, cfg, renormalize_fn=None):
+    def __init__(self, f, x, cfg, renormalize_fn=None, quadrature_fn=None):
         self.f = f
+        self.quadrature_fn = quadrature_fn
         self.x = np.asarray(x, dtype=float).copy()
         self.cfg = cfg
         self.t = 0.0
@@ -343,15 +369,27 @@ class _AdaptiveDriver(_Driver):
     unless its own error allows a longer one.
     """
 
-    def __init__(self, f, x, cfg, renormalize_fn=None):
-        super().__init__(f, x, cfg, renormalize_fn)
+    def __init__(self, f, x, cfg, renormalize_fn=None, quadrature_fn=None):
+        super().__init__(f, x, cfg, renormalize_fn, quadrature_fn)
         self.h = None
         self.max_branches = max(0, _ENSEMBLE_BATCH_BYTES // (8 * _STAGES * self.x.size) - 1)
 
     def _eval(self, x):
+        """The field at states x (..., D): rates of every column, or of all
+        but the quadrature."""
         self.stats.evaluations += 1
+        if self.quadrature_fn is not None:
+            x = x[..., :-1]
         try:
             return np.asarray(self.f(x), dtype=float)
+        except NonholoError as exc:
+            raise IntegrationAbort(self.t, exc) from exc
+
+    def _quadrature(self, x):
+        """The quadrature's rate (...) at states x (..., D), in one call."""
+        self.stats.quadrature_calls += 1
+        try:
+            return _eval_rows(self.quadrature_fn, x[..., :-1])[..., 0]
         except NonholoError as exc:
             raise IntegrationAbort(self.t, exc) from exc
 
@@ -364,9 +402,14 @@ class _AdaptiveDriver(_Driver):
                 raise IntegrationAbort(self.t, "non-finite field value")
 
     def _initial_h(self, span):
+        f0 = self.f0
+        if self.quadrature_fn is not None:
+            f0 = np.concatenate([f0, self._quadrature(self.x)[..., None]], axis=-1)
+            if not np.all(np.isfinite(f0)):
+                raise IntegrationAbort(self.t, "non-finite field value")
         sc = self.cfg.abs_tol + self.cfg.rel_tol * np.abs(self.x)
         d0 = np.atleast_1d(_rms(self.x / sc))
-        d1 = np.atleast_1d(_rms(self.f0 / sc))
+        d1 = np.atleast_1d(_rms(f0 / sc))
         h = min(
             0.01 * a / b if b > 1e-12 and a > 1e-12 else 1e-3 * span
             for a, b in zip(d0.tolist(), d1.tolist())
@@ -375,20 +418,29 @@ class _AdaptiveDriver(_Driver):
 
     def _step(self, hs):
         """One step of each length in hs (R,) from x: the end states
-        (R, ...) and the error norm, the largest over every row."""
+        (R, ...) and the error norm, the largest over every row.  A
+        quadrature column is zero in K until the stages are done, then one
+        call fills it on the weighted stage points."""
         cfg = self.cfg
         shape = hs.shape + self.x.shape
         hr = hs.reshape(hs.shape + (1,) * self.x.ndim)
+        quadrature = self.quadrature_fn is not None
         # stage i is row i of K; K[:i] feeds stage i, all of K the update
-        K = np.empty((_STAGES, hs.size * self.x.size))
+        K = (np.zeros if quadrature else np.empty)((_STAGES, hs.size * self.x.size))
         stages = K.reshape((_STAGES,) + shape)
-        stages[0] = self.f0
+        field_stages = stages[..., :-1] if quadrature else stages
+        field_stages[0] = self.f0
+        points = [self.x] * _STAGES
         for i in range(1, _STAGES):
-            stages[i] = self._eval(self.x + hr * (_DOP853_A[i] @ K[:i]).reshape(shape))
+            points[i] = self.x + hr * (_DOP853_A[i] @ K[:i]).reshape(shape)
+            field_stages[i] = self._eval(points[i])
+        if quadrature:
+            points[0] = np.broadcast_to(self.x, shape)
+            stages[_WEIGHTED, ..., -1] = self._quadrature(np.stack([points[i] for i in _WEIGHTED]))
         x_new = self.x + hr * (_DOP853_B @ K).reshape(shape)
         sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.x), np.abs(x_new))
         err_norm = _error_norm(hr[..., 0], K, sc)
-        return x_new, stages[-1, 0], err_norm
+        return x_new, field_stages[-1, 0], err_norm
 
     def advance(self, t_stop, samples):
         cfg = self.cfg
@@ -444,12 +496,13 @@ class _FixedDriver(_Driver):
                 raise IntegrationAbort(self.t, "max_steps exceeded")
             h = min(dt, t_target - self.t)
             try:
-                x = rk4_step(self.f, self.x, h)
+                x = rk4_step(self.f, self.x, h, self.quadrature_fn)
             except NonholoError as exc:
                 raise IntegrationAbort(self.t, exc) from exc
             if not np.all(np.isfinite(x)):
                 raise IntegrationAbort(self.t, "non-finite state")
             self.stats.evaluations += 4
+            self.stats.quadrature_calls += self.quadrature_fn is not None
             self._accept(h, x[None])
 
     def advance(self, t_stop, samples):
@@ -461,7 +514,7 @@ class _FixedDriver(_Driver):
         return out
 
 
-def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
+def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None, quadrature_fn=None):
     """Integrate dx/dt = field_fn(x) and sample at cfg.sample_times().
 
     x0 is one state (d,) or an ensemble (S, d); states then has shape
@@ -479,11 +532,23 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None):
     states (..., d) to their renormalized form (a projection back onto
     their manifold, say) after that many accepted steps, the samples
     inside the step included.  A non-finite x0 raises ParameterError.
+
+    quadrature_fn, if given, makes the last column of the state a pure
+    quadrature, q' = quadrature_fn(x) (Serban & Hindmarsh, CVODES, 2005):
+    x is every other column, field_fn and quadrature_fn see x (..., d - 1)
+    and return (..., d - 1) and (...).  q never feeds back into x, so the
+    driver steps x with field_fn alone, on the same rows as without q, and
+    evaluates quadrature_fn once per trial step, on the stacked stage
+    points that carry a weight in the update or an error estimate: the
+    start and stages 6-12 of the adaptive pair, all four of RK4.  q enters
+    the error norm like any column, so the steps are those of field_fn
+    and quadrature_fn concatenated into one field; a zero-weight stage,
+    whose value could not change the step, is never evaluated.
     """
     x0 = _finite_state(x0, "x0")
     times = cfg.sample_times()
     driver = (_FixedDriver if cfg.method == "rk4_fixed" else _AdaptiveDriver)(
-        field_fn, x0, cfg, renormalize_fn
+        field_fn, x0, cfg, renormalize_fn, quadrature_fn
     )
     states = [driver.x.copy()]
     if times.size > 1:
@@ -692,12 +757,19 @@ def tangent_volume_transport(
 
     With divergence_fn(x (S, d)) -> (field (S, d), div (S,)), the log
     volume follows Liouville's formula d/dt log vol = div X: each member's
-    driver state is x and one more number, whose rate is div X(x), and
-    field_fn is not called.  The divergence is the trace of the field's
-    Jacobian over the whole chart.  That equals the trace over the tangent
-    space of the constraint manifold when the flow moves its frame F as
-    F' = F Omega with Omega skew: the normal space at F is {S F : S
-    symmetric}, and the frame block of the Jacobian has no trace on it.
+    driver state is x and one more number, whose rate is div X(x).  That
+    number is a pure quadrature of ``integrate``: field_fn steps x, 12 calls
+    a step, and divergence_fn is called once a step, on the 8 stage points
+    that carry a weight, for div alone.  A non-finite divergence at a stage
+    without weight is never evaluated, so it cannot abort the transport.
+    The log volume enters the error norm, so the steps are those of the
+    divergence taken at every stage as one more field column (the tests
+    hold the two to every bit on the sample configs).  The divergence
+    is the trace of the field's Jacobian over the whole chart.  That equals
+    the trace over the tangent space of the constraint manifold when the
+    flow moves its frame F as F' = F Omega with Omega skew: the normal space
+    at F is {S F : S symmetric}, and the frame block of the Jacobian has no
+    trace on it.
 
     With divergence_fn None, a tangent basis (columns of V) starts as
     constraint_tangent_basis and solves dV/dt = J(x(t)) V with J the
@@ -716,9 +788,10 @@ def tangent_volume_transport(
 
     x0 is one state (d,), which returns one TransportResult, or an ensemble
     (S, d), which returns a list with one TransportResult per member.  The
-    members share one driver: every stage makes one divergence_fn call, or
-    one field_fn call on each member's state and its 2q directional points
-    stacked, on all members, and the step is controlled by the largest
+    members share one driver: every stage makes one field_fn call, on each
+    member's state or, on the basis path, on it and its 2q directional
+    points stacked, on all members; every step's divergence_fn call is on
+    all members too.  The step is controlled by the largest
     member error.  A member's residual can therefore differ from its own
     (d,) transport at the integrator-error level.  Any failure of one
     member raises for the whole ensemble.  Either path is one ``integrate``
@@ -763,7 +836,7 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
             c = np.abs(_eval_rows(constraints_fn, x))
             _check_drift(times, np.max(c.reshape(len(times), -1), axis=-1, initial=0.0))
 
-    renormalize_fn = None
+    renormalize_fn = quadrature_fn = None
     if divergence_fn is None:
         if constraints_fn is None:
             V = np.tile(np.eye(d), (S, 1, 1))
@@ -792,13 +865,13 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
         cfg = replace(cfg, renormalize_every=1)
     else:
         y0 = np.concatenate([xs, np.zeros((S, 1))], axis=1)
+        aug_field = field_fn
 
-        def aug_field(y):
-            fx, div = divergence_fn(y[..., :d])
-            return np.concatenate([fx, np.reshape(div, y.shape[:-1] + (1,))], axis=-1)
+        def quadrature_fn(x):
+            return divergence_fn(x)[1]
 
     check_drift(times[:1], xs[None])  # a bad start is named at t=0, before any step
-    traj = integrate(aug_field, y0, cfg, renormalize_fn)
+    traj = integrate(aug_field, y0, cfg, renormalize_fn, quadrature_fn)
     x, lvs = traj.states[..., :d], traj.states[..., -1]
     check_drift(times, x)
     lds = _eval_rows(log_density_fn, x).reshape(lvs.shape)

@@ -7,7 +7,6 @@ pytest -v therefore shows one pass/fail line per criterion.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import ball_momentum_rate, chaplygin_params, random_spd_operator, rng_for
 from nonholo import ball3d
@@ -15,7 +14,6 @@ from nonholo.ball3d import BallState, ChaplyginChart, RubberChart, densities_3d,
 from nonholo.elpr import (
     LPRChart,
     LPRStiefelChart,
-    pi_variants,
     random_elpr_state,
     random_lpr_stiefel_state,
     stiefel_total_inertia,
@@ -35,7 +33,6 @@ from nonholo.liealg import (
     frame_gram,
     from_wedge,
     hat,
-    inner_product,
     orthonormal_complement,
     orthonormalize_rows,
     random_skew,

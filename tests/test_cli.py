@@ -381,6 +381,36 @@ def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
     assert status["8"] == "abort: injected failure"
 
 
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_verify_volume_divergence_failure_in_a_step_becomes_abort_row(
+    tmp_path, capsys, monkeypatch, failure
+):
+    # the divergence of every step's weighted stages is one call on 8 rows a
+    # member and branch; a failure there, not at the start, aborts the seed
+    cfg = write_cfg(tmp_path, BALL_CFG)
+    bad = load_config(cfg).initial_coords(8)
+    original = ChaplyginChart.field_divergence
+
+    def broken(self, coords):
+        fx, div = original(self, coords)
+        hit = np.all(np.abs(np.asarray(coords) - bad) < 1e-3, axis=-1)
+        if len(coords) % 8 or not np.any(hit):
+            return fx, div
+        if failure == "raises":
+            raise SingularityError("injected failure")
+        return fx, np.where(hit, np.nan, div)
+
+    monkeypatch.setattr(ChaplyginChart, "field_divergence", broken)
+    assert main(["verify", "--config", cfg, "--check", "volume", "--seeds", "3",
+                 "--out", str(tmp_path)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    rows = read_rows(tmp_path / "ball_chaplygin_volume.csv")
+    status = {r[5]: r[10] for r in rows[1:]}
+    assert status["7"] == status["9"] == "pass"
+    cause = {"raises": "injected failure", "nan": "non-finite field value"}[failure]
+    assert status["8"].startswith("abort: ") and status["8"].endswith(cause)
+
+
 def test_verify_integrals_ensemble_matches_single_seed_runs(tmp_path):
     cfg = write_cfg(tmp_path, ELR_CFG)
     assert main(["verify", "--config", cfg, "--check", "integrals", "--seeds", "3",

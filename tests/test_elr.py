@@ -26,7 +26,6 @@ from nonholo.liealg import (
     from_wedge,
     hat,
     inner_product,
-    to_wedge,
     wedge_basis,
 )
 from nonholo.numerics import (

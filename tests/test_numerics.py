@@ -16,16 +16,16 @@ from nonholo.errors import (
     DimensionError,
     IntegrationAbort,
     ParameterError,
+    SingularityError,
     StiffnessError,
 )
-from nonholo.liealg import InertiaOperator, to_wedge
+from nonholo.liealg import InertiaOperator
 from nonholo.numerics import (
     IntegratorConfig,
     constraint_tangent_basis,
     fd_field_divergence,
     fd_gradient,
     fd_jacobian,
-    fd_jvp,
     integrate,
     liouville_residual_ambient,
     polar_orthonormalize,
@@ -786,6 +786,133 @@ def test_transport_stage_is_one_field_call_on_one_plus_two_q_rows_per_member():
         field, numerics.pointwise(lambda x: 0.0), x0, sphere_constraints, cfg, n_samples=2
     )
     assert rows == [(3 * 5, 3)] * results[0].stats.evaluations
+
+
+def _augmented_divergence_field(divergence_fn):
+    """The log volume as one more column of the field: divergence_fn at every
+    stage, the reference that the quadrature is held to."""
+
+    def field(y):
+        fx, div = divergence_fn(y[..., :-1])
+        return np.concatenate([fx, np.reshape(div, y.shape[:-1] + (1,))], axis=-1)
+
+    return field
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_divergence_quadrature_matches_the_per_stage_augmented_field(path):
+    # the divergence only on the stages that carry a weight, in one call per
+    # step, gives every bit that it gives at every stage as a field column
+    run = load_config(path)
+    chart = run.chart
+    xs = np.stack([run.initial_coords(run.seed + i) for i in range(2)])
+    fixed = IntegratorConfig(method="rk4_fixed", dt=0.05, t_end=1.0)
+    for cfg in (run.integrator, fixed):
+        results = tangent_volume_transport(
+            chart.field, chart.log_density, xs, chart.constraints, cfg,
+            divergence_fn=chart.field_divergence,
+        )
+        traj = integrate(
+            _augmented_divergence_field(chart.field_divergence),
+            np.concatenate([xs, np.zeros((2, 1))], axis=1),
+            replace(cfg, samples=11),
+        )
+        x, lv = traj.states[..., :-1], traj.states[..., -1]
+        ld = chart.log_density(x.reshape(-1, chart.dim)).reshape(lv.shape)
+        for i, r in enumerate(results):
+            assert np.array_equal(r.log_tangent_volume, lv[:, i])
+            assert np.array_equal(r.residual, ld[:, i] + lv[:, i] - ld[0, i])
+        stats = results[0].stats
+        assert (stats.accepted, stats.rejected, stats.evaluations) == (
+            traj.stats.accepted, traj.stats.rejected, traj.stats.evaluations
+        )
+
+
+def _quadrature_test_flow(log, div=lambda x: 0.1 * x[..., 0]):
+    """A rotation of R^3 and its field_divergence with the divergence div,
+    each call logged as (kind, rows)."""
+    a = np.array([0.3, -0.5, 0.8])
+
+    def field(x):
+        log.append(("field", np.shape(x)[:-1]))
+        return np.cross(a, x)
+
+    def field_divergence(x):
+        log.append(("div", np.shape(x)[:-1]))
+        return np.cross(a, x), div(x)
+
+    return field, field_divergence
+
+
+def test_divergence_quadrature_is_one_call_per_trial_step_on_its_weighted_stages():
+    # the start and stages 6-12 carry a weight in B, E5 or E3; stages 2-5
+    # and the FSAL stage 13 carry none
+    assert numerics._WEIGHTED.tolist() == [0, 5, 6, 7, 8, 9, 10, 11]
+    log = []
+    field, field_divergence = _quadrature_test_flow(log)
+    x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
+    results = tangent_volume_transport(
+        field, numerics.pointwise(lambda x: 0.0), x0, None, IntegratorConfig(t_end=2.0),
+        n_samples=6, divergence_fn=field_divergence,
+    )
+    stats = results[0].stats
+    # the FSAL start, then the divergence at the start for the initial step
+    assert log[:2] == [("field", (3,)), ("div", (3,))]
+    steps = [log[k : k + 13] for k in range(2, len(log), 13)]
+    assert len(steps) == stats.accepted + stats.rejected
+    branched = 0
+    for step in steps:
+        rows = step[0][1]  # (R, 3): the main row and its branches, each on 3 members
+        assert step == [("field", rows)] * 12 + [("div", (8 * rows[0] * 3,))]
+        branched += rows[0] > 1
+    assert branched > 0
+    assert fsal_identity(stats)
+    assert stats.quadrature_calls == 1 + stats.accepted + stats.rejected
+
+
+@pytest.mark.parametrize("method", ["dop853", "rk4_fixed"])
+def test_volume_transport_stats_count_field_and_quadrature_calls(method):
+    run = load_config(CONFIGS[CONFIG_IDS.index("veselova")])
+    chart = run.chart
+    xs = np.stack([run.initial_coords(run.seed + i) for i in range(3)])
+    cfg = replace(run.integrator, method=method, dt=0.05, t_end=1.0)
+    fields, divs = [], []
+    results = tangent_volume_transport(
+        _counted(chart.field, fields), chart.log_density, xs, chart.constraints, cfg,
+        divergence_fn=_counted(chart.field_divergence, divs),
+    )
+    stats = results[0].stats
+    assert all(r.stats is stats for r in results)
+    assert (stats.evaluations, stats.quadrature_calls) == (len(fields), len(divs))
+    if method == "dop853":
+        assert fsal_identity(stats)
+        assert stats.quadrature_calls == 1 + stats.accepted + stats.rejected
+    else:
+        assert stats.evaluations == 4 * stats.accepted
+        assert stats.quadrature_calls == stats.accepted
+        assert divs == [(4 * 3, chart.dim)] * stats.accepted
+    assert integrate(chart.field, xs, cfg).stats.quadrature_calls == 0
+
+
+@pytest.mark.parametrize("method", ["dop853", "rk4_fixed"])
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_divergence_failure_at_a_weighted_stage_aborts(failure, method):
+    def div(x):
+        if len(x) == 3:  # the start's own call leaves the step to fail
+            return 0.1 * x[..., 0]
+        if failure == "raises":
+            raise SingularityError("injected failure")
+        return np.full(len(x), np.nan)
+
+    field, field_divergence = _quadrature_test_flow([], div)
+    x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
+    cause = {"raises": "injected failure", "nan": "non-finite"}[failure]
+    with pytest.raises(IntegrationAbort, match=cause) as info:
+        tangent_volume_transport(
+            field, numerics.pointwise(lambda x: 0.0), x0, None,
+            IntegratorConfig(method=method, dt=0.1, t_end=1.0), divergence_fn=field_divergence,
+        )
+    assert info.value.t == 0.0
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)

@@ -12,7 +12,6 @@ from nonholo.errors import ParameterError, UnsupportedSpecError
 from nonholo.liealg import (
     InertiaOperator,
     StiefelPoint,
-    commutator,
     complete_columns,
     dr_projector_matrix,
     from_wedge,
