@@ -8,7 +8,7 @@ coordinates takes a batch (..., d) and answers with arrays over the same
 leading axes; the command calls each one once per trajectory.  A run starts
 from ``random_coords`` or from the configured coordinates, and a crosscheck
 partner (``cli.PAIRS``) lifts those coordinates to its own chart.
-``log_density`` and ``field_divergence`` refuse non-finite coordinates with
+``log_density`` and ``divergence`` refuse non-finite coordinates with
 ParameterError.  The interface:
 
 * ``density_exponent`` and ``log_base(coords)``: every density here is a
@@ -24,10 +24,9 @@ ParameterError.  The interface:
   kernels.  ``_rates`` gives the field (..., d) at coords (..., d) and the
   intermediate arrays ``parts`` that its divergence reuses; ``_divergence``
   gives the divergence (...) from them in closed form.  ``Chart`` has no
-  default for either, and ``numerics.fd_field_divergence`` is the
+  default for either, and ``numerics.fd_divergence`` is the
   central-difference oracle the tests hold each closed form to.  From them
-  ``Chart`` defines ``field(coords)`` and ``field_divergence(coords)``,
-  the field, equal to ``field(coords)`` bit for bit, and its divergence,
+  ``Chart`` defines ``field(coords)`` and ``divergence(coords)`` (...),
   for volume transport and ``verify --check liouville``.  Volume transport
   integrates this divergence over the whole chart as the divergence on the
   constraint manifold.  That holds because
@@ -85,9 +84,8 @@ class Chart:
     def field(self, coords):
         return self._rates(coords)[0]
 
-    def field_divergence(self, coords):
-        rates, parts = self._rates(_finite_state(coords, "coords"))
-        return rates, self._divergence(*parts)
+    def divergence(self, coords):
+        return self._divergence(*self._rates(_finite_state(coords, "coords"))[1])
 
     def check_density(self):
         return self.density_exponent

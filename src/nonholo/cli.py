@@ -378,23 +378,20 @@ def _integral_drifts(chart, states, obs) -> dict:
 
 
 def _liouville_results(cfg: RunConfig, x0) -> list:
-    """Pointwise Liouville residual of each state, from the chart's
-    field_divergence and log-density gradient, both in closed form."""
+    """Pointwise Liouville residual of each state, from one call on all of
+    them with the chart's divergence and log-density gradient, both in
+    closed form."""
     chart = cfg.chart
-    values = [
-        abs(liouville_residual_ambient(
-            chart.field, chart.log_density, x,
-            divergence_fn=chart.field_divergence, grad_fn=chart.log_density_grad,
-        ))
-        for x in x0
-    ]
+    values = np.abs(liouville_residual_ambient(
+        chart.field, chart.log_density, x0,
+        divergence_fn=chart.divergence, grad_fn=chart.log_density_grad,
+    ))
     return [([("liouville_residual", v)], {"liouville_residual"}) for v in values]
 
 
 def _volume_results(cfg: RunConfig, x0) -> list:
     """Max tangent-volume residual of each state, from one ensemble transport
-    whose log volume integrates the divergence of the chart's
-    ``field_divergence``."""
+    whose log volume integrates the chart's ``divergence``."""
     chart = cfg.chart
     results = tangent_volume_transport(
         chart.field,
@@ -402,7 +399,7 @@ def _volume_results(cfg: RunConfig, x0) -> list:
         x0,
         constraints_fn=chart.constraints,
         cfg=cfg.integrator,
-        divergence_fn=chart.field_divergence,
+        divergence_fn=chart.divergence,
     )
     return [([("volume_residual", r.max_abs_residual)], {"volume_residual"}) for r in results]
 

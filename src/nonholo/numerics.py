@@ -9,16 +9,16 @@ evaluation whose result has any other shape raises DimensionError.
 
 Two verification primitives are provided:
 
-* ``liouville_residual_ambient``: pointwise div(X) + d/dt log(mu) on a full
-  linear chart.  By default the divergence and the log-density gradient
-  come from central finite differences, independent of any closed form;
-  ``verify --check liouville`` passes the chart's closed-form
-  ``field_divergence`` and ``log_density_grad`` instead.
+* ``liouville_residual_ambient``: div(X) + d/dt log(mu) at each point of a
+  batch (..., d) on a full linear chart.  By default the divergence and the
+  log-density gradient come from central finite differences, independent
+  of any closed form; ``verify --check liouville`` passes the chart's
+  closed-form ``divergence`` and ``log_density_grad`` instead.
 
 * ``tangent_volume_transport``: integrates the log volume of a tangent
   volume element along the flow; for an invariant measure mu the sum
   log mu(x(t)) + log vol(t) stays constant.  ``verify --check volume``
-  passes the chart's ``field_divergence`` as ``divergence_fn``: the log
+  passes the chart's ``divergence`` as ``divergence_fn``: the log
   volume is then one more number per state, a pure quadrature of
   ``integrate`` at the rate div X (Liouville's formula), which on a
   constrained chart is the manifold divergence as long as the flow moves
@@ -80,7 +80,7 @@ __all__ = [
     "fd_jacobian",
     "fd_gradient",
     "fd_jvp",
-    "fd_field_divergence",
+    "fd_divergence",
     "liouville_residual_ambient",
     "constraint_tangent_basis",
     "tangent_volume_transport",
@@ -252,8 +252,10 @@ class IntegratorConfig:
                 raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.method == "rk4_fixed" and (self.dt is None or self.dt <= 0.0):
             raise ParameterError("rk4_fixed requires a positive dt")
-        if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
-            raise ParameterError("tolerances must be positive")
+        if self.abs_tol <= 0.0:
+            raise ParameterError(f"abs_tol must be positive, got {self.abs_tol!r}")
+        if self.rel_tol < 0.0:
+            raise ParameterError(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
         if self.t_end < 0.0:
             raise ParameterError("t_end must be nonnegative")
         counts = {"samples": self.samples, "max_steps": self.max_steps}
@@ -561,18 +563,16 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None, quadratu
 # finite differences
 
 
-def _fd_points(x, centre=False):
+def _fd_points(x):
     """Central-difference stencil of x (..., d): points (..., 2d, d), steps (..., d).
 
     Row i of the stencil is x + h_i e_i and row d + i is x - h_i e_i, with
-    h_i = _FD_H * max(1, |x_i|).  With centre, x itself comes first and the
-    stencil follows it (1 + 2d rows).
+    h_i = _FD_H * max(1, |x_i|).
     """
     h = _FD_H * np.maximum(1.0, np.abs(x))
     step = h[..., :, None] * np.eye(x.shape[-1])
     xr = x[..., None, :]
-    rows = [xr, xr + step, xr - step] if centre else [xr + step, xr - step]
-    return np.concatenate(rows, axis=-2), h
+    return np.concatenate([xr + step, xr - step], axis=-2), h
 
 
 def pointwise(fn):
@@ -643,17 +643,17 @@ def fd_gradient(fn, x) -> np.ndarray:
     return _jacobian(fn, x)[..., 0, :]
 
 
-def fd_field_divergence(field_fn, x):
-    """field_fn at x (..., d) and its divergence (...), from one field_fn
-    call on 1 + 2d stacked rows per point: x, then the stencil of
-    fd_jacobian, whose diagonal central differences are summed."""
+def fd_divergence(field_fn, x):
+    """Divergence (...) of field_fn at x (..., d), from one field_fn call on
+    the 2d stacked rows per point of fd_jacobian's stencil, whose diagonal
+    central differences are summed."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    pts, h = _fd_points(x, centre=True)
+    pts, h = _fd_points(x)
     vals = _eval_rows(field_fn, pts)
-    plus = np.diagonal(vals[..., 1 : d + 1, :], axis1=-2, axis2=-1)
-    minus = np.diagonal(vals[..., d + 1 :, :], axis1=-2, axis2=-1)
-    return vals[..., 0, :], np.sum((plus - minus) / (2.0 * h), axis=-1)
+    plus = np.diagonal(vals[..., :d, :], axis1=-2, axis2=-1)
+    minus = np.diagonal(vals[..., d:, :], axis1=-2, axis2=-1)
+    return np.sum((plus - minus) / (2.0 * h), axis=-1)
 
 
 def _finite_state(x, name="x"):
@@ -665,30 +665,24 @@ def _finite_state(x, name="x"):
     return x
 
 
-def liouville_residual_ambient(
-    field_fn, log_density_fn, x, divergence_fn=None, grad_fn=None
-) -> float:
-    """div(X)(x) + <grad log mu, X>(x) on a full linear chart, at one point x (d,).
+def liouville_residual_ambient(field_fn, log_density_fn, x, divergence_fn=None, grad_fn=None):
+    """div(X) + <grad log mu, X> on a full linear chart, at each point of x
+    (..., d): the residuals (...).
 
     Vanishes identically when mu is the density of an invariant measure in
-    these coordinates.  divergence_fn(x) -> (field (d,), divergence ()), as
-    tangent_volume_transport takes it, and grad_fn(x) -> (d,), the gradient
-    of log mu, supply either term in closed form; field_fn is not called
-    when divergence_fn is given.  None takes the term from central
-    differences of field_fn or log_density_fn, so with neither the residual
-    is independent of any closed-form term.  A non-finite x raises
-    ParameterError.
+    these coordinates.  X is field_fn(x), one call on every point.
+    divergence_fn(x) -> (...), as tangent_volume_transport takes it, and
+    grad_fn(x) -> (..., d), the gradient of log mu, supply either term in
+    closed form.  None takes the term from central differences of field_fn
+    or log_density_fn, so with neither the residual is independent of any
+    closed-form term.  A non-finite x raises ParameterError before any call.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"x: expected one point (d,), got shape {x.shape}")
-    _finite_state(x)
-    if divergence_fn is None:
-        fx, div = fd_field_divergence(field_fn, x)
-    else:
-        fx, div = divergence_fn(x)
+    x = _finite_state(x)
+    div = fd_divergence(field_fn, x) if divergence_fn is None else divergence_fn(x)
     grad = fd_gradient(log_density_fn, x) if grad_fn is None else grad_fn(x)
-    return float(div + grad @ np.asarray(fx, dtype=float).ravel())
+    fx = np.asarray(field_fn(x), dtype=float)
+    # a per-row BLAS dot, which rounds as grad @ fx does for one point
+    return div + (grad[..., None, :] @ fx[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -755,13 +749,14 @@ def tangent_volume_transport(
 ) -> TransportResult | list[TransportResult]:
     """Transport a tangent-space volume element along the flow.
 
-    With divergence_fn(x (S, d)) -> (field (S, d), div (S,)), the log
-    volume follows Liouville's formula d/dt log vol = div X: each member's
-    driver state is x and one more number, whose rate is div X(x).  That
-    number is a pure quadrature of ``integrate``: field_fn steps x, 12 calls
-    a step, and divergence_fn is called once a step, on the 8 stage points
-    that carry a weight, for div alone.  A non-finite divergence at a stage
-    without weight is never evaluated, so it cannot abort the transport.
+    With divergence_fn(x (S, d)) -> div (S,), the log volume follows
+    Liouville's formula d/dt log vol = div X: each member's driver state is
+    x and one more number, whose rate is div X(x).  That number is a pure
+    quadrature of ``integrate``, which takes divergence_fn as its
+    quadrature_fn: field_fn steps x, 12 calls a step, and divergence_fn is
+    called once a step, on the 8 stage points that carry a weight.  A
+    non-finite divergence at a stage without weight is never evaluated, so
+    it cannot abort the transport.
     The log volume enters the error norm, so the steps are those of the
     divergence taken at every stage as one more field column (the tests
     hold the two to every bit on the sample configs).  The divergence
@@ -865,10 +860,7 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
         cfg = replace(cfg, renormalize_every=1)
     else:
         y0 = np.concatenate([xs, np.zeros((S, 1))], axis=1)
-        aug_field = field_fn
-
-        def quadrature_fn(x):
-            return divergence_fn(x)[1]
+        aug_field, quadrature_fn = field_fn, divergence_fn
 
     check_drift(times[:1], xs[None])  # a bad start is named at t=0, before any step
     traj = integrate(aug_field, y0, cfg, renormalize_fn, quadrature_fn)

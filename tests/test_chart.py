@@ -1,5 +1,5 @@
 """The chart interface answers for a whole trajectory as it does sample by
-sample, every chart's field_divergence and the closed-form Liouville terms
+sample, every chart's divergence and the closed-form Liouville terms
 agree with central differences, on every constrained chart the trace of
 the field's Jacobian over the chart is its trace on the manifold, and every
 density is the chart's exponent times its log base, with the exponent the
@@ -24,7 +24,7 @@ from nonholo.liealg import InertiaOperator, wedge_dim
 from nonholo.numerics import (
     IntegratorConfig,
     constraint_tangent_basis,
-    fd_field_divergence,
+    fd_divergence,
     fd_gradient,
     fd_jacobian,
     integrate,
@@ -96,9 +96,9 @@ def test_deviation_of_a_trajectory_pair_matches_each_sample(pair):
 
 
 # ---------------------------------------------------------------------------
-# field_divergence of every chart, at n = 3..5, every valid rank and three
-# values of eps: each chart's own closed form, held to the central
-# differences of fd_field_divergence
+# divergence of every chart, at n = 3..5, every valid rank and three values
+# of eps: each chart's own closed form, held to the central differences of
+# fd_divergence
 
 
 def _a(n):
@@ -137,33 +137,31 @@ def _divergence_points(chart, seed):
 @pytest.mark.parametrize(
     "chart", [c for _, c in DIVERGENCE_CHARTS], ids=[i for i, _ in DIVERGENCE_CHARTS]
 )
-def test_field_divergence_matches_central_differences_and_the_field(chart):
+def test_divergence_matches_central_differences(chart):
     for x in _divergence_points(chart, 41):
-        f, div = chart.field_divergence(x)
-        assert f.shape == x.shape and div.shape == (len(x),)
-        assert np.array_equal(f, chart.field(x))
-        assert fd_close(div, fd_field_divergence(chart.field, x)[1], 1e-7)
+        div = chart.divergence(x)
+        assert div.shape == (len(x),)
+        assert fd_close(div, fd_divergence(chart.field, x), 1e-7)
 
 
 @pytest.mark.parametrize(
     "chart", [c for _, c in DIVERGENCE_CHARTS], ids=[i for i, _ in DIVERGENCE_CHARTS]
 )
-def test_field_divergence_is_member_by_member(chart):
+def test_field_and_divergence_are_member_by_member(chart):
     # equal up to rounding: a small BLAS product may round differently with
     # the layout of its operands.  A divergence is a trace whose terms are
     # of order one and can cancel, so its rounding is absolute.
     for x in _divergence_points(chart, 43):
-        f_all, div_all = chart.field_divergence(x)
+        f_all, div_all = chart.field(x), chart.divergence(x)
         for i in range(len(x)):
-            f_one, div_one = chart.field_divergence(x[i])
+            f_one, div_one = chart.field(x[i]), chart.divergence(x[i])
             assert div_one.shape == ()
-            assert np.array_equal(f_one, chart.field(x[i]))
             assert rel_diff(f_all[i], f_one) <= 1e-14
             assert abs(div_all[i] - div_one) <= 1e-13 * max(1.0, abs(div_one))
 
 
 def test_every_system_chart_gives_its_own_flow_kernels():
-    # Chart builds field and field_divergence from each chart's _rates and
+    # Chart builds field and divergence from each chart's _rates and
     # _divergence, and has no finite-difference default for either: central
     # differences are the tests' oracle, not a production path
     assert not hasattr(Chart, "_rates") and not hasattr(Chart, "_divergence")
@@ -171,7 +169,7 @@ def test_every_system_chart_gives_its_own_flow_kernels():
         below = cls.__mro__[: cls.__mro__.index(Chart)]
         for kernel in ("_rates", "_divergence"):
             assert any(kernel in vars(c) for c in below), (system, kernel)
-        for method in ("field", "field_divergence"):
+        for method in ("field", "divergence"):
             assert not any(method in vars(c) for c in below), (system, method)
 
 
@@ -213,7 +211,7 @@ def test_frame_block_has_no_trace_on_the_normal_space(path):
     xs = np.array([chart.random_coords(rng) for _ in range(5)])
     normal, tangent = _traces(chart, chart.field, xs)
     assert fd_close(normal, np.zeros_like(normal), 1e-7)
-    assert fd_close(chart.field_divergence(xs)[1], tangent, 1e-7)
+    assert fd_close(chart.divergence(xs), tangent, 1e-7)
 
     # control: a frame that also moves by F' = F, a symmetric Omega, has
     # trace 1 along each of the normal directions
@@ -225,7 +223,7 @@ def test_frame_block_has_no_trace_on_the_normal_space(path):
     normal, tangent = _traces(chart, dilated, xs)
     count = fd_jacobian(chart.constraints, xs).shape[-2]
     assert np.allclose(normal, count, atol=1e-6)
-    assert not fd_close(fd_field_divergence(dilated, xs)[1], tangent, 1e-3)
+    assert not fd_close(fd_divergence(dilated, xs), tangent, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +265,14 @@ def fd_close(exact, fd, tol):
 def test_closed_form_liouville_terms_match_central_differences(chart):
     rng = np.random.default_rng(47)
     xs = np.array([chart.random_coords(rng) for _ in range(2)])
-    div, grad = chart.field_divergence(xs)[1], chart.log_density_grad(xs)
+    div, grad = chart.divergence(xs), chart.log_density_grad(xs)
     assert div.shape == (2,) and grad.shape == xs.shape
-    assert fd_close(div, fd_field_divergence(chart.field, xs)[1], 1e-7)
+    assert fd_close(div, fd_divergence(chart.field, xs), 1e-7)
     assert fd_close(grad, fd_gradient(chart.log_density, xs), 1e-7)
     # batched against one point at a time, up to rounding
     for i, x in enumerate(xs):
-        assert chart.field_divergence(x)[1].shape == ()
-        assert rel_diff(div[i], chart.field_divergence(x)[1]) <= 1e-14
+        assert chart.divergence(x).shape == ()
+        assert rel_diff(div[i], chart.divergence(x)) <= 1e-14
         assert rel_diff(grad[i], chart.log_density_grad(x)) <= 1e-14
 
 
@@ -287,13 +285,13 @@ def test_closed_form_liouville_terms_refuse_non_finite_states(system):
         for bad in (np.nan, np.inf):
             y = np.stack([x, x])
             y[1, i] = bad
-            for term in (chart.field_divergence, chart.log_density_grad):
+            for term in (chart.divergence, chart.log_density_grad):
                 with pytest.raises(ParameterError, match="non-finite state"):
                     term(y)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
-def test_log_density_and_field_divergence_refuse_non_finite_states(path):
+def test_log_density_and_divergence_refuse_non_finite_states(path):
     # log_density used to return nan, with a RuntimeWarning from det or
     # slogdet on every chart but the balls
     run = load_config(path)
@@ -303,7 +301,7 @@ def test_log_density_and_field_divergence_refuse_non_finite_states(path):
         for bad in (np.nan, np.inf, -np.inf):
             y = np.stack([x, x])
             y[1, i] = bad
-            for term in (chart.log_density, chart.field_divergence):
+            for term in (chart.log_density, chart.divergence):
                 for coords in (y, y[1]):
                     with pytest.raises(ParameterError, match="coords: non-finite state"):
                         term(coords)
@@ -374,7 +372,7 @@ def test_exponent_fitted_from_central_differences_is_the_chart_exponent(chart):
     # the exponent the flow preserves
     rng = np.random.default_rng(61)
     xs = np.array([chart.random_coords(rng) for _ in range(20)])
-    div = fd_field_divergence(chart.field, xs)[1]
+    div = fd_divergence(chart.field, xs)
     rate = np.einsum("...i,...i->...", chart.field(xs), fd_gradient(chart.log_base, xs))
     alpha = -np.sum(div * rate) / np.sum(rate**2)
     assert abs(alpha - chart.density_exponent) <= 1e-6 * abs(chart.density_exponent)
@@ -392,7 +390,7 @@ def test_divergence_transport_fails_with_the_exponent_off_by_one_half(path):
     def residual(log_density):
         return tangent_volume_transport(
             chart.field, log_density, x0, constraints_fn=chart.constraints,
-            cfg=run.integrator, divergence_fn=chart.field_divergence,
+            cfg=run.integrator, divergence_fn=chart.divergence,
         ).max_abs_residual
 
     assert residual(chart.log_density) <= 1e-6

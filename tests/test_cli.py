@@ -200,6 +200,54 @@ def test_liouville_on_a_degenerate_state_records_abort_rows(tmp_path, capsys, sy
     assert [(r[7], r[-1]) for r in rows] == [("abort", f"abort: {cause}")] * seeds
 
 
+def _liouville_alone(tmp_path, cfg, seed):
+    """The row of a one-seed Liouville run of cfg from seed."""
+    p = write_cfg(tmp_path, dict(cfg, initial={"seed": seed}), f"seed{seed}.json")
+    out = tmp_path / f"alone{seed}"
+    assert main(["verify", "--config", p, "--check", "liouville", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    (row,) = read_rows(out / f"{cfg['system']}_liouville.csv")[1:]
+    return row
+
+
+@pytest.mark.parametrize("system", AMBIENT_IDS)
+def test_verify_liouville_ensemble_matches_single_seed_runs(tmp_path, system):
+    # the residuals of all seeds are one call; each row is its seed's own
+    # up to the rounding of a batched evaluation
+    cfg = sample_config(CONFIGS[CONFIG_IDS.index(system)], initial={"seed": 7})
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--check", "liouville",
+                 "--seeds", "3", "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / f"{system}_liouville.csv")[1:]
+    assert [r[5] for r in rows] == ["7", "8", "9"]
+    for row in rows:
+        alone = _liouville_alone(tmp_path, cfg, int(row[5]))
+        assert alone[:8] == row[:8] and alone[9:] == row[9:] == [row[9], "pass"]
+        assert abs(float(alone[8]) - float(row[8])) <= 1e-12
+
+
+def test_verify_liouville_failing_seed_becomes_abort_row(tmp_path, monkeypatch):
+    # one seed's failure in the batched call: the other seeds rerun alone,
+    # so their rows are the bytes of their own one-seed runs
+    cfg = sample_config(CONFIGS[CONFIG_IDS.index("elpr")], initial={"seed": 7})
+    alone = {seed: _liouville_alone(tmp_path, cfg, seed) for seed in (7, 9)}
+    bad = load_config(write_cfg(tmp_path, cfg)).initial_coords(8)
+    original = SYSTEMS["elpr"].log_density_grad
+
+    def broken(self, coords):
+        if np.any(np.all(np.asarray(coords) == bad, axis=-1)):
+            raise SingularityError("injected failure")
+        return original(self, coords)
+
+    monkeypatch.setattr(SYSTEMS["elpr"], "log_density_grad", broken)
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--check", "liouville",
+                 "--seeds", "3", "--out", str(tmp_path / "ensemble")]) == 4
+    rows = read_rows(tmp_path / "ensemble" / "elpr_liouville.csv")[1:]
+    assert [r[5] for r in rows] == ["7", "8", "9"]
+    assert (rows[1][7], rows[1][10]) == ("abort", "abort: injected failure")
+    assert rows[0] == alone[7] and rows[2] == alone[9]
+    assert rows[0][10] == rows[2][10] == "pass"
+
+
 def test_multiplier_frame_check_is_scale_free(tmp_path):
     # frame rows scaled by 1e-3: Gram det 1e-12, rows independent
     path = CONFIGS[CONFIG_IDS.index("elr_multiplier")]
@@ -320,7 +368,7 @@ def test_verify_volume_ensemble_matches_single_seed_runs(tmp_path, base):
 
 @pytest.mark.parametrize("system", CONFIG_IDS)
 def test_verify_volume_with_exact_kernels_keeps_the_fd_transport_results(tmp_path, system):
-    # the command integrates each chart's field_divergence; the basis
+    # the command integrates each chart's divergence; the basis
     # transport of the same ensemble, by central differences along a
     # tangent basis, is the reference
     path = CONFIGS[CONFIG_IDS.index(system)]
@@ -358,9 +406,9 @@ def test_verify_volume_wrong_exponent_control_fails(tmp_path, monkeypatch, syste
     assert all(r[-1] == "fail" and float(r[8]) > 1e-3 for r in rows)
 
 
-@pytest.mark.parametrize("method", ["field_divergence", "log_density"])
+@pytest.mark.parametrize("method", ["divergence", "log_density"])
 def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
-    # errors of field_divergence, which volume transport integrates, reach
+    # errors of divergence, which volume transport integrates, reach
     # verify wrapped in IntegrationAbort, log_density errors unwrapped;
     # either way only the failing seed aborts
     cfg = write_cfg(tmp_path, BALL_CFG)
@@ -389,18 +437,18 @@ def test_verify_volume_divergence_failure_in_a_step_becomes_abort_row(
     # member and branch; a failure there, not at the start, aborts the seed
     cfg = write_cfg(tmp_path, BALL_CFG)
     bad = load_config(cfg).initial_coords(8)
-    original = ChaplyginChart.field_divergence
+    original = ChaplyginChart.divergence
 
     def broken(self, coords):
-        fx, div = original(self, coords)
+        div = original(self, coords)
         hit = np.all(np.abs(np.asarray(coords) - bad) < 1e-3, axis=-1)
         if len(coords) % 8 or not np.any(hit):
-            return fx, div
+            return div
         if failure == "raises":
             raise SingularityError("injected failure")
-        return fx, np.where(hit, np.nan, div)
+        return np.where(hit, np.nan, div)
 
-    monkeypatch.setattr(ChaplyginChart, "field_divergence", broken)
+    monkeypatch.setattr(ChaplyginChart, "divergence", broken)
     assert main(["verify", "--config", cfg, "--check", "volume", "--seeds", "3",
                  "--out", str(tmp_path)]) == 4
     assert "Traceback" not in capsys.readouterr().err
@@ -719,6 +767,11 @@ TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS = [
     ({"integrator": {"samples": 2**62}}, "integrator.samples"),
     ({"integrator": {"max_steps": -1}}, "integrator"),
 ]
+# each integrator tolerance is refused under its own name
+BAD_TOLERANCES = [
+    ({"integrator": {"abs_tol": 0}}, "abs_tol must be positive, got 0"),
+    ({"integrator": {"rel_tol": -1}}, "rel_tol must be nonnegative, got -1"),
+]
 
 
 @pytest.mark.parametrize(
@@ -749,7 +802,8 @@ TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS = [
         {"integrator": {"renormalize_every": 0}},
         VESELOVA_IDENTITY,
     ] + [patch for patch, _ in NON_FINITE + NOT_INTEGER_OR_BOOLEAN] + [{"tolerance": -1}]
-    + [patch for patch, _ in NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS],
+    + [patch for patch, _ in NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS]
+    + [patch for patch, _ in BAD_TOLERANCES],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
     cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
@@ -773,7 +827,8 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"integrator": {"renormalize_every": 0}}, "integrator"),
         (VESELOVA_IDENTITY, "inertia"),
     ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN + [({"tolerance": -1}, "tolerance")]
-    + NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS,
+    + NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS
+    + [(patch, "integrator") for patch, _ in BAD_TOLERANCES],
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     # no --out: a malformed "output" must not get as far as choosing a directory
@@ -782,6 +837,14 @@ def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 3
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("patch, message", BAD_TOLERANCES, ids=["abs_tol", "rel_tol"])
+def test_integrator_tolerance_error_names_its_key(tmp_path, capsys, patch, message):
+    # both used to read "tolerances must be positive", which named neither
+    p = write_cfg(tmp_path, dict(BALL_CFG, **patch))
+    assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"config error: integrator: {message}\n"
 
 
 @pytest.mark.parametrize(

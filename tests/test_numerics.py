@@ -23,7 +23,7 @@ from nonholo.liealg import InertiaOperator
 from nonholo.numerics import (
     IntegratorConfig,
     constraint_tangent_basis,
-    fd_field_divergence,
+    fd_divergence,
     fd_gradient,
     fd_jacobian,
     integrate,
@@ -104,6 +104,11 @@ def test_integrator_config_validation_and_sampling():
         IntegratorConfig(method="rk4_fixed")  # dt required
     with pytest.raises(ParameterError):
         IntegratorConfig(t_end=-1.0)
+    with pytest.raises(ParameterError, match="^abs_tol must be positive, got 0.0$"):
+        IntegratorConfig(abs_tol=0.0)
+    with pytest.raises(ParameterError, match="^rel_tol must be nonnegative, got -1.0$"):
+        IntegratorConfig(rel_tol=-1.0)
+    assert IntegratorConfig(rel_tol=0.0).rel_tol == 0.0
     assert IntegratorConfig(t_end=0.0).sample_times().tolist() == [0.0]
     assert IntegratorConfig(t_end=0.0, samples=1).sample_times().tolist() == [0.0]
     # one sample at t_end > 0 would be the initial state alone, and a volume
@@ -114,7 +119,7 @@ def test_integrator_config_validation_and_sampling():
     with pytest.raises(ParameterError, match="samples"):
         tangent_volume_transport(
             chart.field, chart.log_density, chart.random_coords(rng_for(1)), chart.constraints,
-            n_samples=1, divergence_fn=chart.field_divergence,
+            n_samples=1, divergence_fn=chart.divergence,
         )
 
 
@@ -432,18 +437,15 @@ def test_fd_stencil_matches_its_formula_bit_for_bit(monkeypatch):
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
-def test_fd_field_divergence_is_the_trace_of_fd_jacobian_bit_for_bit(path):
-    # the one FD divergence: the diagonal of fd_jacobian's differences summed,
-    # with the field at x from the same call (equal up to the rounding of a
-    # batched evaluation)
+def test_fd_divergence_is_the_trace_of_fd_jacobian_bit_for_bit(path):
+    # the one FD divergence: the diagonal of fd_jacobian's differences summed
     chart = load_config(path).chart
     rng = np.random.default_rng(31)
     xs = np.array([chart.random_coords(rng) for _ in range(2)])
     for x in (xs[0], xs):
-        f, div = fd_field_divergence(chart.field, x)
+        div = fd_divergence(chart.field, x)
         trace = np.trace(fd_jacobian(chart.field, x), axis1=-2, axis2=-1)
         assert div.shape == x.shape[:-1] and div.tobytes() == trace.tobytes()
-        assert np.allclose(f, chart.field(x), rtol=1e-13, atol=1e-15)
 
 
 def test_pointwise_adapter_maps_leading_axes_row_by_row():
@@ -464,7 +466,7 @@ def test_divergence_of_linear_field_is_trace():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
     x = rng.standard_normal(4)
-    assert fd_field_divergence(numerics.pointwise(lambda v: A @ v), x)[1] == pytest.approx(
+    assert fd_divergence(numerics.pointwise(lambda v: A @ v), x) == pytest.approx(
         np.trace(A), abs=1e-7
     )
 
@@ -476,19 +478,22 @@ def test_fd_gradient_and_divergence_broadcast_over_a_batch():
     field = lambda v: np.sin(v) @ A.T
     logmu = lambda v: np.cos(v) @ w + np.sum(v**3, axis=-1)
     xs = rng.standard_normal((5, 4))
-    grads, divs = fd_gradient(logmu, xs), fd_field_divergence(field, xs)[1]
+    grads, divs = fd_gradient(logmu, xs), fd_divergence(field, xs)
     assert grads.shape == (5, 4) and divs.shape == (5,)
     for x, g, dv in zip(xs, grads, divs):
         assert np.array_equal(g, fd_gradient(logmu, x))
-        assert dv == fd_field_divergence(field, x)[1]
+        assert dv == fd_divergence(field, x)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1, 3)])
-def test_liouville_residual_takes_one_point(shape):
+def test_liouville_residual_is_row_by_row(shape):
     field = lambda v: np.stack([-v[..., 1], v[..., 0], v[..., 2]], axis=-1)
     logmu = lambda v: np.sum(v * v, axis=-1)
-    with pytest.raises(DimensionError, match="one point"):
-        liouville_residual_ambient(field, logmu, np.ones(shape))
+    x = np.random.default_rng(8).standard_normal(shape)
+    res = liouville_residual_ambient(field, logmu, x)
+    assert res.shape == shape[:-1]
+    for i in np.ndindex(shape[:-1]):
+        assert res[i] == liouville_residual_ambient(field, logmu, x[i])
 
 
 def _counted(fn, calls):
@@ -514,7 +519,7 @@ def test_non_finite_state_is_refused_before_any_evaluation(where, bad):
         pair = np.stack([run.initial_coords(run.seed), x])
         calls = []
         field, logmu = _counted(chart.field, calls), _counted(chart.log_density, calls)
-        div = _counted(chart.field_divergence, calls)
+        div = _counted(chart.divergence, calls)
         with pytest.raises(ParameterError, match="x0: non-finite state"):
             tangent_volume_transport(field, logmu, x, constraints_fn=chart.constraints)
         with pytest.raises(ParameterError, match="x0: non-finite state"):
@@ -541,13 +546,13 @@ def test_liouville_residual_takes_closed_form_terms():
     logmu = numerics.pointwise(lambda v: 0.7 * float(v @ v))
     x = np.array([0.6, -1.1])
     fd = liouville_residual_ambient(rot, logmu, x)
-    div = fd_field_divergence(rot, x)[1]
+    div = fd_divergence(rot, x)
     grad = fd_gradient(logmu, x)
-    closed = liouville_residual_ambient(rot, logmu, x, divergence_fn=lambda v: (rot(v), div))
+    closed = liouville_residual_ambient(rot, logmu, x, divergence_fn=lambda v: div)
     assert closed == fd
     assert liouville_residual_ambient(rot, logmu, x, grad_fn=lambda v: grad) == fd
     exact = liouville_residual_ambient(
-        rot, logmu, x, divergence_fn=lambda v: (rot(v), 1.0), grad_fn=lambda v: 1.4 * v
+        rot, logmu, x, divergence_fn=lambda v: 1.0, grad_fn=lambda v: 1.4 * v
     )
     assert exact == 1.0 + 1.4 * x @ rot(x)
     assert fd == pytest.approx(exact, abs=1e-8)
@@ -683,8 +688,8 @@ def test_transport_names_a_bad_start_at_t0_before_any_step(divergence):
         calls.append(x.shape)
         return np.cross(a, x)
 
-    def field_divergence(x):
-        return field(x), np.zeros(x.shape[:-1])
+    def divergence(x):
+        return np.zeros(x.shape[:-1])
 
     with pytest.raises(ConstraintDriftError, match=r" at t=0$"):
         tangent_volume_transport(
@@ -693,7 +698,7 @@ def test_transport_names_a_bad_start_at_t0_before_any_step(divergence):
             1.001 * np.array([0.0, 0.6, 0.8]),
             sphere_constraints,
             IntegratorConfig(t_end=1.0),
-            divergence_fn=field_divergence if divergence else None,
+            divergence_fn=divergence if divergence else None,
         )
     assert calls == []
 
@@ -788,13 +793,14 @@ def test_transport_stage_is_one_field_call_on_one_plus_two_q_rows_per_member():
     assert rows == [(3 * 5, 3)] * results[0].stats.evaluations
 
 
-def _augmented_divergence_field(divergence_fn):
+def _augmented_divergence_field(field_fn, divergence_fn):
     """The log volume as one more column of the field: divergence_fn at every
     stage, the reference that the quadrature is held to."""
 
     def field(y):
-        fx, div = divergence_fn(y[..., :-1])
-        return np.concatenate([fx, np.reshape(div, y.shape[:-1] + (1,))], axis=-1)
+        x = y[..., :-1]
+        div = np.reshape(divergence_fn(x), y.shape[:-1] + (1,))
+        return np.concatenate([field_fn(x), div], axis=-1)
 
     return field
 
@@ -810,10 +816,10 @@ def test_divergence_quadrature_matches_the_per_stage_augmented_field(path):
     for cfg in (run.integrator, fixed):
         results = tangent_volume_transport(
             chart.field, chart.log_density, xs, chart.constraints, cfg,
-            divergence_fn=chart.field_divergence,
+            divergence_fn=chart.divergence,
         )
         traj = integrate(
-            _augmented_divergence_field(chart.field_divergence),
+            _augmented_divergence_field(chart.field, chart.divergence),
             np.concatenate([xs, np.zeros((2, 1))], axis=1),
             replace(cfg, samples=11),
         )
@@ -829,19 +835,19 @@ def test_divergence_quadrature_matches_the_per_stage_augmented_field(path):
 
 
 def _quadrature_test_flow(log, div=lambda x: 0.1 * x[..., 0]):
-    """A rotation of R^3 and its field_divergence with the divergence div,
-    each call logged as (kind, rows)."""
+    """A rotation of R^3 and the divergence div, each call logged as (kind,
+    rows)."""
     a = np.array([0.3, -0.5, 0.8])
 
     def field(x):
         log.append(("field", np.shape(x)[:-1]))
         return np.cross(a, x)
 
-    def field_divergence(x):
+    def divergence(x):
         log.append(("div", np.shape(x)[:-1]))
-        return np.cross(a, x), div(x)
+        return div(x)
 
-    return field, field_divergence
+    return field, divergence
 
 
 def test_divergence_quadrature_is_one_call_per_trial_step_on_its_weighted_stages():
@@ -849,11 +855,11 @@ def test_divergence_quadrature_is_one_call_per_trial_step_on_its_weighted_stages
     # and the FSAL stage 13 carry none
     assert numerics._WEIGHTED.tolist() == [0, 5, 6, 7, 8, 9, 10, 11]
     log = []
-    field, field_divergence = _quadrature_test_flow(log)
+    field, divergence = _quadrature_test_flow(log)
     x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
     results = tangent_volume_transport(
         field, numerics.pointwise(lambda x: 0.0), x0, None, IntegratorConfig(t_end=2.0),
-        n_samples=6, divergence_fn=field_divergence,
+        n_samples=6, divergence_fn=divergence,
     )
     stats = results[0].stats
     # the FSAL start, then the divergence at the start for the initial step
@@ -879,7 +885,7 @@ def test_volume_transport_stats_count_field_and_quadrature_calls(method):
     fields, divs = [], []
     results = tangent_volume_transport(
         _counted(chart.field, fields), chart.log_density, xs, chart.constraints, cfg,
-        divergence_fn=_counted(chart.field_divergence, divs),
+        divergence_fn=_counted(chart.divergence, divs),
     )
     stats = results[0].stats
     assert all(r.stats is stats for r in results)
@@ -904,13 +910,13 @@ def test_divergence_failure_at_a_weighted_stage_aborts(failure, method):
             raise SingularityError("injected failure")
         return np.full(len(x), np.nan)
 
-    field, field_divergence = _quadrature_test_flow([], div)
+    field, divergence = _quadrature_test_flow([], div)
     x0 = np.array([[0.0, 0.6, 0.8], [1.0, 0.0, 0.0], [0.6, 0.0, -0.8]])
     cause = {"raises": "injected failure", "nan": "non-finite"}[failure]
     with pytest.raises(IntegrationAbort, match=cause) as info:
         tangent_volume_transport(
             field, numerics.pointwise(lambda x: 0.0), x0, None,
-            IntegratorConfig(method=method, dt=0.1, t_end=1.0), divergence_fn=field_divergence,
+            IntegratorConfig(method=method, dt=0.1, t_end=1.0), divergence_fn=divergence,
         )
     assert info.value.t == 0.0
 
