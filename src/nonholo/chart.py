@@ -37,8 +37,8 @@ ParameterError.  The interface:
   {S F : S symmetric}, on which the frame block of the Jacobian has no
   trace, so a new chart must keep this frame law or transport by basis;
 * ``frame_index``: the (p, m) coordinates of the frame whose rows the flow
-  keeps orthonormal, from which ``constraints`` and ``renormalize``
-  follow; an ambient chart sets ``constraints = None`` instead;
+  keeps orthonormal, from which ``constraints`` follows; an ambient chart
+  sets ``constraints = None`` instead;
 * ``config_keys`` and ``from_config(cfg)``: the top-level config keys the
   system reads, and the chart built from a validated ``cli.RunConfig``;
 * ``n``, ``r``, ``k``: the sizes reported in ``verify`` rows;
@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .liealg import wedge_index_pairs
-from .numerics import _finite_state, polar_orthonormalize
+from .numerics import _finite_state
 
 
 def pair_labels(n: int, prefix: str) -> list[str]:
@@ -104,14 +104,6 @@ class Chart:
         p = F.shape[-2]
         iu = np.triu_indices(p)
         return (F @ np.swapaxes(F, -1, -2) - np.eye(p))[..., iu[0], iu[1]]
-
-    def renormalize(self, coords):
-        """coords with the frame replaced by its polar factor, the nearest
-        orthonormal frame."""
-        coords = np.array(coords, dtype=float)
-        if self.frame_index is not None:
-            coords[..., self.frame_index] = polar_orthonormalize(coords[..., self.frame_index])
-        return coords
 
     def invariant_residual(self, coords):
         """Largest |constraint| at each point of coords (..., d); zero on an

@@ -8,9 +8,8 @@ Commands (see README for the config schema):
     nonholo crosscheck --config cfg.json --pair A:B [--out DIR]
 
 Exit codes: 0 success, 2 tolerance failure, 3 configuration error,
-4 numerical abort.  The environment variable NONHOLO_DEFAULT_TOL replaces
-the built-in default tolerances; an explicit "tolerance" config key wins
-over both.
+4 numerical abort.  A "tolerance" config key replaces each check's built-in
+default tolerance.
 """
 
 from __future__ import annotations
@@ -283,21 +282,8 @@ def load_config(path: str) -> RunConfig:
 
 
 def default_tolerance(check: str, cfg: RunConfig) -> float:
-    """Explicit config tolerance > NONHOLO_DEFAULT_TOL > built-in default."""
-    if cfg.tolerance is not None:
-        return cfg.tolerance
-    env = os.environ.get("NONHOLO_DEFAULT_TOL")
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise ConfigError(f"NONHOLO_DEFAULT_TOL: not a number: {env!r}") from exc
-        if not math.isfinite(tol):
-            raise ConfigError(f"NONHOLO_DEFAULT_TOL: not a finite number: {env!r}")
-        if tol < 0.0:
-            raise ConfigError(f"NONHOLO_DEFAULT_TOL: must be nonnegative, got {env!r}")
-        return tol
-    return _DEFAULT_TOL[check]
+    """The config's tolerance, else the check's built-in default."""
+    return _DEFAULT_TOL[check] if cfg.tolerance is None else cfg.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +335,7 @@ def cmd_simulate(cfg: RunConfig, seed, out_dir) -> int:
     cfg.require_density()
     chart = cfg.chart
     x0 = cfg.initial_coords(cfg.seed if seed is None else seed)
-    traj = integrate(chart.field, x0, cfg.integrator, renormalize_fn=chart.renormalize)
+    traj = integrate(chart.field, x0, cfg.integrator)
     obs = observables(chart, traj.states)
     _check_drift(traj.times, obs["residual"])
     header = ["t"] + chart.columns() + list(obs)

@@ -343,10 +343,6 @@ class InertiaOperator:
     def diag(self):
         return None if self._diag is None else self._diag.copy()
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.dense_matrix.copy()
-
     @cached_property
     def dense_matrix(self) -> np.ndarray:
         """The N x N matrix as a read-only array, built once."""

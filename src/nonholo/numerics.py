@@ -38,18 +38,16 @@ Two verification primitives are provided:
   transported together: each stage and each quadrature makes one call on
   every member at once.
 
-The default integrator is the embedded Dormand-Prince 8(5,3) pair of
-Hairer's DOP853 with a proportional step controller; a fixed-step classical
-RK4 is available for convergence studies.  Both are deterministic.  The
-adaptive driver's step follows the tolerance, not the sample grid: each
-sample time inside a trial step is reached by a branch, a step of that
-length from the same start, stacked as one more row of the same field
-calls.  Its error norm is the largest over the step, its branches and the
-members of an ensemble state (S, D), which share one step sequence, so no
-sample and no member is under-controlled.  RK4 ends a step on every sample
-time.  A last column that never feeds back into the others can be a pure
-quadrature (see ``integrate``): it is evaluated once per step, on the stage
-points that carry a weight, instead of at every stage.
+The one integrator is the embedded Dormand-Prince 8(5,3) pair of Hairer's
+DOP853 with a proportional step controller; it is deterministic.  Its step
+follows the tolerance, not the sample grid: each sample time inside a trial
+step is reached by a branch, a step of that length from the same start,
+stacked as one more row of the same field calls.  Its error norm is the
+largest over the step, its branches and the members of an ensemble state
+(S, D), which share one step sequence, so no sample and no member is
+under-controlled.  A last column that never feeds back into the others can
+be a pure quadrature (see ``integrate``): it is evaluated once per step, on
+the stage points that carry a weight, instead of at every stage.
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ __all__ = [
     "IntegrationStats",
     "Trajectory",
     "TransportResult",
-    "rk4_step",
     "integrate",
     "fd_jacobian",
     "fd_gradient",
@@ -84,7 +81,6 @@ __all__ = [
     "liouville_residual_ambient",
     "constraint_tangent_basis",
     "tangent_volume_transport",
-    "polar_orthonormalize",
     "pointwise",
 ]
 
@@ -99,30 +95,7 @@ _RANK_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# steppers
-
-
-def rk4_step(f, x, dt, quadrature_fn=None):
-    """One classical fourth-order Runge-Kutta step for autonomous f.
-
-    With quadrature_fn, the last entry of x (..., d + 1) is a pure
-    quadrature: f and quadrature_fn see x[..., :d], f returns (..., d) and
-    quadrature_fn (...), the quadrature's rate, once on the four stage
-    points stacked."""
-    x = np.asarray(x, dtype=float)
-    y = x if quadrature_fn is None else x[..., :-1]
-    k1 = np.asarray(f(y))
-    y2 = y + 0.5 * dt * k1
-    k2 = np.asarray(f(y2))
-    y3 = y + 0.5 * dt * k2
-    k3 = np.asarray(f(y3))
-    y4 = y + dt * k3
-    k4 = np.asarray(f(y4))
-    k = k1 + 2.0 * k2 + 2.0 * k3 + k4
-    if quadrature_fn is not None:
-        r = _eval_rows(quadrature_fn, np.stack([y, y2, y3, y4]))[..., 0]
-        k = np.concatenate([k, (r[0] + 2.0 * r[1] + 2.0 * r[2] + r[3])[..., None]], axis=-1)
-    return x + (dt / 6.0) * k
+# integration
 
 
 # Dormand-Prince 8(5,3), the coefficients of Hairer's DOP853 (Hairer,
@@ -201,9 +174,6 @@ _DOP853_E3 = _DOP853_B - np.array([
 # the stages that carry a weight in the update or in either error estimate,
 # the only ones a pure quadrature enters: the start and stages 6-12
 _WEIGHTED = np.flatnonzero((_DOP853_B != 0) | (_DOP853_E5 != 0) | (_DOP853_E3 != 0))
-# names of the adaptive method; "embedded_adaptive" and "dp45" are kept for
-# configs written when the method was Dormand-Prince 5(4)
-_ADAPTIVE = ("dop853", "embedded_adaptive", "dp45")
 
 
 def _error_norm(h, K, sc):
@@ -221,47 +191,31 @@ def _error_norm(h, K, sc):
 class IntegratorConfig:
     """Settings for ``integrate``.
 
-    method is "dop853" (the adaptive Dormand-Prince 8(5,3) pair, default;
-    "embedded_adaptive" and "dp45" name the same method) or "rk4_fixed"
-    (requires dt).  samples is the number of equally spaced output times on
-    [0, t_end] including both ends.  renormalize_every applies a chart
-    renormalization after that many accepted steps; it is disabled by
-    default and must stay disabled during measure checks, since projecting
-    x changes the flow whose measure is checked (the basis transport
-    rescales only its tangent basis, after every step).  samples,
-    max_steps and renormalize_every are integers; max_steps is nonnegative,
-    samples and renormalize_every are at least 1, and samples is at least 2
-    when t_end > 0, since one sample is the initial state alone.
+    samples is the number of equally spaced output times on [0, t_end]
+    including both ends.  samples and max_steps are integers; max_steps is
+    nonnegative, samples is at least 1, and at least 2 when t_end > 0,
+    since one sample is the initial state alone.
     """
 
-    method: str = "dop853"
     t_end: float = 5.0
-    dt: float | None = None
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     samples: int = 33
     max_steps: int = 2_000_000
-    renormalize_every: int | None = None
 
     def __post_init__(self):
-        if self.method not in _ADAPTIVE + ("rk4_fixed",):
-            raise ParameterError(f"unknown integrator method {self.method!r}")
-        for name in ("t_end", "abs_tol", "rel_tol", "dt"):
+        for name in ("t_end", "abs_tol", "rel_tol"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
-        if self.method == "rk4_fixed" and (self.dt is None or self.dt <= 0.0):
-            raise ParameterError("rk4_fixed requires a positive dt")
         if self.abs_tol <= 0.0:
             raise ParameterError(f"abs_tol must be positive, got {self.abs_tol!r}")
         if self.rel_tol < 0.0:
             raise ParameterError(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
         if self.t_end < 0.0:
             raise ParameterError("t_end must be nonnegative")
-        counts = {"samples": self.samples, "max_steps": self.max_steps}
-        if self.renormalize_every is not None:
-            counts["renormalize_every"] = self.renormalize_every
-        for name, value in counts.items():
+        for name in ("samples", "max_steps"):
+            value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
@@ -270,8 +224,6 @@ class IntegratorConfig:
             raise ParameterError("samples must be at least 2 when t_end > 0")
         if self.max_steps < 0:
             raise ParameterError(f"max_steps must be nonnegative, got {self.max_steps!r}")
-        if self.renormalize_every is not None and self.renormalize_every < 1:
-            raise ParameterError("renormalize_every must be at least 1")
 
     def sample_times(self) -> np.ndarray:
         if self.t_end == 0.0:
@@ -281,17 +233,18 @@ class IntegratorConfig:
 
 @dataclass
 class IntegrationStats:
-    """What a driver did.  The adaptive pair reuses its last stage (FSAL), so
-    evaluations == 1 + 12 * (accepted + rejected) + fsal_resets; a branch
-    (see ``integrate``) rides on its step's field calls and is not a step.
-    With a quadrature (see ``integrate``), quadrature_calls == 1 + accepted
-    + rejected for the adaptive pair, whose initial step size takes one more
-    call, and == accepted for RK4; without one it stays 0.
+    """What the driver did.  The pair reuses its last stage (FSAL), so
+    evaluations == 1 + 12 * (accepted + rejected) + fsal_resets, where
+    fsal_resets counts the steps that start after a renormalization; a
+    branch (see ``integrate``) rides on its step's field calls and is not a
+    step.  With a quadrature (see ``integrate``), quadrature_calls == 1 +
+    accepted + rejected, the initial step size taking one more call;
+    without one it stays 0.
 
     h_min and h_max are the smallest and largest accepted step, the last
-    step before the end time included; the adaptive pair ends a step on a
-    sample time only where the branch cap cuts it there.  They stay inf and
-    0 until a step is accepted.
+    step before the end time included; a step ends on a sample time only
+    where the branch cap cuts it there.  They stay inf and 0 until a step is
+    accepted.
     """
 
     accepted: int = 0
@@ -321,42 +274,9 @@ def _rms(a):
 
 
 class _Driver:
-    """The state x at time t, the stats, and the renormalization that
-    accepted steps fall due for; a driver's ``advance(t_stop, samples)``
-    steps x to t_stop and returns the states at the sample times, increasing
-    times in (t, t_stop)."""
-
-    def __init__(self, f, x, cfg, renormalize_fn=None, quadrature_fn=None):
-        self.f = f
-        self.quadrature_fn = quadrature_fn
-        self.x = np.asarray(x, dtype=float).copy()
-        self.cfg = cfg
-        self.t = 0.0
-        self.f0 = None
-        self.renormalize_fn = renormalize_fn if cfg.renormalize_every else None
-        self.accepted_since_renorm = 0
-        self.stats = IntegrationStats()
-
-    def _accept(self, h, rows):
-        """Take a step of length h whose end states are rows (R, ...): row 0
-        becomes x, the other rows are returned.  A step due for
-        renormalization renormalizes all rows in one call, so a branch
-        sample gets what a step ending at its time would get."""
-        self.stats._accept(h)
-        self.t += h
-        self.accepted_since_renorm += 1
-        if self.renormalize_fn is not None and (
-            self.accepted_since_renorm >= self.cfg.renormalize_every
-        ):
-            rows = np.asarray(self.renormalize_fn(rows), dtype=float)
-            self.accepted_since_renorm = 0
-            self.f0 = None  # the FSAL value is the field at the old row 0
-        self.x = rows[0]
-        return list(rows[1:])
-
-
-class _AdaptiveDriver(_Driver):
-    """Dormand-Prince 8(5,3) stepping to a stop time, FSAL reused.
+    """Dormand-Prince 8(5,3) stepping of the state x at time t to a stop
+    time, FSAL reused; ``advance(t_stop, samples)`` steps x to t_stop and
+    returns the states at the sample times, increasing times in (t, t_stop).
 
     The state is (D,) or an ensemble (S, D) stepped with one shared step
     sequence.  The step size follows the tolerance alone: each sample time
@@ -372,9 +292,29 @@ class _AdaptiveDriver(_Driver):
     """
 
     def __init__(self, f, x, cfg, renormalize_fn=None, quadrature_fn=None):
-        super().__init__(f, x, cfg, renormalize_fn, quadrature_fn)
+        self.f = f
+        self.quadrature_fn = quadrature_fn
+        self.x = np.asarray(x, dtype=float).copy()
+        self.cfg = cfg
+        self.t = 0.0
+        self.f0 = None
         self.h = None
+        self.renormalize_fn = renormalize_fn
+        self.stats = IntegrationStats()
         self.max_branches = max(0, _ENSEMBLE_BATCH_BYTES // (8 * _STAGES * self.x.size) - 1)
+
+    def _accept(self, h, rows):
+        """Take a step of length h whose end states are rows (R, ...): row 0
+        becomes x, the other rows are returned.  A renormalization takes all
+        rows in one call, so a branch sample gets what a step ending at its
+        time would get."""
+        self.stats._accept(h)
+        self.t += h
+        if self.renormalize_fn is not None:
+            rows = np.asarray(self.renormalize_fn(rows), dtype=float)
+            self.f0 = None  # the FSAL value is the field at the old row 0
+        self.x = rows[0]
+        return list(rows[1:])
 
     def _eval(self, x):
         """The field at states x (..., D): rates of every column, or of all
@@ -487,42 +427,13 @@ class _AdaptiveDriver(_Driver):
         return out + [self.x.copy() for _ in range(len(samples) - len(out))]
 
 
-class _FixedDriver(_Driver):
-    """Classical RK4 with a fixed step, shortened to end on every sample
-    time and on the stop time."""
-
-    def _step_to(self, t_target):
-        dt = self.cfg.dt
-        while self.t < t_target - 1e-14 * max(1.0, abs(t_target)):
-            if self.stats.accepted >= self.cfg.max_steps:
-                raise IntegrationAbort(self.t, "max_steps exceeded")
-            h = min(dt, t_target - self.t)
-            try:
-                x = rk4_step(self.f, self.x, h, self.quadrature_fn)
-            except NonholoError as exc:
-                raise IntegrationAbort(self.t, exc) from exc
-            if not np.all(np.isfinite(x)):
-                raise IntegrationAbort(self.t, "non-finite state")
-            self.stats.evaluations += 4
-            self.stats.quadrature_calls += self.quadrature_fn is not None
-            self._accept(h, x[None])
-
-    def advance(self, t_stop, samples):
-        out = []
-        for t in samples:
-            self._step_to(float(t))
-            out.append(self.x.copy())
-        self._step_to(t_stop)
-        return out
-
-
 def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None, quadrature_fn=None):
     """Integrate dx/dt = field_fn(x) and sample at cfg.sample_times().
 
     x0 is one state (d,) or an ensemble (S, d); states then has shape
     (T, d) or (T, S, d).  field_fn is batched: it maps states (..., d) of
     any leading shape to their time derivatives, as every callable of this
-    module does.  The adaptive pair steps freely to t_end and reaches each
+    module does.  The driver steps freely to t_end and reaches each
     sample time that a step covers by a branch, a step of that length from
     the same start stacked as one more row of the same field calls; the
     branch rows share the step's error control, so a sample carries the
@@ -530,10 +441,10 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None, quadratu
     An ensemble shares one driver: the step is controlled by the largest
     member error, so a member can differ from its own (d,) run at the
     integrator-error level.
-    renormalize_fn, if given together with cfg.renormalize_every, maps
-    states (..., d) to their renormalized form (a projection back onto
-    their manifold, say) after that many accepted steps, the samples
-    inside the step included.  A non-finite x0 raises ParameterError.
+    renormalize_fn, if given, maps states (..., d) to their renormalized
+    form after every accepted step, the samples inside the step included;
+    the basis transport rescales its tangent basis this way.  A non-finite
+    x0 raises ParameterError.
 
     quadrature_fn, if given, makes the last column of the state a pure
     quadrature, q' = quadrature_fn(x) (Serban & Hindmarsh, CVODES, 2005):
@@ -542,16 +453,14 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None, quadratu
     driver steps x with field_fn alone, on the same rows as without q, and
     evaluates quadrature_fn once per trial step, on the stacked stage
     points that carry a weight in the update or an error estimate: the
-    start and stages 6-12 of the adaptive pair, all four of RK4.  q enters
+    start and stages 6-12.  q enters
     the error norm like any column, so the steps are those of field_fn
     and quadrature_fn concatenated into one field; a zero-weight stage,
     whose value could not change the step, is never evaluated.
     """
     x0 = _finite_state(x0, "x0")
     times = cfg.sample_times()
-    driver = (_FixedDriver if cfg.method == "rk4_fixed" else _AdaptiveDriver)(
-        field_fn, x0, cfg, renormalize_fn, quadrature_fn
-    )
+    driver = _Driver(field_fn, x0, cfg, renormalize_fn, quadrature_fn)
     states = [driver.x.copy()]
     if times.size > 1:
         states += driver.advance(float(times[-1]), times[1:-1])
@@ -857,7 +766,6 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
             y[..., -1] += np.sum(np.log(diag), axis=-1)
             return y
 
-        cfg = replace(cfg, renormalize_every=1)
     else:
         y0 = np.concatenate([xs, np.zeros((S, 1))], axis=1)
         aug_field, quadrature_fn = field_fn, divergence_fn
@@ -878,17 +786,3 @@ def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn
         )
         for i in range(S)
     ]
-
-
-# ---------------------------------------------------------------------------
-# renormalization helpers
-
-
-def polar_orthonormalize(U: np.ndarray) -> np.ndarray:
-    """Closest matrix with orthonormal columns, or rows where U (..., a, b) is
-    wider than tall: the polar factor, via SVD."""
-    U = np.asarray(U, dtype=float)
-    u, s, vt = np.linalg.svd(U, full_matrices=False)
-    if np.any(s <= 1e-12 * np.maximum(s[..., :1], 1e-300)):
-        raise SingularityError("matrix is rank deficient; polar factor undefined")
-    return u @ vt

@@ -112,32 +112,6 @@ def test_simulate_values_round_trip_at_full_precision(tmp_path):
             assert ("%.17g" % float(cell)) == cell
 
 
-def test_simulate_accepts_documented_dp45_method(tmp_path):
-    default = write_cfg(tmp_path, BALL_CFG, "default.json")
-    dp45 = write_cfg(tmp_path, dict(BALL_CFG, integrator={"t_end": 1.0, "samples": 5,
-                                                          "method": "dp45"}))
-    assert main(["simulate", "--config", dp45, "--out", str(tmp_path / "a")]) == 0
-    assert main(["simulate", "--config", default, "--out", str(tmp_path / "b")]) == 0
-    name = "ball_chaplygin_trajectory.csv"
-    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-@pytest.mark.parametrize("system", CONSTRAINED_IDS)
-def test_simulate_honours_renormalize_every(tmp_path, system):
-    base = sample_config(CONFIGS[CONFIG_IDS.index(system)],
-                         integrator={"t_end": 2.0, "samples": 9})
-    renorm = dict(base, integrator=dict(base["integrator"], renormalize_every=1))
-    for name, cfg in (("plain", base), ("renorm", renorm)):
-        p = write_cfg(tmp_path, cfg, f"{name}.json")
-        assert main(["simulate", "--config", p, "--out", str(tmp_path / name)]) == 0
-    csv_name = f"{system}_trajectory.csv"
-    rows = read_rows(tmp_path / "renorm" / csv_name)
-    col = rows[0].index("residual")
-    assert all(float(r[col]) <= 1e-12 for r in rows[1:])
-    assert (tmp_path / "renorm" / csv_name).read_bytes() != (
-        tmp_path / "plain" / csv_name).read_bytes()
-
-
 @pytest.mark.parametrize("command", [
     ["simulate"],
     ["verify", "--check", "integrals"],
@@ -292,15 +266,17 @@ def test_simulate_abort_exits_four(tmp_path):
     cfg = dict(BALL_CFG, integrator={"t_end": 50.0, "max_steps": 5})
     p = write_cfg(tmp_path, cfg)
     assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 4
+    assert not glob.glob(str(tmp_path / "*.csv"))
 
 
-def test_simulate_rk4_fixed_blowup_exits_four_without_csv(tmp_path):
-    cfg = {"system": "elr_multiplier", "n": 4, "k": 1, "epsilon": 2.0,
-           "integrator": {"method": "rk4_fixed", "dt": 3.0, "t_end": 3000, "samples": 5}}
+def test_simulate_non_finite_field_exits_four_without_csv(tmp_path, capsys):
+    # the field overflows at the first evaluation, before any step
+    cfg = dict(BALL_CFG, initial={"coords": [1e200, 1e200, 1e200, 0.0, 0.0, 1.0]})
     p = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate", "--config", p, "--out", str(out)]) == 4
+    assert "non-finite field value" in capsys.readouterr().err
     assert not glob.glob(str(out / "*.csv"))
 
 
@@ -517,37 +493,14 @@ def test_verify_tight_tolerance_fails_with_exit_two(tmp_path):
     assert any(r[10] == "fail" for r in rows[1:])
 
 
-def test_env_var_sets_default_tolerance(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, BALL_CFG)
-    monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "1e-20")
-    assert main(["verify", "--config", cfg, "--check", "volume",
-                 "--out", str(tmp_path)]) == 2
-    for bad in ("not-a-number", "nan", "inf"):
-        monkeypatch.setenv("NONHOLO_DEFAULT_TOL", bad)
-        assert main(["verify", "--config", cfg, "--check", "volume",
-                     "--out", str(tmp_path)]) == 3
-
-
-def test_negative_env_tolerance_exits_three_naming_the_variable(tmp_path, monkeypatch, capsys):
-    # a negative tolerance would fail every gated row; zero stays allowed
-    cfg = write_cfg(tmp_path, BALL_CFG)
-    monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "-5")
-    assert main(["verify", "--config", cfg, "--check", "volume",
-                 "--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err.startswith("config error: NONHOLO_DEFAULT_TOL: ")
-    monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "0")
-    assert main(["verify", "--config", cfg, "--check", "volume",
-                 "--out", str(tmp_path)]) == 2
+def test_config_tolerance_replaces_the_default(tmp_path):
+    # a loose tolerance passes, and zero stays allowed
+    loose = write_cfg(tmp_path, dict(BALL_CFG, tolerance=10.0))
+    assert main(["verify", "--config", loose, "--check", "volume",
+                 "--out", str(tmp_path)]) == 0
     zero = write_cfg(tmp_path, dict(BALL_CFG, tolerance=0), "zero.json")
     assert main(["verify", "--config", zero, "--check", "volume",
                  "--out", str(tmp_path)]) == 2
-
-
-def test_config_tolerance_wins_over_env(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, dict(BALL_CFG, tolerance=10.0))
-    monkeypatch.setenv("NONHOLO_DEFAULT_TOL", "1e-20")
-    assert main(["verify", "--config", cfg, "--check", "volume",
-                 "--out", str(tmp_path)]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +698,7 @@ NON_FINITE = [
     ({"integrator": {"t_end": NAN}}, "integrator.t_end"),
     ({"integrator": {"rel_tol": INF}}, "integrator.rel_tol"),
     ({"integrator": {"abs_tol": -INF}}, "integrator.abs_tol"),
-    ({"integrator": {"method": "rk4_fixed", "dt": NAN}}, "integrator.dt"),
+    ({"integrator": {"max_steps": NAN}}, "integrator.max_steps"),
     ({"epsilon": NAN}, "epsilon"),
     ({"D": INF}, "D"),
     ({"inertia": [1.0, NAN, 3.0]}, "inertia"),
@@ -823,8 +776,10 @@ def test_bad_configs_exit_three(tmp_path, patch):
         ({"system": "lpr_stiefel", "inertia": None, "a": "xyz", "D": 4.0, "r": 1}, "a"),
         ({"integrator": {"samples": 2.5}}, "integrator"),
         ({"integrator": {"max_steps": 100.5}}, "integrator"),
-        ({"integrator": {"renormalize_every": 1.5}}, "integrator"),
-        ({"integrator": {"renormalize_every": 0}}, "integrator"),
+        ({"integrator": {"renormalize_every": 1.5}}, "integrator.renormalize_every"),
+        ({"integrator": {"renormalize_every": 0}}, "integrator.renormalize_every"),
+        ({"integrator": {"method": "dop853"}}, "integrator.method"),
+        ({"integrator": {"dt": 0.1}}, "integrator.dt"),
         (VESELOVA_IDENTITY, "inertia"),
     ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN + [({"tolerance": -1}, "tolerance")]
     + NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS

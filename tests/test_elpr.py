@@ -256,7 +256,7 @@ def test_stiefel_total_inertia_identity():
     pairs = wedge_index_pairs(4)
     expect = np.array([D / (a[i] * a[j]) for i, j in pairs])
     assert np.max(np.abs(tot.diag - expect)) < 1e-12
-    assert np.max(np.abs(tot.matrix - (np.eye(6) + D * np.linalg.inv(op.matrix)))) < 1e-11
+    assert np.max(np.abs(tot.dense_matrix - (np.eye(6) + D * np.linalg.inv(op.dense_matrix)))) < 1e-11
 
 
 def test_stiefel_momentum_identity():
@@ -285,7 +285,7 @@ def test_stiefel_determinant_factorization():
         U = random_stiefel(n, r, rng)
         N = wedge_dim(n)
         P = pi_variants(U, D, "d_proj")
-        lhs = np.linalg.det(op.matrix + P)
+        lhs = np.linalg.det(op.dense_matrix + P)
         # orthonormal basis of D_r from the projector's range
         Pm = P / D
         vals, vecs = np.linalg.eigh(Pm)

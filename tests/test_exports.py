@@ -1,6 +1,9 @@
-"""Every public name a module exports is defined in it."""
+"""Every public name a module exports is defined in it, and every name a
+module imports is used."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -8,9 +11,44 @@ import pytest
 import nonholo
 
 MODULES = ["nonholo"] + [f"nonholo.{m.name}" for m in pkgutil.iter_modules(nonholo.__path__)]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def unused_imports(source):
+    """Names bound by the module-level imports of source that the module
+    never reads; a name listed in ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_unused_import_is_found():
+    source = "import os\nimport numpy as np\nfrom a import b, c\n__all__ = ['c']\nnp.ones(1)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -173,7 +173,7 @@ def test_chaplygin_operator_diagonal_and_validation():
 def test_shifted_operator():
     base = InertiaOperator.wedge_products([0.8, 1.1, 1.7])
     op = InertiaOperator.shifted(base, 2.5)
-    assert np.allclose(op.matrix, base.matrix + 2.5 * np.eye(3), atol=1e-15)
+    assert np.allclose(op.dense_matrix, base.dense_matrix + 2.5 * np.eye(3), atol=1e-15)
 
 
 def test_so3_vector_operator():
@@ -188,7 +188,7 @@ def test_so3_vector_operator():
 
 
 def test_general_operator_validation_and_identity():
-    assert np.array_equal(InertiaOperator.identity(4).matrix, np.eye(6))
+    assert np.array_equal(InertiaOperator.identity(4).dense_matrix, np.eye(6))
     with pytest.raises(ParameterError):
         InertiaOperator.general(3, np.triu(np.ones((3, 3))))
     with pytest.raises(DefinitenessError):
@@ -204,7 +204,7 @@ def test_operator_apply_solve_round_trip_and_det(n, seed):
     op = random_spd_operator(n, rng)
     x = random_skew(n, rng)
     assert np.allclose(op.solve(op.apply(x)), x, atol=1e-10)
-    assert op.det() == pytest.approx(np.linalg.det(op.matrix), rel=1e-9)
+    assert op.det() == pytest.approx(np.linalg.det(op.dense_matrix), rel=1e-9)
     assert op.logdet() == pytest.approx(np.log(op.det()), rel=1e-12)
 
 
@@ -312,9 +312,9 @@ def test_frame_gram_and_restricted_det_oracle():
     ec = orthonormalize_rows(rng.standard_normal((3, 6)))
     fr = Frame(from_wedge(ec, 4), orthonormal=True)
     A = frame_gram(fr, op, mode="inverse_inertia")
-    assert np.allclose(A, ec @ np.linalg.inv(op.matrix) @ ec.T, atol=1e-11)
+    assert np.allclose(A, ec @ np.linalg.inv(op.dense_matrix) @ ec.T, atol=1e-11)
     G = frame_gram(fr, op, mode="inertia")
-    assert np.allclose(G, ec @ op.matrix @ ec.T, atol=1e-11)
+    assert np.allclose(G, ec @ op.dense_matrix @ ec.T, atol=1e-11)
     assert restricted_det(op, fr, mode="inertia") == pytest.approx(
         np.linalg.det(G), rel=1e-10
     )

@@ -256,19 +256,6 @@ def test_rubber_ball_is_the_r1_so3_case():
         chart.log_density(lifted)
 
 
-def test_chart_renormalize_restores_stiefel():
-    op = InertiaOperator.wedge_products([0.6, 1.0, 1.5, 2.1])
-    chart = VeselovaChart(op, r=2, eps=1.0)
-    st = random_veselova_state(4, 2, rng_for(17))
-    coords = chart.flatten(st)
-    coords2 = coords.copy()
-    coords2[wedge_dim(4) :] += 1e-7
-    fixed = chart.renormalize(coords2)
-    U = chart._split(fixed)[1]
-    assert np.max(np.abs(U.T @ U - np.eye(2))) < 1e-13
-    assert chart.invariant_residual(fixed) < 1e-12
-
-
 @pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (4, 2), (5, 2)])
 def test_momentum_rate_is_the_elr_momentum_form_with_d_r(n, r):
     # a D-frame spanning D_r gives MomentumChart the same momentum rate
