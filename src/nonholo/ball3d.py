@@ -53,7 +53,7 @@ import numpy as np
 from . import elpr, elr, veselova
 from .chart import Chart
 from .errors import ConfigError, DimensionError, ParameterError
-from .liealg import Frame, InertiaOperator, StiefelPoint, from_wedge, hat, to_wedge, unhat
+from .liealg import InertiaOperator, from_wedge, hat, to_wedge, unhat
 
 __all__ = [
     "BallState",
@@ -338,9 +338,16 @@ class RubberChart(_BallChart):
 # crosscheck partners: lifts to the general so(3) modules
 #
 # Each takes ball coordinates (d,) and returns the general chart, the lifted
-# coordinates, and the deviation of ball samples from lifted samples.  A
-# lift refuses a gamma whose squared norm is off 1 by more than 1e-10 with
-# ParameterError (from pi_variants, Frame or StiefelPoint).
+# coordinates, and the deviation of ball samples from lifted samples.
+
+
+def _lift_split(chart, coords):
+    """w and gamma of the ball coordinates coords (d,) that a partner lifts;
+    a gamma whose squared norm is off 1 by more than 1e-10 raises
+    ParameterError."""
+    if chart.invariant_residual(coords) > 1e-10:
+        raise ParameterError("a lift needs a unit gamma (|gamma|^2 within 1e-10 of 1)")
+    return chart._split(coords)
 
 
 def _vec(c):
@@ -357,7 +364,7 @@ def _max_abs(*diffs):
 def elpr_partner(chart: ChaplyginChart, coords):
     """Marble ball as the symmetric-operator flow with Pi = D pr_{gamma-perp},
     k_bold = hat(k) and the so(3) inertia of I."""
-    w, g = chart._split(coords)
+    w, g = _lift_split(chart, coords)
     other = elpr.LPRChart(InertiaOperator.so3_vector(chart.inertia), chart.eps)
     Pi = elpr.pi_variants(hat(g), chart.D, "d_proj")
     kc = to_wedge(hat(_k_vector(w, g, chart.inertia, chart.D)))
@@ -371,32 +378,30 @@ def elpr_partner(chart: ChaplyginChart, coords):
 def elr_partner(chart: RubberChart, coords):
     """Rubber ball as the multiplier-form frame flow with k = 1, e1 =
     hat(gamma) and inertia I + D."""
-    w, g = chart._split(coords)
+    w, g = _lift_split(chart, coords)
     other = elr.MultiplierChart(InertiaOperator.so3_vector(chart.it), 1, chart.eps)
-    frame = Frame(hat(g)[None], orthonormal=True)
 
     def deviation(rb, rg):
         w, g = chart._split(rb)
         return _max_abs(w - _vec(rg[..., :3]), g - _vec(rg[..., 3:]))
 
-    return other, np.concatenate([to_wedge(hat(w)), frame.coords.ravel()]), deviation
+    return other, np.concatenate([to_wedge(hat(w)), to_wedge(hat(g))]), deviation
 
 
 def veselova_partner(chart: RubberChart, coords):
     """Rubber ball as the r = 1 moving-frame flow with U = gamma,
     m_bold = hat of the momentum-form vector and the shifted inertia (its
     wedge-product density formula does not apply to this operator)."""
-    w, g = chart._split(coords)
+    w, g = _lift_split(chart, coords)
     op = InertiaOperator.shifted(InertiaOperator.so3_vector(chart.inertia), chart.D)
     other = veselova.VeselovaChart(op, 1, chart.eps)
-    U = StiefelPoint(g[:, None]).U
     mc = to_wedge(hat(_momentum_vector(w, g, chart.it)))
 
     def deviation(rb, rg):
         w, g = chart._split(rb)
         return _max_abs(_momentum_vector(w, g, chart.it) - _vec(rg[..., :3]), g - rg[..., 3:])
 
-    return other, np.concatenate([mc, U.ravel()]), deviation
+    return other, np.concatenate([mc, g]), deviation
 
 
 def random_ball_state(

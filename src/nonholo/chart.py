@@ -45,6 +45,10 @@ ParameterError.  The interface:
 * ``random_coords(rng, zero_constants=False)``: seeded random coordinates
   (d,), on the zero level of the constants where the system has them and
   ``zero_constants`` is true;
+* ``flatten(sample)``: the chart coordinates of a module's ``random_*_state``
+  draw.  The samplers draw chart coordinates, so ``Chart`` returns its
+  argument; ``LPRChart`` solves w from the drawn k_bold, and the ball charts
+  read a ``ball3d.BallState``;
 * ``columns()`` and ``row(coords)``: the CSV state block, (..., d) to
   (..., len(columns()));
 * ``integrals(coords)``: named first integrals, each (...);
@@ -111,6 +115,9 @@ class Chart:
         if self.constraints is None:
             return np.zeros(np.shape(coords)[:-1])
         return np.max(np.abs(self.constraints(coords)), axis=-1)
+
+    def flatten(self, coords):
+        return coords
 
     def row(self, coords):
         return np.asarray(coords, dtype=float)

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 from numbers import Integral
 
 import numpy as np
@@ -537,7 +538,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call of a
+    process and reused: parsing keeps no state between calls."""
     parser = _Parser(
         prog="nonholo",
         description="Simulate and verify nonholonomic flows on so(n) "

@@ -30,36 +30,25 @@ and the flow preserves
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
 from .elr import _energy, _frame_divergence
-from .errors import (
-    DefinitenessError,
-    DimensionError,
-    ParameterError,
-)
+from .errors import DefinitenessError, ParameterError
 from .liealg import (
     InertiaOperator,
-    StiefelPoint,
     ad_coords,
     ad_matrix,
-    as_stiefel_matrix,
     dr_projector_matrix,
     from_wedge,
     isotropy_frame,
     projector_matrix,
-    to_wedge,
     wedge_dim,
 )
 from .veselova import _log_base, _StiefelChart
 
 __all__ = [
-    "ELPRState",
-    "LPRStiefelState",
     "pi_variants",
     "stiefel_total_inertia",
     "LPRChart",
@@ -67,59 +56,6 @@ __all__ = [
     "random_elpr_state",
     "random_lpr_stiefel_state",
 ]
-
-
-def _check_sym(Pi, N):
-    Pi = np.asarray(Pi, dtype=float)
-    if Pi.shape != (N, N):
-        raise DimensionError(f"Pi must be {N} x {N}, got {Pi.shape}")
-    if np.max(np.abs(Pi - Pi.T)) > 1e-12 * max(1.0, float(np.max(np.abs(Pi)))):
-        raise ParameterError("Pi must be symmetric")
-    return 0.5 * (Pi + Pi.T)
-
-
-@dataclass(frozen=True, eq=False)
-class ELPRState:
-    """State: k_bold in so(n), Pi symmetric N x N in wedge coordinates."""
-
-    k_bold: np.ndarray
-    Pi: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.k_bold, dtype=float)
-        liealg.check_skew(k)
-        N = wedge_dim(k.shape[-1])
-        object.__setattr__(self, "k_bold", k)
-        object.__setattr__(self, "Pi", _check_sym(self.Pi, N))
-
-    @property
-    def n(self) -> int:
-        return self.k_bold.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class LPRStiefelState:
-    """State: k_bold in so(n) and a Stiefel point U carrying Pi = D pr_{D_r}."""
-
-    k_bold: np.ndarray
-    U: StiefelPoint
-
-    def __post_init__(self):
-        k = np.asarray(self.k_bold, dtype=float)
-        liealg.check_skew(k)
-        U = self.U if isinstance(self.U, StiefelPoint) else StiefelPoint(self.U)
-        if k.shape[-1] != U.n:
-            raise DimensionError("k_bold size and Stiefel rows differ")
-        object.__setattr__(self, "k_bold", k)
-        object.__setattr__(self, "U", U)
-
-    @property
-    def n(self) -> int:
-        return self.U.n
-
-    @property
-    def r(self) -> int:
-        return self.U.r
 
 
 # ---------------------------------------------------------------------------
@@ -152,36 +88,26 @@ def _velocity(kc, Pi, op):
     return _solve_pd(op.dense_matrix + Pi, kc)
 
 
-def _unit_gamma(gamma_or_U):
-    gamma = np.asarray(gamma_or_U, dtype=float)
-    liealg.check_skew(gamma)
-    if abs(liealg.inner_product(gamma, gamma) - 1.0) > 1e-10:
-        raise ParameterError("expected a unit-norm gamma")
-    return gamma
-
-
-def pi_variants(gamma_or_U, D: float, kind: str = "d_proj") -> np.ndarray:
-    """Symmetric N x N operator Pi used by the worked L+R choices.
+def pi_variants(gamma, D: float, kind: str = "d_proj") -> np.ndarray:
+    """Symmetric N x N operator Pi used by the worked L+R choices, for a unit
+    gamma in so(n).
 
     kind "d_proj": Pi = D * (projector onto the orthogonal complement of the
-    isotropy subalgebra of gamma), or D * pr_{D_r} when given a Stiefel
-    point.  kind "double_bracket": Pi(eta) = D [[gamma, eta], gamma], which
-    equals D ad_gamma^T ad_gamma and is positive semidefinite.  The two kinds
-    agree whenever gamma is decomposable (in particular on so(3)) and differ
-    in general.
+    isotropy subalgebra of gamma).  kind "double_bracket": Pi(eta) =
+    D [[gamma, eta], gamma], which equals D ad_gamma^T ad_gamma and is
+    positive semidefinite.  The two kinds agree whenever gamma is
+    decomposable (in particular on so(3)) and differ in general.  The
+    Stiefel counterpart of "d_proj", D * pr_{D_r}, is
+    D * dr_projector_matrix(U @ U.T).
     """
     D = float(D)
     if D < 0.0:
         raise ParameterError("D must be nonnegative")
+    gamma = np.asarray(gamma, dtype=float)
     if kind == "d_proj":
-        U = as_stiefel_matrix(gamma_or_U)
-        if isinstance(gamma_or_U, StiefelPoint) or (U.ndim == 2 and U.shape[0] != U.shape[1]):
-            return D * dr_projector_matrix(U @ U.T)
-        gamma = _unit_gamma(gamma_or_U)
         N = wedge_dim(gamma.shape[-1])
         return D * (np.eye(N) - projector_matrix(isotropy_frame(gamma)))
     if kind == "double_bracket":
-        gamma = _unit_gamma(gamma_or_U)
         A = ad_matrix(gamma)
         return D * (A.T @ A)
     raise ParameterError(f"unknown pi_variants kind {kind!r}")
@@ -287,8 +213,11 @@ class LPRChart(Chart):
         grad_pi = np.linalg.inv(K)[..., i, j] * np.where(i == j, 1.0, 2.0)
         return np.concatenate([np.zeros_like(wc), grad_pi], axis=-1)
 
-    def flatten(self, state: ELPRState) -> np.ndarray:
-        return self._pack(_velocity(to_wedge(state.k_bold), state.Pi, self.op), state.Pi)
+    def flatten(self, coords):
+        """Chart coordinates (w, Pi) of coordinates (k_bold, Pi) (..., d), as
+        ``random_elpr_state`` draws them: w solves (I + Pi) w = k_bold."""
+        kc, Pi = self._split(coords)
+        return self._pack(_velocity(kc, Pi, self.op), Pi)
 
     def random_coords(self, rng, zero_constants=False):
         return self.flatten(random_elpr_state(self.n, rng))
@@ -299,7 +228,7 @@ class LPRChart(Chart):
 
     def velocity(self, coords):
         """Wedge coordinates of w at coords (..., d), solved back from
-        k_bold = (I + Pi) w, as ``flatten`` solves a state's k_bold."""
+        k_bold = (I + Pi) w, as ``flatten`` solves a sampled k_bold."""
         wc, Pi = self._split(coords)
         return _velocity(_k_coords(wc, Pi, self.op), Pi, self.op)
 
@@ -355,11 +284,8 @@ class LPRStiefelChart(_StiefelChart):
         """log sum_I P_I^2 / a_I over the r-minors P_I of U."""
         return _log_base(coords[..., self.N :], 1.0 / self.a, self.n, self.r, coords.shape[:-1])
 
-    def flatten(self, state: LPRStiefelState) -> np.ndarray:
-        return np.concatenate([to_wedge(state.k_bold), state.U.U.ravel()])
-
     def random_coords(self, rng, zero_constants=False):
-        return self.flatten(random_lpr_stiefel_state(self.n, self.r, rng))
+        return random_lpr_stiefel_state(self.n, self.r, rng)
 
     def integrals(self, coords):
         kc, U = self._split(coords)
@@ -373,8 +299,10 @@ class LPRStiefelChart(_StiefelChart):
 # random states
 
 
-def random_elpr_state(n: int, rng: np.random.Generator, pi_scale: float = 0.5) -> ELPRState:
-    """Seeded random state: unit k_bold and a random positive semidefinite Pi."""
+def random_elpr_state(n: int, rng: np.random.Generator, pi_scale: float = 0.5) -> np.ndarray:
+    """Seeded random (k_bold, Pi): unit k_bold's wedge coordinates, then the
+    upper triangle of a random positive semidefinite Pi, in the layout of
+    LPRChart, whose ``flatten`` solves w from k_bold."""
     N = wedge_dim(n)
     kc = rng.standard_normal(N)
     kc = kc / np.linalg.norm(kc)
@@ -382,11 +310,13 @@ def random_elpr_state(n: int, rng: np.random.Generator, pi_scale: float = 0.5) -
     q, _ = np.linalg.qr(B)
     Pi = q @ np.diag(rng.uniform(0.0, pi_scale, size=N)) @ q.T
     Pi = 0.5 * (Pi + Pi.T)
-    return ELPRState(from_wedge(kc, n), Pi)
+    return np.concatenate([kc, Pi[np.triu_indices(N)]])
 
 
-def random_lpr_stiefel_state(n: int, r: int, rng: np.random.Generator) -> LPRStiefelState:
+def random_lpr_stiefel_state(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded random chart coordinates (k_bold, U): unit k_bold, random
+    Stiefel point."""
     kc = rng.standard_normal(wedge_dim(n))
     kc = kc / np.linalg.norm(kc)
     U = liealg.random_stiefel(n, r, rng)
-    return LPRStiefelState(from_wedge(kc, n), StiefelPoint(U))
+    return np.concatenate([kc, U.ravel()])

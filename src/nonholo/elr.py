@@ -40,13 +40,11 @@ Veselova flow (nonholo.veselova) runs it with D = D_r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
-from .errors import DimensionError, ParameterError, SingularityError
+from .errors import DimensionError, SingularityError
 from .liealg import (
     Frame,
     InertiaOperator,
@@ -58,80 +56,12 @@ from .liealg import (
 )
 
 __all__ = [
-    "ELRMultiplierState",
-    "ELRMomentumState",
     "MultiplierChart",
     "MomentumChart",
     "random_multiplier_state",
     "random_momentum_state",
     "momentum_partner",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ELRMultiplierState:
-    """Multiplier-form state: omega in so(n), H-frame, constraint constants."""
-
-    omega: np.ndarray
-    frames: Frame
-    constants: np.ndarray
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        liealg.check_skew(omega)
-        if omega.shape[-1] != self.frames.n:
-            raise DimensionError("omega and frame sizes differ")
-        constants = np.asarray(self.constants, dtype=float)
-        if constants.shape != (self.frames.k,):
-            raise DimensionError("one constraint constant per frame element")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "constants", constants)
-
-    @classmethod
-    def from_omega(cls, omega, frames: Frame) -> "ELRMultiplierState":
-        """Take the constraint constants c_i = <omega, e_i> from the data."""
-        c = inner_product(np.asarray(omega, dtype=float), frames.elems)
-        return cls(omega, frames, c)
-
-    @property
-    def n(self) -> int:
-        return self.frames.n
-
-    @property
-    def k(self) -> int:
-        return self.frames.k
-
-    def phi(self) -> np.ndarray:
-        """Current constraint values <omega, e_i>."""
-        return inner_product(self.omega, self.frames.elems)
-
-
-@dataclass(frozen=True, eq=False)
-class ELRMomentumState:
-    """Momentum-form state: m_bold in so(n) and a D-frame orthonormal
-    within 1e-10."""
-
-    m_bold: np.ndarray
-    frames_d: Frame
-
-    def __post_init__(self):
-        m = np.asarray(self.m_bold, dtype=float)
-        liealg.check_skew(m)
-        if m.shape[-1] != self.frames_d.n:
-            raise DimensionError("m_bold and frame sizes differ")
-        g = self.frames_d.gram()
-        if np.max(np.abs(g - np.eye(self.frames_d.k))) > 1e-10:
-            raise ParameterError("momentum form requires an orthonormal D-frame")
-        object.__setattr__(self, "m_bold", m)
-
-    @property
-    def n(self) -> int:
-        return self.frames_d.n
-
-    @property
-    def k(self) -> int:
-        """Number of constraints (codimension of the D-frame)."""
-        return wedge_dim(self.n) - self.frames_d.k
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +272,8 @@ class MultiplierChart(_FrameChart):
         rows = 2.0 * _frame_solve(ec @ np.swapaxes(es, -1, -2), es)
         return np.concatenate([np.zeros_like(wc), rows.reshape(wc.shape[:-1] + (-1,))], axis=-1)
 
-    def flatten(self, state: ELRMultiplierState) -> np.ndarray:
-        return np.concatenate([to_wedge(state.omega), state.frames.coords.ravel()])
-
     def random_coords(self, rng, zero_constants=False):
-        return self.flatten(
-            random_multiplier_state(self.n, self.k, rng, zero_constants=zero_constants)
-        )
+        return random_multiplier_state(self.n, self.k, rng, zero_constants=zero_constants)
 
     def integrals(self, coords):
         wc, ec = self._split(coords)
@@ -414,11 +339,8 @@ class MomentumChart(_FrameChart):
         """log det(F I F^T) of the D-frame rows F."""
         return _log_gram_det(self._split(coords)[1], self.op, "inertia")
 
-    def flatten(self, state: ELRMomentumState) -> np.ndarray:
-        return np.concatenate([to_wedge(state.m_bold), state.frames_d.coords.ravel()])
-
     def random_coords(self, rng, zero_constants=False):
-        return self.flatten(random_momentum_state(self.n, self.k, rng))
+        return random_momentum_state(self.n, self.k, rng)
 
     def velocity(self, coords):
         """Wedge coordinates of w at coords (..., d)."""
@@ -440,8 +362,9 @@ def random_multiplier_state(
     rng: np.random.Generator,
     orthonormal_frames: bool = True,
     zero_constants: bool = False,
-) -> ELRMultiplierState:
-    """Seeded random state: unit-speed omega, generic k-element frame."""
+) -> np.ndarray:
+    """Seeded random chart coordinates (w, e_1..e_k): unit-speed w, generic
+    k-element frame."""
     N = wedge_dim(n)
     if not 1 <= k <= N - 1:
         raise DimensionError(f"need 1 <= k <= N-1 = {N - 1}, got k={k}")
@@ -453,17 +376,16 @@ def random_multiplier_state(
         g = ec @ ec.T
         wc = wc - ec.T @ np.linalg.solve(g, ec @ wc)
     wc = wc / np.linalg.norm(wc)
-    frames = Frame(from_wedge(ec, n), orthonormal=orthonormal_frames)
-    return ELRMultiplierState.from_omega(from_wedge(wc, n), frames)
+    return np.concatenate([wc, ec.ravel()])
 
 
-def random_momentum_state(n: int, k: int, rng: np.random.Generator) -> ELRMomentumState:
-    """Seeded random momentum-form state with an orthonormal D-frame."""
+def random_momentum_state(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded random chart coordinates (m_bold, e_{k+1}..e_N) with an
+    orthonormal D-frame."""
     N = wedge_dim(n)
     if not 1 <= k <= N - 1:
         raise DimensionError(f"need 1 <= k <= N-1 = {N - 1}, got k={k}")
-    p = N - k
-    fc = liealg.orthonormalize_rows(rng.standard_normal((p, N)))
+    fc = liealg.orthonormalize_rows(rng.standard_normal((N - k, N)))
     mc = rng.standard_normal(N)
     mc = mc / np.linalg.norm(mc)
-    return ELRMomentumState(from_wedge(mc, n), Frame(from_wedge(fc, n), orthonormal=True))
+    return np.concatenate([mc, fc.ravel()])

@@ -56,7 +56,6 @@ __all__ = [
     "random_skew",
     "InertiaOperator",
     "Frame",
-    "StiefelPoint",
     "frame_gram",
     "subspace_projectors",
     "projector_matrix",
@@ -402,8 +401,6 @@ class InertiaOperator:
 # Frame elements are dependent when their smallest Gram eigenvalue is at most
 # this times the largest.
 _GRAM_RTOL = 1e-12
-# Largest deviation of U^T U from the identity that a StiefelPoint accepts.
-_STIEFEL_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,35 +451,6 @@ class Frame:
     def gram(self) -> np.ndarray:
         c = self.coords
         return c @ c.T
-
-
-@dataclass(frozen=True, eq=False)
-class StiefelPoint:
-    """An n x r matrix with orthonormal columns (a point of V_{n,r}): U^T U
-    is the identity within _STIEFEL_TOL (1e-10)."""
-
-    U: np.ndarray
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        if U.ndim != 2 or U.shape[0] < U.shape[1] or U.shape[1] < 1:
-            raise DimensionError(f"Stiefel point must be n x r with n >= r >= 1, got {U.shape}")
-        if np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) > _STIEFEL_TOL:
-            raise ParameterError("columns are not orthonormal")
-        object.__setattr__(self, "U", U)
-
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.U.shape[1]
-
-
-def as_stiefel_matrix(U) -> np.ndarray:
-    """Accept a StiefelPoint or a plain array and return the matrix."""
-    return np.asarray(getattr(U, "U", U), dtype=float)
 
 
 def frame_gram(frame: Frame, op: InertiaOperator, mode: str = "inverse_inertia") -> np.ndarray:
@@ -610,7 +578,7 @@ def orthonormalize_rows(c: np.ndarray) -> np.ndarray:
 
 def complete_columns(U) -> np.ndarray:
     """Extend orthonormal columns U (n x r) to a full orthonormal n x n basis."""
-    U = as_stiefel_matrix(U)
+    U = np.asarray(U, dtype=float)
     n, r = U.shape
     q, _ = np.linalg.qr(U, mode="complete")
     q[:, :r] = U

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -192,7 +192,8 @@ class IntegratorConfig:
     """Settings for ``integrate``.
 
     samples is the number of equally spaced output times on [0, t_end]
-    including both ends.  samples and max_steps are integers; max_steps is
+    including both ends.  t_end, abs_tol and rel_tol are finite real
+    numbers, not booleans.  samples and max_steps are integers; max_steps is
     nonnegative, samples is at least 1, and at least 2 when t_end > 0,
     since one sample is the initial state alone.
     """
@@ -206,6 +207,8 @@ class IntegratorConfig:
     def __post_init__(self):
         for name in ("t_end", "abs_tol", "rel_tol"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.abs_tol <= 0.0:

@@ -26,7 +26,6 @@ is just (e_1, A e_1) with A = diag(a)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -34,19 +33,10 @@ import numpy as np
 from . import liealg
 from .chart import Chart, pair_labels
 from .elr import MomentumChart, _energy, _momentum_rhs, _momentum_velocity
-from .errors import ConfigError, DimensionError, ParameterError, UnsupportedSpecError
-from .liealg import (
-    InertiaOperator,
-    StiefelPoint,
-    as_stiefel_matrix,
-    dr_projector_matrix,
-    from_wedge,
-    to_wedge,
-    wedge_dim,
-)
+from .errors import ConfigError, DimensionError, UnsupportedSpecError
+from .liealg import InertiaOperator, dr_projector_matrix, from_wedge, wedge_dim
 
 __all__ = [
-    "VeselovaState",
     "gamma_projector",
     "pluecker",
     "pluecker_indices",
@@ -55,40 +45,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class VeselovaState:
-    """State: momentum m_bold in so(n) and a Stiefel point U (n x r, r <= n-1)."""
-
-    m_bold: np.ndarray
-    U: StiefelPoint
-
-    def __post_init__(self):
-        m = np.asarray(self.m_bold, dtype=float)
-        liealg.check_skew(m)
-        U = self.U if isinstance(self.U, StiefelPoint) else StiefelPoint(self.U)
-        if m.shape[-1] != U.n:
-            raise DimensionError("m_bold size and Stiefel rows differ")
-        if U.r > U.n - 1:
-            raise ParameterError("needs r <= n - 1 (r = n leaves no constraint)")
-        object.__setattr__(self, "m_bold", m)
-        object.__setattr__(self, "U", U)
-
-    @property
-    def n(self) -> int:
-        return self.U.n
-
-    @property
-    def r(self) -> int:
-        return self.U.r
-
-
 def gamma_projector(U):
     """(Gamma, pr) for Gamma = U U^T; pr is the projector onto D_r.
 
     pr acts on skew matrices and broadcasts over batches.
     """
-    Um = as_stiefel_matrix(U)
-    Gamma = Um @ Um.T
+    U = np.asarray(U, dtype=float)
+    Gamma = U @ U.T
 
     def pr(eta):
         eta = np.asarray(eta, dtype=float)
@@ -111,11 +74,11 @@ def pluecker_indices(n: int, r: int) -> list[tuple[int, ...]]:
 
 def pluecker(U) -> np.ndarray:
     """Pluecker coordinates of the column span: r x r minors over row tuples."""
-    Um = as_stiefel_matrix(U)
-    idx = np.array(pluecker_indices(*Um.shape[-2:]))
+    U = np.asarray(U, dtype=float)
+    idx = np.array(pluecker_indices(*U.shape[-2:]))
     # take keeps each point's minors contiguous, so a batch sums them in
-    # _log_base in the order of a single point (Um[..., idx, :] would not)
-    return np.linalg.det(np.take(Um, idx, axis=-2))
+    # _log_base in the order of a single point (U[..., idx, :] would not)
+    return np.linalg.det(np.take(U, idx, axis=-2))
 
 
 def _log_base(Uflat, a, n, r, shape):
@@ -192,20 +155,18 @@ class VeselovaChart(_StiefelChart):
         """log sum_I a_I P_I^2 over the r-minors P_I of U."""
         return _log_base(coords[..., self.N :], self.op.a, self.n, self.r, coords.shape[:-1])
 
-    def flatten(self, state: VeselovaState) -> np.ndarray:
-        return np.concatenate([to_wedge(state.m_bold), state.U.U.ravel()])
-
     def random_coords(self, rng, zero_constants=False):
-        return self.flatten(random_veselova_state(self.n, self.r, rng))
+        return random_veselova_state(self.n, self.r, rng)
 
     def integrals(self, coords):
         wc = _velocity(*self._split(coords), self.op)[0]
         return {"H": _energy(self.op.apply_coords(wc), wc, self.n)}
 
 
-def random_veselova_state(n: int, r: int, rng: np.random.Generator) -> VeselovaState:
-    """Seeded random state: unit-speed momentum, uniform-ish Stiefel point."""
+def random_veselova_state(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded random chart coordinates (m_bold, U): unit-speed momentum,
+    uniform-ish Stiefel point."""
     mc = rng.standard_normal(wedge_dim(n))
     mc = mc / np.linalg.norm(mc)
     U = liealg.random_stiefel(n, r, rng)
-    return VeselovaState(from_wedge(mc, n), StiefelPoint(U))
+    return np.concatenate([mc, U.ravel()])

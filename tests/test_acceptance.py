@@ -465,10 +465,11 @@ def test_criterion_8_density_reduction_at_eps_one():
             if i % 2
             else InertiaOperator.wedge_products(rng.uniform(0.5, 2.5, size=n))
         )
-        st = random_multiplier_state(n, k, rng)
-        expect = np.sqrt(np.linalg.det(frame_gram(st.frames, op, mode="inverse_inertia")))
+        x = random_multiplier_state(n, k, rng)
         chart = MultiplierChart(op, k, 1.0)
-        got = np.exp(chart.log_density(chart.flatten(st)))
+        frames = Frame(from_wedge(chart._split(x)[1], n))
+        expect = np.sqrt(np.linalg.det(frame_gram(frames, op, mode="inverse_inertia")))
+        got = np.exp(chart.log_density(x))
         assert abs(got - expect) <= 1e-12 * expect, (n, k, i)
         count += 1
     assert count == 20

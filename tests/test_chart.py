@@ -14,6 +14,7 @@ import pytest
 
 from conftest import random_spd_operator
 from test_cli import ZERO_EPSILON_REFUSED
+from nonholo import ball3d, elpr, elr, veselova
 from nonholo.ball3d import ChaplyginChart, RubberChart
 from nonholo.chart import Chart
 from nonholo.cli import PAIRS, SYSTEMS, load_config
@@ -171,6 +172,45 @@ def test_every_system_chart_gives_its_own_flow_kernels():
             assert any(kernel in vars(c) for c in below), (system, kernel)
         for method in ("field", "divergence"):
             assert not any(method in vars(c) for c in below), (system, method)
+
+
+# The benchmark's layer probes (perfbench/probes.py) draw each state with one
+# of these sampler calls, written as the probes write them, and hand it to
+# chart.flatten: (chart, draw(rng)) per system at size n, rank 1, eps = 1/2.
+def _probe_draws(system, n):
+    eps = 0.5
+    if system in ("ball_chaplygin", "ball_rubber"):
+        inertia, D = np.array([1.0, 2.0, 3.0]), 0.5
+        cls = ChaplyginChart if system == "ball_chaplygin" else RubberChart
+        return cls(inertia, D, eps), lambda rng: ball3d.random_ball_state(
+            rng, inertia=inertia, D=D, eps=eps)
+    a = np.linspace(0.8, 1.6, n)
+    if system == "lpr_stiefel":
+        chart = LPRStiefelChart(a, 2.0 * a[-1] ** 2, 1, eps)
+        return chart, lambda rng: elpr.random_lpr_stiefel_state(n, 1, rng)
+    op = InertiaOperator.wedge_products(a)
+    if system == "elr_multiplier":
+        return MultiplierChart(op, 1, eps), lambda rng: elr.random_multiplier_state(n, 1, rng)
+    if system == "elr_momentum":
+        return MomentumChart(op, 1, eps), lambda rng: elr.random_momentum_state(n, 1, rng)
+    if system == "veselova":
+        return VeselovaChart(op, 1, eps), lambda rng: veselova.random_veselova_state(n, 1, rng)
+    return LPRChart(op, eps), lambda rng: elpr.random_elpr_state(n, rng)
+
+
+PROBE_CASES = [
+    (s, n) for s in ("elr_multiplier", "elr_momentum", "veselova", "elpr", "lpr_stiefel")
+    for n in (3, 5, 8)
+] + [("ball_chaplygin", 3), ("ball_rubber", 3)]
+
+
+@pytest.mark.parametrize("system, n", PROBE_CASES, ids=[f"{s}-n{n}" for s, n in PROBE_CASES])
+def test_flatten_of_each_probe_draw_is_the_charts_random_coords(system, n):
+    chart, draw = _probe_draws(system, n)
+    for seed in range(3):
+        x = chart.flatten(draw(np.random.default_rng(seed)))
+        assert x.shape == (chart.dim,)
+        assert np.array_equal(x, chart.random_coords(np.random.default_rng(seed)))
 
 
 # the normal-trace lemma behind transport by divergence: a flow that moves

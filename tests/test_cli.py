@@ -725,6 +725,14 @@ BAD_TOLERANCES = [
     ({"integrator": {"abs_tol": 0}}, "abs_tol must be positive, got 0"),
     ({"integrator": {"rel_tol": -1}}, "rel_tol must be nonnegative, got -1"),
 ]
+# a boolean or a non-number as t_end or a tolerance: true and false used to
+# run as 1 and 0, a string or null was refused without naming the key
+NOT_REAL = [
+    ({"integrator": {"t_end": True}}, "t_end must be a real number, got True"),
+    ({"integrator": {"rel_tol": False}}, "rel_tol must be a real number, got False"),
+    ({"integrator": {"abs_tol": "1e-9"}}, "abs_tol must be a real number, got '1e-9'"),
+    ({"integrator": {"t_end": None}}, "t_end must be a real number, got None"),
+]
 
 
 @pytest.mark.parametrize(
@@ -783,7 +791,7 @@ def test_bad_configs_exit_three(tmp_path, patch):
         (VESELOVA_IDENTITY, "inertia"),
     ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN + [({"tolerance": -1}, "tolerance")]
     + NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS
-    + [(patch, "integrator") for patch, _ in BAD_TOLERANCES],
+    + [(patch, "integrator") for patch, _ in BAD_TOLERANCES + NOT_REAL],
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     # no --out: a malformed "output" must not get as far as choosing a directory
@@ -800,6 +808,16 @@ def test_integrator_tolerance_error_names_its_key(tmp_path, capsys, patch, messa
     p = write_cfg(tmp_path, dict(BALL_CFG, **patch))
     assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == f"config error: integrator: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "patch, message", NOT_REAL, ids=["t_end-true", "rel_tol-false", "abs_tol-str", "t_end-null"]
+)
+def test_integrator_value_of_the_wrong_type_names_its_key(tmp_path, capsys, patch, message):
+    p = write_cfg(tmp_path, dict(BALL_CFG, **patch))
+    assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"config error: integrator: {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -927,6 +945,16 @@ def test_bad_arguments_are_config_errors(capsys, argv, option):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and option in err
+
+
+def test_parser_built_once_still_refuses_a_bad_argument_after_a_good_call(tmp_path, capsys):
+    p = write_cfg(tmp_path, dict(BALL_CFG, integrator={"t_end": 0.5, "samples": 3}))
+    good = ["simulate", "--config", p, "--out", str(tmp_path)]
+    assert main(good) == 0
+    assert main(["verify", "--config", p, "--check", "bogus"]) == 3
+    assert "--check" in capsys.readouterr().err
+    assert main(good) == 0
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_explicit_initial_coordinates(tmp_path):

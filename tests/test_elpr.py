@@ -6,7 +6,6 @@ import pytest
 from conftest import chaplygin_params, field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.elpr import (
-    ELPRState,
     LPRChart,
     LPRStiefelChart,
     _k_coords,
@@ -22,6 +21,7 @@ from nonholo.liealg import (
     InertiaOperator,
     ad_coords,
     commutator,
+    dr_projector_matrix,
     from_wedge,
     hat,
     isotropy_frame,
@@ -47,11 +47,15 @@ from nonholo.veselova import gamma_projector, pluecker, pluecker_indices
 # the symmetric-operator flow
 
 
+def state(k_bold, Pi):
+    """Coordinates (k_bold, Pi upper triangle), as random_elpr_state draws them."""
+    return np.concatenate([to_wedge(k_bold), Pi[np.triu_indices(len(Pi))]])
+
+
 def log_density(st, op):
-    """LPRChart.log_density at a state; it depends on Pi only, so the w
-    block is left at zero rather than solved from k_bold."""
-    chart = LPRChart(op, eps=1.0)
-    return chart.log_density(chart._pack(np.zeros(op.N), st.Pi))
+    """LPRChart.log_density at a state; it depends on Pi only, so the k_bold
+    block stands in for w rather than w being solved from it."""
+    return LPRChart(op, eps=1.0).log_density(st)
 
 
 def omega_of(st, op):
@@ -80,7 +84,7 @@ def test_momentum_map_round_trip():
         st = random_elpr_state(n, rng)
         chart = LPRChart(op, eps=1.0)
         wc, Pi = chart._split(chart.flatten(st))
-        assert np.max(np.abs(_k_coords(wc, Pi, op) - to_wedge(st.k_bold))) < 1e-11
+        assert np.max(np.abs(_k_coords(wc, Pi, op) - st[: op.N])) < 1e-11
 
 
 def test_field_shape_and_pi_symmetry():
@@ -92,7 +96,7 @@ def test_field_shape_and_pi_symmetry():
     A = ad_coords(wc, 4)
     assert np.max(np.abs(dPi - 0.5 * (Pi @ A - A @ Pi))) < 1e-14 * np.max(np.abs(dPi))
     dk = from_wedge(k_rate(wc, Pi, dwc, dPi, op), 4)
-    assert np.max(np.abs(dk - commutator(st.k_bold, omega_of(st, op)))) < 1e-12
+    assert np.max(np.abs(dk - commutator(from_wedge(st[:6], 4), omega_of(st, op)))) < 1e-12
 
 
 def test_eps_one_matches_unmodified_flow_exactly():
@@ -111,7 +115,7 @@ def test_pi_zero_reduces_to_free_rotation():
     rng = rng_for(6)
     op = random_spd_operator(3, rng)
     w = random_skew(3, rng)
-    st = ELPRState(op.apply(w), np.zeros((3, 3)))
+    st = state(op.apply(w), np.zeros((3, 3)))
     _, _, dwc, dPi = rates(st, op, 2.0)
     assert np.max(np.abs(op.apply(from_wedge(dwc, 3)) - commutator(op.apply(w), w))) < 1e-12
     assert np.max(np.abs(dPi)) == 0.0
@@ -122,7 +126,7 @@ def test_constant_multiple_of_identity_is_frozen():
     rng = rng_for(7)
     op = random_spd_operator(4, rng)
     D = 1.7
-    st = ELPRState(random_skew(4, rng), D * np.eye(6))
+    st = state(random_skew(4, rng), D * np.eye(6))
     dPi = rates(st, op, 0.5)[3]
     assert np.max(np.abs(dPi)) < 1e-14
 
@@ -135,12 +139,12 @@ def test_projector_density_closed_form():
     c = np.linalg.qr(rng.standard_normal((6, 2)))[0]
     P = c @ c.T
     D = 2.5
-    st = ELPRState(random_skew(4, rng), D * P)
+    st = state(random_skew(4, rng), D * P)
     assert log_density(st, op) == pytest.approx(np.log(1.0 + D), rel=1e-12)
 
 
 def test_indefinite_total_inertia_is_rejected():
-    st = ELPRState(random_skew(3, rng_for(9)), -2.0 * np.eye(3))
+    st = state(random_skew(3, rng_for(9)), -2.0 * np.eye(3))
     op = InertiaOperator.identity(3)
     with pytest.raises(DefinitenessError):
         omega_of(st, op)
@@ -233,11 +237,11 @@ def test_pi_variants_double_bracket_formula():
         pi_variants(g, D, kind="bogus")
 
 
-def test_pi_variants_on_stiefel_frame():
+def test_d_projector_on_stiefel_frame():
     rng = rng_for(43)
     U = random_stiefel(5, 2, rng)
     D = 0.9
-    P = pi_variants(U, D, "d_proj")
+    P = D * dr_projector_matrix(U @ U.T)
     _, pr = gamma_projector(U)
     w = random_skew(5, rng)
     assert np.max(np.abs(from_wedge(P @ to_wedge(w), 5) - D * pr(w))) < 1e-12
@@ -284,7 +288,7 @@ def test_stiefel_determinant_factorization():
         tot = stiefel_total_inertia(a, D)
         U = random_stiefel(n, r, rng)
         N = wedge_dim(n)
-        P = pi_variants(U, D, "d_proj")
+        P = D * dr_projector_matrix(U @ U.T)
         lhs = np.linalg.det(op.dense_matrix + P)
         # orthonormal basis of D_r from the projector's range
         Pm = P / D
@@ -302,28 +306,31 @@ def test_stiefel_field_and_round_trip():
     n, r = 4, 2
     a, D = chaplygin_params(n, rng)
     op = InertiaOperator.wedge_products_chaplygin(a, D)
-    st = random_lpr_stiefel_state(n, r, rng)
-    w = from_wedge(_stiefel_velocity(to_wedge(st.k_bold), st.U.U, op, D)[0], n)
-    _, pr = gamma_projector(st.U)
-    assert np.max(np.abs(op.apply(w) + D * pr(w) - st.k_bold)) < 1e-11
-    dkc, dU = field_blocks(LPRStiefelChart(a, D, r, 0.5), st)
+    chart = LPRStiefelChart(a, D, r, 0.5)
+    x = random_lpr_stiefel_state(n, r, rng)
+    kc, U = chart._split(x)
+    k_bold = from_wedge(kc, n)
+    w = from_wedge(_stiefel_velocity(kc, U, op, D)[0], n)
+    _, pr = gamma_projector(U)
+    assert np.max(np.abs(op.apply(w) + D * pr(w) - k_bold)) < 1e-11
+    dkc, dU = field_blocks(chart, x)
     dk, dU = from_wedge(dkc, n), dU.reshape(n, r)
-    assert np.max(np.abs(dk - commutator(st.k_bold, w))) < 1e-12
-    assert np.max(np.abs(dU + 0.5 * (w @ st.U.U))) < 1e-12
+    assert np.max(np.abs(dk - commutator(k_bold, w))) < 1e-12
+    assert np.max(np.abs(dU + 0.5 * (w @ U))) < 1e-12
 
 
 def test_stiefel_density_manual_formula():
     rng = rng_for(54)
     n, r = 5, 2
     a, D = chaplygin_params(n, rng)
-    st = random_lpr_stiefel_state(n, r, rng)
-    P = pluecker(st.U)
+    chart = LPRStiefelChart(a, D, r, eps=0.5)
+    x = random_lpr_stiefel_state(n, r, rng)
+    P = pluecker(chart._split(x)[1])
     base = 0.0
     for idx, I in enumerate(pluecker_indices(n, r)):
         base += P[idx] ** 2 / np.prod(a[list(I)])
     expect = -0.5 * (n - r - 1) * np.log(base)
-    chart = LPRStiefelChart(a, D, r, eps=0.5)
-    got = chart.log_density(chart.flatten(st))
+    got = chart.log_density(x)
     assert got == pytest.approx(expect, abs=1e-13)
     assert np.exp(got) == pytest.approx(np.exp(expect), rel=1e-13)
 

@@ -9,7 +9,6 @@ from conftest import field_blocks, random_spd_operator, rng_for
 from nonholo import ball3d
 from nonholo.cli import load_config
 from nonholo.elr import (
-    ELRMultiplierState,
     MomentumChart,
     MultiplierChart,
     _first_integrals,
@@ -26,6 +25,7 @@ from nonholo.liealg import (
     from_wedge,
     hat,
     inner_product,
+    to_wedge,
     wedge_basis,
 )
 from nonholo.numerics import (
@@ -36,18 +36,15 @@ from nonholo.numerics import (
 )
 
 
-def test_from_omega_records_current_constraint_values():
-    st = random_multiplier_state(4, 2, rng_for(0))
-    assert np.allclose(st.constants, st.phi(), atol=1e-15)
-
-
 def test_field_preserves_constraints_analytically():
     for n, k, eps in ((3, 1, 0.5), (4, 2, 2.0), (5, 2, -1.0)):
-        st = random_multiplier_state(n, k, rng_for(n + k))
+        x = random_multiplier_state(n, k, rng_for(n + k))
         op = random_spd_operator(n, rng_for(7 * n + k))
-        dwc, dec = field_blocks(MultiplierChart(op, k, eps), st)
+        chart = MultiplierChart(op, k, eps)
+        wc, ec = chart._split(x)
+        dwc, dec = field_blocks(chart, x)
         dw, de = from_wedge(dwc, n), from_wedge(dec.reshape(k, -1), n)
-        dphi = inner_product(dw, st.frames.elems) + inner_product(st.omega, de)
+        dphi = inner_product(dw, from_wedge(ec, n)) + inner_product(from_wedge(wc, n), de)
         assert np.max(np.abs(dphi)) < 1e-12
 
 
@@ -66,16 +63,18 @@ def test_constraints_hold_along_integrated_flow():
 def test_multipliers_reproduce_momentum_equation():
     # I w' - [m, w] is a constraint force sum_i lam^i e_i, with the lam^i of
     # the module docstring
-    st = random_multiplier_state(4, 2, rng_for(3))
+    x = random_multiplier_state(4, 2, rng_for(3))
     op = random_spd_operator(4, rng_for(4))
-    dwc, _ = field_blocks(MultiplierChart(op, 2, 1.3), st)
+    chart = MultiplierChart(op, 2, 1.3)
+    dwc, _ = field_blocks(chart, x)
     dw = from_wedge(dwc, 4)
-    m = op.apply(st.omega)
-    residual = op.apply(dw) - commutator(m, st.omega)
-    E = st.frames.elems
+    wc, ec = chart._split(x)
+    omega, E = from_wedge(wc, 4), from_wedge(ec, 4)
+    m = op.apply(omega)
+    residual = op.apply(dw) - commutator(m, omega)
     es = np.stack([op.solve(e) for e in E])
     A = np.array([[inner_product(ei, fj) for fj in es] for ei in E])
-    b = np.array([inner_product(e, op.solve(commutator(m, st.omega))) for e in E])
+    b = np.array([inner_product(e, op.solve(commutator(m, omega))) for e in E])
     lam = -np.linalg.solve(A, b)
     forced = np.tensordot(lam, E, axes=(0, 0))
     assert np.max(np.abs(residual - forced)) < 1e-11
@@ -108,29 +107,28 @@ def test_rubber_ball_is_the_k1_so3_case():
 # densities
 
 
-def density(st, op, eps):
-    chart = MultiplierChart(op, st.k, eps)
-    return np.exp(chart.log_density(chart.flatten(st)))
+def density(x, k, op, eps):
+    return np.exp(MultiplierChart(op, k, eps).log_density(x))
 
 
 def test_multiplier_density_frozen_example():
     # single constraint e = E1^E2, products inertia a = (1, 2, 3):
     # det <e, I^{-1} e> = 1/(a1 a2) = 1/2, so the eps = 1 density is sqrt(1/2)
     op = InertiaOperator.wedge_products([1.0, 2.0, 3.0])
-    frames = Frame(np.array([wedge_basis(3)[0]]), orthonormal=True)
-    st = ELRMultiplierState.from_omega(from_wedge(np.array([0.2, -0.4, 0.9]), 3), frames)
-    assert density(st, op, 1.0) == pytest.approx(0.5**0.5, rel=1e-14)
-    assert density(st, op, 0.5) == pytest.approx(0.5, rel=1e-14)
-    assert density(st, op, -1.0) == pytest.approx(0.5**-0.5, rel=1e-14)
+    x = np.concatenate([[0.2, -0.4, 0.9], to_wedge(wedge_basis(3)[0])])
+    assert density(x, 1, op, 1.0) == pytest.approx(0.5**0.5, rel=1e-14)
+    assert density(x, 1, op, 0.5) == pytest.approx(0.5, rel=1e-14)
+    assert density(x, 1, op, -1.0) == pytest.approx(0.5**-0.5, rel=1e-14)
 
 
 def test_density_reduces_to_sqrt_gram_at_eps_one():
     rng = rng_for(12)
     for _ in range(5):
-        st = random_multiplier_state(4, 2, rng)
+        x = random_multiplier_state(4, 2, rng)
         op = random_spd_operator(4, rng)
-        expect = np.sqrt(np.linalg.det(frame_gram(st.frames, op, mode="inverse_inertia")))
-        assert abs(density(st, op, 1.0) - expect) < 1e-12 * expect
+        frames = Frame(from_wedge(MultiplierChart(op, 2, 1.0)._split(x)[1], 4))
+        expect = np.sqrt(np.linalg.det(frame_gram(frames, op, mode="inverse_inertia")))
+        assert abs(density(x, 2, op, 1.0) - expect) < 1e-12 * expect
 
 
 def test_density_rejects_eps_zero():
@@ -160,19 +158,20 @@ def test_ambient_liouville_residual_vanishes():
 def test_momentum_round_trip():
     rng = rng_for(31)
     for n, k in ((3, 1), (4, 2), (5, 3)):
-        st = random_multiplier_state(n, k, rng)
+        x = random_multiplier_state(n, k, rng)
         op = random_spd_operator(n, rng)
         chart = MultiplierChart(op, k, 1.0)
-        mom, y, _ = momentum_partner(chart, chart.flatten(st))
-        assert np.max(np.abs(from_wedge(mom.velocity(y), n) - st.omega)) < 1e-11
+        mom, y, _ = momentum_partner(chart, x)
+        assert np.max(np.abs(mom.velocity(y) - chart._split(x)[0])) < 1e-11
 
 
 def test_momentum_field_preserves_frame_orthonormality():
-    st = random_momentum_state(4, 2, rng_for(33))
+    x = random_momentum_state(4, 2, rng_for(33))
     op = random_spd_operator(4, rng_for(34))
-    _, dfc = field_blocks(MomentumChart(op, 2, 0.5), st)
-    df = from_wedge(dfc.reshape(st.frames_d.k, -1), 4)
-    g = inner_product(df[:, None], st.frames_d.elems[None, :])
+    chart = MomentumChart(op, 2, 0.5)
+    _, dfc = field_blocks(chart, x)
+    df = from_wedge(dfc.reshape(chart.p, -1), 4)
+    g = inner_product(df[:, None], from_wedge(chart._split(x)[1], 4)[None, :])
     assert np.max(np.abs(g + g.T)) < 1e-12
 
 
@@ -207,10 +206,11 @@ def test_phi_conserved_for_all_eps():
 
 def test_energy_conserved_on_zero_constant_level():
     op = random_spd_operator(4, rng_for(53))
-    st = random_multiplier_state(4, 2, rng_for(54), zero_constants=True)
-    assert np.max(np.abs(st.constants)) < 1e-12
+    x = random_multiplier_state(4, 2, rng_for(54), zero_constants=True)
     chart = MultiplierChart(op, k=2, eps=2.0)
-    traj = integrate(chart.field, chart.flatten(st), IntegratorConfig(t_end=10.0, samples=21))
+    first = chart.integrals(x)
+    assert max(abs(first["phi1"]), abs(first["phi2"])) < 1e-12
+    traj = integrate(chart.field, x, IntegratorConfig(t_end=10.0, samples=21))
     H = chart.integrals(traj.states)["H"]
     assert np.max(np.abs(H - H[0])) < 1e-8
 

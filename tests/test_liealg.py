@@ -15,7 +15,6 @@ from nonholo.errors import (
 from nonholo.liealg import (
     Frame,
     InertiaOperator,
-    StiefelPoint,
     ad_coords,
     ad_matrix,
     commutator,
@@ -290,14 +289,11 @@ def test_isotropy_frame_so3_is_the_axis(seed):
 def test_stiefel_point_and_completion():
     rng = rng_for(31)
     U = random_stiefel(5, 2, rng)
-    pt = StiefelPoint(U)
-    assert (pt.n, pt.r) == (5, 2)
+    assert U.shape == (5, 2)
     assert np.allclose(U.T @ U, np.eye(2), atol=1e-12)
     V = complete_columns(U)
     assert np.allclose(V[:, :2], U, atol=1e-13)
     assert np.allclose(V.T @ V, np.eye(5), atol=1e-12)
-    with pytest.raises(ParameterError):
-        StiefelPoint(2.0 * U)
     with pytest.raises(DimensionError):
         random_stiefel(3, 4, rng)
 

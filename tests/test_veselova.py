@@ -11,7 +11,6 @@ from nonholo.elr import MomentumChart
 from nonholo.errors import ParameterError, UnsupportedSpecError
 from nonholo.liealg import (
     InertiaOperator,
-    StiefelPoint,
     complete_columns,
     dr_projector_matrix,
     from_wedge,
@@ -25,7 +24,6 @@ from nonholo.liealg import (
 from nonholo.numerics import IntegratorConfig, integrate, pointwise, tangent_volume_transport
 from nonholo.veselova import (
     VeselovaChart,
-    VeselovaState,
     _velocity,
     gamma_projector,
     pluecker,
@@ -40,14 +38,8 @@ def m_from_omega(omega, U, op):
     return omega + pr(op.apply(omega) - omega)
 
 
-def omega_of(st, op):
-    """Angular velocity of a state by the field's transfer solve."""
-    return from_wedge(_velocity(to_wedge(st.m_bold), st.U.U, op)[0], st.n)
-
-
-def log_density(st, op, eps):
-    chart = VeselovaChart(op, st.r, eps)
-    return chart.log_density(chart.flatten(st))
+def log_density(x, r, op, eps):
+    return VeselovaChart(op, r, eps).log_density(x)
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +81,17 @@ def test_momentum_transfer_round_trip():
         op = random_spd_operator(n, rng)
         U = random_stiefel(n, r, rng)
         w = random_skew(n, rng)
-        st = VeselovaState(m_from_omega(w, U, op), StiefelPoint(U))
-        assert np.max(np.abs(omega_of(st, op) - w)) < 1e-11
+        mc = to_wedge(m_from_omega(w, U, op))
+        assert np.max(np.abs(from_wedge(_velocity(mc, U, op)[0], n) - w)) < 1e-11
 
 
 def test_field_preserves_orthonormality_analytically():
-    st = random_veselova_state(5, 2, rng_for(5))
+    x = random_veselova_state(5, 2, rng_for(5))
     op = random_spd_operator(5, rng_for(6))
-    _, dU = field_blocks(VeselovaChart(op, 2, 0.7), st)
+    chart = VeselovaChart(op, 2, 0.7)
+    _, dU = field_blocks(chart, x)
     dU = dU.reshape(5, 2)
-    U = st.U.U
+    U = chart._split(x)[1]
     sym = dU.T @ U + U.T @ dU
     assert np.max(np.abs(sym)) < 1e-13
 
@@ -131,35 +124,35 @@ def test_density_manual_formula():
     rng = rng_for(9)
     n, r, eps = 5, 2, 0.5
     a = rng.uniform(0.5, 2.0, size=n)
-    st = random_veselova_state(n, r, rng)
-    U = st.U.U
+    x = random_veselova_state(n, r, rng)
+    op = InertiaOperator.wedge_products(a)
+    U = VeselovaChart(op, r, eps)._split(x)[1]
     base = 0.0
     for I in combinations(range(n), r):
         minor = np.linalg.det(U[list(I), :])
         base += np.prod(a[list(I)]) * minor**2
     expect = (1.0 / (2.0 * eps) - 1.0) * (n - r - 1) * np.log(base)
-    op = InertiaOperator.wedge_products(a)
-    assert log_density(st, op, eps) == pytest.approx(expect, abs=1e-13)
+    assert log_density(x, r, op, eps) == pytest.approx(expect, abs=1e-13)
 
 
 def test_density_trivial_cases():
     rng = rng_for(10)
     # all a_i equal: sum of squared minors is 1, density is constant
-    st = random_veselova_state(5, 2, rng)
+    x = random_veselova_state(5, 2, rng)
     ones = InertiaOperator.wedge_products(np.ones(5))
-    assert np.exp(log_density(st, ones, 2.0)) == pytest.approx(1.0, abs=1e-12)
+    assert np.exp(log_density(x, 2, ones, 2.0)) == pytest.approx(1.0, abs=1e-12)
     # r = n - 1 kills the exponent outright
-    st2 = random_veselova_state(4, 3, rng)
+    x2 = random_veselova_state(4, 3, rng)
     op = InertiaOperator.wedge_products(rng.uniform(0.5, 2.0, size=4))
-    assert log_density(st2, op, 2.0) == 0.0
+    assert log_density(x2, 3, op, 2.0) == 0.0
 
 
 def test_density_input_validation():
-    st = random_veselova_state(4, 2, rng_for(11))
+    x = random_veselova_state(4, 2, rng_for(11))
     with pytest.raises(UnsupportedSpecError):
-        log_density(st, random_spd_operator(4, rng_for(12)), 1.0)
+        log_density(x, 2, random_spd_operator(4, rng_for(12)), 1.0)
     with pytest.raises(ParameterError):
-        log_density(st, InertiaOperator.wedge_products(np.ones(4)), 0.0)
+        log_density(x, 2, InertiaOperator.wedge_products(np.ones(4)), 0.0)
 
 
 def test_volume_transport_certifies_density():
@@ -209,9 +202,9 @@ def test_trailing_block_of_frame_velocity_is_conserved():
     n, r = 4, 2
     rng = rng_for(14)
     op = random_spd_operator(n, rng)
-    st = random_veselova_state(n, r, rng)
-    V = complete_columns(st.U.U)
-    y0 = np.concatenate([to_wedge(st.m_bold), st.U.U.ravel(), V.ravel()])
+    x = random_veselova_state(n, r, rng)
+    V = complete_columns(x[wedge_dim(n) :].reshape(n, r))
+    y0 = np.concatenate([x, V.ravel()])
     for eps in (0.5, 2.0):
         traj = integrate(
             pointwise(augmented_field(op, eps, n, r)), y0,
@@ -231,12 +224,10 @@ def test_energy_conserved_on_zero_block_level():
     A = random_skew(n, rng)
     A[r:, r:] = 0.0
     w = V @ A @ V.T
-    st = VeselovaState(m_from_omega(w, U, op), StiefelPoint(U))
-    assert np.max(np.abs(block_invariant(
-        np.concatenate([to_wedge(st.m_bold), U.ravel(), V.ravel()]), op, n, r
-    ))) < 1e-13
+    x = np.concatenate([to_wedge(m_from_omega(w, U, op)), U.ravel()])
+    assert np.max(np.abs(block_invariant(np.concatenate([x, V.ravel()]), op, n, r))) < 1e-13
     chart = VeselovaChart(op, r=r, eps=eps)
-    traj = integrate(chart.field, chart.flatten(st), IntegratorConfig(t_end=5.0, samples=11))
+    traj = integrate(chart.field, x, IntegratorConfig(t_end=5.0, samples=11))
     H = chart.integrals(traj.states)["H"]
     assert np.max(np.abs(H - H[0])) < 1e-9 * abs(H[0])
 
@@ -261,12 +252,12 @@ def test_momentum_rate_is_the_elr_momentum_form_with_d_r(n, r):
     # a D-frame spanning D_r gives MomentumChart the same momentum rate
     rng = rng_for(70 + 10 * n + r)
     op = random_spd_operator(n, rng)
-    st = random_veselova_state(n, r, rng)
-    evals, evecs = np.linalg.eigh(dr_projector_matrix(st.U.U @ st.U.U.T))
-    fc = evecs[:, evals > 0.5].T
+    x = random_veselova_state(n, r, rng)
     N = wedge_dim(n)
-    mc = to_wedge(st.m_bold)
+    mc, U = x[:N], x[N:].reshape(n, r)
+    evals, evecs = np.linalg.eigh(dr_projector_matrix(U @ U.T))
+    fc = evecs[:, evals > 0.5].T
     for eps in (-1.0, 0.5, 2.0):
-        ves = VeselovaChart(op, r, eps).field(np.concatenate([mc, st.U.U.ravel()]))
+        ves = VeselovaChart(op, r, eps).field(x)
         mom = MomentumChart(op, N - fc.shape[0], eps).field(np.concatenate([mc, fc.ravel()]))
         assert np.max(np.abs(ves[:N] - mom[:N])) <= 1e-12 * np.max(np.abs(mom[:N]))
