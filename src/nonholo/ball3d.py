@@ -366,7 +366,7 @@ def elpr_partner(chart: ChaplyginChart, coords):
     k_bold = hat(k) and the so(3) inertia of I."""
     w, g = _lift_split(chart, coords)
     other = elpr.LPRChart(InertiaOperator.so3_vector(chart.inertia), chart.eps)
-    Pi = elpr.pi_variants(hat(g), chart.D, "d_proj")
+    Pi = elpr.pi_variants(hat(g), chart.D)
     kc = to_wedge(hat(_k_vector(w, g, chart.inertia, chart.D)))
 
     def deviation(rb, rg):

@@ -39,11 +39,9 @@ from .errors import DefinitenessError, ParameterError
 from .liealg import (
     InertiaOperator,
     ad_coords,
-    ad_matrix,
     dr_projector_matrix,
     from_wedge,
-    isotropy_frame,
-    projector_matrix,
+    to_wedge,
     wedge_dim,
 )
 from .veselova import _log_base, _StiefelChart
@@ -88,29 +86,22 @@ def _velocity(kc, Pi, op):
     return _solve_pd(op.dense_matrix + Pi, kc)
 
 
-def pi_variants(gamma, D: float, kind: str = "d_proj") -> np.ndarray:
-    """Symmetric N x N operator Pi used by the worked L+R choices, for a unit
-    gamma in so(n).
-
-    kind "d_proj": Pi = D * (projector onto the orthogonal complement of the
-    isotropy subalgebra of gamma).  kind "double_bracket": Pi(eta) =
-    D [[gamma, eta], gamma], which equals D ad_gamma^T ad_gamma and is
-    positive semidefinite.  The two kinds agree whenever gamma is
-    decomposable (in particular on so(3)) and differ in general.  The
-    Stiefel counterpart of "d_proj", D * pr_{D_r}, is
-    D * dr_projector_matrix(U @ U.T).
+def pi_variants(gamma, D: float) -> np.ndarray:
+    """Symmetric N x N operator Pi = D * (projector onto the orthogonal
+    complement of the isotropy subalgebra {x : [x, gamma] = 0}) of a unit
+    gamma in so(n).  The isotropy rows are the right singular vectors of
+    ad_gamma whose singular values are at most 1e-9 times the largest.  On
+    so(3), and for decomposable gamma, Pi equals D ad_gamma^T ad_gamma.  The
+    Stiefel counterpart, D * pr_{D_r}, is D * dr_projector_matrix(U @ U.T).
     """
     D = float(D)
     if D < 0.0:
         raise ParameterError("D must be nonnegative")
     gamma = np.asarray(gamma, dtype=float)
-    if kind == "d_proj":
-        N = wedge_dim(gamma.shape[-1])
-        return D * (np.eye(N) - projector_matrix(isotropy_frame(gamma)))
-    if kind == "double_bracket":
-        A = ad_matrix(gamma)
-        return D * (A.T @ A)
-    raise ParameterError(f"unknown pi_variants kind {kind!r}")
+    n = gamma.shape[-1]
+    _, s, vt = np.linalg.svd(ad_coords(to_wedge(gamma), n))
+    V = vt[s <= 1e-9 * max(s[0], 1e-300)]
+    return D * (np.eye(wedge_dim(n)) - V.T @ V)
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +290,17 @@ class LPRStiefelChart(_StiefelChart):
 # random states
 
 
-def random_elpr_state(n: int, rng: np.random.Generator, pi_scale: float = 0.5) -> np.ndarray:
+def random_elpr_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded random (k_bold, Pi): unit k_bold's wedge coordinates, then the
-    upper triangle of a random positive semidefinite Pi, in the layout of
-    LPRChart, whose ``flatten`` solves w from k_bold."""
+    upper triangle of a random positive semidefinite Pi with eigenvalues
+    uniform on [0, 0.5), in the layout of LPRChart, whose ``flatten`` solves
+    w from k_bold."""
     N = wedge_dim(n)
     kc = rng.standard_normal(N)
     kc = kc / np.linalg.norm(kc)
     B = rng.standard_normal((N, N))
     q, _ = np.linalg.qr(B)
-    Pi = q @ np.diag(rng.uniform(0.0, pi_scale, size=N)) @ q.T
+    Pi = q @ np.diag(rng.uniform(0.0, 0.5, size=N)) @ q.T
     Pi = 0.5 * (Pi + Pi.T)
     return np.concatenate([kc, Pi[np.triu_indices(N)]])
 

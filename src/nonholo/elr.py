@@ -44,14 +44,12 @@ import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
-from .errors import DimensionError, SingularityError
+from .errors import DimensionError, ParameterError, SingularityError
 from .liealg import (
-    Frame,
     InertiaOperator,
     ad_coords,
     from_wedge,
     inner_product,
-    to_wedge,
     wedge_dim,
 )
 
@@ -184,21 +182,27 @@ def momentum_partner(chart, coords):
     """Multiplier form against its momentum form (crosscheck pair): the
     momentum chart, the coordinates (m_bold, D-frame) of the multiplier
     coordinates (d,), and the largest velocity difference of samples
-    (..., d).  The D-frame is an orthonormal completion of the H-frame, which
-    must be orthonormal within 1e-10, and m_bold = pr_D I w + pr_H w."""
+    (..., d).  The H-frame rows E must be orthonormal within 1e-10; the
+    D-frame rows complete them to an orthonormal basis, and
+    m_bold = pr_D I w + pr_H w."""
     other = MomentumChart(chart.op, chart.k, chart.eps)
     wc, ec = chart._split(coords)
-    frames = Frame(from_wedge(ec, chart.n))
-    pr_h, _ = liealg.subspace_projectors(frames)
-    frames_d = liealg.orthonormal_complement(frames)
-    pr_d, _ = liealg.subspace_projectors(frames_d)
-    omega = from_wedge(wc, chart.n)
-    mc = to_wedge(pr_d(chart.op.apply(omega)) + pr_h(omega))
+    if np.max(np.abs(ec @ ec.T - np.eye(chart.k))) > 1e-10:
+        raise ParameterError("the frame rows are not orthonormal within 1e-10")
+    # the einsums' summation order follows the rows' memory layout; Fortran
+    # order keeps the lifted coordinates' bits
+    ec = np.asfortranarray(ec)
+    fc = np.asfortranarray(np.linalg.svd(ec)[2][chart.k :])
+
+    def pr(rows, c):
+        return np.einsum("kN,...k->...N", rows, np.einsum("kN,...N->...k", rows, c))
+
+    mc = pr(fc, chart.op.apply_coords(wc)) + pr(ec, wc)
 
     def deviation(ra, rb):
         return np.max(np.abs(chart._split(ra)[0] - other.velocity(rb)), axis=-1)
 
-    return other, np.concatenate([mc, frames_d.coords.ravel()]), deviation
+    return other, np.concatenate([mc, fc.ravel()]), deviation
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,7 @@ class MultiplierChart(_FrameChart):
 
     def integrals(self, coords):
         wc, ec = self._split(coords)
-        # scale-free, as in liealg.frame_gram: smallest Gram eigenvalue against the largest
+        # scale-free: smallest Gram eigenvalue against the largest
         ev = np.linalg.eigvalsh(ec @ np.swapaxes(ec, -1, -2))
         if np.any(ev[..., 0] <= 1e-12 * np.maximum(ev[..., -1], 0.0)):
             raise SingularityError("frame is numerically dependent (Gram eigenvalue ratio <= 1e-12)")
@@ -360,17 +364,14 @@ def random_multiplier_state(
     n: int,
     k: int,
     rng: np.random.Generator,
-    orthonormal_frames: bool = True,
     zero_constants: bool = False,
 ) -> np.ndarray:
-    """Seeded random chart coordinates (w, e_1..e_k): unit-speed w, generic
-    k-element frame."""
+    """Seeded random chart coordinates (w, e_1..e_k): unit-speed w,
+    orthonormal k-element frame."""
     N = wedge_dim(n)
     if not 1 <= k <= N - 1:
         raise DimensionError(f"need 1 <= k <= N-1 = {N - 1}, got k={k}")
-    ec = rng.standard_normal((k, N))
-    if orthonormal_frames:
-        ec = liealg.orthonormalize_rows(ec)
+    ec = liealg.orthonormalize_rows(rng.standard_normal((k, N)))
     wc = rng.standard_normal(N)
     if zero_constants:
         g = ec @ ec.T

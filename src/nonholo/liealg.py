@@ -1,4 +1,4 @@
-"""Linear algebra on so(n): wedge basis, inertia operators, frames, projectors.
+"""Linear algebra on so(n): wedge coordinates, brackets, inertia operators.
 
 Elements of so(n) are plain skew-symmetric (n, n) numpy arrays.  Every
 function broadcasts over leading batch dimensions unless stated otherwise.
@@ -28,43 +28,24 @@ coordinates w the matrix of ad_w is (w @ table).reshape(N, N)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    DefinitenessError,
-    DimensionError,
-    ParameterError,
-    SingularityError,
-)
+from .errors import DefinitenessError, DimensionError, ParameterError
 
 __all__ = [
-    "wedge_basis",
     "wedge_index_pairs",
     "wedge_dim",
     "to_wedge",
     "from_wedge",
     "inner_product",
-    "commutator",
     "hat",
     "unhat",
-    "ad_matrix",
     "ad_coords",
-    "check_skew",
-    "random_skew",
     "InertiaOperator",
-    "Frame",
-    "frame_gram",
-    "subspace_projectors",
-    "projector_matrix",
     "dr_projector_matrix",
-    "restricted_det",
-    "isotropy_frame",
-    "orthonormal_complement",
     "orthonormalize_rows",
-    "complete_columns",
     "random_stiefel",
 ]
 
@@ -116,11 +97,6 @@ def wedge_dim(n: int) -> int:
     return _windex(n).N
 
 
-def wedge_basis(n: int) -> list[np.ndarray]:
-    """Ordered orthonormal basis [Ei ^ Ej for i < j, lexicographic]."""
-    return [b.copy() for b in _windex(n).basis]
-
-
 def wedge_index_pairs(n: int) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, in the order used by the wedge basis."""
     return list(_windex(n).pairs)
@@ -160,15 +136,6 @@ def inner_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("...ij,...ji->...", x, y)
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] = x y - y x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1] != y.shape[-1]:
-        raise DimensionError(f"mixed so(n) sizes: {x.shape} vs {y.shape}")
-    return x @ y - y @ x
-
-
 def hat(v: np.ndarray) -> np.ndarray:
     """R^3 -> so(3), (v1, v2, v3) |-> [[0, -v3, v2], [v3, 0, -v1], [-v2, v1, 0]].
 
@@ -200,29 +167,6 @@ def ad_coords(wc: np.ndarray, n: int) -> np.ndarray:
     wedge coordinates wc (..., N) of w; [w, y] has coordinates ad_w @ y."""
     w = _windex(n)
     return (np.asarray(wc) @ w.structure).reshape(np.shape(wc)[:-1] + (w.N, w.N))
-
-
-def ad_matrix(omega: np.ndarray) -> np.ndarray:
-    """Matrix of ad_omega = [omega, .] in wedge coordinates, shape (..., N, N)."""
-    omega = np.asarray(omega, dtype=float)
-    return ad_coords(to_wedge(omega), omega.shape[-1])
-
-
-def check_skew(x: np.ndarray, tol: float = 1e-13) -> None:
-    """Raise if x is not skew-symmetric within tol * scale."""
-    x = np.asarray(x, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(x), initial=0.0)))
-    defect = float(np.max(np.abs(x + np.swapaxes(x, -1, -2)), initial=0.0))
-    if defect > tol * scale:
-        raise ParameterError(f"matrix is not skew-symmetric (defect {defect:.3e})")
-
-
-def random_skew(n: int, rng: np.random.Generator, unit: bool = False) -> np.ndarray:
-    """Random element of so(n) with standard normal wedge coordinates."""
-    c = rng.standard_normal(wedge_dim(n))
-    if unit:
-        c = c / np.linalg.norm(c)
-    return from_wedge(c, n)
 
 
 # ---------------------------------------------------------------------------
@@ -396,97 +340,7 @@ class InertiaOperator:
 
 
 # ---------------------------------------------------------------------------
-# frames and projectors
-
-# Frame elements are dependent when their smallest Gram eigenvalue is at most
-# this times the largest.
-_GRAM_RTOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """Ordered tuple of linearly independent so(n) elements.
-
-    The elements count as dependent when the smallest eigenvalue of their
-    Gram matrix is at most _GRAM_RTOL (1e-12) times the largest, a test that
-    does not depend on their scale.  ``orthonormal=True`` additionally
-    validates <e_i, e_j> = delta_ij within 1e-10.
-    """
-
-    elems: np.ndarray
-    orthonormal: bool = False
-
-    def __post_init__(self):
-        elems = np.asarray(self.elems, dtype=float)
-        if elems.ndim == 2:
-            elems = elems[None]
-        if elems.ndim != 3 or elems.shape[-1] != elems.shape[-2]:
-            raise DimensionError(f"frame elements must be (k, n, n), got {elems.shape}")
-        check_skew(elems)
-        object.__setattr__(self, "elems", elems)
-        g = self.gram()
-        if self.orthonormal:
-            if np.max(np.abs(g - np.eye(self.k))) > 1e-10:
-                raise ParameterError("frame flagged orthonormal is not")
-        ev = np.linalg.eigvalsh(g)
-        if ev[0] <= _GRAM_RTOL * max(ev[-1], 0.0):
-            raise SingularityError(
-                f"frame is numerically dependent (Gram eigenvalues {ev[0]:.3e} "
-                f"against {ev[-1]:.3e})"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.elems.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.elems.shape[-1]
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Wedge coordinates of the elements, shape (k, N)."""
-        return to_wedge(self.elems)
-
-    def gram(self) -> np.ndarray:
-        c = self.coords
-        return c @ c.T
-
-
-def frame_gram(frame: Frame, op: InertiaOperator, mode: str = "inverse_inertia") -> np.ndarray:
-    """Gram matrix of the frame under the inertia operator.
-
-    mode "inverse_inertia" gives G_ij = <e_i, I^{-1} e_j>; mode "inertia"
-    gives G_ij = <I e_i, e_j>.  The result is symmetric positive definite;
-    an eigenvalue ratio at or below _GRAM_RTOL (a scale-free
-    degeneracy signal) raises SingularityError.
-    """
-    c = frame.coords
-    if mode == "inverse_inertia":
-        s = op.solve_coords(c)
-    elif mode == "inertia":
-        s = op.apply_coords(c)
-    else:
-        raise ParameterError(f"unknown frame_gram mode {mode!r}")
-    g = c @ s.T
-    g = 0.5 * (g + g.T)
-    ev = np.linalg.eigvalsh(g)
-    if ev[0] <= _GRAM_RTOL * max(ev[-1], 0.0):
-        raise SingularityError("frame Gram matrix under the operator is degenerate")
-    return g
-
-
-def _require_orthonormal(frame: Frame):
-    g = frame.gram()
-    if np.max(np.abs(g - np.eye(frame.k))) > 1e-10:
-        raise ParameterError("operation requires an orthonormal frame")
-
-
-def projector_matrix(frame: Frame) -> np.ndarray:
-    """Wedge-coordinate matrix of the orthogonal projector onto span(frame)."""
-    _require_orthonormal(frame)
-    c = frame.coords
-    return c.T @ c
+# projectors and Stiefel frames
 
 
 def dr_projector_matrix(G: np.ndarray) -> np.ndarray:
@@ -508,65 +362,6 @@ def dr_projector_matrix(G: np.ndarray) -> np.ndarray:
     return np.eye(w.N) - QEQ.reshape(G.shape[:-2] + (w.N, w.N))
 
 
-def subspace_projectors(frame: Frame):
-    """Orthogonal projectors (pr_span, pr_complement) for an orthonormal frame.
-
-    Both act on skew matrices of matching size and broadcast over batches.
-    """
-    _require_orthonormal(frame)
-    c = frame.coords
-    n = frame.n
-
-    def pr_span(x):
-        cx = to_wedge(x)
-        return from_wedge(np.einsum("kN,...k->...N", c, np.einsum("kN,...N->...k", c, cx)), n)
-
-    def pr_complement(x):
-        return np.asarray(x, dtype=float) - pr_span(x)
-
-    return pr_span, pr_complement
-
-
-def restricted_det(op: InertiaOperator, frame: Frame, mode: str = "inertia") -> float:
-    """det of the operator restricted to span(frame), in an orthonormal frame."""
-    _require_orthonormal(frame)
-    d = float(np.linalg.det(frame_gram(frame, op, mode)))
-    if d <= 0.0:
-        raise DefinitenessError("restricted determinant is not positive")
-    return d
-
-
-# Relative singular-value cut of ad_gamma's null space in isotropy_frame.
-_ISOTROPY_RTOL = 1e-9
-
-
-def isotropy_frame(gamma: np.ndarray) -> Frame:
-    """Orthonormal frame of the isotropy subalgebra {x : [x, gamma] = 0}; singular
-    values of ad_gamma at or below _ISOTROPY_RTOL times the largest count as zero."""
-    gamma = np.asarray(gamma, dtype=float)
-    check_skew(gamma)
-    A = ad_matrix(gamma)
-    _, s, vt = np.linalg.svd(A)
-    cut = _ISOTROPY_RTOL * max(s[0], 1e-300)
-    null_rows = vt[s <= cut] if np.any(s <= cut) else vt[:0]
-    if null_rows.shape[0] == 0:
-        raise SingularityError("isotropy subalgebra is trivial at this tolerance")
-    return Frame(from_wedge(null_rows, gamma.shape[-1]), orthonormal=True)
-
-
-def orthonormal_complement(frame: Frame) -> Frame:
-    """Orthonormal frame spanning the orthogonal complement of span(frame)."""
-    c = frame.coords
-    _, s, vt = np.linalg.svd(c)
-    k = frame.k
-    if s[-1] <= 1e-12 * s[0]:
-        raise SingularityError("frame is too close to dependent to complement")
-    comp = vt[k:]
-    if comp.shape[0] == 0:
-        raise DimensionError("frame already spans the whole algebra")
-    return Frame(from_wedge(comp, frame.n), orthonormal=True)
-
-
 def orthonormalize_rows(c: np.ndarray) -> np.ndarray:
     """Orthonormalize the rows of c by QR with a deterministic sign fix."""
     c = np.asarray(c, dtype=float)
@@ -574,15 +369,6 @@ def orthonormalize_rows(c: np.ndarray) -> np.ndarray:
     sign = np.sign(np.diag(r))
     sign[sign == 0.0] = 1.0
     return (q * sign).T
-
-
-def complete_columns(U) -> np.ndarray:
-    """Extend orthonormal columns U (n x r) to a full orthonormal n x n basis."""
-    U = np.asarray(U, dtype=float)
-    n, r = U.shape
-    q, _ = np.linalg.qr(U, mode="complete")
-    q[:, :r] = U
-    return q
 
 
 def random_stiefel(n: int, r: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,27 +37,11 @@ from .errors import ConfigError, DimensionError, UnsupportedSpecError
 from .liealg import InertiaOperator, dr_projector_matrix, from_wedge, wedge_dim
 
 __all__ = [
-    "gamma_projector",
     "pluecker",
     "pluecker_indices",
     "VeselovaChart",
     "random_veselova_state",
 ]
-
-
-def gamma_projector(U):
-    """(Gamma, pr) for Gamma = U U^T; pr is the projector onto D_r.
-
-    pr acts on skew matrices and broadcasts over batches.
-    """
-    U = np.asarray(U, dtype=float)
-    Gamma = U @ U.T
-
-    def pr(eta):
-        eta = np.asarray(eta, dtype=float)
-        return Gamma @ eta + eta @ Gamma - Gamma @ eta @ Gamma
-
-    return Gamma, pr
 
 
 def _velocity(mc, U, op):

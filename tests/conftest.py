@@ -1,12 +1,76 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and matrix-form oracles that build
+so(n) elements without the package's wedge-coordinate kernels."""
 
 import numpy as np
 
-from nonholo.liealg import InertiaOperator, wedge_dim
+from nonholo.liealg import InertiaOperator, from_wedge, wedge_dim
 
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def wedge_basis(n: int) -> list[np.ndarray]:
+    """Ordered orthonormal basis [Ei ^ Ej for i < j, lexicographic]."""
+    basis = []
+    for i, j in zip(*np.triu_indices(n, 1)):
+        e = np.zeros((n, n))
+        e[i, j], e[j, i] = 1.0, -1.0
+        basis.append(e)
+    return basis
+
+
+def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] = x y - y x."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return x @ y - y @ x
+
+
+def random_skew(n: int, rng: np.random.Generator, unit: bool = False) -> np.ndarray:
+    """Random element of so(n) with standard normal wedge coordinates."""
+    c = rng.standard_normal(wedge_dim(n))
+    if unit:
+        c = c / np.linalg.norm(c)
+    return from_wedge(c, n)
+
+
+def complete_columns(U) -> np.ndarray:
+    """Extend orthonormal columns U (n x r) to a full orthonormal n x n basis."""
+    U = np.asarray(U, dtype=float)
+    n, r = U.shape
+    q, _ = np.linalg.qr(U, mode="complete")
+    q[:, :r] = U
+    return q
+
+
+def gamma_projector(U):
+    """(Gamma, pr) for Gamma = U U^T; pr is the projector onto
+    D_r = span{e_i ^ x : i <= r} in matrix form,
+
+        pr(eta) = Gamma eta + eta Gamma - Gamma eta Gamma,
+
+    acting on skew matrices and broadcasting over batches."""
+    U = np.asarray(U, dtype=float)
+    Gamma = U @ U.T
+
+    def pr(eta):
+        eta = np.asarray(eta, dtype=float)
+        return Gamma @ eta + eta @ Gamma - Gamma @ eta @ Gamma
+
+    return Gamma, pr
+
+
+def double_bracket(gamma, D):
+    """D ad_gamma^T ad_gamma in wedge coordinates, the matrix of
+    eta |-> D [[gamma, eta], gamma], built column by column from commutators
+    with the wedge basis.  It is D times the projector onto the complement of
+    the isotropy subalgebra of a unit gamma when gamma is decomposable (in
+    particular on so(3)), and differs from it otherwise."""
+    n = np.shape(gamma)[-1]
+    cols = [commutator(commutator(gamma, e), gamma) for e in wedge_basis(n)]
+    iu = np.triu_indices(n, 1)
+    return D * np.array([c[iu] for c in cols]).T
 
 
 def random_spd_operator(n: int, rng: np.random.Generator) -> InertiaOperator:

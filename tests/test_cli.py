@@ -549,12 +549,107 @@ def test_crosscheck_deviation_is_integrator_error(pair, patch):
     def deviation(partner, tol):
         integ = dict(raw["integrator"], abs_tol=tol, rel_tol=tol)
         cfg = cli.RunConfig(dict(raw, integrator=integ))
-        return float(np.max(cli._crosscheck_deviations(cfg, partner)[1]))
+        return float(np.max(cli._crosscheck_deviations(cfg, partner, cfg.integrator)[1]))
 
     real = [deviation(PAIRS[pair], tol) for tol in (1e-10, 1e-11)]
     assert real[0] <= 1e-13 or real[0] >= 5.0 * real[1], real
     mutant = [deviation(_eps_shifted(PAIRS[pair]), tol) for tol in (1e-10, 1e-11)]
     assert mutant[0] >= 1e-4 and mutant[0] < 2.0 * mutant[1], mutant
+
+
+# a correct pair whose deviation at the default integrator tolerance, 1.044e-8,
+# is integrator error just above the 1e-8 gate: 7.6e-10, 6.2e-11 and 5.3e-12
+# at abs_tol = rel_tol = 1e-11, 1e-12 and 1e-13
+TIGHTENED = {
+    "system": "ball_rubber", "epsilon": -1.0, "inertia": [1.805099, 1.785761, 1.785111],
+    "D": 0.25097, "variables": "m", "initial": {"seed": 2033411111},
+    "integrator": {"t_end": 5.0, "abs_tol": 1e-10, "rel_tol": 1e-10, "samples": 33},
+}
+
+
+def _tightened_run(tmp_path, monkeypatch, cfg, partner=None):
+    """Exit code, the abs_tol of each integration, CSV rows and stdout of a
+    ball_rubber:veselova crosscheck of cfg."""
+    tols = []
+
+    def recording(field, x0, cfg, *args, **kwargs):
+        tols.append(cfg.abs_tol)
+        return integrate(field, x0, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    if partner is not None:
+        monkeypatch.setitem(PAIRS, ("ball_rubber", "veselova"), partner)
+    rc = main(["crosscheck", "--config", write_cfg(tmp_path, cfg),
+               "--pair", "ball_rubber:veselova", "--out", str(tmp_path)])
+    path = tmp_path / "crosscheck_ball_rubber_veselova.csv"
+    return rc, tols, read_rows(path) if path.exists() else None
+
+
+def test_crosscheck_reruns_a_correct_pair_at_a_tighter_tolerance(tmp_path, monkeypatch, capsys):
+    rc, tols, rows = _tightened_run(tmp_path, monkeypatch, TIGHTENED)
+    assert rc == 0
+    assert tols == pytest.approx([1e-10, 1e-10, 1e-11, 1e-11], rel=1e-12)
+    worst = max(float(r[1]) for r in rows[1:])
+    assert 1e-10 < worst <= 1e-8  # the CSV is the passing run's
+    assert len(rows) == 34
+    assert "(pass) at abs_tol 1e-11, rel_tol 1e-11 -> " in capsys.readouterr().out
+
+
+def test_crosscheck_that_passes_at_once_runs_once(tmp_path, monkeypatch, capsys):
+    cfg = dict(TIGHTENED, tolerance=2e-8)
+    rc, tols, rows = _tightened_run(tmp_path, monkeypatch, cfg)
+    assert (rc, tols) == (0, [1e-10, 1e-10])
+    assert max(float(r[1]) for r in rows[1:]) == pytest.approx(1.044e-8, rel=1e-3)
+    assert "(pass) at abs_tol 1e-10, rel_tol 1e-10 -> " in capsys.readouterr().out
+
+
+def test_crosscheck_model_error_settles_and_exits_two(tmp_path, monkeypatch, capsys):
+    # eps moved by 1e-3 on the partner: the deviation stays at 3.8e-3 as
+    # the tolerance shrinks, so one tighter level tells it from integrator error
+    partner = _eps_shifted(PAIRS[("ball_rubber", "veselova")])
+    rc, tols, rows = _tightened_run(tmp_path, monkeypatch, TIGHTENED, partner)
+    assert rc == 2
+    assert tols == pytest.approx([1e-10, 1e-10, 1e-11, 1e-11], rel=1e-12)
+    assert max(float(r[1]) for r in rows[1:]) > 1e-3
+    assert "(fail) at abs_tol 1e-11, rel_tol 1e-11 -> " in capsys.readouterr().out
+
+
+def test_crosscheck_that_would_need_a_tolerance_below_the_floor_exits_four(
+    tmp_path, monkeypatch, capsys
+):
+    # the deviation shrinks by more than 10% at every level down to 1e-13
+    # and stays above a 1e-15 gate: integrator error the floor cannot resolve
+    rc, tols, _ = _tightened_run(tmp_path, monkeypatch, dict(TIGHTENED, tolerance=1e-15))
+    assert rc == 4
+    assert tols == pytest.approx([1e-10] * 2 + [1e-11] * 2 + [1e-12] * 2 + [1e-13] * 2, rel=1e-12)
+    out, err = capsys.readouterr()
+    assert "(unresolved) at abs_tol 1e-13, rel_tol 1e-13 -> " in out
+    assert err.startswith("integrator error: ") and "Traceback" not in err
+
+
+def test_crosscheck_abort_at_a_tighter_tolerance_names_the_integrator(
+    tmp_path, monkeypatch, capsys
+):
+    # enough steps for the configured tolerance, too few for the next level
+    counts = []
+
+    def counting(field, x0, cfg, *args, **kwargs):
+        traj = integrate(field, x0, cfg, *args, **kwargs)
+        counts.append(traj.stats.accepted + traj.stats.rejected)
+        return traj
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    assert main(["crosscheck", "--config", write_cfg(tmp_path, TIGHTENED),
+                 "--pair", "ball_rubber:veselova", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    integ = dict(TIGHTENED["integrator"], max_steps=max(counts[:2]))
+    budget = tmp_path / "budget"
+    budget.mkdir()
+    rc, tols, rows = _tightened_run(budget, monkeypatch, dict(TIGHTENED, integrator=integ))
+    assert rc == 4 and rows is None
+    err = capsys.readouterr().err
+    assert err.startswith("integration abort: ")
+    assert "max_steps exceeded (integrator rerun at abs_tol 1e-11, rel_tol 1e-11)" in err
 
 
 @pytest.mark.parametrize("pair", ["elr_multiplier:elr_momentum", "ball_rubber:elr_multiplier"])

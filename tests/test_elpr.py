@@ -2,8 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from conftest import chaplygin_params, field_blocks, random_spd_operator, rng_for
+from conftest import (
+    chaplygin_params,
+    commutator,
+    double_bracket,
+    field_blocks,
+    gamma_projector,
+    random_skew,
+    random_spd_operator,
+    rng_for,
+    wedge_basis,
+)
 from nonholo import ball3d
 from nonholo.elpr import (
     LPRChart,
@@ -17,20 +28,14 @@ from nonholo.elpr import (
 )
 from nonholo.errors import DefinitenessError, ParameterError
 from nonholo.liealg import (
-    Frame,
     InertiaOperator,
     ad_coords,
-    commutator,
     dr_projector_matrix,
     from_wedge,
     hat,
-    isotropy_frame,
-    projector_matrix,
-    random_skew,
     random_stiefel,
     to_wedge,
     unhat,
-    wedge_basis,
     wedge_dim,
     wedge_index_pairs,
 )
@@ -40,7 +45,7 @@ from nonholo.numerics import (
     liouville_residual_ambient,
     tangent_volume_transport,
 )
-from nonholo.veselova import gamma_projector, pluecker, pluecker_indices
+from nonholo.veselova import pluecker, pluecker_indices
 
 
 # ---------------------------------------------------------------------------
@@ -179,62 +184,75 @@ def test_ambient_liouville_residual_vanishes():
 # the two sphere-carried operator constructions
 
 
+# pi_variants is D times the projector onto the complement of the isotropy
+# subalgebra; the double bracket D ad_gamma^T ad_gamma of the tests' oracle
+# equals it exactly when gamma is decomposable
+
+
 def test_pi_variants_coincide_on_so3():
     rng = rng_for(40)
     for _ in range(5):
         g = random_skew(3, rng)
         g = g / np.linalg.norm(to_wedge(g))
         D = float(rng.uniform(0.5, 3.0))
-        P1 = pi_variants(g, D, kind="d_proj")
-        P2 = pi_variants(g, D, kind="double_bracket")
-        assert np.max(np.abs(P1 - P2)) < 1e-12
+        assert np.max(np.abs(pi_variants(g, D) - double_bracket(g, D))) < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(strategies.integers(min_value=0, max_value=10**6))
+def test_pi_variants_so3_is_the_axis_complement(seed):
+    # for a unit g the isotropy of hat(g) is its own axis: D (Id - c c^T)
+    rng = rng_for(seed)
+    g = rng.standard_normal(3)
+    g = g / np.linalg.norm(g)
+    D = float(rng.uniform(0.5, 3.0))
+    c = to_wedge(hat(g))
+    assert np.max(np.abs(pi_variants(hat(g), D) - D * (np.eye(3) - np.outer(c, c)))) < 1e-12
 
 
 def test_pi_variants_coincide_on_decomposable_so4():
     b = wedge_basis(4)
     D = 1.3
-    assert np.max(np.abs(
-        pi_variants(b[0], D, "d_proj") - pi_variants(b[0], D, "double_bracket")
-    )) < 1e-12
+    assert np.max(np.abs(pi_variants(b[0], D) - double_bracket(b[0], D))) < 1e-12
     # a generic decomposable element keeps the agreement
     rng = rng_for(41)
     u, v = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
     g = np.outer(u, v) - np.outer(v, u)
-    assert np.max(np.abs(
-        pi_variants(g, D, "d_proj") - pi_variants(g, D, "double_bracket")
-    )) < 1e-12
+    assert np.max(np.abs(pi_variants(g, D) - double_bracket(g, D))) < 1e-12
 
 
 def test_pi_variants_differ_on_non_decomposable_so4():
     b = wedge_basis(4)
     g = (b[0] + b[5]) / np.sqrt(2.0)  # E1^E2 + E3^E4, not a single wedge
     D = 1.0
-    diff = pi_variants(g, D, "d_proj") - pi_variants(g, D, "double_bracket")
-    assert np.max(np.abs(diff)) > 0.1
+    assert np.max(np.abs(pi_variants(g, D) - double_bracket(g, D))) > 0.1
 
 
 def test_pi_variants_d_proj_eigenstructure():
-    g = wedge_basis(4)[0]
+    # the isotropy of E1^E2 in so(4) is span{E1^E2, E3^E4}
+    b = wedge_basis(4)
     D = 2.0
-    P = pi_variants(g, D, "d_proj")
-    iso = isotropy_frame(g)
+    P = pi_variants(b[0], D)
     ev = np.sort(np.linalg.eigvalsh(P))
-    expect = np.sort(np.concatenate([np.zeros(iso.k), D * np.ones(6 - iso.k)]))
-    assert np.allclose(ev, expect, atol=1e-12)
-    assert np.allclose(P, D * (np.eye(6) - projector_matrix(iso)), atol=1e-13)
+    assert np.allclose(ev, np.concatenate([np.zeros(2), D * np.ones(4)]), atol=1e-12)
+    iso = to_wedge(np.array([b[0], b[5]]))
+    assert np.allclose(P, D * (np.eye(6) - iso.T @ iso), atol=1e-13)
+    with pytest.raises(ParameterError):
+        pi_variants(b[0], -1.0)
 
 
 def test_pi_variants_double_bracket_formula():
+    # the oracle is the matrix of eta |-> D [[g, eta], g] = D ad_g^T ad_g
     rng = rng_for(42)
     g = random_skew(4, rng)
     g = g / np.linalg.norm(to_wedge(g))
     D = 1.4
-    P = pi_variants(g, D, "double_bracket")
+    P = double_bracket(g, D)
     w = random_skew(4, rng)
     expect = D * commutator(commutator(g, w), g)
     assert np.max(np.abs(from_wedge(P @ to_wedge(w), 4) - expect)) < 1e-12
-    with pytest.raises(ParameterError):
-        pi_variants(g, D, kind="bogus")
+    A = ad_coords(to_wedge(g), 4)
+    assert np.max(np.abs(P - D * A.T @ A)) < 1e-12
 
 
 def test_d_projector_on_stiefel_frame():
@@ -294,10 +312,7 @@ def test_stiefel_determinant_factorization():
         Pm = P / D
         vals, vecs = np.linalg.eigh(Pm)
         span = vecs[:, vals > 0.5].T
-        fr = Frame(from_wedge(span, n), orthonormal=True)
-        from nonholo.liealg import restricted_det
-
-        rhs = restricted_det(tot, fr, mode="inertia") * op.det()
+        rhs = np.linalg.det(span @ tot.apply_coords(span).T) * op.det()
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
 

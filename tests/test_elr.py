@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import field_blocks, random_spd_operator, rng_for
+from conftest import commutator, field_blocks, random_spd_operator, rng_for, wedge_basis
 from nonholo import ball3d
 from nonholo.cli import load_config
 from nonholo.elr import (
@@ -18,15 +18,11 @@ from nonholo.elr import (
 )
 from nonholo.errors import ParameterError, SingularityError
 from nonholo.liealg import (
-    Frame,
     InertiaOperator,
-    commutator,
-    frame_gram,
     from_wedge,
     hat,
     inner_product,
     to_wedge,
-    wedge_basis,
 )
 from nonholo.numerics import (
     IntegratorConfig,
@@ -126,8 +122,8 @@ def test_density_reduces_to_sqrt_gram_at_eps_one():
     for _ in range(5):
         x = random_multiplier_state(4, 2, rng)
         op = random_spd_operator(4, rng)
-        frames = Frame(from_wedge(MultiplierChart(op, 2, 1.0)._split(x)[1], 4))
-        expect = np.sqrt(np.linalg.det(frame_gram(frames, op, mode="inverse_inertia")))
+        ec = MultiplierChart(op, 2, 1.0)._split(x)[1]
+        expect = np.sqrt(np.linalg.det(ec @ op.solve_coords(ec).T))
         assert abs(density(x, 2, op, 1.0) - expect) < 1e-12 * expect
 
 
@@ -163,6 +159,43 @@ def test_momentum_round_trip():
         chart = MultiplierChart(op, k, 1.0)
         mom, y, _ = momentum_partner(chart, x)
         assert np.max(np.abs(mom.velocity(y) - chart._split(x)[0])) < 1e-11
+
+
+def test_momentum_partner_completes_the_frame_and_projects_the_momentum():
+    # the D rows are an orthonormal basis of the complement of the H rows,
+    # and m_bold = pr_D I w + pr_H w, with each projector summed over its
+    # frame's elements in matrix form
+    rng = rng_for(37)
+    for n, k in ((3, 1), (4, 2), (5, 3)):
+        x = random_multiplier_state(n, k, rng)
+        op = random_spd_operator(n, rng)
+        chart = MultiplierChart(op, k, 0.5)
+        mom, y, _ = momentum_partner(chart, x)
+        wc, ec = chart._split(x)
+        mc, fc = mom._split(y)
+        assert fc.shape == (chart.N - k, chart.N)
+        assert np.max(np.abs(fc @ fc.T - np.eye(chart.N - k))) <= 1e-12
+        assert np.max(np.abs(fc @ ec.T)) <= 1e-12
+        w, Iw = from_wedge(wc, n), op.apply(from_wedge(wc, n))
+
+        def pr(rows, v):
+            elems = from_wedge(rows, n)
+            return sum(inner_product(e, v) * e for e in elems)
+
+        assert np.max(np.abs(from_wedge(mc, n) - pr(fc, Iw) - pr(ec, w))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[2.0, 0, 0, 0, 0, 0], [0, 2.0, 0, 0, 0, 0]],  # orthogonal, not unit
+     [[1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0]],  # dependent
+     [[1.0, 0, 0, 0, 0, 0], [1e-9, 1.0, 0, 0, 0, 0]]],  # off by 1e-9
+    ids=["not_unit", "dependent", "skewed"],
+)
+def test_momentum_partner_refuses_a_frame_that_is_not_orthonormal(rows):
+    chart = MultiplierChart(InertiaOperator.identity(4), 2, 0.5)
+    with pytest.raises(ParameterError, match="orthonormal"):
+        momentum_partner(chart, np.concatenate([np.full(6, 0.1), np.ravel(rows)]))
 
 
 def test_momentum_field_preserves_frame_orthonormality():
@@ -252,8 +285,6 @@ def test_integrals_frame_check_is_scale_free():
     scaled = np.concatenate([x[: chart.N], 1e-4 * x[chart.N :]])  # Gram det ~1e-16
     out = chart.integrals(np.stack([x, scaled]))
     assert out["H"].shape == (2,)
-    # and so does liealg.Frame
-    assert Frame(from_wedge(chart._split(scaled)[1], 4)).k == 2
     equal = np.concatenate([x[: 2 * chart.N], x[chart.N : 2 * chart.N]])
     with pytest.raises(SingularityError, match="numerically dependent"):
         chart.integrals(np.stack([x, equal]))

@@ -1,44 +1,35 @@
-"""Wedge-basis algebra, inertia operators, frames, and subspace helpers."""
+"""Wedge-basis algebra, inertia operators, Stiefel frames and the pr_{D_r} matrix."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chaplygin_params, random_spd_operator, rng_for
-from nonholo.errors import (
-    DefinitenessError,
-    DimensionError,
-    ParameterError,
-    SingularityError,
-)
-from nonholo.liealg import (
-    Frame,
-    InertiaOperator,
-    ad_coords,
-    ad_matrix,
+from conftest import (
+    chaplygin_params,
     commutator,
     complete_columns,
+    gamma_projector,
+    random_skew,
+    random_spd_operator,
+    rng_for,
+    wedge_basis,
+)
+from nonholo.errors import DefinitenessError, DimensionError, ParameterError
+from nonholo.liealg import (
+    InertiaOperator,
+    ad_coords,
     dr_projector_matrix,
-    frame_gram,
     from_wedge,
     hat,
     inner_product,
-    isotropy_frame,
-    orthonormal_complement,
     orthonormalize_rows,
-    projector_matrix,
-    random_skew,
     random_stiefel,
-    restricted_det,
-    subspace_projectors,
     to_wedge,
     unhat,
-    wedge_basis,
     wedge_dim,
     wedge_index_pairs,
 )
-from nonholo.veselova import gamma_projector
 
 seeds = st.integers(min_value=0, max_value=10**6)
 dims = st.integers(min_value=3, max_value=5)
@@ -110,7 +101,7 @@ def test_commutator_matrix_unit_example():
 def test_ad_matrix_represents_bracket_and_is_skew(n, seed):
     rng = rng_for(seed)
     x, y = random_skew(n, rng), random_skew(n, rng)
-    A = ad_matrix(x)
+    A = ad_coords(to_wedge(x), n)
     assert np.allclose(A @ to_wedge(y), to_wedge(commutator(x, y)), atol=1e-12)
     assert np.allclose(A, -A.T, atol=1e-12)
 
@@ -217,73 +208,7 @@ def test_operator_is_self_adjoint_for_inner_product():
 
 
 # ---------------------------------------------------------------------------
-# frames, projectors, isotropy
-
-
-def test_frame_properties_and_projector():
-    rng = rng_for(23)
-    ec = orthonormalize_rows(rng.standard_normal((2, 6)))
-    fr = Frame(from_wedge(ec, 4), orthonormal=True)
-    assert fr.k == 2 and fr.n == 4
-    assert np.allclose(fr.gram(), np.eye(2), atol=1e-12)
-    P = projector_matrix(fr)
-    assert np.allclose(P, P.T, atol=1e-13)
-    assert np.allclose(P @ P, P, atol=1e-12)
-    assert np.trace(P) == pytest.approx(2.0, abs=1e-10)
-    pr_span, pr_comp = subspace_projectors(fr)
-    x = random_skew(4, rng)
-    assert np.allclose(to_wedge(pr_span(x)), P @ to_wedge(x), atol=1e-12)
-    assert np.allclose(pr_span(x) + pr_comp(x), x, atol=1e-12)
-
-
-def test_frame_rejects_dependent_or_falsely_orthonormal():
-    b = wedge_basis(3)
-    with pytest.raises(SingularityError):
-        Frame(np.array([b[0], b[0] + 1e-15 * b[1]]))
-    with pytest.raises(ParameterError):
-        Frame(np.array([2.0 * b[0]]), orthonormal=True)
-
-
-def test_frame_dependence_test_is_scale_free():
-    # elements scaled by 1e-4 have Gram determinant 1e-16 but are independent
-    b = wedge_basis(4)
-    fr = Frame(1e-4 * np.array([b[0], b[1] + 0.5 * b[2]]))
-    assert fr.k == 2
-    with pytest.raises(SingularityError, match="numerically dependent"):
-        Frame(1e-4 * np.array([b[1], b[1]]))
-
-
-def test_orthonormal_complement():
-    rng = rng_for(29)
-    ec = orthonormalize_rows(rng.standard_normal((2, 6)))
-    fr = Frame(from_wedge(ec, 4), orthonormal=True)
-    comp = orthonormal_complement(fr)
-    assert comp.k == 4
-    assert np.allclose(comp.coords @ ec.T, 0.0, atol=1e-12)
-    assert np.allclose(comp.gram(), np.eye(4), atol=1e-12)
-
-
-def test_isotropy_frame_so4_decomposable():
-    # centralizer of E1^E2 in so(4) is span{E1^E2, E3^E4}
-    b = wedge_basis(4)
-    fr = isotropy_frame(b[0])
-    assert fr.k == 2
-    P = projector_matrix(fr)
-    expect = projector_matrix(Frame(np.array([b[0], b[5]]), orthonormal=True))
-    assert np.allclose(P, expect, atol=1e-10)
-    for elem in fr.elems:
-        assert np.max(np.abs(commutator(b[0], elem))) < 1e-10
-
-
-@settings(max_examples=15, deadline=None)
-@given(seeds)
-def test_isotropy_frame_so3_is_the_axis(seed):
-    gamma = random_skew(3, rng_for(seed))
-    fr = isotropy_frame(gamma)
-    assert fr.k == 1
-    c = to_wedge(gamma)
-    c = c / np.linalg.norm(c)
-    assert abs(abs(float(fr.coords[0] @ c)) - 1.0) < 1e-10
+# Stiefel points
 
 
 def test_stiefel_point_and_completion():
@@ -299,23 +224,7 @@ def test_stiefel_point_and_completion():
 
 
 # ---------------------------------------------------------------------------
-# restricted determinants and the determinant factorization
-
-
-def test_frame_gram_and_restricted_det_oracle():
-    rng = rng_for(37)
-    op = random_spd_operator(4, rng)
-    ec = orthonormalize_rows(rng.standard_normal((3, 6)))
-    fr = Frame(from_wedge(ec, 4), orthonormal=True)
-    A = frame_gram(fr, op, mode="inverse_inertia")
-    assert np.allclose(A, ec @ np.linalg.inv(op.dense_matrix) @ ec.T, atol=1e-11)
-    G = frame_gram(fr, op, mode="inertia")
-    assert np.allclose(G, ec @ op.dense_matrix @ ec.T, atol=1e-11)
-    assert restricted_det(op, fr, mode="inertia") == pytest.approx(
-        np.linalg.det(G), rel=1e-10
-    )
-    with pytest.raises(ParameterError):
-        frame_gram(fr, op, mode="bogus")
+# the determinant factorization and the pr_{D_r} matrix
 
 
 @settings(max_examples=30, deadline=None)
@@ -327,9 +236,9 @@ def test_det_factorization(n, seed):
     N = wedge_dim(n)
     k = int(rng.integers(1, N))
     ec = orthonormalize_rows(rng.standard_normal((k, N)))
-    fr = Frame(from_wedge(ec, n), orthonormal=True)
-    lhs = op.det() * np.linalg.det(frame_gram(fr, op, mode="inverse_inertia"))
-    rhs = restricted_det(op, orthonormal_complement(fr), mode="inertia")
+    fc = np.linalg.svd(ec)[2][k:]  # orthonormal rows of the complement
+    lhs = op.det() * np.linalg.det(ec @ op.solve_coords(ec).T)
+    rhs = np.linalg.det(fc @ op.apply_coords(fc).T)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -376,7 +285,6 @@ def test_ad_coords_matches_basis_product_formula(n):
     assert A.shape == (4, wedge_dim(n), wedge_dim(n))
     assert np.max(np.abs(A - _ad_oracle(from_wedge(wc, n)))) <= 1e-15
     assert np.max(np.abs(ad_coords(wc[0], n) - A[0])) == 0.0
-    assert np.max(np.abs(ad_matrix(from_wedge(wc, n)) - A)) == 0.0
 
 
 @pytest.mark.parametrize("n", range(3, 9))

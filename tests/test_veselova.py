@@ -5,18 +5,24 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import ball_momentum_rate, field_blocks, random_spd_operator, rng_for
+from conftest import (
+    ball_momentum_rate,
+    complete_columns,
+    field_blocks,
+    gamma_projector,
+    random_skew,
+    random_spd_operator,
+    rng_for,
+)
 from nonholo import ball3d
 from nonholo.elr import MomentumChart
 from nonholo.errors import ParameterError, UnsupportedSpecError
 from nonholo.liealg import (
     InertiaOperator,
-    complete_columns,
     dr_projector_matrix,
     from_wedge,
     hat,
     inner_product,
-    random_skew,
     random_stiefel,
     to_wedge,
     wedge_dim,
@@ -25,7 +31,6 @@ from nonholo.numerics import IntegratorConfig, integrate, pointwise, tangent_vol
 from nonholo.veselova import (
     VeselovaChart,
     _velocity,
-    gamma_projector,
     pluecker,
     pluecker_indices,
     random_veselova_state,
