@@ -406,13 +406,13 @@ def veselova_partner(chart: RubberChart, coords):
 
 def random_ball_state(
     rng: np.random.Generator,
-    inertia=None,
+    inertia,
     D: float = 1.0,
     eps: float = 1.0,
     zero_constraint: bool = False,
 ) -> BallState:
-    """Seeded random state; zero_constraint makes (w, gamma) = 0 exactly."""
-    inertia = rng.uniform(0.5, 2.5, size=3) if inertia is None else np.asarray(inertia, float)
+    """Seeded random state of the ball with principal moments inertia (3,);
+    zero_constraint makes (w, gamma) = 0 exactly."""
     g = rng.standard_normal(3)
     g = g / np.linalg.norm(g)
     w = rng.standard_normal(3)

@@ -333,6 +333,8 @@ def observables(chart, states) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, seed, out_dir) -> int:
+    if seed is not None and cfg.coords is not None:
+        raise ConfigError("--seed: the config's initial.coords give the initial state")
     cfg.require_density()
     chart = cfg.chart
     x0 = cfg.initial_coords(cfg.seed if seed is None else seed)
@@ -396,10 +398,10 @@ def _integral_results(cfg: RunConfig, x0) -> list:
 
     The states are integrated as one ensemble, in consecutive groups whose
     stored samples, with the stages of a step that covers no sample, stay
-    under _ENSEMBLE_BATCH_BYTES.  The bound leaves the branch rows out: the
-    driver gives a step only as many as keep its stage array under the same
-    bound, so a larger group gets fewer branches per step, not a larger
-    stage array.
+    under _ENSEMBLE_BATCH_BYTES.  The bound leaves the branch rows out:
+    ``integrate`` gives a step only as many as keep its stage array under
+    the same bound, so a larger group gets fewer branches per step, not a
+    larger stage array.
     """
     chart = cfg.chart
     S, d = x0.shape
@@ -441,6 +443,11 @@ def _ensemble(cfg: RunConfig, seeds, run) -> dict:
 def cmd_verify(cfg: RunConfig, check, seeds, out_dir) -> int:
     if check not in CHECKS:
         raise ConfigError(f"--check: expected one of {', '.join(CHECKS)}")
+    if seeds != 1 and cfg.coords is not None:
+        raise ConfigError(
+            f"--seeds: the config's initial.coords give one state, which --seeds {seeds} "
+            f"would certify {seeds} times; use --seeds 1"
+        )
     cfg.require(check, "--check")
     cfg.require_density()
     chart = cfg.chart

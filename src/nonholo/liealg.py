@@ -326,9 +326,6 @@ class InertiaOperator:
             return float(np.sum(np.log(self._diag)))
         return float(np.linalg.slogdet(self._mat)[1])
 
-    def det(self) -> float:
-        return float(np.exp(self.logdet()))
-
     def _check_n(self, x):
         if np.asarray(x).shape[-1] != self.n:
             raise DimensionError(

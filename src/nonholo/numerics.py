@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
@@ -236,7 +237,7 @@ class IntegratorConfig:
 
 @dataclass
 class IntegrationStats:
-    """What the driver did.  The pair reuses its last stage (FSAL), so
+    """What ``integrate`` did.  The pair reuses its last stage (FSAL), so
     evaluations == 1 + 12 * (accepted + rejected) + fsal_resets, where
     fsal_resets counts the steps that start after a renormalization; a
     branch (see ``integrate``) rides on its step's field calls and is not a
@@ -258,11 +259,6 @@ class IntegrationStats:
     h_min: float = float("inf")
     h_max: float = 0.0
 
-    def _accept(self, h):
-        self.accepted += 1
-        self.h_min = min(self.h_min, h)
-        self.h_max = max(self.h_max, h)
-
 
 @dataclass
 class Trajectory:
@@ -276,199 +272,159 @@ def _rms(a):
     return np.sqrt(np.mean(a**2, axis=-1))
 
 
-class _Driver:
-    """Dormand-Prince 8(5,3) stepping of the state x at time t to a stop
-    time, FSAL reused; ``advance(t_stop, samples)`` steps x to t_stop and
-    returns the states at the sample times, increasing times in (t, t_stop).
-
-    The state is (D,) or an ensemble (S, D) stepped with one shared step
-    sequence.  The step size follows the tolerance alone: each sample time
-    that a trial step covers is reached by a branch, a step of length
-    t_s - t from the same start, stacked as one more row on the main row,
-    so each stage stays one field call.  The error norm is the largest over
-    the main row and its branches, each with its own length, and the largest
-    member error within a row.  A step covers at most as many sample times
-    as keep its stage array under _ENSEMBLE_BATCH_BYTES and otherwise ends
-    on the next one.  A step cut short, to end on the stop time or on a
-    sample time, leaves the step size it was cut from for the next step,
-    unless its own error allows a longer one.
-    """
-
-    def __init__(self, f, x, cfg, renormalize_fn=None, quadrature_fn=None):
-        self.f = f
-        self.quadrature_fn = quadrature_fn
-        self.x = np.asarray(x, dtype=float).copy()
-        self.cfg = cfg
-        self.t = 0.0
-        self.f0 = None
-        self.h = None
-        self.renormalize_fn = renormalize_fn
-        self.stats = IntegrationStats()
-        self.max_branches = max(0, _ENSEMBLE_BATCH_BYTES // (8 * _STAGES * self.x.size) - 1)
-
-    def _accept(self, h, rows):
-        """Take a step of length h whose end states are rows (R, ...): row 0
-        becomes x, the other rows are returned.  A renormalization takes all
-        rows in one call, so a branch sample gets what a step ending at its
-        time would get."""
-        self.stats._accept(h)
-        self.t += h
-        if self.renormalize_fn is not None:
-            rows = np.asarray(self.renormalize_fn(rows), dtype=float)
-            self.f0 = None  # the FSAL value is the field at the old row 0
-        self.x = rows[0]
-        return list(rows[1:])
-
-    def _eval(self, x):
-        """The field at states x (..., D): rates of every column, or of all
-        but the quadrature."""
-        self.stats.evaluations += 1
-        if self.quadrature_fn is not None:
-            x = x[..., :-1]
-        try:
-            return np.asarray(self.f(x), dtype=float)
-        except NonholoError as exc:
-            raise IntegrationAbort(self.t, exc) from exc
-
-    def _quadrature(self, x):
-        """The quadrature's rate (...) at states x (..., D), in one call."""
-        self.stats.quadrature_calls += 1
-        try:
-            return _eval_rows(self.quadrature_fn, x[..., :-1])[..., 0]
-        except NonholoError as exc:
-            raise IntegrationAbort(self.t, exc) from exc
-
-    def _fsal_start(self):
-        if self.f0 is None:  # first call, or FSAL value dropped by a renormalization
-            if self.stats.evaluations:
-                self.stats.fsal_resets += 1
-            self.f0 = self._eval(self.x)
-            if not np.all(np.isfinite(self.f0)):
-                raise IntegrationAbort(self.t, "non-finite field value")
-
-    def _initial_h(self, span):
-        f0 = self.f0
-        if self.quadrature_fn is not None:
-            f0 = np.concatenate([f0, self._quadrature(self.x)[..., None]], axis=-1)
-            if not np.all(np.isfinite(f0)):
-                raise IntegrationAbort(self.t, "non-finite field value")
-        sc = self.cfg.abs_tol + self.cfg.rel_tol * np.abs(self.x)
-        d0 = np.atleast_1d(_rms(self.x / sc))
-        d1 = np.atleast_1d(_rms(f0 / sc))
-        h = min(
-            0.01 * a / b if b > 1e-12 and a > 1e-12 else 1e-3 * span
-            for a, b in zip(d0.tolist(), d1.tolist())
-        )
-        return min(max(h, 1e-8 * span), span)
-
-    def _step(self, hs):
-        """One step of each length in hs (R,) from x: the end states
-        (R, ...) and the error norm, the largest over every row.  A
-        quadrature column is zero in K until the stages are done, then one
-        call fills it on the weighted stage points."""
-        cfg = self.cfg
-        shape = hs.shape + self.x.shape
-        hr = hs.reshape(hs.shape + (1,) * self.x.ndim)
-        quadrature = self.quadrature_fn is not None
-        # stage i is row i of K; K[:i] feeds stage i, all of K the update
-        K = (np.zeros if quadrature else np.empty)((_STAGES, hs.size * self.x.size))
-        stages = K.reshape((_STAGES,) + shape)
-        field_stages = stages[..., :-1] if quadrature else stages
-        field_stages[0] = self.f0
-        points = [self.x] * _STAGES
-        for i in range(1, _STAGES):
-            points[i] = self.x + hr * (_DOP853_A[i] @ K[:i]).reshape(shape)
-            field_stages[i] = self._eval(points[i])
-        if quadrature:
-            points[0] = np.broadcast_to(self.x, shape)
-            stages[_WEIGHTED, ..., -1] = self._quadrature(np.stack([points[i] for i in _WEIGHTED]))
-        x_new = self.x + hr * (_DOP853_B @ K).reshape(shape)
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(self.x), np.abs(x_new))
-        err_norm = _error_norm(hr[..., 0], K, sc)
-        return x_new, field_stages[-1, 0], err_norm
-
-    def advance(self, t_stop, samples):
-        cfg = self.cfg
-        samples = np.asarray(samples, dtype=float)
-        out = []
-        self._fsal_start()
-        if self.h is None:
-            self.h = self._initial_h(max(t_stop - self.t, 1e-12))
-        while self.t < t_stop - 1e-14 * max(1.0, abs(t_stop)):
-            self._fsal_start()
-            if self.stats.accepted + self.stats.rejected >= cfg.max_steps:
-                raise IntegrationAbort(self.t, "max_steps exceeded")
-            h = min(self.h, t_stop - self.t)
-            if h < 1e-14 * max(1.0, abs(self.t)):
-                raise StiffnessError(
-                    f"step size underflow at t={self.t:.6g} (h={h:.3e})"
-                )
-            # samples[i:j] lie in the step; past the cap it ends on samples[j]
-            i = len(out)
-            j = max(i, int(np.searchsorted(samples, self.t + h, side="right")))
-            ends_on_sample = j - i > self.max_branches
-            if ends_on_sample:
-                j = i + self.max_branches
-                h = samples[j] - self.t
-            x_new, f_new, err_norm = self._step(np.concatenate([[h], samples[i:j] - self.t]))
-            if not np.isfinite(err_norm):
-                raise IntegrationAbort(self.t, "non-finite field value")
-            if err_norm <= 1.0:
-                self.f0 = f_new  # FSAL: last stage is f at the accepted point
-                out += self._accept(h, x_new)
-                if ends_on_sample:
-                    out.append(self.x.copy())
-                factor = 5.0 if err_norm == 0.0 else min(
-                    5.0, max(0.2, 0.9 * err_norm ** -0.125)
-                )
-                # a step cut short keeps the size it was cut from
-                self.h = max(self.h, h * factor) if h < self.h else h * factor
-            else:
-                self.stats.rejected += 1
-                self.h = h * max(0.2, 0.9 * err_norm ** -0.125)
-        # sample times within rounding of t_stop take the state there
-        return out + [self.x.copy() for _ in range(len(samples) - len(out))]
-
-
 def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None, quadrature_fn=None):
     """Integrate dx/dt = field_fn(x) and sample at cfg.sample_times().
 
     x0 is one state (d,) or an ensemble (S, d); states then has shape
     (T, d) or (T, S, d).  field_fn is batched: it maps states (..., d) of
     any leading shape to their time derivatives, as every callable of this
-    module does.  The driver steps freely to t_end and reaches each
-    sample time that a step covers by a branch, a step of that length from
-    the same start stacked as one more row of the same field calls; the
-    branch rows share the step's error control, so a sample carries the
-    integrator error at the tolerance, not the error of a step ended there.
-    An ensemble shares one driver: the step is controlled by the largest
-    member error, so a member can differ from its own (d,) run at the
-    integrator-error level.
+    module does.  A non-finite x0 raises ParameterError.
+
+    This is the one Dormand-Prince 8(5,3) loop of the package.  The step
+    size follows the tolerance alone, and the last stage of a step is the
+    first of the next (FSAL).  Each sample time that a trial step covers is
+    reached by a branch, a step of that length from the same start, stacked
+    as one more row on the main row, so each stage stays one field call.
+    The error norm is the largest over the main row and its branches, each
+    with its own length, and the largest member error within a row, so a
+    sample carries the integrator error at the tolerance, not the error of
+    a step ended there.  An ensemble shares one step sequence, controlled
+    by the largest member error, so a member can differ from its own (d,)
+    run at the integrator-error level.  A step covers at most as many
+    sample times as keep its stage array under _ENSEMBLE_BATCH_BYTES and
+    otherwise ends on the next one.  A step cut short, to end on t_end or
+    on a sample time, leaves the step size it was cut from for the next
+    step, unless its own error allows a longer one.
+
     renormalize_fn, if given, maps states (..., d) to their renormalized
-    form after every accepted step, the samples inside the step included;
-    the basis transport rescales its tangent basis this way.  A non-finite
-    x0 raises ParameterError.
+    form after every accepted step, the samples inside the step included,
+    all in one call; the basis transport rescales its tangent basis this
+    way.  The FSAL value is then the field at the old state, so the next
+    step starts with one more field call.
 
     quadrature_fn, if given, makes the last column of the state a pure
     quadrature, q' = quadrature_fn(x) (Serban & Hindmarsh, CVODES, 2005):
     x is every other column, field_fn and quadrature_fn see x (..., d - 1)
     and return (..., d - 1) and (...).  q never feeds back into x, so the
-    driver steps x with field_fn alone, on the same rows as without q, and
+    loop steps x with field_fn alone, on the same rows as without q, and
     evaluates quadrature_fn once per trial step, on the stacked stage
     points that carry a weight in the update or an error estimate: the
-    start and stages 6-12.  q enters
-    the error norm like any column, so the steps are those of field_fn
-    and quadrature_fn concatenated into one field; a zero-weight stage,
-    whose value could not change the step, is never evaluated.
+    start and stages 6-12.  q enters the error norm like any column, so the
+    steps are those of field_fn and quadrature_fn concatenated into one
+    field; a zero-weight stage, whose value could not change the step, is
+    never evaluated.  A NonholoError in field_fn or quadrature_fn raises
+    IntegrationAbort at the time of the step.
     """
-    x0 = _finite_state(x0, "x0")
+    x = _finite_state(x0, "x0")
     times = cfg.sample_times()
-    driver = _Driver(field_fn, x0, cfg, renormalize_fn, quadrature_fn)
-    states = [driver.x.copy()]
-    if times.size > 1:
-        states += driver.advance(float(times[-1]), times[1:-1])
-        states.append(driver.x.copy())
-    return Trajectory(times=times, states=np.array(states), stats=driver.stats)
+    stats = IntegrationStats()
+    states = [x]
+    if times.size == 1:
+        return Trajectory(times=times, states=np.array(states), stats=stats)
+    t_stop, samples = float(times[-1]), times[1:-1]
+    quadrature = quadrature_fn is not None
+    cols = slice(None, -1) if quadrature else slice(None)  # the columns field_fn sees
+    max_branches = max(0, _ENSEMBLE_BATCH_BYTES // (8 * _STAGES * x.size) - 1)
+
+    def call(fn, y):
+        """fn on the states y (..., D) less any quadrature column; a
+        NonholoError in it aborts at time t."""
+        try:
+            return fn(y[..., cols])
+        except NonholoError as exc:
+            raise IntegrationAbort(t, exc) from exc
+
+    t, h, f0 = 0.0, None, None
+    while h is None or t < t_stop - 1e-14 * max(1.0, abs(t_stop)):
+        if f0 is None:  # at t = 0, or after a renormalization dropped the FSAL value
+            if h is not None:
+                stats.fsal_resets += 1
+            stats.evaluations += 1
+            f0 = np.asarray(call(field_fn, x), dtype=float)
+            if not np.all(np.isfinite(f0)):
+                raise IntegrationAbort(t, "non-finite field value")
+        if h is None:  # the initial step size, from the rates at t = 0
+            rates = f0
+            if quadrature:
+                stats.quadrature_calls += 1
+                q0 = call(partial(_eval_rows, quadrature_fn), x)[..., 0]
+                rates = np.concatenate([f0, q0[..., None]], axis=-1)
+                if not np.all(np.isfinite(rates)):
+                    raise IntegrationAbort(t, "non-finite field value")
+            sc = cfg.abs_tol + cfg.rel_tol * np.abs(x)
+            d0 = np.atleast_1d(_rms(x / sc))
+            d1 = np.atleast_1d(_rms(rates / sc))
+            span = max(t_stop, 1e-12)
+            h = min(
+                0.01 * a / b if b > 1e-12 and a > 1e-12 else 1e-3 * span
+                for a, b in zip(d0.tolist(), d1.tolist())
+            )
+            h = min(max(h, 1e-8 * span), span)
+            continue  # a run within rounding of t = 0 takes no step
+        if stats.accepted + stats.rejected >= cfg.max_steps:
+            raise IntegrationAbort(t, "max_steps exceeded")
+        dt = min(h, t_stop - t)
+        if dt < 1e-14 * max(1.0, abs(t)):
+            raise StiffnessError(f"step size underflow at t={t:.6g} (h={dt:.3e})")
+        # samples[i:j] lie in the step; past the cap it ends on samples[j]
+        i = len(states) - 1
+        j = max(i, int(np.searchsorted(samples, t + dt, side="right")))
+        ends_on_sample = j - i > max_branches
+        if ends_on_sample:
+            j = i + max_branches
+            dt = samples[j] - t
+        # one trial step of each length in hs (R,) from x: the rows (R, ...)
+        hs = np.concatenate([[dt], samples[i:j] - t])
+        shape = hs.shape + x.shape
+        hr = hs.reshape(hs.shape + (1,) * x.ndim)
+        # stage k is row k of K; K[:k] feeds stage k, all of K the update.  A
+        # quadrature column is zero in K until the stages are done, then one
+        # call fills it on the weighted stage points.
+        K = (np.zeros if quadrature else np.empty)((_STAGES, hs.size * x.size))
+        stages = K.reshape((_STAGES,) + shape)
+        stages[0, ..., cols] = f0
+        points = np.empty((_STAGES,) + shape) if quadrature else None
+        for k in range(1, _STAGES):
+            p = x + hr * (_DOP853_A[k] @ K[:k]).reshape(shape)
+            if quadrature:
+                points[k] = p
+            stats.evaluations += 1
+            stages[k, ..., cols] = np.asarray(call(field_fn, p), dtype=float)
+        if quadrature:
+            stats.quadrature_calls += 1
+            points[0] = x
+            stages[_WEIGHTED, ..., -1] = call(
+                partial(_eval_rows, quadrature_fn), points[_WEIGHTED]
+            )[..., 0]
+        x_new = x + hr * (_DOP853_B @ K).reshape(shape)
+        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        err_norm = _error_norm(hr[..., 0], K, sc)
+        if not np.isfinite(err_norm):
+            raise IntegrationAbort(t, "non-finite field value")
+        if err_norm <= 1.0:
+            f0 = stages[-1, 0, ..., cols]  # FSAL: the last stage is f at the new point
+            stats.accepted += 1
+            stats.h_min = min(stats.h_min, dt)
+            stats.h_max = max(stats.h_max, dt)
+            t += dt
+            if renormalize_fn is not None:
+                # every row in one call, so a branch sample gets what a step
+                # ending at its time would get
+                x_new = np.asarray(renormalize_fn(x_new), dtype=float)
+                f0 = None  # the FSAL value is the field at the old state
+            x = x_new[0]
+            states += list(x_new[1:])
+            if ends_on_sample:
+                states.append(x)
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.125))
+            # a step cut short keeps the size it was cut from
+            h = max(h, dt * factor) if dt < h else dt * factor
+        else:
+            stats.rejected += 1
+            h = dt * max(0.2, 0.9 * err_norm ** -0.125)
+    # the state at t_end, which sample times within rounding of it take too
+    states += [x] * (times.size - len(states))
+    return Trajectory(times=times, states=np.array(states), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +592,8 @@ class TransportResult:
     residual[i] = (log_density + log_tangent_volume) at times[i] minus the
     same quantity at times[0]; it stays near zero exactly when the density
     defines an invariant measure on the constraint manifold.  stats counts
-    the steps of the driver, shared by every member of an ensemble.
+    the steps of its ``integrate`` call, shared by every member of an
+    ensemble.
     """
 
     times: np.ndarray
@@ -662,8 +619,8 @@ def tangent_volume_transport(
     """Transport a tangent-space volume element along the flow.
 
     With divergence_fn(x (S, d)) -> div (S,), the log volume follows
-    Liouville's formula d/dt log vol = div X: each member's driver state is
-    x and one more number, whose rate is div X(x).  That number is a pure
+    Liouville's formula d/dt log vol = div X: each member's integrated
+    state is x and one more number, whose rate is div X(x).  That number is a pure
     quadrature of ``integrate``, which takes divergence_fn as its
     quadrature_fn: field_fn steps x, 12 calls a step, and divergence_fn is
     called once a step, on the 8 stage points that carry a weight.  A
@@ -695,10 +652,10 @@ def tangent_volume_transport(
 
     x0 is one state (d,), which returns one TransportResult, or an ensemble
     (S, d), which returns a list with one TransportResult per member.  The
-    members share one driver: every stage makes one field_fn call, on each
-    member's state or, on the basis path, on it and its 2q directional
-    points stacked, on all members; every step's divergence_fn call is on
-    all members too.  The step is controlled by the largest
+    members share one step sequence: every stage makes one field_fn call,
+    on each member's state or, on the basis path, on it and its 2q
+    directional points stacked, on all members; every step's divergence_fn
+    call is on all members too.  The step is controlled by the largest
     member error.  A member's residual can therefore differ from its own
     (d,) transport at the integrator-error level.  Any failure of one
     member raises for the whole ensemble.  Either path is one ``integrate``
@@ -706,7 +663,7 @@ def tangent_volume_transport(
     called once on the members at t = 0, before any step, and then it and
     log_density_fn once each on every sample of every member.  Members run
     in consecutive groups small enough that an fd_jvp stencil of S (1 + 2d)
-    points of d values stays under 64 MB, whichever path runs; the driver
+    points of d values stays under 64 MB, whichever path runs; ``integrate``
     keeps its stage array, branch rows included, under the same bound on
     its own.
     """
@@ -730,9 +687,9 @@ def tangent_volume_transport(
 
 
 def _transport_group(field_fn, divergence_fn, log_density_fn, xs, constraints_fn, cfg, n_samples):
-    """tangent_volume_transport of an ensemble xs (S, d) on one shared driver.
-    The state of a member is x, then V^T row by row on the basis path, then
-    its log volume."""
+    """tangent_volume_transport of an ensemble xs (S, d) in one ``integrate``
+    call.  The state of a member is x, then V^T row by row on the basis
+    path, then its log volume."""
     S, d = xs.shape
     cfg = replace(cfg, samples=n_samples)
     times = cfg.sample_times()

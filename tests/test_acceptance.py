@@ -343,7 +343,7 @@ def test_criterion_6_structural_identities():
             k = int(rng.integers(1, N))
             ec = orthonormalize_rows(rng.standard_normal((k, N)))
             fc = np.linalg.svd(ec)[2][k:]  # orthonormal rows of D, the complement
-            lhs = op.det() * np.linalg.det(ec @ op.solve_coords(ec).T)
+            lhs = np.exp(op.logdet()) * np.linalg.det(ec @ op.solve_coords(ec).T)
             rhs = np.linalg.det(fc @ op.apply_coords(fc).T)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)), (n, case)
 

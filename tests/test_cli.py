@@ -167,11 +167,17 @@ def test_liouville_on_a_degenerate_state_records_abort_rows(tmp_path, capsys, sy
                                                             coords, cause, seeds):
     cfg = sample_config(CONFIGS[CONFIG_IDS.index(system)], initial={"coords": coords})
     p = write_cfg(tmp_path, cfg)
-    assert main(["verify", "--config", p, "--check", "liouville", "--seeds", str(seeds),
-                 "--out", str(tmp_path)]) == 4
+    # initial.coords give one state: more seeds would certify it again
+    rc = main(["verify", "--config", p, "--check", "liouville", "--seeds", str(seeds),
+               "--out", str(tmp_path)])
     assert "Traceback" not in capsys.readouterr().err
-    rows = read_rows(tmp_path / f"{system}_liouville.csv")[1:]
-    assert [(r[7], r[-1]) for r in rows] == [("abort", f"abort: {cause}")] * seeds
+    csv_path = tmp_path / f"{system}_liouville.csv"
+    if seeds > 1:
+        assert rc == 3 and not csv_path.exists()
+        return
+    assert rc == 4
+    rows = read_rows(csv_path)[1:]
+    assert [(r[7], r[-1]) for r in rows] == [("abort", f"abort: {cause}")]
 
 
 def _liouville_alone(tmp_path, cfg, seed):
@@ -1050,6 +1056,36 @@ def test_parser_built_once_still_refuses_a_bad_argument_after_a_good_call(tmp_pa
     assert "--check" in capsys.readouterr().err
     assert main(good) == 0
     assert cli._build_parser() is cli._build_parser()
+
+
+COORDS_CFG = dict(sample_config(CONFIGS[CONFIG_IDS.index("ball_rubber")]),
+                  initial={"coords": [0.3, -0.2, 0.5, 0.0, 0.6, 0.8]})
+
+
+def test_verify_with_initial_coords_refuses_more_than_one_seed(tmp_path, capsys):
+    # three seeds used to write three identical rows, one state certified thrice
+    p = write_cfg(tmp_path, COORDS_CFG)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", p, "--check", "volume", "--seeds", "3",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --seeds: ") and "initial.coords" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert main(["verify", "--config", p, "--check", "volume", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    assert len(read_rows(out / "ball_rubber_volume.csv")) == 2
+
+
+def test_simulate_with_initial_coords_refuses_a_seed(tmp_path, capsys):
+    # --seed used to be ignored without a word
+    p = write_cfg(tmp_path, COORDS_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", p, "--seed", "7", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --seed: ") and "Traceback" not in err
+    assert not out.exists()
+    assert main(["simulate", "--config", p, "--out", str(out)]) == 0
 
 
 def test_explicit_initial_coordinates(tmp_path):

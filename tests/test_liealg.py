@@ -194,8 +194,7 @@ def test_operator_apply_solve_round_trip_and_det(n, seed):
     op = random_spd_operator(n, rng)
     x = random_skew(n, rng)
     assert np.allclose(op.solve(op.apply(x)), x, atol=1e-10)
-    assert op.det() == pytest.approx(np.linalg.det(op.dense_matrix), rel=1e-9)
-    assert op.logdet() == pytest.approx(np.log(op.det()), rel=1e-12)
+    assert np.exp(op.logdet()) == pytest.approx(np.linalg.det(op.dense_matrix), rel=1e-9)
 
 
 def test_operator_is_self_adjoint_for_inner_product():
@@ -237,7 +236,7 @@ def test_det_factorization(n, seed):
     k = int(rng.integers(1, N))
     ec = orthonormalize_rows(rng.standard_normal((k, N)))
     fc = np.linalg.svd(ec)[2][k:]  # orthonormal rows of the complement
-    lhs = op.det() * np.linalg.det(ec @ op.solve_coords(ec).T)
+    lhs = np.exp(op.logdet()) * np.linalg.det(ec @ op.solve_coords(ec).T)
     rhs = np.linalg.det(fc @ op.apply_coords(fc).T)
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 

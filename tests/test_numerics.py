@@ -816,6 +816,48 @@ def test_divergence_quadrature_is_one_call_per_trial_step_on_its_weighted_stages
     assert stats.quadrature_calls == 1 + stats.accepted + stats.rejected
 
 
+def test_divergence_quadrature_sees_the_field_calls_stage_points_bit_for_bit():
+    # the quadrature's 8 rows are the step's start and the points of the
+    # field calls for stages 6-12, for the main row and every branch row
+    run = load_config(CONFIGS[CONFIG_IDS.index("veselova")])
+    chart = run.chart
+    xs = np.stack([run.initial_coords(run.seed + i) for i in range(2)])
+    log = []
+
+    def logged(kind, fn):
+        def wrapped(x):
+            log.append((kind, np.array(x)))
+            return fn(x)
+
+        return wrapped
+
+    (result, _) = tangent_volume_transport(
+        logged("field", chart.field), chart.log_density, xs, chart.constraints,
+        replace(run.integrator, t_end=2.0), n_samples=6,
+        divergence_fn=logged("div", chart.divergence),
+    )
+    stats = result.stats
+    assert [kind for kind, _ in log[:2]] == ["field", "div"]
+    assert np.array_equal(log[0][1], xs) and np.array_equal(log[1][1], xs)
+    steps = [log[k : k + 13] for k in range(2, len(log), 13)]
+    assert len(steps) == stats.accepted + stats.rejected
+    starts, branched = [xs], 0
+    for step in steps:
+        assert [kind for kind, _ in step] == ["field"] * 12 + ["div"]
+        rows = step[0][1].shape[:-1]  # (R, 2): the main row and its branches
+        branched += rows[0] > 1
+        points = step[-1][1].reshape((8,) + rows + xs.shape[-1:])
+        for r, stage in enumerate(numerics._WEIGHTED[1:], start=1):
+            assert np.array_equal(points[r], step[stage - 1][1])
+        assert all(np.array_equal(start, points[0, 0]) for start in points[0])
+        starts.append(points[0, 0])
+    assert branched > 0
+    assert np.array_equal(starts[1], xs)
+    # a rejected step's successor starts where it did; an accepted one moves on
+    moved = [not np.array_equal(a, b) for a, b in zip(starts[1:], starts[2:])]
+    assert sum(moved) == stats.accepted - 1 and moved.count(False) == stats.rejected
+
+
 def test_volume_transport_stats_count_field_and_quadrature_calls():
     run = load_config(CONFIGS[CONFIG_IDS.index("veselova")])
     chart = run.chart
