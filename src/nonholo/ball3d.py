@@ -52,7 +52,7 @@ import numpy as np
 
 from . import elpr, elr, veselova
 from .chart import Chart
-from .errors import ConfigError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 from .liealg import InertiaOperator, from_wedge, hat, to_wedge, unhat
 
 __all__ = [
@@ -71,7 +71,7 @@ __all__ = [
 def _vec3(v, name):
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
-        raise DimensionError(f"{name} must be a 3-vector, got shape {v.shape}")
+        raise DimensionError(f"{name}: must be a 3-vector, got shape {v.shape}")
     return v
 
 
@@ -199,10 +199,10 @@ class _BallChart(Chart):
     def __init__(self, inertia, D, eps):
         self.inertia = _vec3(inertia, "inertia")
         if np.any(self.inertia <= 0.0):
-            raise ParameterError("principal inertia moments must be positive")
+            raise ParameterError("inertia: principal moments must be positive")
         self.D = float(D)
         if self.D < 0.0:
-            raise ParameterError("D must be nonnegative")
+            raise ParameterError("D: must be nonnegative")
         self.eps = float(eps)
         self.it = self.inertia + self.D
 
@@ -279,15 +279,12 @@ class RubberChart(_BallChart):
     def __init__(self, inertia, D, eps, variables: str = "m"):
         super().__init__(inertia, D, eps)
         if variables not in ("m", "omega"):
-            raise ParameterError(f"unknown chart variables {variables!r}")
-        self.check_density()
+            raise ParameterError(f"variables: expected 'm' or 'omega', got {variables!r}")
         self.variables = variables
 
     @classmethod
     def from_config(cls, cfg):
-        if cfg.epsilon == 0.0:  # the chart itself refuses eps = 0
-            raise ConfigError("epsilon: density is undefined at eps = 0 for ball_rubber")
-        return super().from_config(cfg, variables=cfg.raw.get("variables", "m"))
+        return super().from_config(cfg, variables=cfg.get("variables", str, default="m"))
 
     def _omega(self, lead):
         return lead / self.it if self.variables == "m" else lead

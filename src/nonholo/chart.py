@@ -14,9 +14,9 @@ ParameterError.  The interface:
 * ``density_exponent`` and ``log_base(coords)``: every density here is a
   base to a power, and ``Chart`` defines ``log_density`` as their product.
   The exponent is an attribute where it does not depend on eps, else a
-  property that raises ParameterError where it divides by eps = 0;
-  ``check_density()`` evaluates it, so the command can refuse a run whose
-  density is undefined before integrating;
+  property that raises ParameterError where it divides by eps = 0 (every
+  chart builds there); ``check_density()`` evaluates it, the command's one
+  eps check, to refuse a run whose density is undefined before integrating;
 * ``log_base_grad(coords)``: the closed-form gradient (..., d) of
   ``log_base`` on the two ambient charts, from which ``Chart`` makes
   ``log_density_grad`` for ``verify --check liouville``;

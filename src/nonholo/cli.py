@@ -22,12 +22,12 @@ import os
 import sys
 from dataclasses import fields, replace
 from functools import cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import ball3d, elpr, elr, veselova
-from .errors import ConfigError, IntegrationAbort, NonholoError, ParameterError
+from .errors import ConfigError, DimensionError, IntegrationAbort, NonholoError, ParameterError
 from .liealg import InertiaOperator
 from .numerics import (
     _ENSEMBLE_BATCH_BYTES,
@@ -55,7 +55,7 @@ SYSTEMS = {
     "ball_chaplygin": ball3d.ChaplyginChart,
     "ball_rubber": ball3d.RubberChart,
 }
-COMMON_KEYS = ("system", "epsilon", "tolerance", "initial", "checks", "integrator", "output")
+COMMON_KEYS = ("system", "epsilon", "tolerance", "initial", "integrator", "output")
 CHECKS = ("liouville", "volume", "integrals")
 
 # (config system, partner) -> function (chart, coords) that lifts the
@@ -78,9 +78,9 @@ _DEFAULT_TOL = {"liouville": 1e-6, "volume": 1e-6, "integrals": 1e-8, "crosschec
 
 
 def _cfg_get(node, key, typ, default=None, required=False, where=""):
-    """node[key] converted by typ.  With typ int or bool the value must
-    already be a JSON integer or boolean: int(4.7) truncates, and
-    bool("false") is true."""
+    """node[key] converted by typ.  With typ int, float or bool the value
+    must already be a JSON integer, number or boolean: int(4.7) truncates,
+    float(true) is 1.0, float("nan") is NaN and bool("false") is true."""
     if key not in node:
         if required:
             raise ConfigError(f"{where}{key}: required")
@@ -88,8 +88,11 @@ def _cfg_get(node, key, typ, default=None, required=False, where=""):
     value = node[key]
     if typ is bool and not isinstance(value, bool):
         raise ConfigError(f"{where}{key}: expected true or false, got {value!r}")
-    if typ is int and (isinstance(value, bool) or not isinstance(value, Integral)):
-        raise ConfigError(f"{where}{key}: expected an integer, got {value!r}")
+    if typ in (int, float) and (
+        isinstance(value, bool) or not isinstance(value, Integral if typ is int else Real)
+    ):
+        kind = "an integer" if typ is int else "a number"
+        raise ConfigError(f"{where}{key}: expected {kind}, got {value!r}")
     try:
         return typ(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -125,43 +128,45 @@ def _mapping(raw, key, allowed):
 
 
 def _float_array(value):
-    """value as a float array; null and the strings "nan" and "inf" would
-    convert to non-finite entries, so those are refused."""
-    v = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(v)):
+    """value, a JSON number or nested lists of them, as a float array.  numpy
+    would read null as NaN, true as 1.0 and the string "nan" as NaN, so every
+    entry must be a number; _reject_non_finite has refused NaN and Infinity."""
+    entries = np.asarray(value, dtype=object).ravel()
+    if not all(isinstance(x, Real) and not isinstance(x, bool) for x in entries):
         raise ValueError(f"expected finite numbers, got {value!r}")
-    return v
+    return np.asarray(value, dtype=float)
 
 
-def _parse_inertia_spec(node, n):
-    """Build an InertiaOperator from a config mapping."""
+def _parse_inertia_spec(node, n, where="inertia"):
+    """Build an InertiaOperator from the config mapping at the dotted key where."""
     if not isinstance(node, dict) or "kind" not in node:
-        raise ConfigError('inertia: expected a mapping with a "kind" key')
+        raise ConfigError(f'{where}: expected a mapping with a "kind" key')
     kind = node["kind"]
+
+    def number(key, typ=_float_array):
+        return _cfg_get(node, key, typ, required=True, where=f"{where}.")
+
     try:
         if kind == "wedge_products":
-            return InertiaOperator.wedge_products(np.asarray(node["a"], dtype=float))
+            return InertiaOperator.wedge_products(number("a"))
         if kind == "wedge_products_chaplygin":
-            return InertiaOperator.wedge_products_chaplygin(
-                np.asarray(node["a"], dtype=float), float(node["D"])
-            )
+            return InertiaOperator.wedge_products_chaplygin(number("a"), number("D", float))
         if kind == "wedge_diagonal":
-            return InertiaOperator.wedge_diagonal(n, np.asarray(node["diag"], dtype=float))
+            return InertiaOperator.wedge_diagonal(n, number("diag"))
         if kind == "shifted":
-            return InertiaOperator.shifted(
-                _parse_inertia_spec(node["base"], n), float(node["D"])
-            )
+            base = _parse_inertia_spec(node.get("base"), n, f"{where}.base")
+            return InertiaOperator.shifted(base, number("D", float))
         if kind == "general":
-            return InertiaOperator.general(n, np.asarray(node["matrix"], dtype=float))
+            return InertiaOperator.general(n, number("matrix"))
         if kind == "identity":
             return InertiaOperator.identity(n)
         if kind == "so3_vector":
-            return InertiaOperator.so3_vector(np.asarray(node["principal"], dtype=float))
-    except KeyError as exc:
-        raise ConfigError(f"inertia: missing key {exc.args[0]!r} for kind {kind!r}") from exc
-    except (NonholoError, TypeError, ValueError) as exc:
-        raise ConfigError(f"inertia: {exc}") from exc
-    raise ConfigError(f"inertia: unknown kind {kind!r}")
+            return InertiaOperator.so3_vector(number("principal"))
+    except ConfigError:
+        raise
+    except NonholoError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    raise ConfigError(f"{where}: unknown kind {kind!r}")
 
 
 class RunConfig:
@@ -197,13 +202,6 @@ class RunConfig:
         output = _mapping(raw, "output", ("dir",))
         self.output_dir = _cfg_get(output, "dir", os.fspath, default=".", where="output.")
 
-        checks = raw.get("checks", [])
-        if not isinstance(checks, list) or any(c not in CHECKS for c in checks):
-            raise ConfigError(f"checks: expected a list drawn from {', '.join(CHECKS)}")
-        self.checks = checks
-        for check in checks:
-            self.require(check, "checks")
-
         node = _mapping(raw, "integrator", [f.name for f in fields(IntegratorConfig)])
         try:
             self.integrator = IntegratorConfig(**node)
@@ -214,10 +212,10 @@ class RunConfig:
         except (ValueError, MemoryError) as exc:
             raise ConfigError(f"integrator.samples: {exc}") from exc
 
-        try:
+        try:  # each of the chart's own refusals starts with its config key
             self.chart = SYSTEMS[system].from_config(self)
-        except ParameterError as exc:  # the chart's own parameter checks
-            raise ConfigError(f"{system}: {exc}") from exc
+        except (DimensionError, ParameterError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def get(self, key, typ, default=None, required=False):
         """raw[key] converted by typ; a ConfigError naming the key if it fails."""
@@ -240,19 +238,10 @@ class RunConfig:
             raise ConfigError(f"inertia: operator is for so({op.n}), config has n={n}")
         return op
 
-    def require(self, check, where):
-        """Raise a ConfigError unless ``check`` can run on this config."""
-        if check == "liouville" and SYSTEMS[self.system].constraints is not None:
-            raise ConfigError(
-                f"{where}: liouville applies to the ambient charts only; "
-                f"use volume for {self.system}"
-            )
-        if check != "integrals" and self.epsilon == 0.0:
-            raise ConfigError("epsilon: must be nonzero, density exponents diverge at 0")
-
     def require_density(self):
         """Raise a ConfigError naming epsilon unless the chart's density is
-        defined; simulate and verify record log_density at every sample."""
+        defined: the one epsilon rule.  simulate and verify evaluate the
+        density, so they call this before integrating; crosscheck does not."""
         try:
             self.chart.check_density()
         except ParameterError as exc:
@@ -448,9 +437,12 @@ def cmd_verify(cfg: RunConfig, check, seeds, out_dir) -> int:
             f"--seeds: the config's initial.coords give one state, which --seeds {seeds} "
             f"would certify {seeds} times; use --seeds 1"
         )
-    cfg.require(check, "--check")
-    cfg.require_density()
     chart = cfg.chart
+    if check == "liouville" and chart.constraints is not None:
+        raise ConfigError(
+            f"--check: liouville applies to the ambient charts only; use volume for {cfg.system}"
+        )
+    cfg.require_density()
     tol = default_tolerance(check, cfg)
     header = [
         "system", "n", "r", "k", "epsilon", "seed", "check",

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import liealg
 from .chart import Chart, pair_labels
 from .elr import _energy, _frame_divergence
 from .errors import DefinitenessError, ParameterError
@@ -44,7 +43,7 @@ from .liealg import (
     to_wedge,
     wedge_dim,
 )
-from .veselova import _log_base, _StiefelChart
+from .veselova import _log_base, _StiefelChart, random_veselova_state
 
 __all__ = [
     "pi_variants",
@@ -244,9 +243,11 @@ class LPRStiefelChart(_StiefelChart):
 
     def __init__(self, a, D: float, r: int, eps: float):
         self.a = np.asarray(a, dtype=float)
-        if np.any(self.a <= 0.0):
-            raise ParameterError("requires positive a_i")
+        if self.a.size < 2 or np.any(self.a <= 0.0):
+            raise ParameterError("a: expected two or more positive numbers")
         self.D = float(D)
+        if self.D <= np.max(self.a) ** 2:
+            raise ParameterError(f"D: must exceed every product a_i a_j, got {D!r}")
         op = InertiaOperator.wedge_products_chaplygin(self.a, self.D)
         super().__init__(op, r, eps, op.n)
         self.density_exponent = -(self.n - self.r - 1) / 2.0  # independent of eps
@@ -305,10 +306,6 @@ def random_elpr_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([kc, Pi[np.triu_indices(N)]])
 
 
-def random_lpr_stiefel_state(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded random chart coordinates (k_bold, U): unit k_bold, random
-    Stiefel point."""
-    kc = rng.standard_normal(wedge_dim(n))
-    kc = kc / np.linalg.norm(kc)
-    U = liealg.random_stiefel(n, r, rng)
-    return np.concatenate([kc, U.ravel()])
+# Seeded random chart coordinates (k_bold, U), unit k_bold and a random
+# Stiefel point: the veselova draw, whose momentum block has the same layout.
+random_lpr_stiefel_state = random_veselova_state

@@ -220,7 +220,7 @@ class _FrameChart(Chart):
         self.N = op.N
         self.k = int(k)
         if not 1 <= self.k < self.N:
-            raise DimensionError(f"need 1 <= k < N = {self.N}, got k={k}")
+            raise DimensionError(f"k: need 1 <= k < N = {self.N}, got k={k}")
         self.eps = float(eps)
         self.dim = (self.k + 1) * self.N
 

@@ -189,12 +189,11 @@ class InertiaOperator:
     diagonal kinds, Cholesky factorization for the general kind).
     """
 
-    def __init__(self, n, kind, diag=None, mat=None, a=None, D=None):
+    def __init__(self, n, kind, diag=None, mat=None, a=None):
         self.n = int(n)
         self.N = wedge_dim(self.n)
         self.kind = kind
         self.a = None if a is None else np.asarray(a, dtype=float)
-        self.D = None if D is None else float(D)
         if diag is not None:
             diag = np.asarray(diag, dtype=float)
             if diag.shape != (self.N,):
@@ -248,7 +247,7 @@ class InertiaOperator:
         n = a.size
         w = _windex(n)
         p = a[w.rows] * a[w.cols]
-        return cls(n, "wedge_products_chaplygin", diag=D * p / (D - p), a=a, D=D)
+        return cls(n, "wedge_products_chaplygin", diag=D * p / (D - p), a=a)
 
     @classmethod
     def wedge_diagonal(cls, n, diag) -> "InertiaOperator":
@@ -258,8 +257,8 @@ class InertiaOperator:
     def shifted(cls, base: "InertiaOperator", D) -> "InertiaOperator":
         D = float(D)
         if base._diag is not None:
-            return cls(base.n, "shifted", diag=base._diag + D, D=D)
-        return cls(base.n, "shifted", mat=base._mat + D * np.eye(base.N), D=D)
+            return cls(base.n, "shifted", diag=base._diag + D)
+        return cls(base.n, "shifted", mat=base._mat + D * np.eye(base.N))
 
     @classmethod
     def general(cls, n, mat) -> "InertiaOperator":

@@ -84,7 +84,7 @@ class _StiefelChart(Chart):
         self.op, self.n, self.N = op, op.n, op.N
         self.r = int(r)
         if not 1 <= self.r <= r_max:
-            raise DimensionError(f"need 1 <= r <= {r_max} at n = {self.n}, got r={r}")
+            raise DimensionError(f"r: need 1 <= r <= {r_max} at n = {self.n}, got r={r}")
         self.eps = float(eps)
         self.dim = self.N + self.n * self.r
         # the frame: the columns of U, as the rows of U^T

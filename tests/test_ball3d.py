@@ -16,8 +16,9 @@ from nonholo.ball3d import (
     epsilon_from_radii,
     random_ball_state,
 )
+from nonholo.elr import MultiplierChart
 from nonholo.errors import ParameterError
-from nonholo.liealg import from_wedge, unhat
+from nonholo.liealg import InertiaOperator, from_wedge, unhat
 from nonholo.numerics import IntegratorConfig, integrate, pointwise, tangent_volume_transport
 
 
@@ -238,10 +239,22 @@ def test_rubber_chart_variable_choices_agree():
     for c1, c2 in zip(t1.states, t2.states):
         assert np.max(np.abs(c1[:3] / (inertia + D) - c2[:3])) < 1e-10
         assert np.max(np.abs(c1[3:] - c2[3:])) < 1e-10
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^variables: "):
         RubberChart(inertia, D, eps, variables="q")
-    with pytest.raises(ParameterError):
-        RubberChart(inertia, D, 0.0)
+
+
+def test_rubber_chart_builds_at_eps_zero_and_refuses_its_density_as_multiplier_chart_does():
+    # the flow holds at eps = 0 with gamma frozen; its density (exponent
+    # 1/(2 eps)) does not, so only check_density and log_density raise
+    inertia, D = np.array([1.0, 2.0, 3.0]), 0.7
+    rubber = RubberChart(inertia, D, 0.0)
+    frame = MultiplierChart(InertiaOperator.so3_vector(inertia + D), 1, 0.0)
+    x = rubber.random_coords(rng_for(23))
+    assert np.array_equal(rubber.field(x)[3:], np.zeros(3))
+    for chart, coords in ((rubber, x), (frame, frame.random_coords(rng_for(23)))):
+        for refuse in (chart.check_density, lambda: chart.log_density(coords)):
+            with pytest.raises(ParameterError, match="^density is undefined at eps = 0$"):
+                refuse()
 
 
 # ---------------------------------------------------------------------------

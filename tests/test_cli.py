@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nonholo.ball3d import ChaplyginChart
 from nonholo import cli, numerics
 from nonholo.cli import PAIRS, SYSTEMS, load_config, main, observables
-from nonholo.errors import SingularityError
+from nonholo.errors import ParameterError, SingularityError
 from nonholo.numerics import IntegratorConfig, integrate
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
@@ -40,7 +40,6 @@ ELR_CFG = {
     "inertia": {"kind": "wedge_products", "a": [0.8, 1.1, 1.7]},
     "initial": {"seed": 1},
     "integrator": {"t_end": 1.0, "samples": 5},
-    "checks": ["liouville", "volume", "integrals"],
 }
 
 
@@ -485,10 +484,12 @@ def test_verify_integrals_failing_seed_becomes_abort_row(tmp_path, monkeypatch, 
     assert status["8"] == {"abort: injected failure"}
 
 
-def test_verify_liouville_rejected_for_constrained_system(tmp_path):
-    cfg = write_cfg(tmp_path, dict(BALL_CFG, checks=["liouville"]))
-    assert main(["verify", "--config", cfg, "--check", "liouville",
-                 "--out", str(tmp_path)]) == 3
+def test_verify_liouville_rejected_for_constrained_system(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BALL_CFG)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--check", "liouville", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("config error: --check: liouville applies")
+    assert not out.exists()
 
 
 def test_verify_tight_tolerance_fails_with_exit_two(tmp_path):
@@ -813,6 +814,41 @@ NAN_LIST_ENTRIES = [
     ({"inertia": [1.0, None, 3.0]}, "inertia"),
     ({"initial": {"coords": ["nan"] * 6}}, "initial.coords"),
 ]
+# a chart constructor's refusal names its config key, not the system: an
+# out-of-range k or r used to exit 4 as a numerical error
+LPR_KEYS = {"system": "lpr_stiefel", "inertia": None, "a": [0.8, 1.0, 1.2], "D": 4.0, "r": 1}
+CHART_REFUSALS = [
+    (dict(ELR_KEYS, k=5), "k"),
+    (dict(ELR_KEYS, system="elr_momentum", k=0), "k"),
+    (dict(VESELOVA_KEYS, r=3), "r"),
+    (dict(LPR_KEYS, r=4), "r"),
+    (dict(LPR_KEYS, a=[0.8]), "a"),
+    (dict(LPR_KEYS, D=1.0), "D"),
+    ({"system": "ball_rubber", "D": -1.0}, "D"),
+    ({"system": "ball_rubber", "inertia": [1.0, 0.0, 3.0]}, "inertia"),
+    ({"system": "ball_rubber", "variables": "w"}, "variables"),
+]
+# every number is read by one reader: null, "nan" or a boolean as an inertia
+# entry used to abort the run with a non-finite field value, and a boolean
+# number used to run as 1.0
+WEDGE_A = {"kind": "wedge_products", "a": [0.8, 1.1, 1.7]}
+NOT_A_NUMBER = [
+    (dict(ELR_KEYS, inertia=dict(WEDGE_A, a=[1.0, None, 2.0])), "inertia.a"),
+    (dict(ELR_KEYS, inertia=dict(WEDGE_A, a=[1.0, "nan", 2.0])), "inertia.a"),
+    (dict(ELR_KEYS, inertia={"kind": "shifted", "base": dict(WEDGE_A, a=[1.0, None, 2.0]),
+                             "D": 0.5}), "inertia.base.a"),
+    (dict(ELR_KEYS, inertia={"kind": "shifted", "base": WEDGE_A, "D": True}), "inertia.D"),
+    (dict(ELR_KEYS, inertia={"kind": "wedge_diagonal", "diag": [1.0, False, 2.0]}),
+     "inertia.diag"),
+    ({"epsilon": True}, "epsilon"),
+    ({"D": True}, "D"),
+    ({"tolerance": True}, "tolerance"),
+    ({"inertia": [1.0, 2.0, True]}, "inertia"),
+    (dict(LPR_KEYS, a=[0.8, True, 1.2]), "a"),
+    (dict(LPR_KEYS, D=True), "D"),
+    ({"initial": {"coords": [0.3, -0.2, 0.5, 0.0, 0.6, True]}}, "initial.coords"),
+    ({"checks": ["volume"]}, "checks"),
+]
 # sample grids numpy refuses outright (10**20 overflows its size type, 2**62
 # floats exceed its largest array), never one it would try to allocate; and a
 # negative max_steps, a config error rather than an abort at t = 0
@@ -841,7 +877,8 @@ NOT_REAL = [
     [
         {"system": "pendulum"},
         {"epsilon": None},
-        {"epsilon": 0.0, "checks": ["volume"]},
+        {"checks": ["volume"]},
+        {"system": "ball_rubber", "epsilon": 0.0},
         {"inertia": [1.0, -2.0, 3.0]},
         {"integrator": {"t_end": -2.0}},
         {"integrator": {"timestep": 0.1}},
@@ -892,7 +929,8 @@ def test_bad_configs_exit_three(tmp_path, patch):
         (VESELOVA_IDENTITY, "inertia"),
     ] + NON_FINITE + NOT_INTEGER_OR_BOOLEAN + [({"tolerance": -1}, "tolerance")]
     + NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS
-    + [(patch, "integrator") for patch, _ in BAD_TOLERANCES + NOT_REAL],
+    + [(patch, "integrator") for patch, _ in BAD_TOLERANCES + NOT_REAL]
+    + CHART_REFUSALS + NOT_A_NUMBER,
 )
 def test_config_error_names_the_key(tmp_path, monkeypatch, capsys, patch, key):
     # no --out: a malformed "output" must not get as far as choosing a directory
@@ -947,62 +985,67 @@ def test_one_sample_at_t_zero_runs(tmp_path):
     assert [float(r[0]) for r in rows[1:]] == [0.0]
 
 
+# the systems whose density exponent divides by epsilon (README, epsilon)
+ZERO_EPSILON_UNDEFINED = {"elr_multiplier", "elr_momentum", "veselova", "ball_rubber"}
+
+
+def zero_epsilon_config(tmp_path, path):
+    """The sample config at epsilon 0, written out and loaded (every chart
+    builds there), and whether its chart's density is undefined there."""
+    p = write_cfg(tmp_path, sample_config(path, epsilon=0.0,
+                                          integrator={"t_end": 0.5, "samples": 3}))
+    run = load_config(p)
+    try:
+        run.chart.check_density()
+        undefined = False
+    except ParameterError:
+        undefined = True
+    assert undefined == (run.system in ZERO_EPSILON_UNDEFINED)
+    return p, run, undefined
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
-def test_zero_epsilon_density_check_exits_three(tmp_path, path):
-    # the --check argument decides, whatever the config's checks list says
-    cfg = sample_config(path, epsilon=0.0, checks=["integrals"])
-    p = write_cfg(tmp_path, cfg)
-    checks = ["volume"]
-    if SYSTEMS[cfg["system"]].constraints is None:
-        checks.append("liouville")
+def test_zero_epsilon_verify_volume_and_liouville_follow_the_density(tmp_path, capsys, path):
+    p, run, undefined = zero_epsilon_config(tmp_path, path)
+    checks = ["volume"] + (["liouville"] if run.chart.constraints is None else [])
     for check in checks:
-        assert main(["verify", "--config", p, "--check", check, "--out", str(tmp_path)]) == 3
-
-
-# system -> the key a run at epsilon 0 is refused for, or None where it runs
-ZERO_EPSILON_REFUSED = {
-    "elr_multiplier": "epsilon",
-    "elr_momentum": "epsilon",
-    "veselova": "epsilon",
-    "ball_rubber": "epsilon",
-    "elpr": None,
-    "lpr_stiefel": None,
-    "ball_chaplygin": None,
-}
-
-
-@pytest.mark.parametrize(
-    "path, checks",
-    [(p, ["integrals"]) for p in CONFIGS] + [(p, None) for p in CONFIGS],
-    ids=CONFIG_IDS + [f"{i}-no_checks" for i in CONFIG_IDS],
-)
-def test_zero_epsilon_undefined_density_exits_three_before_integrating(
-    tmp_path, monkeypatch, capsys, path, checks
-):
-    # simulate and verify record log_density, so a density undefined at
-    # eps = 0 is a config error; crosscheck never evaluates it.  An absent
-    # checks key declares no check, so it refuses nothing.
-    cfg = sample_config(path, epsilon=0.0, checks=checks,
-                        integrator={"t_end": 0.5, "samples": 3})
-    if checks is None:
-        del cfg["checks"]
-    p = write_cfg(tmp_path, cfg)
-    key = ZERO_EPSILON_REFUSED[cfg["system"]]
-    integrations = []
-    monkeypatch.setattr(cli, "integrate",
-                        lambda *a, **kw: integrations.append(1) or integrate(*a, **kw))
-    for argv in (["simulate"], ["verify", "--check", "integrals"]):
-        rc = main(argv + ["--config", p, "--out", str(tmp_path)])
-        if key is None:
-            assert rc == 0
-        else:
+        out = tmp_path / check
+        rc = main(["verify", "--config", p, "--check", check, "--seeds", "2", "--out", str(out)])
+        if undefined:
             assert rc == 3
-            assert capsys.readouterr().err.startswith(f"config error: {key}: ")
-    assert bool(integrations) == (key is None)
+            assert capsys.readouterr().err.startswith("config error: epsilon: ")
+            assert not out.exists()
+        else:
+            assert rc == 0
+            rows = read_rows(next(out.iterdir()))[1:]
+            assert len(rows) == 2 and all(r[10] == "pass" for r in rows)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
+def test_zero_epsilon_undefined_density_exits_three_before_integrating(
+    tmp_path, monkeypatch, capsys, path
+):
+    # simulate and verify evaluate the density, so they are refused exactly
+    # where chart.check_density() raises; crosscheck never evaluates it and
+    # runs for every pair
+    p, run, undefined = zero_epsilon_config(tmp_path, path)
+    runs = []
+    for name in ("integrate", "tangent_volume_transport", "liouville_residual_ambient"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, **kw: runs.append(1) or _f(*a, **kw))
+    checks = ["integrals", "volume"] + (["liouville"] if run.chart.constraints is None else [])
+    for argv in [["simulate"]] + [["verify", "--check", c] for c in checks]:
+        rc = main(argv + ["--config", p, "--out", str(tmp_path)])
+        if undefined:
+            assert rc == 3
+            assert capsys.readouterr().err.startswith("config error: epsilon: ")
+        else:
+            assert rc == 0
+    assert bool(runs) != undefined
     for a, b in PAIRS:
-        if a == cfg["system"]:  # ball_rubber's chart refuses eps = 0 itself
+        if a == run.system:
             rc = main(["crosscheck", "--config", p, "--pair", f"{a}:{b}", "--out", str(tmp_path)])
-            assert rc == (3 if a == "ball_rubber" else 0)
+            assert rc == 0
 
 
 def test_invalid_chaplygin_pair_parameters(tmp_path):
