@@ -52,6 +52,7 @@ import numpy as np
 
 from . import elpr, elr, veselova
 from .chart import Chart
+from .elr import _dot
 from .errors import DimensionError, ParameterError
 from .liealg import InertiaOperator, from_wedge, hat, to_wedge, unhat
 
@@ -75,10 +76,6 @@ def _vec3(v, name):
     return v
 
 
-def _dot(a, b):
-    return np.sum(a * b, axis=-1)
-
-
 # a x b by gathering: component i is a[i+1] b[i+2] - a[i+2] b[i+1] (mod 3),
 # the products np.cross forms, without its per-call moveaxis overhead
 _C1, _C2 = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -86,13 +83,6 @@ _C1, _C2 = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 def _cross(a, b):
     return a[..., _C1] * b[..., _C2] - a[..., _C2] * b[..., _C1]
-
-
-def _blas_dot(a, b):
-    """a . b over the last axis, one BLAS dot per row, so that each value
-    equals np.dot of that row's vectors (_dot's sum can differ in the last
-    bit)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +254,7 @@ class ChaplyginChart(_BallChart):
 
     def integrals(self, coords):
         w, g = self._split(coords)
-        return {"H": 0.5 * _blas_dot(_k_vector(w, g, self.inertia, self.D), w)}
+        return {"H": 0.5 * _dot(_k_vector(w, g, self.inertia, self.D), w)}
 
     def gated(self, first):
         return {"H_drift"}
@@ -325,7 +315,7 @@ class RubberChart(_BallChart):
 
     def integrals(self, coords):
         w, g = self._split(coords)
-        return {"H": 0.5 * _blas_dot(self.it * w, w), "phi1": _blas_dot(w, g)}
+        return {"H": 0.5 * _dot(self.it * w, w), "phi1": _dot(w, g)}
 
     def gated(self, first):
         return {"phi1_drift", "H_drift"} if abs(first["phi1"]) <= 1e-12 else {"phi1_drift"}

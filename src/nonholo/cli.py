@@ -252,8 +252,8 @@ class RunConfig:
         if self.coords is not None:
             if self.coords.shape != (self.chart.dim,):
                 raise ConfigError(
-                    f"initial.coords: expected {self.chart.dim} values for this chart, "
-                    f"got {self.coords.size}"
+                    f"initial.coords: expected a flat list of {self.chart.dim} values for "
+                    f"this chart, got shape {self.coords.shape}"
                 )
             return self.coords
         return self.chart.random_coords(np.random.default_rng(seed), self.zero_constants)

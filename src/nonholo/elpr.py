@@ -25,7 +25,10 @@ D pr_{D_r}(w) obeys
 
 and the flow preserves
 
-    ( sum_I P_I(U)^2 / (a_{i_1} ... a_{i_r}) )^(-(n - r - 1)/2) d(k_bold) dU.
+    ( sum_I P_I(U)^2 / (a_{i_1} ... a_{i_r}) )^(-(n - r - 1)/2) d(k_bold) dU,
+
+where P_I are the r x r minors of U; by Cauchy-Binet the base is
+det(U^T diag(1/a) U).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chart import Chart, pair_labels
-from .elr import _energy, _frame_divergence
+from .elr import _energy, _frame_divergence, _solve
 from .errors import DefinitenessError, ParameterError
 from .liealg import (
     InertiaOperator,
@@ -43,7 +46,7 @@ from .liealg import (
     to_wedge,
     wedge_dim,
 )
-from .veselova import _log_base, _StiefelChart, random_veselova_state
+from .veselova import _StiefelChart, random_veselova_state
 
 __all__ = [
     "pi_variants",
@@ -121,7 +124,7 @@ def _stiefel_velocity(kc, U, op, D):
     """Wedge coordinates of w solving I w + D pr_{D_r}(w) = k_bold, and the
     matrix of pr_{D_r}; batched."""
     P = dr_projector_matrix(U @ np.swapaxes(U, -1, -2))
-    return np.linalg.solve(op.dense_matrix + D * P, kc[..., None])[..., 0], P
+    return _solve(op.dense_matrix + D * P, kc[..., None])[..., 0], P
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,7 @@ class LPRChart(Chart):
     def integrals(self, coords):
         wc, Pi = self._split(coords)
         kc = _k_coords(wc, Pi, self.op)
-        return {"H": _energy(kc, _velocity(kc, Pi, self.op), self.n)}
+        return {"H": _energy(kc, _velocity(kc, Pi, self.op))}
 
     def extra_drifts(self, states):
         eigs = np.linalg.eigvalsh(self._split(states)[1])
@@ -249,7 +252,7 @@ class LPRStiefelChart(_StiefelChart):
         if self.D <= np.max(self.a) ** 2:
             raise ParameterError(f"D: must exceed every product a_i a_j, got {D!r}")
         op = InertiaOperator.wedge_products_chaplygin(self.a, self.D)
-        super().__init__(op, r, eps, op.n)
+        super().__init__(op, r, eps, op.n, 1.0 / self.a)
         self.density_exponent = -(self.n - self.r - 1) / 2.0  # independent of eps
 
     @classmethod
@@ -272,16 +275,12 @@ class LPRStiefelChart(_StiefelChart):
         T = self.op.dense_matrix + self.D * P
         return _frame_divergence(T, ad_coords(kc, self.n), P, self.D * wc, self.eps, self.n)
 
-    def log_base(self, coords):
-        """log sum_I P_I^2 / a_I over the r-minors P_I of U."""
-        return _log_base(coords[..., self.N :], 1.0 / self.a, self.n, self.r, coords.shape[:-1])
-
     def random_coords(self, rng, zero_constants=False):
         return random_lpr_stiefel_state(self.n, self.r, rng)
 
     def integrals(self, coords):
         kc, U = self._split(coords)
-        return {"H": _energy(kc, _stiefel_velocity(kc, U, self.op, self.D)[0], self.n)}
+        return {"H": _energy(kc, _stiefel_velocity(kc, U, self.op, self.D)[0])}
 
     def gated(self, first):
         return {"H_drift"}

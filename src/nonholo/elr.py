@@ -45,13 +45,7 @@ import numpy as np
 from . import liealg
 from .chart import Chart, pair_labels
 from .errors import DimensionError, ParameterError, SingularityError
-from .liealg import (
-    InertiaOperator,
-    ad_coords,
-    from_wedge,
-    inner_product,
-    wedge_dim,
-)
+from .liealg import InertiaOperator, ad_coords, wedge_dim
 
 __all__ = [
     "MultiplierChart",
@@ -66,13 +60,16 @@ __all__ = [
 # batched kernels on wedge coordinates
 
 
-def _frame_solve(A, b):
-    """Solve with a k x k frame Gram matrix A; a singular A (linearly
-    dependent frame rows) raises SingularityError."""
+def _solve(A, b):
+    """np.linalg.solve(A, b), batched; a singular A raises SingularityError.
+    Every kernel solve goes through here: a frame Gram matrix of dependent
+    rows, or a trial step's stage point whose frame is far from orthonormal,
+    makes A singular, and the integrator aborts on the error."""
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularityError("frame Gram matrix is singular") from exc
+        msg = "singular matrix: frame rows dependent or far from orthonormal"
+        raise SingularityError(msg) from exc
 
 
 def _multiplier_rhs(wc, ec, op, eps):
@@ -84,7 +81,7 @@ def _multiplier_rhs(wc, ec, op, eps):
     es = op.solve_coords(ec)
     A = ec @ np.swapaxes(es, -1, -2)
     b = np.einsum("...kN,...N->...k", ec, s)
-    lam = -_frame_solve(A, b[..., None])[..., 0]
+    lam = -_solve(A, b[..., None])[..., 0]
     dmc = br + np.einsum("...k,...kN->...N", lam, ec)
     dwc = op.solve_coords(dmc)
     dec = -eps * (ec @ np.swapaxes(ad_w, -1, -2))  # eps [e_i, w]
@@ -96,7 +93,7 @@ def _momentum_velocity(mc, P, op):
     P (..., N, N) is the wedge-coordinate matrix of pr_D."""
     eye, shift = op.identity_and_shift
     Jm = eye + P @ shift
-    return np.linalg.solve(Jm, mc[..., None])[..., 0]
+    return _solve(Jm, mc[..., None])[..., 0]
 
 
 def _momentum_rhs(mc, P, op, eps):
@@ -128,47 +125,42 @@ def _frame_divergence(J, M, P, u, eps, n):
     Pu = np.einsum("...ij,...j->...i", P, u)
     ad = ad_coords(np.stack([Pu, u], axis=-2), n)
     A = M - eps * (ad[..., 0, :, :] - P @ ad[..., 1, :, :])
-    return np.trace(np.linalg.solve(J, A), axis1=-2, axis2=-1)
+    return np.trace(_solve(J, A), axis1=-2, axis2=-1)
 
 
-def _energy(mc, wc, n):
+def _dot(a, b):
+    """a . b over the last axis, batched.  The product is a fresh C-ordered
+    array, so each row sums in one order whatever the operands' layout."""
+    return np.sum(a * b, axis=-1)
+
+
+def _energy(mc, wc):
     """<m, w>/2 from the wedge coordinates mc, wc (..., N), batched: the
     energy of every flow here, with m the momentum its w pairs with."""
-    return 0.5 * inner_product(from_wedge(mc, n), from_wedge(wc, n))
+    return 0.5 * _dot(mc, wc)
 
 
 def _first_integrals(wc, ec, op):
     """(phi (..., k), H, F) of the multiplier form at w, e_1..e_k given by
     wc (..., N) and ec (..., k, N), batched: the constraint values
-    phi_i = <w, e_i>, the energy H = <I w, w>/2 and F = H - <pr_H w, I w>.
+    phi = E w, the energy H = <I w, w>/2 and F = H - <pr_H w, I w>, where
+    pr_H w = E^T G^-1 phi with G = E E^T.
 
     phi_i is conserved for every eps; H is conserved when all constants
     vanish; F is conserved exactly at eps = 1."""
-    n = op.n
-    elems = from_wedge(ec, n)
-    # w once per frame element, as a copy: einsum would sum a stride-0
-    # broadcast in another order, and a batch would round unlike one sample
-    w = np.repeat(from_wedge(wc, n)[..., None, :, :], elems.shape[-3], axis=-3)
     mc = op.apply_coords(wc)
-    H = _energy(mc, wc, n)
-    coeff = _frame_solve(ec @ np.swapaxes(ec, -1, -2), inner_product(elems, w)[..., None])
-    # sum_i coeff_i e_i in a fixed order over the k frame rows: a small BLAS
-    # product's last bits would depend on the operands' memory layout
-    pr_h = coeff[..., 0, :] * ec[..., 0, :]
-    for i in range(1, ec.shape[-2]):
-        pr_h = pr_h + coeff[..., i, :] * ec[..., i, :]
-    pr_h_w = from_wedge(pr_h, n)
-    F = H - inner_product(pr_h_w, from_wedge(mc, n))
-    return inner_product(w, elems), H, F
+    H = _energy(mc, wc)
+    phi = _dot(ec, wc[..., None, :])
+    coeff = _solve(ec @ np.swapaxes(ec, -1, -2), phi[..., None])
+    pr_h = np.sum(coeff * ec, axis=-2)  # a fresh product, summed row by row as in _dot
+    return phi, H, H - _dot(pr_h, mc)
 
 
-def _log_gram_det(ec, op, mode):
-    if mode == "inverse_inertia":
-        es = op.solve_coords(ec)
-    else:
-        es = op.apply_coords(ec)
-    A = np.einsum("...iN,...jN->...ij", ec, es)
-    sign, logdet = np.linalg.slogdet(A)
+def _log_gram_det(rows, weighted):
+    """log det(rows weighted^T), batched; SingularityError unless the
+    determinant is positive.  Every frame chart's density base is such a
+    Gram determinant: weighted is the rows under an inertia operator."""
+    sign, logdet = np.linalg.slogdet(rows @ np.swapaxes(weighted, -1, -2))
     if np.any(sign <= 0):
         raise SingularityError("frame Gram determinant is not positive")
     return logdet
@@ -260,20 +252,21 @@ class MultiplierChart(_FrameChart):
 
         The frame block adds the trace of eps ad_w, which is skew."""
         br = -es @ np.swapaxes(ad_w, -1, -2)  # rows [I^{-1} e_i, w]
-        return np.trace(_frame_solve(A, br @ np.swapaxes(ec, -1, -2)), axis1=-2, axis2=-1)
+        return np.trace(_solve(A, br @ np.swapaxes(ec, -1, -2)), axis1=-2, axis2=-1)
 
     density_exponent = property(Chart._half_inverse_eps)
 
     def log_base(self, coords):
         """log det(E I^-1 E^T) of the frame rows E."""
-        return _log_gram_det(self._split(coords)[1], self.op, "inverse_inertia")
+        ec = self._split(coords)[1]
+        return _log_gram_det(ec, self.op.solve_coords(ec))
 
     def log_base_grad(self, coords):
         """Gradient (..., d) of log_base at coords (..., d): 0 on w and
         2 A^-1 E I^-1 on the frame rows E, A = E I^-1 E^T."""
         wc, ec = self._split(coords)
         es = self.op.solve_coords(ec)
-        rows = 2.0 * _frame_solve(ec @ np.swapaxes(es, -1, -2), es)
+        rows = 2.0 * _solve(ec @ np.swapaxes(es, -1, -2), es)
         return np.concatenate([np.zeros_like(wc), rows.reshape(wc.shape[:-1] + (-1,))], axis=-1)
 
     def random_coords(self, rng, zero_constants=False):
@@ -341,7 +334,8 @@ class MomentumChart(_FrameChart):
 
     def log_base(self, coords):
         """log det(F I F^T) of the D-frame rows F."""
-        return _log_gram_det(self._split(coords)[1], self.op, "inertia")
+        fc = self._split(coords)[1]
+        return _log_gram_det(fc, self.op.apply_coords(fc))
 
     def random_coords(self, rng, zero_constants=False):
         return random_momentum_state(self.n, self.k, rng)
@@ -353,7 +347,7 @@ class MomentumChart(_FrameChart):
 
     def integrals(self, coords):
         wc = self.velocity(coords)
-        return {"H": _energy(self.op.apply_coords(wc), wc, self.n)}
+        return {"H": _energy(self.op.apply_coords(wc), wc)}
 
 
 # ---------------------------------------------------------------------------

@@ -20,25 +20,22 @@ the flow preserves
     ( sum_I a_{i_1} ... a_{i_r} P_I(U)^2 )^[(1/(2 eps) - 1)(n - r - 1)]
         d(m_bold) dU |_{so(n) x V_{n,r}},
 
-where P_I are the r x r minors of U over row tuples I (for r = 1 the base
-is just (e_1, A e_1) with A = diag(a)).
+where P_I are the r x r minors of U over row tuples I.  By Cauchy-Binet
+the base is det(U^T A U) with A = diag(a), the Gram determinant of the
+frame under A (for r = 1 just (e_1, A e_1)).
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
 from . import liealg
 from .chart import Chart, pair_labels
-from .elr import MomentumChart, _energy, _momentum_rhs, _momentum_velocity
+from .elr import MomentumChart, _energy, _log_gram_det, _momentum_rhs, _momentum_velocity
 from .errors import ConfigError, DimensionError, UnsupportedSpecError
 from .liealg import InertiaOperator, dr_projector_matrix, from_wedge, wedge_dim
 
 __all__ = [
-    "pluecker",
-    "pluecker_indices",
     "VeselovaChart",
     "random_veselova_state",
 ]
@@ -51,37 +48,19 @@ def _velocity(mc, U, op):
     return _momentum_velocity(mc, P, op), P
 
 
-def pluecker_indices(n: int, r: int) -> list[tuple[int, ...]]:
-    """Row tuples I in the order used by ``pluecker``."""
-    return list(combinations(range(n), r))
-
-
-def pluecker(U) -> np.ndarray:
-    """Pluecker coordinates of the column span: r x r minors over row tuples."""
-    U = np.asarray(U, dtype=float)
-    idx = np.array(pluecker_indices(*U.shape[-2:]))
-    # take keeps each point's minors contiguous, so a batch sums them in
-    # _log_base in the order of a single point (U[..., idx, :] would not)
-    return np.linalg.det(np.take(U, idx, axis=-2))
-
-
-def _log_base(Uflat, a, n, r, shape):
-    mins = pluecker(np.reshape(Uflat, shape + (n, r)))
-    aprod = np.prod(np.asarray(a, dtype=float)[np.array(pluecker_indices(n, r))], axis=-1)
-    return np.log(np.einsum("...c,c->...", mins**2, aprod))
-
-
 _WEDGE_ONLY = "the veselova density is only valid for the wedge_products inertia"
 
 
 class _StiefelChart(Chart):
     """Momentum wedge coordinates, then the raw entries of an n x r Stiefel
-    point U; shared by VeselovaChart and LPRStiefelChart."""
+    point U; shared by VeselovaChart and LPRStiefelChart, whose density
+    bases are det(U^T diag(weights) U)."""
 
     _lead = "m"  # column prefix of the momentum block
 
-    def __init__(self, op: InertiaOperator, r: int, eps: float, r_max: int):
+    def __init__(self, op: InertiaOperator, r: int, eps: float, r_max: int, weights):
         self.op, self.n, self.N = op, op.n, op.N
+        self.weights = np.asarray(weights, dtype=float)
         self.r = int(r)
         if not 1 <= self.r <= r_max:
             raise DimensionError(f"r: need 1 <= r <= {r_max} at n = {self.n}, got r={r}")
@@ -96,6 +75,12 @@ class _StiefelChart(Chart):
         U = coords[..., self.N :].reshape(coords.shape[:-1] + (self.n, self.r))
         return coords[..., : self.N], U
 
+    def log_base(self, coords):
+        """log det(U^T diag(weights) U): by Cauchy-Binet, the log of
+        sum_I weights_I P_I(U)^2 over the r x r minors P_I of U."""
+        Ut = np.swapaxes(self._split(coords)[1], -1, -2)
+        return _log_gram_det(Ut, Ut * self.weights)
+
     def columns(self):
         U = [f"U{i + 1}{j + 1}" for i in range(self.n) for j in range(self.r)]
         return pair_labels(self.n, self._lead) + U
@@ -107,7 +92,7 @@ class VeselovaChart(_StiefelChart):
     config_keys = ("n", "r", "inertia")
 
     def __init__(self, op: InertiaOperator, r: int, eps: float):
-        super().__init__(op, r, eps, op.n - 1)
+        super().__init__(op, r, eps, op.n - 1, op.a)
 
     @classmethod
     def from_config(cls, cfg):
@@ -135,16 +120,12 @@ class VeselovaChart(_StiefelChart):
 
     _divergence = MomentumChart._divergence  # the elr momentum form's, P = pr_{D_r}
 
-    def log_base(self, coords):
-        """log sum_I a_I P_I^2 over the r-minors P_I of U."""
-        return _log_base(coords[..., self.N :], self.op.a, self.n, self.r, coords.shape[:-1])
-
     def random_coords(self, rng, zero_constants=False):
         return random_veselova_state(self.n, self.r, rng)
 
     def integrals(self, coords):
         wc = _velocity(*self._split(coords), self.op)[0]
-        return {"H": _energy(self.op.apply_coords(wc), wc, self.n)}
+        return {"H": _energy(self.op.apply_coords(wc), wc)}
 
 
 def random_veselova_state(n: int, r: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite, and matrix-form oracles that build
 so(n) elements without the package's wedge-coordinate kernels."""
 
+from itertools import combinations
+
 import numpy as np
 
 from nonholo.liealg import InertiaOperator, from_wedge, wedge_dim
@@ -42,6 +44,23 @@ def complete_columns(U) -> np.ndarray:
     q, _ = np.linalg.qr(U, mode="complete")
     q[:, :r] = U
     return q
+
+
+def pluecker(U) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Pluecker coordinates of the column span of U (n, r): its r x r
+    minors, and the row tuples I they are taken over, in order."""
+    U = np.asarray(U, dtype=float)
+    rows = list(combinations(range(U.shape[0]), U.shape[1]))
+    return np.array([np.linalg.det(U[list(I), :]) for I in rows]), rows
+
+
+def pluecker_base(U, c) -> float:
+    """sum_I c_I P_I(U)^2 over the minors P_I of U (n, r), c_I the product
+    of c (n,) over I: a Stiefel chart's density base as the paper writes
+    it, which the package takes as det(U^T diag(c) U) by Cauchy-Binet."""
+    minors, rows = pluecker(U)
+    c = np.asarray(c, dtype=float)
+    return float(sum(np.prod(c[list(I)]) * p**2 for p, I in zip(minors, rows)))
 
 
 def gamma_projector(U):

@@ -12,6 +12,7 @@ from conftest import (
     ball_momentum_rate,
     chaplygin_params,
     gamma_projector,
+    pluecker_base,
     random_skew,
     random_spd_operator,
     rng_for,
@@ -28,7 +29,6 @@ from nonholo.elpr import (
 from nonholo.elr import (
     MomentumChart,
     MultiplierChart,
-    _log_gram_det,
     momentum_partner,
     random_momentum_state,
     random_multiplier_state,
@@ -54,7 +54,6 @@ from nonholo.numerics import (
 )
 from nonholo.veselova import (
     VeselovaChart,
-    _log_base,
     _velocity,
     random_veselova_state,
 )
@@ -165,7 +164,7 @@ def test_criterion_2_volume_transport_suite():
         @pointwise
         def wrong_m(c, eps=eps):
             fc = np.asarray(c)[N:].reshape(N - k, N)
-            return (1.0 / eps - 1.0) * _log_gram_det(fc, op, "inertia")
+            return (1.0 / eps - 1.0) * np.linalg.slogdet(fc @ op.dense_matrix @ fc.T)[1]
 
         res = tangent_volume_transport(
             chart.field, wrong_m, chart.flatten(stm), chart.constraints, cfg
@@ -182,9 +181,8 @@ def test_criterion_2_volume_transport_suite():
 
         @pointwise
         def wrong_v(c, eps=eps):
-            return float(
-                (1.0 / eps - 1.0) * (n - r - 1) * _log_base(np.asarray(c)[N:], a, n, r, ())
-            )
+            U = np.asarray(c)[N:].reshape(n, r)
+            return float((1.0 / eps - 1.0) * (n - r - 1) * np.log(pluecker_base(U, a)))
 
         res = tangent_volume_transport(
             chart.field, wrong_v, chart.flatten(stv), chart.constraints, cfg
@@ -199,7 +197,8 @@ def test_criterion_2_volume_transport_suite():
     @pointwise
     def wrong_s(c):
         # doubled exponent (the density carries no eps to perturb)
-        return float(-(n - r - 1) * _log_base(np.asarray(c)[N:], 1.0 / np.asarray(a), n, r, ()))
+        U = np.asarray(c)[N:].reshape(n, r)
+        return float(-(n - r - 1) * np.log(pluecker_base(U, 1.0 / np.asarray(a))))
 
     res = tangent_volume_transport(
         chart.field, wrong_s, chart.flatten(sts), chart.constraints, cfg

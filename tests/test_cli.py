@@ -155,7 +155,7 @@ def test_liouville_wrong_exponent_control_fails(tmp_path, monkeypatch, system):
 _PI = -3.0 * np.eye(6)
 DEGENERATE_LIOUVILLE = [
     ("elpr", [0.1] * 6 + _PI[np.triu_indices(6)].tolist(), "I + Pi lost positive definiteness"),
-    ("elr_multiplier", [1.0] * 18, "frame Gram matrix is singular"),
+    ("elr_multiplier", [1.0] * 18, "singular matrix: frame rows dependent or far from orthonormal"),
 ]
 
 
@@ -283,6 +283,34 @@ def test_simulate_non_finite_field_exits_four_without_csv(tmp_path, capsys):
         assert main(["simulate", "--config", p, "--out", str(out)]) == 4
     assert "non-finite field value" in capsys.readouterr().err
     assert not glob.glob(str(out / "*.csv"))
+
+
+# a loose tolerance takes trial steps so long that a stage point's frame is
+# far from orthonormal, and the momentum map Id + P (I - Id) is singular there
+SINGULAR_STAGE = {
+    "system": "elr_momentum", "n": 4, "k": 2, "epsilon": 2.0,
+    "inertia": {"kind": "wedge_products", "a": [0.6, 1.0, 1.5, 2.1]},
+    "initial": {"seed": 0},
+    "integrator": {"t_end": 20.0, "abs_tol": 0.1, "rel_tol": 0.1},
+}
+
+
+@pytest.mark.parametrize("system", ["elr_momentum", "veselova"])
+def test_a_singular_stage_point_exits_four_without_a_traceback(tmp_path, capsys, system):
+    cfg = dict(SINGULAR_STAGE, system=system)
+    if system == "veselova":
+        cfg = dict(cfg, k=None, r=2)
+    p = write_cfg(tmp_path, {k: v for k, v in cfg.items() if v is not None})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", p, "--seed", "1", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "singular matrix" in err
+    assert main(["verify", "--config", p, "--check", "volume", "--seeds", "2",
+                 "--out", str(out)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    rows = read_rows(out / f"{system}_volume.csv")[1:]
+    assert len(rows) == 2 and all(r[-1].startswith("abort: ") for r in rows)
+    assert any("singular matrix" in r[-1] for r in rows)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
@@ -871,6 +899,15 @@ NOT_REAL = [
     ({"integrator": {"t_end": None}}, "t_end must be a real number, got None"),
 ]
 
+# initial.coords of the wrong shape: a nested list of the right size used to
+# read "expected 6 values for this chart, got 6"
+WRONG_COORDS_SHAPE = [
+    ({"initial": {"coords": [1.0, 2.0]}},
+     "expected a flat list of 6 values for this chart, got shape (2,)"),
+    ({"initial": {"coords": [[0.3, -0.2, 0.5, 0.0, 0.6, 0.8]]}},
+     "expected a flat list of 6 values for this chart, got shape (1, 6)"),
+]
+
 
 @pytest.mark.parametrize(
     "patch",
@@ -882,7 +919,6 @@ NOT_REAL = [
         {"inertia": [1.0, -2.0, 3.0]},
         {"integrator": {"t_end": -2.0}},
         {"integrator": {"timestep": 0.1}},
-        {"initial": {"coords": [1.0, 2.0]}},
         {"variables": "quaternion", "system": "ball_rubber"},
         {"bogus_key": 1},
         {"variables": "m"},
@@ -902,7 +938,7 @@ NOT_REAL = [
         VESELOVA_IDENTITY,
     ] + [patch for patch, _ in NON_FINITE + NOT_INTEGER_OR_BOOLEAN] + [{"tolerance": -1}]
     + [patch for patch, _ in NAN_LIST_ENTRIES + TOO_MANY_SAMPLES_OR_NEGATIVE_STEPS]
-    + [patch for patch, _ in BAD_TOLERANCES],
+    + [patch for patch, _ in BAD_TOLERANCES + WRONG_COORDS_SHAPE],
 )
 def test_bad_configs_exit_three(tmp_path, patch):
     cfg = {k: v for k, v in dict(BALL_CFG, **patch).items() if v is not None}
@@ -947,6 +983,13 @@ def test_integrator_tolerance_error_names_its_key(tmp_path, capsys, patch, messa
     p = write_cfg(tmp_path, dict(BALL_CFG, **patch))
     assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == f"config error: integrator: {message}\n"
+
+
+@pytest.mark.parametrize("patch, message", WRONG_COORDS_SHAPE, ids=["short", "nested"])
+def test_initial_coords_of_the_wrong_shape_name_the_shape(tmp_path, capsys, patch, message):
+    p = write_cfg(tmp_path, dict(BALL_CFG, **patch))
+    assert main(["simulate", "--config", p, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"config error: initial.coords: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from nonholo.elr import (
     MomentumChart,
     MultiplierChart,
     _first_integrals,
+    _momentum_velocity,
     momentum_partner,
     random_momentum_state,
     random_multiplier_state,
@@ -306,3 +307,12 @@ def test_integrals_keep_their_bits_across_memory_layouts():
     for copy in copies:
         for name, value in chart.integrals(copy).items():
             assert np.array_equal(value, ref[name]), name
+
+
+def test_a_singular_momentum_map_raises_singularity_error():
+    # Jm = Id + P (I - Id) vanishes for I = 2 Id and P = -Id: no orthonormal
+    # frame gives such a P, but a stage point far from one can make Jm singular
+    op = InertiaOperator.wedge_diagonal(4, np.full(6, 2.0))
+    P = np.stack([np.eye(6), -np.eye(6)])  # one row of the batch singular
+    with pytest.raises(SingularityError, match="singular matrix"):
+        _momentum_velocity(np.ones((2, 6)), P, op)

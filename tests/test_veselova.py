@@ -1,7 +1,5 @@
 """Moving-frame flow on so(n) x V_{n,r} and its Pluecker-coordinate density."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 
@@ -9,12 +7,16 @@ from conftest import (
     ball_momentum_rate,
     complete_columns,
     field_blocks,
+    chaplygin_params,
     gamma_projector,
+    pluecker,
+    pluecker_base,
     random_skew,
     random_spd_operator,
     rng_for,
 )
 from nonholo import ball3d
+from nonholo.elpr import LPRStiefelChart
 from nonholo.elr import MomentumChart
 from nonholo.errors import ParameterError, UnsupportedSpecError
 from nonholo.liealg import (
@@ -31,8 +33,6 @@ from nonholo.numerics import IntegratorConfig, integrate, pointwise, tangent_vol
 from nonholo.veselova import (
     VeselovaChart,
     _velocity,
-    pluecker,
-    pluecker_indices,
     random_veselova_state,
 )
 
@@ -117,12 +117,36 @@ def test_orthonormality_holds_along_flow():
 # Pluecker coordinates and the density
 
 
-def test_pluecker_indices_and_unit_norm():
-    assert pluecker_indices(4, 2) == list(combinations(range(4), 2))
+def test_pluecker_unit_norm():
     rng = rng_for(8)
     for n, r in ((4, 2), (5, 2), (5, 3)):
-        P = pluecker(random_stiefel(n, r, rng))
+        P = pluecker(random_stiefel(n, r, rng))[0]
         assert float(P @ P) == pytest.approx(1.0, abs=1e-12)  # Cauchy-Binet
+
+
+def stiefel_charts():
+    """(chart, weights c of its base sum_I c_I P_I^2): veselova at r <= n - 1
+    and lpr_stiefel at r <= n, n = 3..6."""
+    rng = rng_for(13)
+    for n in range(3, 7):
+        a = rng.uniform(0.5, 2.0, size=n)
+        for r in range(1, n):
+            yield VeselovaChart(InertiaOperator.wedge_products(a), r, 0.5), a
+        a, D = chaplygin_params(n, rng)
+        for r in range(1, n + 1):
+            yield LPRStiefelChart(a, D, r, 0.5), 1.0 / a
+
+
+def test_log_base_is_the_pluecker_sum():
+    # Cauchy-Binet: det(U^T diag(c) U) = sum_I c_I P_I(U)^2, on Stiefel points
+    # and on frames near them, as at a trial step's stage point
+    rng = rng_for(14)
+    for chart, c in stiefel_charts():
+        x = chart.random_coords(rng)
+        for x in (x, x + 0.1 * rng.standard_normal(chart.dim)):
+            expect = pluecker_base(chart._split(x)[1], c)
+            got = np.exp(chart.log_base(x))
+            assert got == pytest.approx(expect, rel=1e-13), (type(chart).__name__, chart.n, chart.r)
 
 
 def test_density_manual_formula():
@@ -132,11 +156,7 @@ def test_density_manual_formula():
     x = random_veselova_state(n, r, rng)
     op = InertiaOperator.wedge_products(a)
     U = VeselovaChart(op, r, eps)._split(x)[1]
-    base = 0.0
-    for I in combinations(range(n), r):
-        minor = np.linalg.det(U[list(I), :])
-        base += np.prod(a[list(I)]) * minor**2
-    expect = (1.0 / (2.0 * eps) - 1.0) * (n - r - 1) * np.log(base)
+    expect = (1.0 / (2.0 * eps) - 1.0) * (n - r - 1) * np.log(pluecker_base(U, a))
     assert log_density(x, r, op, eps) == pytest.approx(expect, abs=1e-13)
 
 
