@@ -24,8 +24,8 @@ ParameterError.  The interface:
   kernels.  ``_rates`` gives the field (..., d) at coords (..., d) and the
   intermediate arrays ``parts`` that its divergence reuses; ``_divergence``
   gives the divergence (...) from them in closed form.  ``Chart`` has no
-  default for either, and ``numerics.fd_divergence`` is the
-  central-difference oracle the tests hold each closed form to.  From them
+  default for either; the tests hold each closed form to the trace of
+  ``numerics.fd_jacobian``, the central-difference oracle.  From them
   ``Chart`` defines ``field(coords)`` and ``divergence(coords)`` (...),
   for volume transport and ``verify --check liouville``.  Volume transport
   integrates this divergence over the whole chart as the divergence on the

@@ -467,6 +467,9 @@ def cmd_verify(cfg: RunConfig, check, seeds, out_dir) -> int:
                 results, gated = done[seed]
             else:
                 ((results, gated),) = run(cfg, cfg.initial_coords(seed)[None])
+            bad = [name for name, value in results if name in gated and not np.isfinite(value)]
+            if bad:  # an abort, as a non-finite field value is
+                raise NonholoError(f"non-finite {bad[0]}")
             for name, value in results:
                 if name in gated:
                     status = "pass" if value <= tol else "fail"
@@ -477,7 +480,7 @@ def cmd_verify(cfg: RunConfig, check, seeds, out_dir) -> int:
         except ConfigError:
             raise
         except NonholoError as exc:
-            cause = exc.cause if isinstance(exc, IntegrationAbort) else exc
+            cause = f"{exc.cause} at t={exc.t:.6g}" if isinstance(exc, IntegrationAbort) else exc
             add(seed, "abort", float("nan"), f"abort: {cause}")
             any_abort = True
     path = _out_path(cfg, out_dir, f"{cfg.system}_{check}.csv")

@@ -220,15 +220,12 @@ class LPRChart(Chart):
         return names + [f"Pi{i + 1}_{j + 1}" for i, j in zip(*self.iu)]
 
     def velocity(self, coords):
-        """Wedge coordinates of w at coords (..., d), solved back from
-        k_bold = (I + Pi) w, as ``flatten`` solves a sampled k_bold."""
-        wc, Pi = self._split(coords)
-        return _velocity(_k_coords(wc, Pi, self.op), Pi, self.op)
+        """Wedge coordinates of w at coords (..., d): their leading block."""
+        return np.asarray(coords, dtype=float)[..., : self.N]
 
     def integrals(self, coords):
         wc, Pi = self._split(coords)
-        kc = _k_coords(wc, Pi, self.op)
-        return {"H": _energy(kc, _velocity(kc, Pi, self.op))}
+        return {"H": _energy(_k_coords(wc, Pi, self.op), wc)}
 
     def extra_drifts(self, states):
         eigs = np.linalg.eigvalsh(self._split(states)[1])

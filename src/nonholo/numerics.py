@@ -10,10 +10,10 @@ evaluation whose result has any other shape raises DimensionError.
 Two verification primitives are provided:
 
 * ``liouville_residual_ambient``: div(X) + d/dt log(mu) at each point of a
-  batch (..., d) on a full linear chart.  By default the divergence and the
-  log-density gradient come from central finite differences, independent
-  of any closed form; ``verify --check liouville`` passes the chart's
-  closed-form ``divergence`` and ``log_density_grad`` instead.
+  batch (..., d) on a full linear chart.  By default the divergence (the
+  trace of ``fd_jacobian``) and the log-density gradient come from central
+  differences, independent of any closed form; ``verify --check liouville``
+  passes the chart's closed-form ``divergence`` and ``log_density_grad``.
 
 * ``tangent_volume_transport``: integrates the log volume of a tangent
   volume element along the flow; for an invariant measure mu the sum
@@ -78,7 +78,6 @@ __all__ = [
     "fd_jacobian",
     "fd_gradient",
     "fd_jvp",
-    "fd_divergence",
     "liouville_residual_ambient",
     "constraint_tangent_basis",
     "tangent_volume_transport",
@@ -431,18 +430,6 @@ def integrate(field_fn, x0, cfg: IntegratorConfig, renormalize_fn=None, quadratu
 # finite differences
 
 
-def _fd_points(x):
-    """Central-difference stencil of x (..., d): points (..., 2d, d), steps (..., d).
-
-    Row i of the stencil is x + h_i e_i and row d + i is x - h_i e_i, with
-    h_i = _FD_H * max(1, |x_i|).
-    """
-    h = _FD_H * np.maximum(1.0, np.abs(x))
-    step = h[..., :, None] * np.eye(x.shape[-1])
-    xr = x[..., None, :]
-    return np.concatenate([xr + step, xr - step], axis=-2), h
-
-
 def pointwise(fn):
     """Batched form of fn, a function of one point (d,) with a scalar or (m,)
     value: the returned callable maps (..., d) to (..., m), calling fn once
@@ -489,39 +476,28 @@ def fd_jvp(field_fn, x, Vt):
 def fd_jacobian(fn, x) -> np.ndarray:
     """Central finite-difference Jacobian of fn at x (..., d), shape (..., m, d).
 
-    The step along coordinate i is _FD_H * max(1, |x_i|), _FD_H = eps**(1/3).
-    fn, batched, is called once on the stacked stencils of every point (2d
-    rows each).
+    The package's one stencil: fn, batched, is called once on 2d rows per
+    point, row i x + h_i e_i and row d + i x - h_i e_i, with the step
+    h_i = _FD_H * max(1, |x_i|), _FD_H = eps**(1/3).
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    pts, h = _fd_points(x)
-    vals = _eval_rows(fn, pts)
+    h = _FD_H * np.maximum(1.0, np.abs(x))
+    step = h[..., :, None] * np.eye(d)
+    xr = x[..., None, :]
+    vals = _eval_rows(fn, np.concatenate([xr + step, xr - step], axis=-2))
     diff = (vals[..., :d, :] - vals[..., d:, :]) / (2.0 * h[..., :, None])
     return np.swapaxes(diff, -1, -2)
 
 
-# fd_gradient calls the stencil by this name, so that a wrapper installed on
-# fd_jacobian (a profiler, say) sees only the Jacobians asked for as such
+# fd_gradient and liouville_residual_ambient call the stencil by this name, so
+# that a wrapper on fd_jacobian (a profiler) sees only the Jacobians asked for
 _jacobian = fd_jacobian
 
 
 def fd_gradient(fn, x) -> np.ndarray:
     """Gradient (..., d) of scalar fn at x (..., d): row 0 of its Jacobian."""
     return _jacobian(fn, x)[..., 0, :]
-
-
-def fd_divergence(field_fn, x):
-    """Divergence (...) of field_fn at x (..., d), from one field_fn call on
-    the 2d stacked rows per point of fd_jacobian's stencil, whose diagonal
-    central differences are summed."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    pts, h = _fd_points(x)
-    vals = _eval_rows(field_fn, pts)
-    plus = np.diagonal(vals[..., :d, :], axis1=-2, axis2=-1)
-    minus = np.diagonal(vals[..., d:, :], axis1=-2, axis2=-1)
-    return np.sum((plus - minus) / (2.0 * h), axis=-1)
 
 
 def _finite_state(x, name="x"):
@@ -542,11 +518,15 @@ def liouville_residual_ambient(field_fn, log_density_fn, x, divergence_fn=None, 
     divergence_fn(x) -> (...), as tangent_volume_transport takes it, and
     grad_fn(x) -> (..., d), the gradient of log mu, supply either term in
     closed form.  None takes the term from central differences of field_fn
-    or log_density_fn, so with neither the residual is independent of any
-    closed-form term.  A non-finite x raises ParameterError before any call.
+    (the trace of its Jacobian) or log_density_fn, so with neither the
+    residual is independent of any closed form.  A non-finite x raises
+    ParameterError before any call.
     """
     x = _finite_state(x)
-    div = fd_divergence(field_fn, x) if divergence_fn is None else divergence_fn(x)
+    if divergence_fn is None:
+        div = np.trace(_jacobian(field_fn, x), axis1=-2, axis2=-1)
+    else:
+        div = divergence_fn(x)
     grad = fd_gradient(log_density_fn, x) if grad_fn is None else grad_fn(x)
     fx = np.asarray(field_fn(x), dtype=float)
     # a per-row BLAS dot, which rounds as grad @ fx does for one point

@@ -6,10 +6,17 @@ from itertools import combinations
 import numpy as np
 
 from nonholo.liealg import InertiaOperator, from_wedge, wedge_dim
+from nonholo.numerics import fd_jacobian
 
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def fd_trace(field, x):
+    """Central-difference divergence (...) of a batched field at x (..., d):
+    the trace of its fd_jacobian, as liouville_residual_ambient takes it."""
+    return np.trace(fd_jacobian(field, x), axis1=-2, axis2=-1)
 
 
 def wedge_basis(n: int) -> list[np.ndarray]:

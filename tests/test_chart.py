@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_spd_operator
+from conftest import fd_trace, random_spd_operator
 from test_cli import ZERO_EPSILON_UNDEFINED, sample_config
 from nonholo import ball3d, elpr, elr, veselova
 from nonholo.ball3d import ChaplyginChart, RubberChart
@@ -24,7 +24,6 @@ from nonholo.liealg import InertiaOperator, wedge_dim
 from nonholo.numerics import (
     IntegratorConfig,
     constraint_tangent_basis,
-    fd_divergence,
     fd_gradient,
     fd_jacobian,
     integrate,
@@ -97,8 +96,8 @@ def test_deviation_of_a_trajectory_pair_matches_each_sample(pair):
 
 # ---------------------------------------------------------------------------
 # divergence of every chart, at n = 3..5, every valid rank and three values
-# of eps: each chart's own closed form, held to the central differences of
-# fd_divergence
+# of eps: each chart's own closed form, held to the central-difference
+# divergence, the trace of fd_jacobian
 
 
 def _a(n):
@@ -141,7 +140,7 @@ def test_divergence_matches_central_differences(chart):
     for x in _divergence_points(chart, 41):
         div = chart.divergence(x)
         assert div.shape == (len(x),)
-        assert fd_close(div, fd_divergence(chart.field, x), 1e-7)
+        assert fd_close(div, fd_trace(chart.field, x), 1e-7)
 
 
 @pytest.mark.parametrize(
@@ -262,7 +261,7 @@ def test_frame_block_has_no_trace_on_the_normal_space(path):
     normal, tangent = _traces(chart, dilated, xs)
     count = fd_jacobian(chart.constraints, xs).shape[-2]
     assert np.allclose(normal, count, atol=1e-6)
-    assert not fd_close(fd_divergence(dilated, xs), tangent, 1e-3)
+    assert not fd_close(fd_trace(dilated, xs), tangent, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ def test_closed_form_liouville_terms_match_central_differences(chart):
     xs = np.array([chart.random_coords(rng) for _ in range(2)])
     div, grad = chart.divergence(xs), chart.log_density_grad(xs)
     assert div.shape == (2,) and grad.shape == xs.shape
-    assert fd_close(div, fd_divergence(chart.field, xs), 1e-7)
+    assert fd_close(div, fd_trace(chart.field, xs), 1e-7)
     assert fd_close(grad, fd_gradient(chart.log_density, xs), 1e-7)
     # batched against one point at a time, up to rounding
     for i, x in enumerate(xs):
@@ -410,7 +409,7 @@ def test_exponent_fitted_from_central_differences_is_the_chart_exponent(chart):
     # the exponent the flow preserves
     rng = np.random.default_rng(61)
     xs = np.array([chart.random_coords(rng) for _ in range(20)])
-    div = fd_divergence(chart.field, xs)
+    div = fd_trace(chart.field, xs)
     rate = np.einsum("...i,...i->...", chart.field(xs), fd_gradient(chart.log_base, xs))
     alpha = -np.sum(div * rate) / np.sum(rate**2)
     assert abs(alpha - chart.density_exponent) <= 1e-6 * abs(chart.density_exponent)

@@ -305,12 +305,30 @@ def test_a_singular_stage_point_exits_four_without_a_traceback(tmp_path, capsys,
     assert main(["simulate", "--config", p, "--seed", "1", "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err and "singular matrix" in err
-    assert main(["verify", "--config", p, "--check", "volume", "--seeds", "2",
-                 "--out", str(out)]) == 4
+    for check in ("volume", "integrals"):
+        assert main(["verify", "--config", p, "--check", check, "--seeds", "2",
+                     "--out", str(out)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_rows(out / f"{system}_{check}.csv")[1:]
+        # a kernel failure's row names its time, as a constraint drift's does
+        assert len(rows) == 2 and all(r[-1].startswith("abort: ") for r in rows)
+        assert all(" at t=" in r[-1] for r in rows)
+        assert any("singular matrix" in r[-1] for r in rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_gated_value_is_an_abort_row(tmp_path, capsys):
+    # the field's products overflow to a nan residual: an abort, as a
+    # non-finite field value is; numpy's overflow warning is the trigger,
+    # hence the filter
+    cfg = {"system": "elr_multiplier", "n": 3, "k": 1, "epsilon": 0.5,
+           "initial": {"coords": [1e200] * 6}}
+    p = write_cfg(tmp_path, cfg)
+    assert main(["verify", "--config", p, "--check", "liouville",
+                 "--out", str(tmp_path)]) == 4
     assert "Traceback" not in capsys.readouterr().err
-    rows = read_rows(out / f"{system}_volume.csv")[1:]
-    assert len(rows) == 2 and all(r[-1].startswith("abort: ") for r in rows)
-    assert any("singular matrix" in r[-1] for r in rows)
+    rows = read_rows(tmp_path / "elr_multiplier_liouville.csv")[1:]
+    assert [(r[7], r[-1]) for r in rows] == [("abort", "abort: non-finite liouville_residual")]
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
@@ -418,8 +436,9 @@ def test_verify_volume_wrong_exponent_control_fails(tmp_path, monkeypatch, syste
 @pytest.mark.parametrize("method", ["divergence", "log_density"])
 def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
     # errors of divergence, which volume transport integrates, reach
-    # verify wrapped in IntegrationAbort, log_density errors unwrapped;
-    # either way only the failing seed aborts
+    # verify wrapped in IntegrationAbort, whose row names the time of the
+    # step, log_density errors unwrapped; either way only the failing seed
+    # aborts
     cfg = write_cfg(tmp_path, BALL_CFG)
     bad = load_config(cfg).initial_coords(8)
     original = getattr(ChaplyginChart, method)
@@ -435,7 +454,8 @@ def test_verify_failing_seed_becomes_abort_row(tmp_path, monkeypatch, method):
     rows = read_rows(tmp_path / "ball_chaplygin_volume.csv")
     status = {r[5]: r[10] for r in rows[1:]}
     assert status["7"] == status["9"] == "pass"
-    assert status["8"] == "abort: injected failure"
+    at = " at t=0" if method == "divergence" else ""
+    assert status["8"] == "abort: injected failure" + at
 
 
 @pytest.mark.parametrize("failure", ["raises", "nan"])
@@ -465,7 +485,7 @@ def test_verify_volume_divergence_failure_in_a_step_becomes_abort_row(
     status = {r[5]: r[10] for r in rows[1:]}
     assert status["7"] == status["9"] == "pass"
     cause = {"raises": "injected failure", "nan": "non-finite field value"}[failure]
-    assert status["8"].startswith("abort: ") and status["8"].endswith(cause)
+    assert status["8"] == f"abort: {cause} at t=0"
 
 
 def test_verify_integrals_ensemble_matches_single_seed_runs(tmp_path):
@@ -509,7 +529,8 @@ def test_verify_integrals_failing_seed_becomes_abort_row(tmp_path, monkeypatch, 
     for r in rows:
         status.setdefault(r[5], set()).add(r[10])
     assert status["7"] <= {"pass", "info"} and status["9"] <= {"pass", "info"}
-    assert status["8"] == {"abort: injected failure"}
+    at = " at t=0" if method == "field" else ""
+    assert status["8"] == {"abort: injected failure" + at}
 
 
 def test_verify_liouville_rejected_for_constrained_system(tmp_path, capsys):

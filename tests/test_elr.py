@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import commutator, field_blocks, random_spd_operator, rng_for, wedge_basis
+from conftest import commutator, fd_trace, field_blocks, random_spd_operator, rng_for, wedge_basis
 from nonholo import ball3d
 from nonholo.cli import load_config
 from nonholo.elr import (
@@ -27,7 +27,6 @@ from nonholo.liealg import (
 )
 from nonholo.numerics import (
     IntegratorConfig,
-    fd_divergence,
     integrate,
     liouville_residual_ambient,
 )
@@ -83,7 +82,7 @@ def test_analytic_divergence_matches_finite_difference():
         op = random_spd_operator(n, rng_for(11 * n + k))
         chart = MultiplierChart(op, k=k, eps=1.0)
         x = chart.flatten(st)
-        fd = fd_divergence(chart.field, x)
+        fd = fd_trace(chart.field, x)
         assert fd == pytest.approx(chart.divergence(x), abs=1e-6)
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rng_for
+from conftest import fd_trace, rng_for
 from nonholo import numerics
 from nonholo.ball3d import ChaplyginChart, random_ball_state
 from nonholo.cli import SYSTEMS, load_config
@@ -23,7 +23,6 @@ from nonholo.liealg import InertiaOperator
 from nonholo.numerics import (
     IntegratorConfig,
     constraint_tangent_basis,
-    fd_divergence,
     fd_gradient,
     fd_jacobian,
     integrate,
@@ -373,26 +372,42 @@ def test_a_wrongly_shaped_batched_result_raises_instead_of_a_row_by_row_retry():
 
 
 def test_fd_stencil_matches_its_formula_bit_for_bit(monkeypatch):
-    # signed zeros included: x + h_i e_i turns -0.0 into +0.0 off the diagonal
+    # the rows fd_jacobian evaluates, signed zeros included: x + h_i e_i
+    # turns -0.0 into +0.0 off the diagonal
     x = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3e5]])
     monkeypatch.setattr(numerics, "_FD_H", 1e-3)
-    pts, h = numerics._fd_points(x)
-    assert np.array_equal(h, 1e-3 * np.maximum(1.0, np.abs(x)))
+    rows = []
+
+    def record(v):
+        rows.append(v.copy())
+        return v
+
+    fd_jacobian(record, x)
+    h = 1e-3 * np.maximum(1.0, np.abs(x))
     step = h[..., :, None] * np.eye(3)
     ref = np.concatenate([x[..., None, :] + step, x[..., None, :] - step], axis=-2)
-    assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
+    assert len(rows) == 1 and rows[0].tobytes() == ref.reshape(-1, 3).tobytes()
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=CONFIG_IDS)
-def test_fd_divergence_is_the_trace_of_fd_jacobian_bit_for_bit(path):
-    # the one FD divergence: the diagonal of fd_jacobian's differences summed
+def test_default_liouville_divergence_is_the_trace_of_fd_jacobian(path, monkeypatch):
+    # the one FD divergence: with a zero log-density gradient the residual is
+    # the trace of fd_jacobian's differences, taken through the _jacobian
+    # alias, so a wrapper on fd_jacobian sees none of these calls
     chart = load_config(path).chart
     rng = np.random.default_rng(31)
     xs = np.array([chart.random_coords(rng) for _ in range(2)])
-    for x in (xs[0], xs):
-        div = fd_divergence(chart.field, x)
-        trace = np.trace(fd_jacobian(chart.field, x), axis1=-2, axis2=-1)
-        assert div.shape == x.shape[:-1] and div.tobytes() == trace.tobytes()
+    traces = [np.trace(fd_jacobian(chart.field, x), axis1=-2, axis2=-1) for x in (xs[0], xs)]
+
+    def wrapper(fn, x):
+        raise AssertionError("the default divergence called the public fd_jacobian")
+
+    monkeypatch.setattr(numerics, "fd_jacobian", wrapper)
+    for x, trace in zip((xs[0], xs), traces):
+        res = liouville_residual_ambient(
+            chart.field, chart.log_density, x, grad_fn=np.zeros_like
+        )
+        assert res.shape == x.shape[:-1] and np.array_equal(res, trace)
 
 
 def test_pointwise_adapter_maps_leading_axes_row_by_row():
@@ -413,7 +428,7 @@ def test_divergence_of_linear_field_is_trace():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
     x = rng.standard_normal(4)
-    assert fd_divergence(numerics.pointwise(lambda v: A @ v), x) == pytest.approx(
+    assert fd_trace(numerics.pointwise(lambda v: A @ v), x) == pytest.approx(
         np.trace(A), abs=1e-7
     )
 
@@ -425,11 +440,11 @@ def test_fd_gradient_and_divergence_broadcast_over_a_batch():
     field = lambda v: np.sin(v) @ A.T
     logmu = lambda v: np.cos(v) @ w + np.sum(v**3, axis=-1)
     xs = rng.standard_normal((5, 4))
-    grads, divs = fd_gradient(logmu, xs), fd_divergence(field, xs)
+    grads, divs = fd_gradient(logmu, xs), fd_trace(field, xs)
     assert grads.shape == (5, 4) and divs.shape == (5,)
     for x, g, dv in zip(xs, grads, divs):
         assert np.array_equal(g, fd_gradient(logmu, x))
-        assert dv == fd_divergence(field, x)
+        assert dv == fd_trace(field, x)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1, 3)])
@@ -493,7 +508,7 @@ def test_liouville_residual_takes_closed_form_terms():
     logmu = numerics.pointwise(lambda v: 0.7 * float(v @ v))
     x = np.array([0.6, -1.1])
     fd = liouville_residual_ambient(rot, logmu, x)
-    div = fd_divergence(rot, x)
+    div = fd_trace(rot, x)
     grad = fd_gradient(logmu, x)
     closed = liouville_residual_ambient(rot, logmu, x, divergence_fn=lambda v: div)
     assert closed == fd
